@@ -87,7 +87,7 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                             v = t[a, b]
                             if v:
                                 entries[j * m + a][ti * m + b] += sign * v
-        diffs.append(IntMatrix(entries, shape=(rows, cols)))
+        diffs.append(IntMatrix._trusted(entries, rows, cols))
     complex_ = CochainComplex(x, system, convention, diffs)
     for p in range(x.dimension):
         if not (diffs[p + 1] * diffs[p]).is_zero():

@@ -21,7 +21,9 @@ The main objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import mul
 
 from ._kernel import smith_with_transforms
 
@@ -59,12 +61,29 @@ class IntMatrix:
         self._data = data
 
     @classmethod
+    def _trusted(cls, rows, nrows, ncols):
+        """Matrix from rows of ints the package computed itself.
+
+        ``rows`` must hold ``nrows`` int sequences of length ``ncols``;
+        nothing is checked.  Input from outside the package goes through
+        the validating public constructor instead, so the entries of
+        every matrix are checked once, where they enter.
+        """
+        m = object.__new__(cls)
+        m._nrows = nrows
+        m._ncols = ncols
+        m._data = tuple(map(tuple, rows))
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], shape=(nrows, ncols))
+        row = (0,) * ncols
+        return cls._trusted((row,) * nrows, nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -126,36 +145,45 @@ class IntMatrix:
         return "IntMatrix(%s)" % ([list(r) for r in self._data],)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self._data],
-                         shape=self.shape)
+        return IntMatrix._trusted(
+            [[-x for x in row] for row in self._data], *self.shape)
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self._data, other._data)],
-            shape=self.shape)
+             for ra, rb in zip(self._data, other._data)], *self.shape)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self._data, other._data)],
-            shape=self.shape)
+             for ra, rb in zip(self._data, other._data)], *self.shape)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[other * x for x in row] for row in self._data],
-                             shape=self.shape)
+            return IntMatrix._trusted(
+                [[other * x for x in row] for row in self._data], *self.shape)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
             raise ValueError("shape mismatch: %s * %s" % (self.shape, other.shape))
-        bt = other.columns()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt]
-             for row in self._data],
-            shape=(self._nrows, other._ncols))
+        # Row i of the product is the sum of a_ik * (row k of B) over the
+        # nonzero a_ik, each row of B restricted to its nonzeros.  Integer
+        # sums are exact, so the order of accumulation cannot change them.
+        ncols = other._ncols
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b]
+                    for row in other._data]
+        positions = range(self._ncols)
+        out = []
+        for row in self._data:
+            acc = [0] * ncols
+            for k in compress(positions, row):
+                a = row[k]
+                for j, b in nonzeros[k]:
+                    acc[j] += a * b
+            out.append(acc)
+        return IntMatrix._trusted(out, self._nrows, ncols)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -163,32 +191,42 @@ class IntMatrix:
         return NotImplemented
 
     def apply(self, vector):
-        """Matrix times column vector (tuple in, tuple out)."""
+        """Matrix times column vector (tuple in, tuple out).
+
+        Sums x_k times column k over the nonzero x_k only: the vectors
+        the solvers pass hold a handful of nonzeros.
+        """
         if len(vector) != self._ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vector))
-                     for row in self._data)
+        out = (0,) * self._nrows
+        for k in compress(range(self._ncols), vector):
+            x = vector[k]
+            out = [s + row[k] * x for s, row in zip(out, self._data)]
+        return tuple(out)
 
     def transpose(self):
-        return IntMatrix([[self._data[i][j] for i in range(self._nrows)]
-                          for j in range(self._ncols)],
-                         shape=(self._ncols, self._nrows))
+        return IntMatrix._trusted(list(zip(*self._data)) or
+                                  [()] * self._ncols,
+                                  self._ncols, self._nrows)
 
     def hstack(self, other):
         if self._nrows != other._nrows:
             raise ValueError("row count mismatch")
-        return IntMatrix([ra + rb for ra, rb in zip(self._data, other._data)],
-                         shape=(self._nrows, self._ncols + other._ncols))
+        return IntMatrix._trusted(
+            [ra + rb for ra, rb in zip(self._data, other._data)],
+            self._nrows, self._ncols + other._ncols)
 
     def vstack(self, other):
         if self._ncols != other._ncols:
             raise ValueError("column count mismatch")
-        return IntMatrix(self._data + other._data,
-                         shape=(self._nrows + other._nrows, self._ncols))
+        return IntMatrix._trusted(self._data + other._data,
+                                  self._nrows + other._nrows, self._ncols)
 
     def submatrix_columns(self, indices):
-        return IntMatrix([[row[j] for j in indices] for row in self._data],
-                         shape=(self._nrows, len(indices)))
+        indices = list(indices)
+        return IntMatrix._trusted(
+            [[row[j] for j in indices] for row in self._data],
+            self._nrows, len(indices))
 
     def is_zero(self):
         return all(x == 0 for row in self._data for x in row)
@@ -252,6 +290,13 @@ def vstack_all(matrices, ncols=None):
     return out
 
 
+def _from_columns(cols, nrows):
+    """IntMatrix from column vectors the package computed itself."""
+    if not cols:
+        return IntMatrix.zeros(nrows, 0)
+    return IntMatrix._trusted(zip(*cols), nrows, len(cols))
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
@@ -274,20 +319,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
-    u, d, v, uinv, vinv = smith_with_transforms(a.rows(), a.nrows, a.ncols)
-    dm = IntMatrix(d, shape=a.shape)
+    r, c = a.shape
+    u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
     diag = []
-    for i in range(min(a.nrows, a.ncols)):
-        if dm[i, i] == 0:
+    for i in range(min(r, c)):
+        if d[i][i] == 0:
             break
-        diag.append(dm[i, i])
+        diag.append(d[i][i])
     return SmithDecomposition(
-        U=IntMatrix(u, shape=(a.nrows, a.nrows)),
-        D=dm,
-        V=IntMatrix(v, shape=(a.ncols, a.ncols)),
+        U=IntMatrix._trusted(u, r, r),
+        D=IntMatrix._trusted(d, r, c),
+        V=IntMatrix._trusted(v, c, c),
         diagonal=tuple(diag),
-        U_inv=IntMatrix(uinv, shape=(a.nrows, a.nrows)),
-        V_inv=IntMatrix(vinv, shape=(a.ncols, a.ncols)),
+        U_inv=IntMatrix._trusted(uinv, r, r),
+        V_inv=IntMatrix._trusted(vinv, c, c),
     )
 
 
@@ -319,16 +364,14 @@ class _SnfSolver:
             raise ValueError("rhs length mismatch")
         dec = self.dec
         y = dec.U.apply(tuple(b))
+        if any(y[dec.rank:]):
+            return None
         x = [0] * self.a.ncols
-        for i in range(self.a.nrows):
-            if i < dec.rank:
-                d = dec.diagonal[i]
-                if y[i] % d:
-                    return None
-                if i < self.a.ncols:
-                    x[i] = y[i] // d
-            elif y[i] != 0:
+        for i in compress(range(dec.rank), y):
+            q, rem = divmod(y[i], dec.diagonal[i])
+            if rem:
                 return None
+            x[i] = q
         return dec.V.apply(tuple(x))
 
     def solve_matrix(self, b: IntMatrix):
@@ -339,7 +382,7 @@ class _SnfSolver:
             if x is None:
                 return None
             cols.append(x)
-        return IntMatrix.from_columns(cols, nrows=self.a.ncols)
+        return _from_columns(cols, self.a.ncols)
 
 
 def solve(a: IntMatrix, b: IntMatrix):
@@ -350,12 +393,10 @@ def solve(a: IntMatrix, b: IntMatrix):
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis of the lattice spanned by the columns of ``gens``."""
     dec = smith_normal_form(gens)
-    cols = []
-    for i in range(dec.rank):
-        col = dec.U_inv.column(i)
-        d = dec.diagonal[i]
-        cols.append(tuple(d * x for x in col))
-    return IntMatrix.from_columns(cols, nrows=gens.nrows)
+    # column i of U_inv scaled by d_i, for i below the rank
+    return IntMatrix._trusted(
+        [list(map(mul, dec.diagonal, row)) for row in dec.U_inv.rows()],
+        gens.nrows, dec.rank)
 
 
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
@@ -369,8 +410,7 @@ def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
         raise ValueError("codomain mismatch")
     block = m.hstack(lat)
     ker = kernel(block)
-    top = IntMatrix([ker.row(i) for i in range(m.ncols)],
-                    shape=(m.ncols, ker.ncols))
+    top = IntMatrix._trusted(ker.rows()[:m.ncols], m.ncols, ker.ncols)
     return lattice_basis(top)
 
 
@@ -531,9 +571,9 @@ class Subquotient:
 
     def project_matrix(self, mat: IntMatrix) -> IntMatrix:
         """Columnwise project: ambient columns to canonical coordinates."""
-        return IntMatrix.from_columns(
+        return _from_columns(
             [self.project(mat.column(j)) for j in range(mat.ncols)],
-            nrows=self.quotient.ngens)
+            self.quotient.ngens)
 
     def is_zero_class(self, vector):
         return all(c == 0 for c in self.project(vector))

@@ -415,7 +415,7 @@ def analyze(spec: NcpTorusBundleSpec) -> NcpAnalysis:
     page2 = e2_page(page1)
     d2 = d2_spec(spec, page2)
     page2d = page2.with_differentials(d2.page_differentials)
-    page3 = attach_d2(page2, d2.page_differentials)
+    page3 = attach_d2(page2d)
     k0, k1 = assemble(page3)
     return NcpAnalysis(spec=spec, e1=page1, e2=page2d, d2=d2, e3=page3,
                        e_infinity=page3, k_even=k0, k_odd=k1,

@@ -145,7 +145,7 @@ class SimplicialComplex:
                     tau, sign = self.glue_sign(sigma, l)
                     i = self.index(tau)
                     entries[i][j] += sign * (-1) ** l
-        return IntMatrix(entries, shape=(rows, cols))
+        return IntMatrix._trusted(entries, rows, cols)
 
     def euler_characteristic(self):
         return sum((-1) ** p * self.n_simplices(p)

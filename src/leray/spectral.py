@@ -44,7 +44,8 @@ class SpectralPage:
     ``entries[(p, q)]`` is a Subquotient of the ambient cochain module;
     ``differentials[(p, q)]``, when present, is an integer matrix from
     the canonical generators of the entry to the canonical coordinates
-    of the entry at (p + r, (q - 1) % 2).
+    of the entry at (p + r, (q - 1) % 2).  The differentials are
+    validated once, here; a page never changes afterwards.
     """
 
     def __init__(self, r, x, bundle, entries, differentials):
@@ -53,6 +54,7 @@ class SpectralPage:
         self.bundle = bundle
         self.entries = dict(entries)
         self.differentials = dict(differentials)
+        _validate_differentials(self)
 
     @property
     def dimension(self):
@@ -84,10 +86,8 @@ class SpectralPage:
         return IntMatrix.zeros(target_gens, self.entry(p, q).quotient.ngens)
 
     def with_differentials(self, differentials) -> "SpectralPage":
-        page = SpectralPage(self.r, self.x, self.bundle,
+        return SpectralPage(self.r, self.x, self.bundle,
                             self.entries, differentials)
-        _validate_differentials(page)
-        return page
 
     def table_rows(self):
         """(r, p, q, group, outgoing differential rank) per entry."""
@@ -197,9 +197,7 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
                                           IntMatrix.zeros(n, 0))
             if p + 1 <= x.dimension:
                 differentials[(p, q)] = c.differential(p)
-    page = SpectralPage(1, x, bundle, entries, differentials)
-    _validate_differentials(page)
-    return page
+    return SpectralPage(1, x, bundle, entries, differentials)
 
 
 def _turn(page: SpectralPage) -> SpectralPage:
@@ -208,9 +206,9 @@ def _turn(page: SpectralPage) -> SpectralPage:
     Every new entry is presented inside the same ambient cochain module
     as its predecessor: new cycles are the preimage of zero under the
     outgoing map, new boundaries extend the old ones by lifted images of
-    the incoming map.
+    the incoming map.  The differentials were validated when the page
+    was made.
     """
-    _validate_differentials(page)
     new_entries = {}
     for (p, q) in page.keys():
         entry = page.entry(p, q)
@@ -218,11 +216,7 @@ def _turn(page: SpectralPage) -> SpectralPage:
         tp, tq = page.target_key(p, q)
         if out is not None and tp <= page.dimension:
             target = page.entry(tp, tq)
-            coords_of_basis = IntMatrix.from_columns(
-                [entry.project(entry.cycle_gens.column(j))
-                 for j in range(entry.cycle_gens.ncols)],
-                nrows=entry.quotient.ngens)
-            cond = out * coords_of_basis
+            cond = out * entry.project_matrix(entry.cycle_gens)
             lat = preimage_lattice(cond, _relation_lattice(target.quotient))
             cycles = entry.cycle_gens * lat
         else:
@@ -259,17 +253,20 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
     return page2
 
 
-def attach_d2(page2: SpectralPage, d2) -> SpectralPage:
+def attach_d2(page2: SpectralPage, d2=None) -> SpectralPage:
     """Third page from an externally supplied d_2.
 
     ``d2`` maps (p, q) keys to matrices on canonical generators, with
     target (p + 2, q - 1 mod 2).  The map must be well-defined on
     classes; squaring to zero is automatic on a base of dimension <= 2
-    and is checked in general.
+    and is checked in general.  Without ``d2``, the differentials the
+    page already carries (see ``with_differentials``) are used.
     """
     if page2.r != 2:
         raise PageError("attach_d2 expects a second page")
-    return _turn(page2.with_differentials(dict(d2)))
+    if d2 is not None:
+        page2 = page2.with_differentials(d2)
+    return _turn(page2)
 
 
 def advance(page: SpectralPage) -> SpectralPage:

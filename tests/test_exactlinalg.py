@@ -255,3 +255,78 @@ def test_big_entries_no_overflow():
     rng = random.Random(3)
     a = random_matrix(rng, 6, 6, lo=-10 ** 12, hi=10 ** 12)
     check_snf_identities(a)
+
+
+# Mostly zeros, with small entries and entries around +-10^30.
+sparse_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=10 ** 30 - 3, max_value=10 ** 30 + 3),
+    st.integers(min_value=-10 ** 30 - 3, max_value=-10 ** 30 + 3))
+
+
+def sparse_rows(draw, nrows, ncols):
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols,
+                                  max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    # an all-zero row and an all-zero column, when the shape has room
+    if nrows and ncols and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def dense_product(a, b, inner, ncols):
+    return [[sum(a[i][t] * b[t][j] for t in range(inner))
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def assert_canonical(m, rows):
+    """m equals the publicly constructed matrix, representation included."""
+    ref = IntMatrix(rows, shape=m.shape)
+    assert m == ref and hash(m) == hash(ref)
+    assert all(type(row) is tuple for row in m.rows())
+    assert type(m.rows()) is tuple
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_and_apply_match_dense_reference(data):
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a_rows = sparse_rows(data.draw, r, k)
+    b_rows = sparse_rows(data.draw, k, c)
+    vec = tuple(data.draw(st.lists(sparse_entries, min_size=k, max_size=k)))
+    a = IntMatrix(a_rows, shape=(r, k))
+    b = IntMatrix(b_rows, shape=(k, c))
+    assert_canonical(a * b, dense_product(a_rows, b_rows, k, c))
+    assert a.apply(vec) == tuple(sum(row[t] * vec[t] for t in range(k))
+                                 for row in a_rows)
+    assert_canonical(a.transpose(),
+                     [[a_rows[i][j] for i in range(r)] for j in range(k)])
+    assert_canonical(-a, [[-x for x in row] for row in a_rows])
+    assert_canonical(a * 3, [[3 * x for x in row] for row in a_rows])
+
+
+def test_product_shapes_with_empty_dimensions():
+    assert IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+    assert IntMatrix.zeros(2, 3) * IntMatrix.zeros(3, 0) == IntMatrix.zeros(2, 0)
+    assert IntMatrix.zeros(2, 0).apply(()) == (0, 0)
+    assert IntMatrix.zeros(0, 2).apply((1, 2)) == ()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match="length"):
+        IntMatrix.zeros(2, 3).apply((1, 2))
+
+
+def test_public_constructor_validates_entries():
+    with pytest.raises(TypeError):
+        IntMatrix([[1, True]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1.0, 2]])
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(1, False)])

@@ -1,8 +1,11 @@
+import os
 import random
 import subprocess
 import sys
 
 import pytest
+
+import leray
 
 from leray._kernel import BACKEND
 from leray._kernel import pure
@@ -44,10 +47,13 @@ def test_backends_bit_identical_big_entries():
 
 def test_env_var_forces_pure_backend():
     code = ("import leray._kernel as k; print(k.BACKEND)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leray.__file__)))
+    env = dict(os.environ, LERAY_KERNEL="pure")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True,
-                         env={"LERAY_KERNEL": "pure", "PATH": "/usr/bin:/bin"})
-    assert out.stdout.strip() == "pure"
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "pure", out.stderr
 
 
 def test_input_not_mutated():

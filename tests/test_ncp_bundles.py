@@ -331,3 +331,21 @@ def test_analyze_genus2():
     assert res.e2.group(2, 0) == FgAbGroup(1, (2,))
     assert res.e3.group(2, 0) == FgAbGroup(1, ())
     assert not res.verdict.trivial
+
+
+def test_analyze_validates_each_page_once(monkeypatch):
+    import leray.spectral as spectral
+    validated = []
+    check = spectral._validate_differentials
+
+    def record(page):
+        validated.append(page)
+        check(page)
+
+    monkeypatch.setattr(spectral, "_validate_differentials", record)
+    res = analyze(spec_t2((2, 4), (1, 0)))
+    pages = [page for page in validated if page.differentials]
+    # E1 with its d1, and E2 with the injected d2: once each
+    assert [page.r for page in pages] == [1, 2]
+    assert pages[1] is res.e2
+    assert len(validated) == len({id(page) for page in validated})
