@@ -1,14 +1,16 @@
-"""Pure-Python Smith normal form kernel.
+"""Smith normal form kernel.
 
-This is the reference implementation of the one hot loop in the package:
-full SNF with unimodular transforms over arbitrary-precision integers.
-A compiled twin lives in ``_csnf.pyx``; both must produce bit-identical
-output (see tests/test_kernel_backends.py).  Frozen digests of the
-output in tests/test_snf_golden.py pin this module on its own.
+The one hot loop in the package: full SNF with unimodular transforms
+over arbitrary-precision integers.  Frozen digests of the output in
+tests/test_snf_golden.py pin it.
 """
 
 from itertools import compress, islice
 from operator import itemgetter
+
+# perfbench records this in every run and refuses to compare runs whose
+# backends differ, so it stays although there is only one kernel.
+BACKEND = "pure"
 
 
 def smith_with_transforms(a, nrows, ncols):
@@ -31,6 +33,15 @@ def smith_with_transforms(a, nrows, ncols):
     ``c * 0`` changes nothing, so the output is the same as with the
     dense loops, while the sparse coboundaries the pipeline produces
     cost far less.
+
+    Divisibility repair: when d_i does not divide d_{i+1}, column i+1 is
+    added to column i and the 2x2 block {i, i+1} is cleared again, which
+    leaves gcd(d_i, d_{i+1}) at position i.  The pivot search and the
+    clearing are confined to that block (``_clear_at`` is given i + 2 as
+    its row and column bound): the rest of D is already diagonal, and a
+    search over the whole trailing block could swap a smaller later
+    entry into position i and leave D non-diagonal.  The row and column
+    operations still update the full ``u``, ``v`` and inverses.
     """
     d = [list(row) for row in a]
     u = _identity(nrows)
@@ -57,7 +68,7 @@ def smith_with_transforms(a, nrows, ncols):
         for i in range(rank - 1):
             if d[i + 1][i + 1] % d[i][i]:
                 _col_axpy(d, v, vinv, i, i + 1, 1)
-                _clear_at(d, u, uinv, v, vinv, nrows, ncols, i)
+                _clear_at(d, u, uinv, v, vinv, i + 2, i + 2, i)
                 for j in (i, i + 1):
                     if d[j][j] < 0:
                         _negate_row(d, u, uinv, j)

@@ -61,6 +61,12 @@ def load_document(path):
     return doc
 
 
+def _is_int(x):
+    """True for a JSON integer; JSON true and false load as ``bool``,
+    which is a subclass of ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_matrix(data, what="matrix"):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("%s must be a list of rows" % what)
@@ -93,7 +99,7 @@ def parse_system(data, x: SimplicialComplex) -> LocalSystem:
     if "rank" not in data:
         raise InputError("system needs a 'rank'")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise InputError("system rank must be a nonnegative integer")
     kinds = [k for k in ("constant", "monodromy", "transports") if k in data]
     if len(kinds) != 1:
@@ -104,8 +110,12 @@ def parse_system(data, x: SimplicialComplex) -> LocalSystem:
         if kind == "constant":
             return LocalSystem.constant(x, rank)
         if kind == "monodromy":
+            if not isinstance(data["monodromy"], list):
+                raise InputError("monodromy must be a list of matrices")
             mats = [parse_matrix(m, "monodromy matrix") for m in data["monodromy"]]
             return from_monodromy(x, mats, fiber_rank=rank)
+        if not isinstance(data["transports"], dict):
+            raise InputError("transports must be an object keyed by 'u-v'")
         transports = {}
         for key, mat in data["transports"].items():
             parts = key.replace(",", "-").split("-")
@@ -126,18 +136,23 @@ def parse_bundle_spec(data) -> NcpTorusBundleSpec:
     for key in ("base", "windings", "chern"):
         if key not in data:
             raise InputError("bundle needs '%s'" % key)
+    windings = data["windings"]
+    if not isinstance(windings, list) or not all(map(_is_int, windings)):
+        raise InputError("windings must be a list of integers")
+    if not isinstance(data["chern"], list):
+        raise InputError("chern must be a list")
     chern = []
     for c in data["chern"]:
-        if isinstance(c, int):
+        if _is_int(c):
             chern.append(c)
-        elif isinstance(c, list) and all(isinstance(v, int) for v in c):
+        elif isinstance(c, list) and all(map(_is_int, c)):
             chern.append(tuple(c))
         else:
             raise InputError("chern entries must be integers or integer lists")
     try:
         return NcpTorusBundleSpec(
             base_name=data["base"],
-            winding=tuple(data["windings"]),
+            winding=tuple(windings),
             chern=tuple(chern),
             n=data.get("n", 2),
         )
@@ -191,7 +206,7 @@ def cmd_group_cohomology(args, doc):
         raise InputError("group-cohomology needs a 'system' object")
     rank = data.get("rank")
     mats = data.get("monodromy") or data.get("matrices")
-    if not isinstance(rank, int) or not isinstance(mats, list):
+    if not _is_int(rank) or not isinstance(mats, list):
         raise InputError("system needs 'rank' and a matrix list")
     matrices = tuple(parse_matrix(m, "action matrix") for m in mats)
     try:

@@ -316,16 +316,29 @@ class SmithDecomposition:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
+    The shape of D is checked on every call, in one pass over its rows:
+    diagonal, non-negative, a divisibility chain with zeros last.  A
+    violation raises AssertionError (explicitly, so ``python -O`` keeps
+    the check); ``solve`` and ``Subquotient.project`` would otherwise
+    return wrong coordinates without any error.
+
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
     r, c = a.shape
     u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
     diag = []
-    for i in range(min(r, c)):
-        if d[i][i] == 0:
-            break
-        diag.append(d[i][i])
+    for i, row in enumerate(d):
+        x = row[i] if i < c else 0
+        if row.count(0) != c - (x != 0):
+            raise AssertionError("SNF postcondition: D is not diagonal "
+                                 "in row %d" % i)
+        if x:
+            if x < 0 or len(diag) < i or (diag and x % diag[-1]):
+                raise AssertionError(
+                    "SNF postcondition: D[%d][%d] = %d breaks the "
+                    "non-negative divisibility chain" % (i, i, x))
+            diag.append(x)
     return SmithDecomposition(
         U=IntMatrix._trusted(u, r, r),
         D=IntMatrix._trusted(d, r, c),

@@ -402,7 +402,6 @@ class NcpAnalysis:
     e2: SpectralPage
     d2: D2Spec
     e3: SpectralPage
-    e_infinity: SpectralPage
     k_even: object
     k_odd: object
     verdict: TrivialityVerdict
@@ -418,5 +417,4 @@ def analyze(spec: NcpTorusBundleSpec) -> NcpAnalysis:
     page3 = attach_d2(page2d)
     k0, k1 = assemble(page3)
     return NcpAnalysis(spec=spec, e1=page1, e2=page2d, d2=d2, e3=page3,
-                       e_infinity=page3, k_even=k0, k_odd=k1,
-                       verdict=is_rkk_trivial(spec))
+                       k_even=k0, k_odd=k1, verdict=is_rkk_trivial(spec))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 
 RUN = [sys.executable, "-m", "leray.cli"]
@@ -109,6 +110,33 @@ def test_malformed_matrix_exit_2(tmp_path):
     res = run_cli(tmp_path, "cohomology", doc)
     assert res.returncode == 2
     assert "input error" in res.stderr
+
+
+_MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": 1, "monodromy": 5}}),
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": 1, "transports": [1]}}),
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": True, "constant": True}}),
+    ("group-cohomology", {"system": {"rank": True, "monodromy": _MONO}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": [1, 2], "chern": 5}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": [1.5, 2],
+                        "chern": [1, 0]}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": ["a", 2],
+                        "chern": [1, 0]}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": [True, 2],
+                        "chern": [1, 0]}}),
+], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
+        "chern-int", "winding-float", "winding-str", "winding-bool"])
+def test_schema_violation_exit_2(tmp_path, command, doc):
+    res = run_cli(tmp_path, command, doc)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error:")
+    assert "Traceback" not in res.stderr
 
 
 def test_unknown_builtin_exit_2(tmp_path):

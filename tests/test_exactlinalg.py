@@ -2,7 +2,10 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from leray import _kernel, exactlinalg
 from leray.exactlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -53,6 +56,71 @@ def check_snf_identities(a):
 def test_snf_identities_random(a):
     dec = check_snf_identities(a)
     assert dec.diagonal == determinant_divisor_diagonal(a)
+
+
+# Diagonal entries sharing and missing small prime factors, so the
+# divisibility repair has to move factors between positions.
+STRUCTURED_ENTRIES = (0, 1, 2, 3, 4, 6, 9, 10, 12, 15, 18, 20)
+
+
+@st.composite
+def permuted_diagonals(draw):
+    # Diagonal length first, so long diagonals (where a faulty repair
+    # shows) are as likely as short ones.
+    k = draw(st.integers(min_value=0, max_value=6))
+    r = draw(st.integers(min_value=k, max_value=6))
+    c = draw(st.integers(min_value=k, max_value=6))
+    diag = draw(st.lists(st.sampled_from(STRUCTURED_ENTRIES),
+                         min_size=k, max_size=k))
+    rows = draw(st.permutations(range(r)))
+    cols = draw(st.permutations(range(c)))
+    m = [[0] * c for _ in range(r)]
+    for k, x in enumerate(diag):
+        m[rows[k]][cols[k]] = x
+    return IntMatrix(m, shape=(r, c))
+
+
+@settings(max_examples=500, deadline=None)
+@given(permuted_diagonals())
+def test_snf_permuted_structured_diagonals(a):
+    dec = check_snf_identities(a)
+    assert dec.diagonal == determinant_divisor_diagonal(a)
+    theirs = sympy_snf(Matrix(a.nrows, a.ncols, list(a.entries)), domain=ZZ)
+    expected = [abs(theirs[i, i]) for i in range(min(a.nrows, a.ncols))]
+    assert list(dec.diagonal) == [x for x in expected if x]
+
+
+def test_snf_repair_stays_in_its_block():
+    # Repairing d_0 = 6, d_1 = 6, d_2 = 9 must not pull the later 6 into
+    # position 1: that once left D[1][2] = 6, and solve() then returned
+    # (1, 8, 5, -2) for A x = A (1, 1, 1, 1).
+    a = IntMatrix([[6, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0], [0, 0, 0, 10]])
+    dec = check_snf_identities(a)
+    assert dec.diagonal == (1, 6, 6, 90)
+    ones = IntMatrix([[1], [1], [1], [1]])
+    assert solve(a, a * ones) == ones
+
+
+@pytest.mark.parametrize("d", [
+    [[1, 6], [0, 6]],   # off the diagonal
+    [[-2, 0], [0, 4]],  # negative
+    [[2, 0], [0, 3]],   # not a divisibility chain
+    [[0, 0], [0, 2]],   # zero before a nonzero
+], ids=["non-diagonal", "negative", "non-dividing", "zero-first"])
+def test_snf_postcondition_catches_bad_kernel_output(monkeypatch, d):
+    def broken(a, nrows, ncols):
+        ident = [[1, 0], [0, 1]]
+        return ident, [row[:] for row in d], ident, ident, ident
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", broken)
+    with pytest.raises(AssertionError, match="SNF postcondition"):
+        smith_normal_form(IntMatrix.identity(2))
+
+
+def test_input_not_mutated():
+    a = [[2, 4], [6, 8]]
+    snapshot = [row[:] for row in a]
+    _kernel.smith_with_transforms(a, 2, 2)
+    assert a == snapshot
 
 
 def test_snf_golden_examples():

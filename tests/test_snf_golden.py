@@ -1,4 +1,4 @@
-"""Golden digests of the pure SNF kernel.
+"""Golden digests of the SNF kernel.
 
 ``smith_with_transforms`` must return bit-identical (u, d, v, uinv,
 vinv) whatever is done to speed it up: canonical coordinates, and with
@@ -6,7 +6,10 @@ them presentation-dependent report fields such as ``d2_images``, depend
 on the exact transforms, not only on the diagonal.  The digests below
 were frozen from the dense reference loops; a change to pivoting, to the
 order of row and column operations, or to any transform entry shows up
-here as a mismatch.
+here as a mismatch.  The one exception is ``sparse-10x15-0.15``, whose
+output digest was re-frozen when the divisibility repair was confined to
+its 2x2 block: the old repair took its pivot from outside the block on
+that input (its D happened to come out valid).
 
 Each case pins two SHA-256 digests: one of the input matrix (so a change
 in how the inputs are built is reported as such) and one of the kernel
@@ -16,7 +19,7 @@ output.
 import hashlib
 import random
 
-from leray._kernel import pure
+from leray import _kernel
 from leray.cohomology import build
 from leray.exactlinalg import IntMatrix
 from leray.local_systems import from_monodromy
@@ -80,7 +83,7 @@ def digests():
     """{case name: (input digest, output digest)} for every case."""
     out = {}
     for name, a, ncols in [*_coboundary_cases(), *_sparse_random_cases()]:
-        result = pure.smith_with_transforms(a, len(a), ncols)
+        result = _kernel.smith_with_transforms(a, len(a), ncols)
         out[name] = (_sha(a), _sha(result))
     return out
 
@@ -117,7 +120,7 @@ GOLDEN = {
     'sparse-10x15-0.1': ('4c703fb54523924f27f2f84880f2f54c',
          '17c446ef31ff90b82972ee9102d5ec75'),
     'sparse-10x15-0.15': ('14a0941a89eb5a61f7b4243659907dde',
-         '9dfbaee9bf08711b6964e9f85d1a09eb'),
+         '750568d21d70bdfce841f0bda72cadae'),
     'sparse-10x15-0.25': ('90378fb9a187ef0933a6bc756a3c3f3c',
          '34ccff951504620122fbb3e91e738e1b'),
     'sparse-12x12-0.1': ('b59ad74e96c8e099beeb9e71fd1577ce',
