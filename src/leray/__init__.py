@@ -1,129 +1,7 @@
 """Exact-arithmetic Leray-Serre spectral sequences for K-theory bundles
-over finite simplicial complexes."""
+over finite simplicial complexes.
 
-from .exactlinalg import (
-    FgAbGroup,
-    IntMatrix,
-    SmithDecomposition,
-    Subquotient,
-    cokernel,
-    cokernel_group,
-    kernel,
-    smith_normal_form,
-    subquotient,
-)
-from .simplicial import (
-    OrientedSimplex,
-    SimplicialComplex,
-    builtin,
-    circle,
-    face,
-    genus_surface,
-    integral_homology,
-    orientation_sign,
-    simplex,
-    sphere2,
-    torus2,
-)
-from .local_systems import (
-    FlatnessError,
-    GradedKBundle,
-    LocalSystem,
-    coinvariants,
-    flatness_check,
-    from_monodromy,
-    generator_loops,
-    invariants,
-    transport_along,
-)
-from .cohomology import (
-    CochainComplex,
-    build,
-    cohomology,
-    cohomology_groups,
-    convention_compare,
-)
-from .group_cohomology import ZnModule, recursion_check, zn_cohomology
-from .spectral import (
-    AssembledKTheory,
-    PageError,
-    SpectralPage,
-    assemble,
-    attach_d2,
-    e1_page,
-    e2_page,
-    stabilize,
-)
-from .ncp_bundles import (
-    D2Spec,
-    NcpTorusBundleSpec,
-    analyze,
-    chern_cocycle,
-    d2_spec,
-    fundamental_pairing,
-    is_rkk_trivial,
-    k_theory_bundle,
-    torus_transition_data,
-    winding_number,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AssembledKTheory",
-    "CochainComplex",
-    "D2Spec",
-    "FgAbGroup",
-    "FlatnessError",
-    "GradedKBundle",
-    "IntMatrix",
-    "LocalSystem",
-    "NcpTorusBundleSpec",
-    "OrientedSimplex",
-    "PageError",
-    "SimplicialComplex",
-    "SmithDecomposition",
-    "SpectralPage",
-    "Subquotient",
-    "ZnModule",
-    "analyze",
-    "assemble",
-    "attach_d2",
-    "build",
-    "builtin",
-    "chern_cocycle",
-    "circle",
-    "cohomology",
-    "cohomology_groups",
-    "coinvariants",
-    "cokernel",
-    "cokernel_group",
-    "convention_compare",
-    "d2_spec",
-    "e1_page",
-    "e2_page",
-    "face",
-    "flatness_check",
-    "from_monodromy",
-    "fundamental_pairing",
-    "generator_loops",
-    "genus_surface",
-    "integral_homology",
-    "invariants",
-    "is_rkk_trivial",
-    "k_theory_bundle",
-    "kernel",
-    "orientation_sign",
-    "recursion_check",
-    "simplex",
-    "smith_normal_form",
-    "sphere2",
-    "stabilize",
-    "subquotient",
-    "torus2",
-    "torus_transition_data",
-    "transport_along",
-    "winding_number",
-    "zn_cohomology",
-    "__version__",
-]
+The API is the submodules: ``leray.simplicial``, ``leray.local_systems``,
+``leray.cohomology``, ``leray.group_cohomology``, ``leray.spectral``,
+``leray.ncp_bundles``, ``leray.exactlinalg`` and the ``leray.cli`` driver.
+"""

@@ -32,6 +32,12 @@ from .spectral import PageError, assemble, e1_page, e2_page, stabilize
 
 COMMANDS = ("cohomology", "group-cohomology", "spectral", "ncp", "check")
 
+# Largest fiber rank a document may ask for.  The paper's fibers have
+# rank 2 (K-theory of the 2-torus), the benchmarks use 6, and 16 is the
+# K^0 rank of a 5-torus fiber.  A rank-m system carries m x m transports
+# and cochain matrices m^2 times larger than at rank 1.
+MAX_RANK = 16
+
 
 class InputError(ValueError):
     """The job document violates the schema."""
@@ -67,6 +73,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_rank(rank):
+    if not _is_int(rank) or not 0 <= rank <= MAX_RANK:
+        raise InputError("system rank must be an integer from 0 to %d"
+                         % MAX_RANK)
+
+
 def parse_matrix(data, what="matrix"):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("%s must be a list of rows" % what)
@@ -85,8 +97,11 @@ def parse_complex(data) -> SimplicialComplex:
     if isinstance(data, dict):
         if "vertices" not in data or "simplices" not in data:
             raise InputError("inline complex needs 'vertices' and 'simplices'")
+        vertices = data["vertices"]
+        if not _is_int(vertices) or vertices < 0:
+            raise InputError("'vertices' must be a nonnegative integer")
         try:
-            return SimplicialComplex(int(data["vertices"]),
+            return SimplicialComplex(vertices,
                                      [tuple(s) for s in data["simplices"]])
         except (TypeError, ValueError) as exc:
             raise InputError("bad complex: %s" % exc) from None
@@ -99,8 +114,7 @@ def parse_system(data, x: SimplicialComplex) -> LocalSystem:
     if "rank" not in data:
         raise InputError("system needs a 'rank'")
     rank = data["rank"]
-    if not _is_int(rank) or rank < 0:
-        raise InputError("system rank must be a nonnegative integer")
+    _check_rank(rank)
     kinds = [k for k in ("constant", "monodromy", "transports") if k in data]
     if len(kinds) != 1:
         raise InputError(
@@ -206,8 +220,9 @@ def cmd_group_cohomology(args, doc):
         raise InputError("group-cohomology needs a 'system' object")
     rank = data.get("rank")
     mats = data.get("monodromy") or data.get("matrices")
-    if not _is_int(rank) or not isinstance(mats, list):
+    if rank is None or not isinstance(mats, list):
         raise InputError("system needs 'rank' and a matrix list")
+    _check_rank(rank)
     matrices = tuple(parse_matrix(m, "action matrix") for m in mats)
     try:
         module = ZnModule(rank, matrices)
@@ -286,7 +301,7 @@ def cmd_ncp(args, doc):
     spec = parse_bundle_spec(doc.get("bundle"))
     result = analyze(spec)
     k = result.d2.k_gcd
-    pairings = spec.chern_pairings()
+    pairings = result.verdict.chern_pairings
     lines = [
         "ncp torus bundle over %s" % spec.base_name,
         "windings: %s" % (list(spec.winding),),
@@ -393,16 +408,11 @@ def make_parser():
         p.add_argument("--convention", choices=("classical", "e1"),
                        default="e1",
                        help="sign convention for the cohomology command")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for interface compatibility; the "
-                            "output does not depend on it")
     return parser
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if args.jobs < 1:
-        return _fail(2, "error: --jobs must be >= 1")
     try:
         doc = load_document(args.input)
         return _HANDLERS[args.command](args, doc)

@@ -48,10 +48,6 @@ class CochainComplex:
         """Rank n_p of the free module C^p."""
         return self.x.n_simplices(p) * self.fiber_rank
 
-    def basis_index(self, sigma, coord):
-        """Column of (simplex, fiber coordinate) in degree len(sigma)-1."""
-        return self.x.index(sigma) * self.fiber_rank + coord
-
     def differential(self, p) -> IntMatrix:
         """D_p : C^p -> C^{p+1} (zero matrix above the dimension)."""
         if 0 <= p < len(self.differentials):
@@ -75,11 +71,11 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
         if rows:
             for j, sigma in enumerate(x.simplices(p + 1)):
                 for l in range(p + 2):
-                    tau, glue = x.glue_sign(sigma, l)
+                    tau = sigma[:l] + sigma[l + 1:]
                     if convention == "classical":
-                        sign = glue * (-1) ** l
+                        sign = (-1) ** l
                     else:
-                        sign = glue * (-1) ** (p + 1 - l)
+                        sign = (-1) ** (p + 1 - l)
                     t = system.transport(tau[0], sigma[0])
                     ti = x.index(tau)
                     for a in range(m):

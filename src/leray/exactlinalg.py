@@ -124,9 +124,6 @@ class IntMatrix:
     def column(self, j):
         return tuple(row[j] for row in self._data)
 
-    def columns(self):
-        return tuple(self.column(j) for j in range(self._ncols))
-
     def __getitem__(self, key):
         i, j = key
         return self._data[i][j]
@@ -567,9 +564,6 @@ class Subquotient:
         if len(coords) != self.quotient.ngens:
             raise ValueError("coordinate length mismatch")
         return self._lift_matrix.apply(tuple(coords))
-
-    def contains(self, vector):
-        return self._zsolver.solve_vector(tuple(vector)) is not None
 
     def project(self, vector):
         """Canonical coordinates of the class of an ambient vector in Z."""

@@ -31,7 +31,7 @@ from .exactlinalg import (
     rank as matrix_rank,
     subquotient,
 )
-from .local_systems import GradedKBundle, require_flat
+from .local_systems import GradedKBundle
 
 
 class PageError(ValueError):
@@ -76,14 +76,6 @@ class SpectralPage:
 
     def target_key(self, p, q):
         return (p + self.r, (q - 1) % 2)
-
-    def differential_matrix(self, p, q) -> IntMatrix:
-        key = (p, q % 2)
-        if key in self.differentials:
-            return self.differentials[key]
-        tp, tq = self.target_key(p, q)
-        target_gens = self.group(tp, tq).ngens
-        return IntMatrix.zeros(target_gens, self.entry(p, q).quotient.ngens)
 
     def with_differentials(self, differentials) -> "SpectralPage":
         return SpectralPage(self.r, self.x, self.bundle,
@@ -184,8 +176,6 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
     system of parity (p + q) mod 2."""
     if bundle.base != x:
         raise ValueError("bundle is not defined over this complex")
-    require_flat(bundle.even)
-    require_flat(bundle.odd)
     complexes = {0: build(x, bundle.even, "e1"), 1: build(x, bundle.odd, "e1")}
     entries = {}
     differentials = {}
@@ -267,11 +257,6 @@ def attach_d2(page2: SpectralPage, d2=None) -> SpectralPage:
     if d2 is not None:
         page2 = page2.with_differentials(d2)
     return _turn(page2)
-
-
-def advance(page: SpectralPage) -> SpectralPage:
-    """Next page using the stored differentials (zero when absent)."""
-    return _turn(page)
 
 
 def stabilize(page: SpectralPage) -> SpectralPage:

@@ -13,10 +13,8 @@ from math import gcd
 from leray.exactlinalg import (
     IntMatrix,
     cokernel_group,
-    hstack_all,
     kernel,
     subquotient,
-    vstack_all,
 )
 
 
@@ -126,14 +124,3 @@ def random_commuting_pair(rng, m):
     assert a1 * a2 == a2 * a1
     return a1, a2
 
-
-__all__ = [
-    "determinant_divisor_diagonal",
-    "koszul_z2_cohomology",
-    "minor_det",
-    "random_matrix",
-    "random_unimodular",
-    "random_commuting_pair",
-    "hstack_all",
-    "vstack_all",
-]

@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -6,13 +8,17 @@ import pytest
 
 
 RUN = [sys.executable, "-m", "leray.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(tmp_path, command, doc, *extra):
+def run_cli(tmp_path, command, doc, *extra, **kwargs):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     return subprocess.run(RUN + [command, "--input", str(path)] + list(extra),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV, **kwargs)
 
 
 def test_cohomology_torus_constant(tmp_path):
@@ -113,6 +119,13 @@ def test_malformed_matrix_exit_2(tmp_path):
 
 
 _MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
+_CONSTANT = {"rank": 1, "constant": True}
+_IDENTITY_17 = [[int(i == j) for j in range(17)] for i in range(17)]
+
+
+def _limit_memory():
+    limit = 1 << 30  # 1 GiB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -130,10 +143,33 @@ _MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
                         "chern": [1, 0]}}),
     ("ncp", {"bundle": {"base": "torus2", "windings": [True, 2],
                         "chern": [1, 0]}}),
+    ("cohomology", {"complex": "circle(1000000000)", "system": _CONSTANT}),
+    ("cohomology", {"complex": "simplex(60)", "system": _CONSTANT}),
+    ("cohomology", {"complex": "genus(1000000000)", "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 10 ** 12, "simplices": []},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 70,
+                                "simplices": [list(range(70))]},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": 10 ** 9, "constant": True}}),
+    ("group-cohomology", {"system": {"rank": 17,
+                                     "monodromy": [_IDENTITY_17]}}),
+    ("cohomology", {"complex": {"vertices": True, "simplices": [[0]]},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 3.5, "simplices": [[0, 1]]},
+                    "system": _CONSTANT}),
 ], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
-        "chern-int", "winding-float", "winding-str", "winding-bool"])
+        "chern-int", "winding-float", "winding-str", "winding-bool",
+        "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
+        "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
+        "vertices-float"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
-    res = run_cli(tmp_path, command, doc)
+    """The size caps reject oversized documents before anything is
+    allocated; the memory limit and the timeout make a missing cap fail
+    fast instead of exhausting the machine."""
+    res = run_cli(tmp_path, command, doc, preexec_fn=_limit_memory,
+                  timeout=30)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("input error:")
     assert "Traceback" not in res.stderr
@@ -149,7 +185,7 @@ def test_parse_error_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"complex": torus2}')
     res = subprocess.run(RUN + ["cohomology", "--input", str(path)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert res.returncode == 2
     assert "line 1" in res.stderr
 
@@ -182,12 +218,3 @@ def test_convention_flag(tmp_path):
         out[conv] = [g["group"] for g in json.loads(res.stdout)["groups"]]
     assert out["classical"] == out["e1"]
 
-
-def test_jobs_flag_accepted(tmp_path):
-    doc = {"complex": "torus2", "system": {"rank": 1, "constant": True}}
-    res1 = run_cli(tmp_path, "cohomology", doc, "--jobs", "4")
-    res2 = run_cli(tmp_path, "cohomology", doc)
-    assert res1.returncode == 0
-    assert res1.stdout == res2.stdout
-    res = run_cli(tmp_path, "cohomology", doc, "--jobs", "0")
-    assert res.returncode == 2

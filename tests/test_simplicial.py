@@ -2,60 +2,14 @@ import pytest
 
 from leray.exactlinalg import FgAbGroup
 from leray.simplicial import (
-    OrientedSimplex,
-    SimplicialComplex,
     builtin,
     circle,
-    face,
     genus_surface,
     integral_homology,
-    orientation_sign,
     simplex,
     sphere2,
     torus2,
 )
-
-
-def test_face_examples():
-    assert face(OrientedSimplex((0, 1, 2)), 1).vertices == (0, 2)
-    assert face(OrientedSimplex((0, 1)), 0).vertices == (1,)
-    assert face(OrientedSimplex((2, 0, 1)), 2).vertices == (2, 0)
-    with pytest.raises(IndexError):
-        face(OrientedSimplex((0, 1)), 2)
-
-
-def test_orientation_sign_examples():
-    assert orientation_sign(OrientedSimplex((0, 1, 2))) == 1
-    assert orientation_sign(OrientedSimplex((1, 0, 2))) == -1
-    assert orientation_sign(OrientedSimplex((2, 0, 1))) == 1
-
-
-def test_orientation_sign_flips_under_transposition():
-    base = (0, 3, 5, 7)
-    s = orientation_sign(OrientedSimplex(base))
-    for i in range(3):
-        swapped = list(base)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert orientation_sign(OrientedSimplex(tuple(swapped))) == -s
-
-
-def test_glue_sign_examples():
-    x = simplex(3)
-    assert x.glue_sign((0, 1, 2), 0) == ((1, 2), 1)
-    assert x.glue_sign((0, 1, 3), 1) == ((0, 3), 1)
-    # reoriented view picks up the permutation sign
-    tau, sign = x.glue_sign(OrientedSimplex((1, 0, 2)), 0)
-    assert tau == (0, 2) and sign == 1
-    tau, sign = x.glue_sign(OrientedSimplex((1, 0, 2)), 2)
-    assert tau == (0, 1) and sign == -1
-
-
-def test_glue_sign_missing_face():
-    x = SimplicialComplex(3, [(0, 1), (1, 2)])
-    # (0, 2) is not an edge of the path complex: its vertex faces exist,
-    # but a foreign 2-simplex exposes the missing-face diagnostic.
-    with pytest.raises(KeyError):
-        x.glue_sign(OrientedSimplex((0, 2, 1)), 2)
 
 
 def test_closure_and_counts():

@@ -8,7 +8,7 @@ from leray.local_systems import GradedKBundle, LocalSystem, from_monodromy
 from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
 from leray.spectral import (
     PageError,
-    advance,
+    _turn,
     assemble,
     attach_d2,
     e1_page,
@@ -199,8 +199,8 @@ def test_validator_rejects_torsion_ill_defined_map():
 def test_page_stabilization():
     x = torus2()
     page2 = e2_page(e1_page(x, constant_bundle(x, 2, 1)))
-    p3 = advance(page2)
-    p4 = advance(p3)
+    p3 = _turn(page2)
+    p4 = _turn(p3)
     assert p3.r == 3 and p4.r == 4
     for (p, q) in page2.keys():
         assert p3.group(p, q) == p4.group(p, q)
