@@ -118,9 +118,6 @@ class IntMatrix:
     def rows(self):
         return self._data
 
-    def row(self, i):
-        return self._data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self._data)
 
@@ -309,6 +306,22 @@ class SmithDecomposition:
     def rank(self):
         return len(self.diagonal)
 
+    def basis_coordinates(self, b):
+        """The unique coordinates of ``b`` in the basis zb = U_inv[:, :r]
+        diag(d) of the column span of A, or None if b is not in it: as
+        U zb = [diag(d); 0], they are (U b)_i / d_i when (U b)[r:] = 0
+        and every division is exact."""
+        y = self.U.apply(tuple(b))
+        r = self.rank
+        if any(y[r:]):
+            return None
+        x = [0] * r
+        for i in compress(range(r), y):
+            x[i], rem = divmod(y[i], self.diagonal[i])
+            if rem:
+                return None
+        return tuple(x)
+
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
@@ -361,52 +374,35 @@ def kernel(a: IntMatrix) -> IntMatrix:
     return dec.V.submatrix_columns(range(dec.rank, a.ncols))
 
 
-class _SnfSolver:
-    """Precomputed SNF of a matrix for repeated exact linear solves."""
-
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        self.dec = smith_normal_form(a)
-
-    def solve_vector(self, b):
-        """Integer x with A x = b, or None."""
-        if len(b) != self.a.nrows:
-            raise ValueError("rhs length mismatch")
-        dec = self.dec
-        y = dec.U.apply(tuple(b))
-        if any(y[dec.rank:]):
-            return None
-        x = [0] * self.a.ncols
-        for i in compress(range(dec.rank), y):
-            q, rem = divmod(y[i], dec.diagonal[i])
-            if rem:
-                return None
-            x[i] = q
-        return dec.V.apply(tuple(x))
-
-    def solve_matrix(self, b: IntMatrix):
-        """Integer X with A X = B, or None."""
-        cols = []
-        for j in range(b.ncols):
-            x = self.solve_vector(b.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return _from_columns(cols, self.a.ncols)
-
-
 def solve(a: IntMatrix, b: IntMatrix):
-    """Integer solution X of A X = B, or None when none exists."""
-    return _SnfSolver(a).solve_matrix(b)
+    """Integer solution X of A X = B, or None when none exists.
+
+    With U A V = D of rank r, A V = U_inv D: A V[:, :r] is the basis zb
+    of ``basis_coordinates`` and A V[:, r:] = 0, so x = V[:, :r] c
+    solves A x = b for the zb-coordinates c of b.
+    """
+    dec = smith_normal_form(a)
+    pad = (0,) * (a.ncols - dec.rank)
+    cols = []
+    for j in range(b.ncols):
+        c = dec.basis_coordinates(b.column(j))
+        if c is None:
+            return None
+        cols.append(dec.V.apply(c + pad))
+    return _from_columns(cols, a.ncols)
+
+
+def _scaled_columns(m: IntMatrix, diagonal) -> IntMatrix:
+    """The first len(diagonal) columns of m, column i times diagonal[i]."""
+    return IntMatrix._trusted(
+        [list(map(mul, diagonal, row)) for row in m.rows()],
+        m.nrows, len(diagonal))
 
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis of the lattice spanned by the columns of ``gens``."""
     dec = smith_normal_form(gens)
-    # column i of U_inv scaled by d_i, for i below the rank
-    return IntMatrix._trusted(
-        [list(map(mul, dec.diagonal, row)) for row in dec.U_inv.rows()],
-        gens.nrows, dec.rank)
+    return _scaled_columns(dec.U_inv, dec.diagonal)
 
 
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
@@ -444,10 +440,6 @@ class FgAbGroup:
                 raise ValueError("torsion coefficients must be >= 2")
             if i and self.torsion[i] % self.torsion[i - 1]:
                 raise ValueError("torsion must form a divisibility chain")
-
-    @property
-    def rank(self):
-        return self.free_rank
 
     @property
     def ngens(self):
@@ -523,51 +515,54 @@ def element_order(group: FgAbGroup, coords):
 class Subquotient:
     """A subquotient Z/B of an ambient free module Z^n.
 
-    ``cycle_gens`` columns generate Z, ``boundary_gens`` columns generate
-    B with B contained in Z.  The quotient is presented in canonical form
-    with generator order (free part first, then torsion ascending), and
-    ``lift``/``project`` translate between canonical coordinates and
-    ambient vectors.
+    ``cycle_gens`` columns are a basis of Z, ``boundary_gens`` columns a
+    basis of B, with B contained in Z.  The quotient is presented in
+    canonical form with generator order (free part first, then torsion
+    ascending), and ``lift``/``project`` translate between canonical
+    coordinates and ambient vectors.
+
+    Two SNFs build it.  That of the cycle generators C gives the basis
+    zb of Z and coordinates in it (``basis_coordinates``); those of the
+    boundary generators form the relation matrix y.  With U' y V' = D'
+    of rank s and g = zb U'_inv, B = zb span(y) has the basis
+    g[:, :s] diag(d'), the columns of g with d'_i = 0 or >= 2 lift the
+    free and torsion generators, and U' maps zb-coordinates to
+    canonical ones.
     """
 
     def __init__(self, cycles: IntMatrix, boundaries: IntMatrix):
         if cycles.nrows != boundaries.nrows:
             raise ValueError("ambient rank mismatch")
         self.ambient_rank = cycles.nrows
-        zb = lattice_basis(cycles)
-        self._zsolver = _SnfSolver(zb)
-        y = self._zsolver.solve_matrix(boundaries)
-        if y is None:
+        self._cycles = smith_normal_form(cycles)
+        zb = _scaled_columns(self._cycles.U_inv, self._cycles.diagonal)
+        coords = [self._cycles.basis_coordinates(boundaries.column(j))
+                  for j in range(boundaries.ncols)]
+        if None in coords:
             raise ValueError("boundary not contained in cycles")
-        self.cycle_gens = zb
-        self.boundary_gens = lattice_basis(boundaries)
-        dec = smith_normal_form(y)
+        dec = smith_normal_form(_from_columns(coords, zb.ncols))
         self._gen_change = dec.U  # presentation coords = U @ (Z-coords)
-        k = zb.ncols
         diag = dec.diagonal
-        free_idx = list(range(dec.rank, k))
-        torsion_idx = [i for i in range(dec.rank) if diag[i] >= 2]
-        self._free_idx = free_idx
-        self._torsion_idx = torsion_idx
-        self.quotient = FgAbGroup(len(free_idx),
-                                  tuple(diag[i] for i in torsion_idx))
+        self._free_idx = list(range(dec.rank, zb.ncols))
+        self._torsion_idx = [i for i in range(dec.rank) if diag[i] >= 2]
+        self.quotient = FgAbGroup(len(self._free_idx),
+                                  tuple(diag[i] for i in self._torsion_idx))
         g = zb * dec.U_inv
-        self._lift_matrix = g.submatrix_columns(free_idx + torsion_idx)
-
-    @property
-    def lift_matrix(self) -> IntMatrix:
-        """Columns are ambient representatives of the canonical generators."""
-        return self._lift_matrix
+        self.cycle_gens = zb
+        self.boundary_gens = _scaled_columns(g, diag)
+        # columns: ambient representatives of the canonical generators
+        self.lift_matrix = g.submatrix_columns(self._free_idx +
+                                               self._torsion_idx)
 
     def lift(self, coords):
         """Ambient representative of the element with canonical coordinates."""
         if len(coords) != self.quotient.ngens:
             raise ValueError("coordinate length mismatch")
-        return self._lift_matrix.apply(tuple(coords))
+        return self.lift_matrix.apply(tuple(coords))
 
     def project(self, vector):
         """Canonical coordinates of the class of an ambient vector in Z."""
-        c = self._zsolver.solve_vector(tuple(vector))
+        c = self._cycles.basis_coordinates(vector)
         if c is None:
             raise ValueError("vector not contained in the cycle span")
         w = self._gen_change.apply(c)

@@ -35,7 +35,6 @@ from .exactlinalg import (
     IntMatrix,
     element_order,
     group_from_divisors,
-    lattice_basis,
     solve,
 )
 from .local_systems import GradedKBundle, LocalSystem, from_monodromy, generator_loops
@@ -46,6 +45,7 @@ from .spectral import (
     attach_d2,
     e1_page,
     e2_page,
+    relation_lattice,
 )
 
 FIBER_RANK = 2  # rank of K0 and K1 of a noncommutative 2-torus fiber
@@ -73,22 +73,19 @@ class NcpTorusBundleSpec:
     base_name: str
     winding: tuple
     chern: tuple
-    n: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "winding", tuple(self.winding))
         chern = tuple(c if isinstance(c, int) else tuple(c)
                       for c in self.chern)
         object.__setattr__(self, "chern", chern)
-        if self.n != 2:
-            raise ValueError("only rank-2 torus fibers are supported")
         base = resolve_base(self.base_name)
         expected = len(generator_loops(base))
         if len(self.winding) != expected:
             raise ValueError("expected %d windings for %s, got %d"
                              % (expected, self.base_name, len(self.winding)))
-        if len(chern) != self.n:
-            raise ValueError("expected %d Chern entries" % self.n)
+        if len(chern) != FIBER_RANK:
+            raise ValueError("expected %d Chern entries" % FIBER_RANK)
         for c in chern:
             if not isinstance(c, int) and len(c) != base.n_simplices(2):
                 raise ValueError("Chern cochain has wrong length")
@@ -350,15 +347,8 @@ def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
     # together the two classes must generate the whole group
     gens = IntMatrix.from_columns([unit_class, bott_class],
                                   nrows=group.ngens)
-    relations = []
-    for j, t in enumerate(group.torsion):
-        col = [0] * group.ngens
-        col[group.free_rank + j] = t
-        relations.append(tuple(col))
-    full = gens.hstack(IntMatrix.from_columns(relations, nrows=group.ngens)) \
-        if relations else gens
-    if lattice_basis(full).ncols != group.ngens or \
-            solve(full, IntMatrix.identity(group.ngens)) is None:
+    full = gens.hstack(relation_lattice(group))
+    if solve(full, IntMatrix.identity(group.ngens)) is None:
         raise ValueError("unit and Bott classes do not generate H^2")
 
 

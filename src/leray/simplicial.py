@@ -226,25 +226,24 @@ def genus_surface(g: int) -> SimplicialComplex:
         raise ValueError("genus must be >= 1")
     # 4g + 3 vertices, 12g + 2 triangles of 7 faces each
     _check_faces(88 * g + 17)
-    x = torus2()
+    x = torus = torus2()
     for _ in range(g - 1):
-        x = _connected_sum_with_torus(x)
+        x = _connected_sum_with_torus(x, torus)
     _verify_surface(x, euler=2 - 2 * g, h1_rank=2 * g)
     return x
 
 
-def _connected_sum_with_torus(x: SimplicialComplex) -> SimplicialComplex:
+def _connected_sum_with_torus(x, torus) -> SimplicialComplex:
     base_tris = list(x.simplices(2))
     removed = base_tris.pop()  # deterministic: last triangle in sorted order
-    other = torus2()
-    other_tris = list(other.simplices(2))
+    other_tris = list(torus.simplices(2))
     target = other_tris.pop(0)
     # glue the boundary of `target` onto the boundary of `removed`
     relabel = {}
     for a, b in zip(sorted(target), sorted(removed)):
         relabel[a] = b
     fresh = x.vertex_count
-    for v in range(other.vertex_count):
+    for v in range(torus.vertex_count):
         if v not in relabel:
             relabel[v] = fresh
             fresh += 1

@@ -46,14 +46,17 @@ class SpectralPage:
     the canonical generators of the entry to the canonical coordinates
     of the entry at (p + r, (q - 1) % 2).  The differentials are
     validated once, here; a page never changes afterwards.
+    ``complexes``, when given, maps each coefficient parity to the
+    cochain complex whose modules hold the entries.
     """
 
-    def __init__(self, r, x, bundle, entries, differentials):
+    def __init__(self, r, x, bundle, entries, differentials, complexes=None):
         self.r = r
         self.x = x
         self.bundle = bundle
         self.entries = dict(entries)
         self.differentials = dict(differentials)
+        self.complexes = complexes
         _validate_differentials(self)
 
     @property
@@ -79,7 +82,7 @@ class SpectralPage:
 
     def with_differentials(self, differentials) -> "SpectralPage":
         return SpectralPage(self.r, self.x, self.bundle,
-                            self.entries, differentials)
+                            self.entries, differentials, self.complexes)
 
     def table_rows(self):
         """(r, p, q, group, outgoing differential rank) per entry."""
@@ -118,7 +121,7 @@ def _zero_class(entry, coords):
                for c, t in zip(coords[g.free_rank:], g.torsion))
 
 
-def _relation_lattice(group: FgAbGroup) -> IntMatrix:
+def relation_lattice(group: FgAbGroup) -> IntMatrix:
     """Columns spanning the zero classes in canonical coordinates."""
     cols = []
     n = group.ngens
@@ -187,7 +190,7 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
                                           IntMatrix.zeros(n, 0))
             if p + 1 <= x.dimension:
                 differentials[(p, q)] = c.differential(p)
-    return SpectralPage(1, x, bundle, entries, differentials)
+    return SpectralPage(1, x, bundle, entries, differentials, complexes)
 
 
 def _turn(page: SpectralPage) -> SpectralPage:
@@ -207,7 +210,7 @@ def _turn(page: SpectralPage) -> SpectralPage:
         if out is not None and tp <= page.dimension:
             target = page.entry(tp, tq)
             cond = out * entry.project_matrix(entry.cycle_gens)
-            lat = preimage_lattice(cond, _relation_lattice(target.quotient))
+            lat = preimage_lattice(cond, relation_lattice(target.quotient))
             cycles = entry.cycle_gens * lat
         else:
             cycles = entry.cycle_gens
@@ -219,7 +222,8 @@ def _turn(page: SpectralPage) -> SpectralPage:
                 lifted = page.entry(p, q).lift_matrix * inc
                 boundaries = boundaries.hstack(lifted)
         new_entries[(p, q)] = subquotient(cycles, boundaries)
-    return SpectralPage(page.r + 1, page.x, page.bundle, new_entries, {})
+    return SpectralPage(page.r + 1, page.x, page.bundle, new_entries, {},
+                        page.complexes)
 
 
 def e2_page(page1: SpectralPage) -> SpectralPage:
@@ -230,8 +234,7 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
         raise PageError("e2_page expects a first page")
     page2 = _turn(page1)
     for parity in (0, 1):
-        system = page1.bundle.part(parity)
-        hs = cohomology(build(page1.x, system, "e1"))
+        hs = cohomology(page1.complexes[parity])
         for p in range(page1.dimension + 1):
             q = (parity - p) % 2
             got = page2.group(p, q)

@@ -121,6 +121,7 @@ def test_malformed_matrix_exit_2(tmp_path):
 _MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
 _CONSTANT = {"rank": 1, "constant": True}
 _IDENTITY_17 = [[int(i == j) for j in range(17)] for i in range(17)]
+_RANK_16 = {"rank": 16, "constant": True}
 
 
 def _limit_memory():
@@ -159,11 +160,17 @@ def _limit_memory():
                     "system": _CONSTANT}),
     ("cohomology", {"complex": {"vertices": 3.5, "simplices": [[0, 1]]},
                     "system": _CONSTANT}),
+    ("cohomology", {"complex": "circle(2500)", "system": _RANK_16}),
+    ("spectral", {"complex": "circle(2500)",
+                  "system": {"even": _RANK_16, "odd": _RANK_16}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": [0, 0],
+                        "chern": [0, 0], "n": 3}}),
 ], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
         "chern-int", "winding-float", "winding-str", "winding-bool",
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
         "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
-        "vertices-float"])
+        "vertices-float", "cohomology-circle-2500-rank-16",
+        "spectral-circle-2500-rank-16", "ncp-n-3"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
     """The size caps reject oversized documents before anything is
     allocated; the memory limit and the timeout make a missing cap fail

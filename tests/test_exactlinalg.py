@@ -218,6 +218,55 @@ def test_subquotient_project_outside_span():
     assert sq.project((4, 0)) == (2,)
 
 
+def test_subquotient_makes_two_smith_decompositions(monkeypatch):
+    shapes = []
+
+    def counting(a, nrows, ncols):
+        shapes.append((nrows, ncols))
+        return _kernel.smith_with_transforms(a, nrows, ncols)
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", counting)
+    sq = exactlinalg.Subquotient(IntMatrix([[2, 0], [0, 3], [1, 1]]),
+                                 IntMatrix([[4], [0], [2]]))
+    assert sq.quotient == FgAbGroup(1, (2,))
+    # the cycle generators (3 x 2), then the relation matrix (2 x 1)
+    assert shapes == [(3, 2), (2, 1)]
+
+
+small_entries = st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, 6))
+
+
+@st.composite
+def cycles_and_boundaries(draw):
+    """C = L R of rank at most j (so often rank-deficient) and B = C K."""
+    n, k, j, m = (draw(st.integers(0, 4)) for _ in range(4))
+    j = min(j, k)
+
+    def matrix(r, c):
+        return IntMatrix([[draw(small_entries) for _ in range(c)]
+                          for _ in range(r)], shape=(r, c))
+    c = matrix(n, j) * matrix(j, k)
+    return c, c * matrix(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles_and_boundaries())
+def test_subquotient_two_snf_properties(cb):
+    c, b = cb
+    sq = subquotient(c, b)
+    # boundary_gens is a basis of the lattice B spans
+    assert sq.boundary_gens.ncols == smith_normal_form(b).rank
+    assert solve(sq.boundary_gens, b) is not None
+    assert solve(b, sq.boundary_gens) is not None
+    ngens = sq.quotient.ngens
+    for i in range(ngens):
+        e = tuple(int(i == j) for j in range(ngens))
+        assert sq.project(sq.lift(e)) == e
+    for j in range(b.ncols):
+        assert sq.project(b.column(j)) == (0,) * ngens
+    x = solve(c, b)
+    assert x is not None and c * x == b
+
+
 def test_subquotient_zero_boundaries_equals_cycles_presentation():
     z = IntMatrix([[1, 0], [0, 2], [3, 3]])
     sq = subquotient(z, IntMatrix.zeros(3, 0))

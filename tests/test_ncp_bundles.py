@@ -31,8 +31,6 @@ def test_spec_validation():
         NcpTorusBundleSpec("torus2", (1, 2), (0, 0, 0))
     with pytest.raises(ValueError):
         NcpTorusBundleSpec("sphere2", (0, 0), (0, 0))
-    with pytest.raises(ValueError, match="rank-2"):
-        NcpTorusBundleSpec("torus2", (0, 0), (0, 0), n=3)
 
 
 def test_k_theory_bundle_commutative_case():
