@@ -77,7 +77,10 @@ def smith_with_transforms(a, nrows, ncols):
 
 
 def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _negate_row(d, u, uinv, i):

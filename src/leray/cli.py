@@ -17,7 +17,7 @@ import json
 import sys
 
 from .cohomology import cohomology_groups, convention_compare
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, shared_smith_forms
 from .group_cohomology import ZnModule, zn_cohomology
 from .local_systems import (
     FlatnessError,
@@ -39,10 +39,13 @@ COMMANDS = ("cohomology", "group-cohomology", "spectral", "ncp", "check")
 MAX_RANK = 16
 
 # Most entries of the largest coboundary, (n_(p+1) m) x (n_p m) for n_p
-# p-simplices and rank m.  Coboundaries and their SNF transforms are
-# dense: on CPython 3.11 (x86-64), spectral on circle(256) at rank 4
-# (2^20 entries) peaked at 705 MB, at 2^19 at 362 MB.  genus(8) fits
-# up to rank 6.
+# p-simplices and rank m.  It bounds every command's systems, the ncp
+# bundle's at rank FIBER_RANK included.  Coboundaries and their SNF
+# transforms are dense: on CPython 3.11 (x86-64), spectral on
+# circle(256) with two constant rank-4 systems (2^20 entries) peaked at
+# 304 MiB, and on circle(181) (about 2^19) at 163 MiB.  genus(8) fits
+# up to rank 6; ncp admits up to genus(24), which took 13 s and peaked
+# at 341 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 
@@ -86,6 +89,16 @@ def _check_rank(rank):
                          % MAX_RANK)
 
 
+def _check_cochain_size(x: SimplicialComplex, rank):
+    """Reject a rank-``rank`` system on ``x`` whose largest coboundary
+    has more than MAX_COCHAIN_ENTRIES entries, before any is built."""
+    cells = max((x.n_simplices(p) * x.n_simplices(p + 1)
+                 for p in range(x.dimension)), default=0)
+    if cells * rank * rank > MAX_COCHAIN_ENTRIES:
+        raise InputError("cochain complex too large: a coboundary has "
+                         "more than %d entries" % MAX_COCHAIN_ENTRIES)
+
+
 def parse_matrix(data, what="matrix"):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("%s must be a list of rows" % what)
@@ -122,11 +135,7 @@ def parse_system(data, x: SimplicialComplex) -> LocalSystem:
         raise InputError("system needs a 'rank'")
     rank = data["rank"]
     _check_rank(rank)
-    cells = max((x.n_simplices(p) * x.n_simplices(p + 1)
-                 for p in range(x.dimension)), default=0)
-    if cells * rank * rank > MAX_COCHAIN_ENTRIES:
-        raise InputError("cochain complex too large: a coboundary has "
-                         "more than %d entries" % MAX_COCHAIN_ENTRIES)
+    _check_cochain_size(x, rank)
     kinds = [k for k in ("constant", "monodromy", "transports") if k in data]
     if len(kinds) != 1:
         raise InputError(
@@ -179,13 +188,15 @@ def parse_bundle_spec(data) -> NcpTorusBundleSpec:
         else:
             raise InputError("chern entries must be integers or integer lists")
     try:
-        return NcpTorusBundleSpec(
+        spec = NcpTorusBundleSpec(
             base_name=data["base"],
             winding=tuple(windings),
             chern=tuple(chern),
         )
     except (TypeError, ValueError) as exc:
         raise InputError("bad bundle: %s" % exc) from None
+    _check_cochain_size(spec.base, FIBER_RANK)
+    return spec
 
 
 def _check_command_field(doc, command):
@@ -427,7 +438,8 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         doc = load_document(args.input)
-        return _HANDLERS[args.command](args, doc)
+        with shared_smith_forms():
+            return _HANDLERS[args.command](args, doc)
     except InputError as exc:
         return _fail(2, "input error: %s" % exc)
     except (FlatnessError, PageError) as exc:

@@ -20,6 +20,7 @@ The main objects:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -77,8 +78,10 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls._trusted(rows, n, n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -293,18 +296,28 @@ def _from_columns(cols, nrows):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D in Smith normal form."""
+    """U @ A @ V = D with U, V unimodular and D in Smith normal form.
+
+    Only what callers read is kept: D is rebuilt from ``diagonal`` on
+    demand, and V's inverse is not stored.
+    """
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     diagonal: tuple
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     @property
     def rank(self):
         return len(self.diagonal)
+
+    @property
+    def D(self):
+        nrows, ncols = self.U.nrows, self.V.nrows
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i, x in enumerate(self.diagonal):
+            rows[i][i] = x
+        return IntMatrix._trusted(rows, nrows, ncols)
 
     def basis_coordinates(self, b):
         """The unique coordinates of ``b`` in the basis zb = U_inv[:, :r]
@@ -323,20 +336,61 @@ class SmithDecomposition:
         return tuple(x)
 
 
+# Input matrix -> its SmithDecomposition, while shared_smith_forms() is
+# active; None otherwise.
+_shared = None
+
+
+@contextmanager
+def shared_smith_forms():
+    """Within the block, ``smith_normal_form`` decomposes each distinct
+    input once and returns that decomposition for every equal input.
+
+    The table lives as long as the block, so nothing is kept between
+    blocks.  Outside any block every call reaches the kernel.
+
+    >>> a = IntMatrix([[2, 4], [6, 8]])
+    >>> with shared_smith_forms():
+    ...     smith_normal_form(a) is smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
+    True
+    >>> smith_normal_form(a) is smith_normal_form(a)
+    False
+    """
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
-    The shape of D is checked on every call, in one pass over its rows:
-    diagonal, non-negative, a divisibility chain with zeros last.  A
-    violation raises AssertionError (explicitly, so ``python -O`` keeps
+    The shape of D is checked on every kernel call, in one pass over its
+    rows: diagonal, non-negative, a divisibility chain with zeros last.
+    A violation raises AssertionError (explicitly, so ``python -O`` keeps
     the check); ``solve`` and ``Subquotient.project`` would otherwise
-    return wrong coordinates without any error.
+    return wrong coordinates without any error.  The check also proves
+    that the ``D`` rebuilt from the diagonal equals the kernel's.
+
+    Inside ``shared_smith_forms()`` an input equal to one already
+    decomposed gets the same decomposition back.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
+    if _shared is None:
+        return _decompose(a)
+    dec = _shared.get(a)
+    if dec is None:
+        dec = _shared[a] = _decompose(a)
+    return dec
+
+
+def _decompose(a: IntMatrix) -> SmithDecomposition:
     r, c = a.shape
-    u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
+    u, d, v, uinv, _ = smith_with_transforms(a.rows(), r, c)
     diag = []
     for i, row in enumerate(d):
         x = row[i] if i < c else 0
@@ -351,11 +405,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             diag.append(x)
     return SmithDecomposition(
         U=IntMatrix._trusted(u, r, r),
-        D=IntMatrix._trusted(d, r, c),
         V=IntMatrix._trusted(v, c, c),
         diagonal=tuple(diag),
         U_inv=IntMatrix._trusted(uinv, r, r),
-        V_inv=IntMatrix._trusted(vinv, c, c),
     )
 
 

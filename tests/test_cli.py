@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from leray import cli, exactlinalg
+
 
 RUN = [sys.executable, "-m", "leray.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -122,6 +124,8 @@ _MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
 _CONSTANT = {"rank": 1, "constant": True}
 _IDENTITY_17 = [[int(i == j) for j in range(17)] for i in range(17)]
 _RANK_16 = {"rank": 16, "constant": True}
+_GENUS_60 = {"base": "genus(60)", "windings": [2, 4] + [0] * 118,
+             "chern": [1, 0]}
 
 
 def _limit_memory():
@@ -165,12 +169,13 @@ def _limit_memory():
                   "system": {"even": _RANK_16, "odd": _RANK_16}}),
     ("ncp", {"bundle": {"base": "torus2", "windings": [0, 0],
                         "chern": [0, 0], "n": 3}}),
+    ("ncp", {"bundle": _GENUS_60}),
 ], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
         "chern-int", "winding-float", "winding-str", "winding-bool",
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
         "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
         "vertices-float", "cohomology-circle-2500-rank-16",
-        "spectral-circle-2500-rank-16", "ncp-n-3"])
+        "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-genus-60"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
     """The size caps reject oversized documents before anything is
     allocated; the memory limit and the timeout make a missing cap fail
@@ -225,3 +230,40 @@ def test_convention_flag(tmp_path):
         out[conv] = [g["group"] for g in json.loads(res.stdout)["groups"]]
     assert out["classical"] == out["e1"]
 
+
+def _run_in_process(monkeypatch, capsys, tmp_path, command, doc):
+    """cli.main in this process: (exit code, stdout, kernel inputs)."""
+    inputs = []
+    kernel = exactlinalg.smith_with_transforms
+
+    def recording(a, nrows, ncols):
+        inputs.append((nrows, ncols, tuple(map(tuple, a))))
+        return kernel(a, nrows, ncols)
+
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recording)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([command, "--input", str(path), "--emit", "machine"])
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", kernel)
+    return code, capsys.readouterr().out, inputs
+
+
+_NCP_TORUS = {"bundle": {"base": "torus2", "windings": [2, 4],
+                         "chern": [1, 0]}}
+
+
+def test_command_decomposes_each_input_once(monkeypatch, capsys, tmp_path):
+    code, _, inputs = _run_in_process(monkeypatch, capsys, tmp_path,
+                                      "ncp", _NCP_TORUS)
+    assert code == 0
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
+
+
+def test_commands_share_nothing(monkeypatch, capsys, tmp_path):
+    first = _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
+    second = _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert len(first[2]) == len(second[2])
