@@ -34,6 +34,12 @@ def smith_with_transforms(a, nrows, ncols):
     dense loops, while the sparse coboundaries the pipeline produces
     cost far less.
 
+    ``v`` and ``uinv`` change only by column operations, so they are
+    held transposed (``vt``, ``uinvt``) for the whole elimination and
+    transposed back once on return.  Each of their column operations is
+    then a row operation over the nonzeros of one row, and each column
+    swap a swap of two row references, instead of a pass over every row.
+
     Divisibility repair: when d_i does not divide d_{i+1}, column i+1 is
     added to column i and the 2x2 block {i, i+1} is cleared again, which
     leaves gcd(d_i, d_{i+1}) at position i.  The pivot search and the
@@ -45,21 +51,21 @@ def smith_with_transforms(a, nrows, ncols):
     """
     d = [list(row) for row in a]
     u = _identity(nrows)
-    uinv = _identity(nrows)
-    v = _identity(ncols)
+    uinvt = _identity(nrows)
+    vt = _identity(ncols)
     vinv = _identity(ncols)
 
     limit = min(nrows, ncols)
     t = 0
     while t < limit:
-        if not _clear_at(d, u, uinv, v, vinv, nrows, ncols, t):
+        if not _clear_at(d, u, uinvt, vt, vinv, nrows, ncols, t):
             break
         t += 1
 
     rank = t
     for i in range(rank):
         if d[i][i] < 0:
-            _negate_row(d, u, uinv, i)
+            _negate_row(d, u, uinvt, i)
 
     # Enforce the divisibility chain d_i | d_{i+1}.
     fixing = True
@@ -67,13 +73,13 @@ def smith_with_transforms(a, nrows, ncols):
         fixing = False
         for i in range(rank - 1):
             if d[i + 1][i + 1] % d[i][i]:
-                _col_axpy(d, v, vinv, i, i + 1, 1)
-                _clear_at(d, u, uinv, v, vinv, i + 2, i + 2, i)
+                _col_axpy(d, vt, vinv, i, i + 1, 1)
+                _clear_at(d, u, uinvt, vt, vinv, i + 2, i + 2, i)
                 for j in (i, i + 1):
                     if d[j][j] < 0:
-                        _negate_row(d, u, uinv, j)
+                        _negate_row(d, u, uinvt, j)
                 fixing = True
-    return u, d, v, uinv, vinv
+    return u, d, _transpose(vt), _transpose(uinvt), vinv
 
 
 def _identity(n):
@@ -83,56 +89,52 @@ def _identity(n):
     return rows
 
 
-def _negate_row(d, u, uinv, i):
-    for row in (d[i], u[i]):
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _negate_row(d, u, uinvt, i):
+    # row i of d and u, and column i of uinv (row i of uinvt), negated.
+    for row in (d[i], u[i], uinvt[i]):
         for j in compress(range(len(row)), row):
             row[j] = -row[j]
-    for row in _rows_with(uinv, i):
-        row[i] = -row[i]
 
 
-def _swap_rows(d, u, uinv, i, t):
-    d[i], d[t] = d[t], d[i]
-    u[i], u[t] = u[t], u[i]
-    for row in uinv:
-        row[i], row[t] = row[t], row[i]
+def _swap_rows(d, u, uinvt, i, t):
+    # rows i and t of d and u, and columns i and t of uinv, swapped.
+    for rows in (d, u, uinvt):
+        rows[i], rows[t] = rows[t], rows[i]
 
 
-def _swap_cols(d, v, vinv, j, t):
+def _swap_cols(d, vt, vinv, j, t):
+    # columns j and t of d and v, and rows j and t of vinv, swapped.
     for row in d:
         row[j], row[t] = row[t], row[j]
-    for row in v:
-        row[j], row[t] = row[t], row[j]
-    vinv[j], vinv[t] = vinv[t], vinv[j]
+    for rows in (vt, vinv):
+        rows[j], rows[t] = rows[t], rows[j]
 
 
-def _rows_with(rows, k):
-    """The rows with a nonzero entry in column k, picked at C speed.
+def _axpy(dst, src, c):
+    """dst += c * src over the nonzeros of src: adding c * 0 changes
+    nothing, so zero source entries are skipped."""
+    for k in compress(range(len(src)), src):
+        dst[k] += c * src[k]
 
-    Lazy: each row is tested just before the loop reaches it.
-    """
-    return compress(rows, map(itemgetter(k), rows))
 
-
-def _row_axpy(d, u, uinv, i, t, c):
+def _row_axpy(d, u, uinvt, i, t, c):
     # row i += c * row t; inverse bookkeeping: uinv col t -= c * col i.
-    # Zero source entries would add 0, so they are skipped.
-    for src, dst in ((d[t], d[i]), (u[t], u[i])):
-        for j in compress(range(len(src)), src):
-            dst[j] += c * src[j]
-    for row in _rows_with(uinv, i):
-        row[t] -= c * row[i]
+    _axpy(d[i], d[t], c)
+    _axpy(u[i], u[t], c)
+    _axpy(uinvt[t], uinvt[i], -c)
 
 
-def _col_axpy(d, v, vinv, j, t, c):
+def _col_axpy(d, vt, vinv, j, t, c):
     # col j += c * col t; inverse bookkeeping: vinv row t -= c * row j.
-    # Zero source entries would add 0, so they are skipped.
-    for rows in (d, v):
-        for row in _rows_with(rows, t):
-            row[j] += c * row[t]
-    vt, vj = vinv[t], vinv[j]
-    for k in compress(range(len(vj)), vj):
-        vt[k] -= c * vj[k]
+    # d is searched for the rows with a nonzero in column t at C speed.
+    for row in compress(d, map(itemgetter(t), d)):
+        row[j] += c * row[t]
+    _axpy(vt[j], vt[t], c)
+    _axpy(vinv[t], vinv[j], -c)
 
 
 def _find_pivot(d, t, nrows, ncols):
@@ -154,7 +156,7 @@ def _find_pivot(d, t, nrows, ncols):
     return None if best is None else best[1:]
 
 
-def _clear_at(d, u, uinv, v, vinv, nrows, ncols, t):
+def _clear_at(d, u, uinvt, vt, vinv, nrows, ncols, t):
     """Pivot-select in d[t:, t:] and clear row t and column t.
 
     Returns False when the trailing block is entirely zero.
@@ -164,25 +166,25 @@ def _clear_at(d, u, uinv, v, vinv, nrows, ncols, t):
         return False
     bi, bj = pivot
     if bi != t:
-        _swap_rows(d, u, uinv, bi, t)
+        _swap_rows(d, u, uinvt, bi, t)
     if bj != t:
-        _swap_cols(d, v, vinv, bj, t)
+        _swap_cols(d, vt, vinv, bj, t)
 
     while True:
         for i in range(t + 1, nrows):
             while d[i][t]:
                 q = d[i][t] // d[t][t]
                 if q:
-                    _row_axpy(d, u, uinv, i, t, -q)
+                    _row_axpy(d, u, uinvt, i, t, -q)
                 if d[i][t]:
-                    _swap_rows(d, u, uinv, i, t)
+                    _swap_rows(d, u, uinvt, i, t)
         for j in range(t + 1, ncols):
             while d[t][j]:
                 q = d[t][j] // d[t][t]
                 if q:
-                    _col_axpy(d, v, vinv, j, t, -q)
+                    _col_axpy(d, vt, vinv, j, t, -q)
                 if d[t][j]:
-                    _swap_cols(d, v, vinv, j, t)
+                    _swap_cols(d, vt, vinv, j, t)
         if not any(map(itemgetter(t), islice(d, t + 1, None))):
             break
     return True

@@ -83,6 +83,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_decimal(text):
+    """True for plain ASCII digits; ``int()`` also accepts signs,
+    surrounding spaces, underscores and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _check_rank(rank):
     if not _is_int(rank) or not 0 <= rank <= MAX_RANK:
         raise InputError("system rank must be an integer from 0 to %d"
@@ -120,9 +126,14 @@ def parse_complex(data) -> SimplicialComplex:
         vertices = data["vertices"]
         if not _is_int(vertices) or vertices < 0:
             raise InputError("'vertices' must be a nonnegative integer")
+        simplices = data["simplices"]
+        if not isinstance(simplices, list) or not all(
+                isinstance(s, list) and all(map(_is_int, s))
+                for s in simplices):
+            raise InputError("'simplices' must be a list of lists of "
+                             "integer vertices")
         try:
-            return SimplicialComplex(vertices,
-                                     [tuple(s) for s in data["simplices"]])
+            return SimplicialComplex(vertices, [tuple(s) for s in simplices])
         except (TypeError, ValueError) as exc:
             raise InputError("bad complex: %s" % exc) from None
     raise InputError("complex must be a builtin name or an inline description")
@@ -154,10 +165,13 @@ def parse_system(data, x: SimplicialComplex) -> LocalSystem:
         transports = {}
         for key, mat in data["transports"].items():
             parts = key.replace(",", "-").split("-")
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(map(_is_decimal, parts)):
                 raise InputError("transport key %r is not 'u-v'" % key)
-            u, v = int(parts[0]), int(parts[1])
-            transports[(u, v)] = parse_matrix(mat, "transport %r" % key)
+            edge = (int(parts[0]), int(parts[1]))
+            if edge in transports:
+                raise InputError("transport key %r repeats edge %r"
+                                 % (key, edge))
+            transports[edge] = parse_matrix(mat, "transport %r" % key)
         return LocalSystem(x, rank, transports)
     except InputError:
         raise

@@ -169,7 +169,8 @@ class IntMatrix:
         # nonzero a_ik, each row of B restricted to its nonzeros.  Integer
         # sums are exact, so the order of accumulation cannot change them.
         ncols = other._ncols
-        nonzeros = [[(j, b) for j, b in enumerate(row) if b]
+        columns = range(ncols)
+        nonzeros = [list(zip(compress(columns, row), filter(None, row)))
                     for row in other._data]
         positions = range(self._ncols)
         out = []
@@ -190,8 +191,9 @@ class IntMatrix:
     def apply(self, vector):
         """Matrix times column vector (tuple in, tuple out).
 
-        Sums x_k times column k over the nonzero x_k only: the vectors
-        the solvers pass hold a handful of nonzeros.
+        Sums x_k times column k over the nonzero x_k only: the
+        coordinate vectors ``Subquotient.lift`` passes hold a handful of
+        nonzeros.
         """
         if len(vector) != self._ncols:
             raise ValueError("vector length mismatch")
@@ -287,13 +289,6 @@ def vstack_all(matrices, ncols=None):
     return out
 
 
-def _from_columns(cols, nrows):
-    """IntMatrix from column vectors the package computed itself."""
-    if not cols:
-        return IntMatrix.zeros(nrows, 0)
-    return IntMatrix._trusted(zip(*cols), nrows, len(cols))
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
@@ -319,21 +314,33 @@ class SmithDecomposition:
             rows[i][i] = x
         return IntMatrix._trusted(rows, nrows, ncols)
 
-    def basis_coordinates(self, b):
-        """The unique coordinates of ``b`` in the basis zb = U_inv[:, :r]
-        diag(d) of the column span of A, or None if b is not in it: as
-        U zb = [diag(d); 0], they are (U b)_i / d_i when (U b)[r:] = 0
-        and every division is exact."""
-        y = self.U.apply(tuple(b))
+    def basis_coordinates(self, b: IntMatrix):
+        """The unique coordinates of the columns of ``b`` in the basis
+        zb = U_inv[:, :r] diag(d) of the column span of A, as an r x k
+        matrix, or None if some column is not in that span.
+
+        As U zb = [diag(d); 0], they are the rows of the one product
+        U b divided by d_i, when (U b)[r:] = 0 and every division is
+        exact.
+
+        >>> dec = smith_normal_form(IntMatrix([[2], [0]]))
+        >>> dec.basis_coordinates(IntMatrix([[4, -2], [0, 0]]))
+        IntMatrix([[2, -1]])
+        >>> dec.basis_coordinates(IntMatrix([[1], [0]])) is None
+        True
+        """
+        y = (self.U * b).rows()
         r = self.rank
-        if any(y[r:]):
+        if any(map(any, y[r:])):
             return None
-        x = [0] * r
-        for i in compress(range(r), y):
-            x[i], rem = divmod(y[i], self.diagonal[i])
-            if rem:
-                return None
-        return tuple(x)
+        rows = []
+        for row, d in zip(y, self.diagonal):
+            if d != 1:
+                if any(x % d for x in row):
+                    return None
+                row = [x // d for x in row]
+            rows.append(row)
+        return IntMatrix._trusted(rows, r, b.ncols)
 
 
 # Input matrix -> its SmithDecomposition, while shared_smith_forms() is
@@ -434,14 +441,10 @@ def solve(a: IntMatrix, b: IntMatrix):
     solves A x = b for the zb-coordinates c of b.
     """
     dec = smith_normal_form(a)
-    pad = (0,) * (a.ncols - dec.rank)
-    cols = []
-    for j in range(b.ncols):
-        c = dec.basis_coordinates(b.column(j))
-        if c is None:
-            return None
-        cols.append(dec.V.apply(c + pad))
-    return _from_columns(cols, a.ncols)
+    c = dec.basis_coordinates(b)
+    if c is None:
+        return None
+    return dec.V.submatrix_columns(range(dec.rank)) * c
 
 
 def _scaled_columns(m: IntMatrix, diagonal) -> IntMatrix:
@@ -588,11 +591,10 @@ class Subquotient:
         self.ambient_rank = cycles.nrows
         self._cycles = smith_normal_form(cycles)
         zb = _scaled_columns(self._cycles.U_inv, self._cycles.diagonal)
-        coords = [self._cycles.basis_coordinates(boundaries.column(j))
-                  for j in range(boundaries.ncols)]
-        if None in coords:
+        coords = self._cycles.basis_coordinates(boundaries)
+        if coords is None:
             raise ValueError("boundary not contained in cycles")
-        dec = smith_normal_form(_from_columns(coords, zb.ncols))
+        dec = smith_normal_form(coords)
         self._gen_change = dec.U  # presentation coords = U @ (Z-coords)
         diag = dec.diagonal
         self._free_idx = list(range(dec.rank, zb.ncols))
@@ -614,20 +616,20 @@ class Subquotient:
 
     def project(self, vector):
         """Canonical coordinates of the class of an ambient vector in Z."""
-        c = self._cycles.basis_coordinates(vector)
-        if c is None:
-            raise ValueError("vector not contained in the cycle span")
-        w = self._gen_change.apply(c)
-        free = [w[i] for i in self._free_idx]
-        tors = [w[i] % self.quotient.torsion[k]
-                for k, i in enumerate(self._torsion_idx)]
-        return tuple(free + tors)
+        rows = [(x,) for x in vector]
+        return self.project_matrix(
+            IntMatrix._trusted(rows, len(rows), 1)).column(0)
 
     def project_matrix(self, mat: IntMatrix) -> IntMatrix:
         """Columnwise project: ambient columns to canonical coordinates."""
-        return _from_columns(
-            [self.project(mat.column(j)) for j in range(mat.ncols)],
-            self.quotient.ngens)
+        c = self._cycles.basis_coordinates(mat)
+        if c is None:
+            raise ValueError("column not contained in the cycle span")
+        w = (self._gen_change * c).rows()
+        rows = [w[i] for i in self._free_idx]
+        rows += [[x % t for x in w[i]]
+                 for t, i in zip(self.quotient.torsion, self._torsion_idx)]
+        return IntMatrix._trusted(rows, self.quotient.ngens, mat.ncols)
 
     def is_zero_class(self, vector):
         return all(c == 0 for c in self.project(vector))

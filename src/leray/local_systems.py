@@ -190,11 +190,11 @@ class _TreeGauge:
         _, self.tree_edges, self.paths = _spanning_tree(base)
         self.offtree = [e for e in base.simplices(1)
                         if e not in self.tree_edges]
-        cycles = [_cycle_vector(base, self.paths, u, v)
-                  for (u, v) in self.offtree]
-        z1 = IntMatrix.from_columns(cycles, nrows=base.n_simplices(1))
-        b1 = base.boundary_matrix(2)
-        self.h1 = subquotient(z1, b1)
+        # columns: the fundamental cycle of each off-tree edge
+        self.cycles = IntMatrix.from_columns(
+            [_cycle_vector(base, self.paths, u, v) for (u, v) in self.offtree],
+            nrows=base.n_simplices(1))
+        self.h1 = subquotient(self.cycles, base.boundary_matrix(2))
 
     def offtree_coords(self, chain):
         return tuple(chain[self.base.index(e)] for e in self.offtree)
@@ -272,14 +272,10 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
                 out = out * m.power(c)
         return out
 
-    transports = {}
-    for e in base.simplices(1):
-        if e in gauge.tree_edges:
-            transports[e] = ident
-        else:
-            u, v = e
-            cls = gauge.h1.project(_cycle_vector(base, gauge.paths, u, v))
-            transports[e] = rep(cls)
+    transports = dict.fromkeys(base.simplices(1), ident)
+    classes = gauge.h1.project_matrix(gauge.cycles).transpose().rows()
+    for e, cls in zip(gauge.offtree, classes):
+        transports[e] = rep(cls)
     system = LocalSystem(base, fiber_rank, transports)
     require_flat(system)
     for j, m in enumerate(mats):

@@ -301,14 +301,11 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
     if e2.bundle.part(1).fiber_rank != FIBER_RANK or \
             h0_odd.quotient != group_from_divisors([0, 0]):
         raise ValueError("basis of H^0(X, K1) does not match ([U_1], [U_2])")
+    # column i: the cochain with [U_i] at every vertex
+    ident = IntMatrix.identity(FIBER_RANK)
     n0 = base.n_simplices(0)
-    u_coords = []
-    for i in range(FIBER_RANK):
-        cochain = [0] * (n0 * FIBER_RANK)
-        for vtx in range(n0):
-            cochain[vtx * FIBER_RANK + i] = 1
-        u_coords.append(h0_odd.project(cochain))
-    c = IntMatrix.from_columns(u_coords, nrows=2)
+    units = IntMatrix(ident.rows() * n0, shape=(n0 * FIBER_RANK, FIBER_RANK))
+    c = h0_odd.project_matrix(units)
     try:
         c_inv = c.inverse_unimodular()
     except ValueError:
@@ -317,13 +314,10 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
 
     h2_even = e2.entry(dim, 0 if dim % 2 == 0 else 1)
     k = spec.k_gcd()
-    theta_cols = []
+    # column j: fiber vector e_j on the first 2-simplex (eps = +1)
     n2 = base.n_simplices(dim)
-    for j in range(FIBER_RANK):
-        cochain = [0] * (n2 * FIBER_RANK)
-        cochain[0 * FIBER_RANK + j] = 1  # first 2-simplex carries eps = +1
-        theta_cols.append(h2_even.project(cochain))
-    unit_class, bott_class = theta_cols
+    theta = ident.vstack(IntMatrix.zeros((n2 - 1) * FIBER_RANK, FIBER_RANK))
+    unit_class, bott_class = h2_even.project_matrix(theta).transpose().rows()
     _validate_coinvariant_presentation(spec, h2_even, unit_class, bott_class, k)
 
     pairings = spec.chern_pairings()

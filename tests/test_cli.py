@@ -122,6 +122,10 @@ def test_malformed_matrix_exit_2(tmp_path):
 
 _MONO = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
 _CONSTANT = {"rank": 1, "constant": True}
+# a transport on every edge of circle(11), (0, 10) keyed as "0-1_0",
+# which int() reads as 0 and 10
+_CIRCLE_11 = dict({"%d-%d" % (i, i + 1): [[1]] for i in range(10)},
+                  **{"0-1_0": [[1]]})
 _IDENTITY_17 = [[int(i == j) for j in range(17)] for i in range(17)]
 _RANK_16 = {"rank": 16, "constant": True}
 _GENUS_60 = {"base": "genus(60)", "windings": [2, 4] + [0] * 118,
@@ -170,12 +174,29 @@ def _limit_memory():
     ("ncp", {"bundle": {"base": "torus2", "windings": [0, 0],
                         "chern": [0, 0], "n": 3}}),
     ("ncp", {"bundle": _GENUS_60}),
+    ("cohomology", {"complex": {"vertices": 3, "simplices": [[0, 1.5]]},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 3, "simplices": [[True, 2]]},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 3, "simplices": [[0.0, 1.0]]},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": {"vertices": 3, "simplices": "012"},
+                    "system": _CONSTANT}),
+    ("cohomology", {"complex": "circle(3)",
+                    "system": {"rank": 1, "transports": {
+                        "0-1": [[1]], "0,1": [[-1]], "1-2": [[1]],
+                        "0-2": [[1]]}}}),
+    ("cohomology", {"complex": "circle(11)",
+                    "system": {"rank": 1, "transports": _CIRCLE_11}}),
 ], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
         "chern-int", "winding-float", "winding-str", "winding-bool",
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
         "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
         "vertices-float", "cohomology-circle-2500-rank-16",
-        "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-genus-60"])
+        "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-genus-60",
+        "simplex-vertex-float", "simplex-vertex-bool",
+        "simplex-vertices-integral-floats", "simplices-str",
+        "transport-edge-repeated", "transport-key-underscore"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
     """The size caps reject oversized documents before anything is
     allocated; the memory limit and the timeout make a missing cap fail

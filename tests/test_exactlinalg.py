@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -275,6 +275,99 @@ def test_subquotient_zero_boundaries_equals_cycles_presentation():
     z = IntMatrix([[1, 0], [0, 2], [3, 3]])
     sq = subquotient(z, IntMatrix.zeros(3, 0))
     assert sq.quotient == FgAbGroup(2, ())
+
+
+def reference_coordinates(dec, b):
+    """zb-coordinates of the columns of b, one column at a time with
+    dense sums: the r x k matrix, or None if a column is outside the
+    integer span."""
+    r, diag = dec.rank, dec.diagonal
+    cols = []
+    for j in range(b.ncols):
+        y = [sum(row[t] * b[t, j] for t in range(b.nrows))
+             for row in dec.U.rows()]
+        if any(y[r:]) or any(y[i] % diag[i] for i in range(r)):
+            return None
+        cols.append([y[i] // diag[i] for i in range(r)])
+    return IntMatrix([[c[i] for c in cols] for i in range(r)],
+                     shape=(r, b.ncols))
+
+
+@st.composite
+def spans_and_columns(draw):
+    """(A, K, B): A of rank at most j, boundaries A K inside its span,
+    and B with columns A x for sparse x or arbitrary vectors."""
+    n, k, j, m = (draw(st.integers(0, 4)) for _ in range(4))
+    j = min(j, k)
+
+    def matrix(r, c):
+        return IntMatrix([[draw(small_entries) for _ in range(c)]
+                          for _ in range(r)], shape=(r, c))
+    a = matrix(n, j) * matrix(j, k)
+    cols = []
+    for in_span in draw(st.lists(st.booleans(), max_size=4)):
+        if in_span:
+            cols.append(a.apply(tuple(draw(small_entries) for _ in range(k))))
+        else:
+            cols.append(tuple(draw(small_entries) for _ in range(n)))
+    return a, matrix(k, m), IntMatrix.from_columns(cols, nrows=n)
+
+
+_DIAG_2_3 = IntMatrix([[2, 0], [0, 3], [0, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_and_columns())
+@example((_DIAG_2_3, IntMatrix.identity(2), IntMatrix.zeros(3, 0)))
+@example((_DIAG_2_3, IntMatrix.identity(2), IntMatrix([[2], [3], [1]])))
+@example((_DIAG_2_3, IntMatrix.zeros(2, 0), IntMatrix([[4], [1], [0]])))
+def test_basis_coordinates_matches_per_column_reference(case):
+    a, k, b = case
+    dec = smith_normal_form(a)
+    ref = reference_coordinates(dec, b)
+    assert dec.basis_coordinates(b) == ref
+    x = solve(a, b)
+    assert (x is None) == (ref is None)
+    if x is not None:
+        assert a * x == b
+    sq = subquotient(a, a * k)
+    if ref is None:
+        with pytest.raises(ValueError, match="not contained in the cycle"):
+            sq.project_matrix(b)
+        return
+    got = sq.project_matrix(b)
+    assert got.shape == (sq.quotient.ngens, b.ncols)
+    for j in range(b.ncols):
+        coords = sq.project(b.column(j))
+        assert got.column(j) == coords
+        # b_j and the lift of its class differ by a boundary
+        diff = IntMatrix.from_columns(
+            [[p - q for p, q in zip(b.column(j), sq.lift(coords))]],
+            nrows=b.nrows)
+        assert solve(sq.boundary_gens, diff) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(2, 5), st.data())
+def test_basis_coordinates_rational_but_not_integral(k, extra, d, data):
+    """Columns of M = [I; R] are in the rational span of A = d M but
+    not in its integer span unless d divides the coefficients."""
+    r = IntMatrix([[data.draw(small_entries) for _ in range(k)]
+                   for _ in range(extra)], shape=(extra, k))
+    m = IntMatrix.identity(k).vstack(r)
+    a = m * d
+    x = [data.draw(small_entries) for _ in range(k)]
+    x[data.draw(st.integers(0, k - 1))] = 1 + d * data.draw(small_entries)
+    b = m * IntMatrix.from_columns([x], nrows=k)
+    dec = smith_normal_form(a)
+    assert reference_coordinates(dec, b) is None
+    assert dec.basis_coordinates(b) is None
+    assert solve(a, b) is None
+    # one column outside the integer span spoils the whole matrix
+    both = b.hstack(a * IntMatrix.from_columns([x], nrows=k))
+    assert dec.basis_coordinates(both) is None
+    assert dec.basis_coordinates(both.submatrix_columns([1])) == \
+        reference_coordinates(dec, both.submatrix_columns([1]))
 
 
 @settings(max_examples=60, deadline=None)
