@@ -44,8 +44,8 @@ MAX_RANK = 16
 # transforms are dense: on CPython 3.11 (x86-64), spectral on
 # circle(256) with two constant rank-4 systems (2^20 entries) peaked at
 # 304 MiB, and on circle(181) (about 2^19) at 163 MiB.  genus(8) fits
-# up to rank 6; ncp admits up to genus(24), which took 13 s and peaked
-# at 341 MiB.
+# up to rank 6; ncp admits up to genus(24), which took 12 s and peaked
+# at 319 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 
@@ -67,11 +67,17 @@ def load_document(path):
                 text = fh.read()
     except OSError as exc:
         raise InputError("cannot read input: %s" % exc) from None
+    except UnicodeDecodeError as exc:
+        raise InputError("input is not UTF-8: %s" % exc) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("parse error at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg)) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise InputError("parse error: %s" % exc) from None
+    except RecursionError:
+        raise InputError("parse error: nesting too deep") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     return doc
@@ -442,9 +448,9 @@ def make_parser():
                        help="job document (JSON file, or - for stdin)")
         p.add_argument("--emit", choices=("human", "machine"),
                        default="human")
-        p.add_argument("--convention", choices=("classical", "e1"),
-                       default="e1",
-                       help="sign convention for the cohomology command")
+        if name == "cohomology":
+            p.add_argument("--convention", choices=("classical", "e1"),
+                           default="e1", help="sign convention")
     return parser
 
 

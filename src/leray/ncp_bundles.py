@@ -37,7 +37,7 @@ from .exactlinalg import (
     group_from_divisors,
     solve,
 )
-from .local_systems import GradedKBundle, LocalSystem, from_monodromy, generator_loops
+from .local_systems import GradedKBundle, LocalSystem, from_monodromy
 from .simplicial import SimplicialComplex, builtin
 from .spectral import (
     SpectralPage,
@@ -80,7 +80,7 @@ class NcpTorusBundleSpec:
                       for c in self.chern)
         object.__setattr__(self, "chern", chern)
         base = resolve_base(self.base_name)
-        expected = len(generator_loops(base))
+        expected = 2 - base.euler_characteristic()  # rank of H_1
         if len(self.winding) != expected:
             raise ValueError("expected %d windings for %s, got %d"
                              % (expected, self.base_name, len(self.winding)))

@@ -252,6 +252,29 @@ def test_convention_flag(tmp_path):
     assert out["classical"] == out["e1"]
 
 
+@pytest.mark.parametrize("command", ["spectral", "ncp", "check",
+                                     "group-cohomology"])
+def test_convention_only_on_cohomology(tmp_path, command):
+    res = run_cli(tmp_path, command, {}, "--convention", "classical")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --convention" in res.stderr
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"complex": "torus2\xff"}',
+    b'{"rank": ' + b"9" * 5000 + b"}",
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not-utf8", "integer-digit-limit", "nesting-depth"])
+def test_undecodable_document_exit_2(tmp_path, raw):
+    path = tmp_path / "job.json"
+    path.write_bytes(raw)
+    res = subprocess.run(RUN + ["cohomology", "--input", str(path)],
+                         capture_output=True, text=True, env=ENV, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error:")
+    assert "Traceback" not in res.stderr
+
+
 def _run_in_process(monkeypatch, capsys, tmp_path, command, doc):
     """cli.main in this process: (exit code, stdout, kernel inputs)."""
     inputs = []

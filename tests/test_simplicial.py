@@ -1,7 +1,12 @@
+from itertools import combinations
+
 import pytest
 
+from leray import exactlinalg
 from leray.exactlinalg import FgAbGroup
+from leray.ncp_bundles import NcpTorusBundleSpec, resolve_base
 from leray.simplicial import (
+    SimplicialComplex,
     builtin,
     circle,
     genus_surface,
@@ -90,3 +95,53 @@ def test_homology_of_contractible():
     assert integral_homology(simplex(3)) == [
         FgAbGroup(1, ()), FgAbGroup(0, ()),
         FgAbGroup(0, ()), FgAbGroup(0, ())]
+
+
+_SPHERE = list(combinations(range(4), 3))
+# the 6-vertex real projective plane: a closed surface, not orientable
+_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+@pytest.mark.parametrize("x", [torus2(), sphere2()]
+                         + [genus_surface(g) for g in range(1, 9)],
+                         ids=["torus2", "sphere2"]
+                         + ["genus%d" % g for g in range(1, 9)])
+def test_orientation_certifies_homology(x):
+    """The combinatorial certificate agrees with the SNF homology oracle:
+    the signs are a 2-cycle, and H_* = [Z, Z^(2 - chi), Z]."""
+    eps = x.coherent_orientation()
+    assert eps[0] == 1
+    assert all(v == 0 for v in x.boundary_matrix(2).apply(eps))
+    assert integral_homology(x) == [
+        FgAbGroup(1, ()), FgAbGroup(2 - x.euler_characteristic(), ()),
+        FgAbGroup(1, ())]
+
+
+@pytest.mark.parametrize("x, message", [
+    (SimplicialComplex(6, _RP2), "not orientable"),
+    (SimplicialComplex(8, _SPHERE + [tuple(v + 4 for v in t)
+                                     for t in _SPHERE]), "not a closed"),
+    (SimplicialComplex(5, _SPHERE), "not a closed"),
+    (SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), "not a closed"),
+    (simplex(2), "not a closed"),
+    (simplex(3), "not a closed"),
+], ids=["rp2", "two-spheres", "sphere-isolated-vertex", "three-on-an-edge",
+        "simplex2", "simplex3"])
+def test_orientation_rejects_non_surfaces(x, message):
+    with pytest.raises(ValueError, match=message):
+        x.coherent_orientation()
+
+
+def test_surfaces_build_without_smith_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Smith normal form computed")
+
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", refuse)
+    resolve_base.cache_clear()
+    torus2()
+    sphere2()
+    genus_surface(3)
+    NcpTorusBundleSpec("genus(2)", (1, 0, 0, 0), (1, 0))
+    with pytest.raises(ValueError, match="expected 4 windings"):
+        NcpTorusBundleSpec("genus(2)", (1, 0, 0), (1, 0))
