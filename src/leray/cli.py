@@ -41,11 +41,11 @@ MAX_RANK = 16
 # Most entries of the largest coboundary, (n_(p+1) m) x (n_p m) for n_p
 # p-simplices and rank m.  It bounds every command's systems, the ncp
 # bundle's at rank FIBER_RANK included.  Coboundaries and their SNF
-# transforms are dense: on CPython 3.11 (x86-64), spectral on
-# circle(256) with two constant rank-4 systems (2^20 entries) peaked at
-# 304 MiB, and on circle(181) (about 2^19) at 163 MiB.  genus(8) fits
-# up to rank 6; ncp admits up to genus(24), which took 12 s and peaked
-# at 319 MiB.
+# transforms are dense: on CPython 3.11 (x86-64, 2 cores), spectral on
+# circle(256) with two constant rank-4 systems (2^20 entries, run with
+# the cap lifted) peaked at 236 MiB, and on circle(181) (about 2^19) at
+# 127 MiB.  genus(8) fits up to rank 6; ncp admits up to genus(24),
+# which took 9.0 s and peaked at 202 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

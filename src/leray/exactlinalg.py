@@ -427,8 +427,12 @@ def kernel(a: IntMatrix) -> IntMatrix:
 
     The basis columns are the trailing columns of the SNF transform V,
     hence extend to a basis of the whole domain: the kernel is returned
-    as a direct summand, which is what lift/project maps need.
+    as a direct summand, which is what lift/project maps need.  On a
+    zero matrix the kernel makes no column operation and V is the
+    identity, so that case is answered without an SNF.
     """
+    if a.is_zero():
+        return IntMatrix.identity(a.ncols)
     dec = smith_normal_form(a)
     return dec.V.submatrix_columns(range(dec.rank, a.ncols))
 
@@ -454,25 +458,21 @@ def _scaled_columns(m: IntMatrix, diagonal) -> IntMatrix:
         m.nrows, len(diagonal))
 
 
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """A basis of the lattice spanned by the columns of ``gens``."""
-    dec = smith_normal_form(gens)
-    return _scaled_columns(dec.U_inv, dec.diagonal)
-
-
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     """Generators of {x : M x in columnspan(lat)}.
 
-    ``lat`` columns live in the codomain of M.  The result generates the
-    full preimage sublattice of the domain (not merely a finite-index
-    subgroup of it).
+    ``lat`` columns live in the codomain of M.  The result is the top
+    block of a basis of ker [M | lat]: x is in the preimage exactly when
+    M x = lat y for some y, so the columns generate the full preimage
+    sublattice of the domain (not merely a finite-index subgroup of it).
+    When ``lat`` has independent columns, y is determined by x, so
+    dropping the bottom block is injective on the kernel and maps its
+    basis to a basis of the preimage.
     """
     if m.nrows != lat.nrows:
         raise ValueError("codomain mismatch")
-    block = m.hstack(lat)
-    ker = kernel(block)
-    top = IntMatrix._trusted(ker.rows()[:m.ncols], m.ncols, ker.ncols)
-    return lattice_basis(top)
+    ker = kernel(m.hstack(lat))
+    return IntMatrix._trusted(ker.rows()[:m.ncols], m.ncols, ker.ncols)
 
 
 @dataclass(frozen=True)
@@ -608,6 +608,27 @@ class Subquotient:
         self.lift_matrix = g.submatrix_columns(self._free_idx +
                                                self._torsion_idx)
 
+    @classmethod
+    def free(cls, n) -> "Subquotient":
+        """Z^n / 0 presented by identities, equal field for field to
+        ``subquotient(I_n, 0)`` but built without an SNF.
+
+        The kernel returns U = V = U_inv = I on the identity, so zb, g
+        and the lift matrix are I; the relation matrix is n x 0, whose
+        U and U_inv are I as well.  One identity object serves them all.
+        """
+        ident = IntMatrix.identity(n)
+        sq = object.__new__(cls)
+        sq.ambient_rank = n
+        sq._cycles = SmithDecomposition(ident, ident, (1,) * n, ident)
+        sq._gen_change = ident
+        sq._free_idx = list(range(n))
+        sq._torsion_idx = []
+        sq.quotient = FgAbGroup(n, ())
+        sq.cycle_gens = sq.lift_matrix = ident
+        sq.boundary_gens = IntMatrix.zeros(n, 0)
+        return sq
+
     def lift(self, coords):
         """Ambient representative of the element with canonical coordinates."""
         if len(coords) != self.quotient.ngens:
@@ -625,11 +646,19 @@ class Subquotient:
         c = self._cycles.basis_coordinates(mat)
         if c is None:
             raise ValueError("column not contained in the cycle span")
-        w = (self._gen_change * c).rows()
-        rows = [w[i] for i in self._free_idx]
-        rows += [[x % t for x in w[i]]
+        return self._canonical(self._gen_change * c)
+
+    def _canonical(self, w: IntMatrix) -> IntMatrix:
+        """Canonical coordinates from presentation coordinates U' c: the
+        free rows, then the torsion rows reduced mod their orders.
+
+        The zb-coordinates of ``cycle_gens`` are the identity, so
+        ``_canonical(_gen_change)`` is ``project_matrix(cycle_gens)``.
+        """
+        rows = [w.rows()[i] for i in self._free_idx]
+        rows += [[x % t for x in w.rows()[i]]
                  for t, i in zip(self.quotient.torsion, self._torsion_idx)]
-        return IntMatrix._trusted(rows, self.quotient.ngens, mat.ncols)
+        return IntMatrix._trusted(rows, self.quotient.ngens, w.ncols)
 
     def is_zero_class(self, vector):
         return all(c == 0 for c in self.project(vector))

@@ -12,7 +12,10 @@ The first page is the cell-by-cell cochain module with the
 e1-convention differential.  Turning a page is entrywise homology,
 computed on representatives so that later differentials can still be
 evaluated on actual cochains: every entry of every page stays presented
-inside the same ambient cochain module.
+inside the same ambient cochain module.  An entry that no nonzero
+differential enters or leaves is its own homology, E_{r+1} = E_r there,
+so the turn carries the same Subquotient object over; only entries a
+nonzero differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
 alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
@@ -27,6 +30,7 @@ from .cohomology import build, cohomology
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
+    Subquotient,
     preimage_lattice,
     rank as matrix_rank,
     subquotient,
@@ -185,9 +189,7 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
     for p in range(x.dimension + 1):
         for q in (0, 1):
             c = complexes[(p + q) % 2]
-            n = c.degree_rank(p)
-            entries[(p, q)] = subquotient(IntMatrix.identity(n),
-                                          IntMatrix.zeros(n, 0))
+            entries[(p, q)] = Subquotient.free(c.degree_rank(p))
             if p + 1 <= x.dimension:
                 differentials[(p, q)] = c.differential(p)
     return SpectralPage(1, x, bundle, entries, differentials, complexes)
@@ -199,28 +201,34 @@ def _turn(page: SpectralPage) -> SpectralPage:
     Every new entry is presented inside the same ambient cochain module
     as its predecessor: new cycles are the preimage of zero under the
     outgoing map, new boundaries extend the old ones by lifted images of
-    the incoming map.  The differentials were validated when the page
-    was made.
+    the incoming map.  Where both maps are zero (or absent) the cycles
+    are all of the entry and the boundaries add nothing, so the entry is
+    carried over as the same object.  A nonzero differential cannot
+    leave the window: validation, done when the page was made, rejects
+    it.
     """
+    live = {key for key, mat in page.differentials.items()
+            if not mat.is_zero()}
     new_entries = {}
     for (p, q) in page.keys():
         entry = page.entry(p, q)
-        out = page.differentials.get((p, q))
-        tp, tq = page.target_key(p, q)
-        if out is not None and tp <= page.dimension:
-            target = page.entry(tp, tq)
-            cond = out * entry.project_matrix(entry.cycle_gens)
-            lat = preimage_lattice(cond, relation_lattice(target.quotient))
-            cycles = entry.cycle_gens * lat
-        else:
-            cycles = entry.cycle_gens
-        sp, sq = p - page.r, (q + 1) % 2
+        incoming = (p - page.r, (q + 1) % 2)
+        if (p, q) not in live and incoming not in live:
+            new_entries[(p, q)] = entry
+            continue
+        cycles = entry.cycle_gens
+        if (p, q) in live:
+            # The canonical coordinates of the cycle basis: see
+            # Subquotient._canonical.
+            cond = page.differentials[(p, q)] * \
+                entry._canonical(entry._gen_change)
+            target = page.entry(*page.target_key(p, q))
+            cycles = cycles * preimage_lattice(
+                cond, relation_lattice(target.quotient))
         boundaries = entry.boundary_gens
-        if sp >= 0:
-            inc = page.differentials.get((sp, sq))
-            if inc is not None and not inc.is_zero():
-                lifted = page.entry(p, q).lift_matrix * inc
-                boundaries = boundaries.hstack(lifted)
+        if incoming in live:
+            boundaries = boundaries.hstack(
+                entry.lift_matrix * page.differentials[incoming])
         new_entries[(p, q)] = subquotient(cycles, boundaries)
     return SpectralPage(page.r + 1, page.x, page.bundle, new_entries, {},
                         page.complexes)

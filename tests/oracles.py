@@ -4,7 +4,9 @@ These deliberately avoid the library's own reduction pipeline: the SNF
 diagonal is recomputed from determinant divisors (gcds of k x k minors,
 exhaustively enumerated), and Z^2 group cohomology is recomputed from
 the two-variable Koszul complex.  Both are only feasible at small sizes,
-which is all the tests need.
+which is all the tests need.  ``lattice_basis`` does use the library's
+SNF; it is the reference basis that generator matrices, such as those
+``preimage_lattice`` returns, are compared against.
 """
 
 from itertools import combinations
@@ -14,6 +16,7 @@ from leray.exactlinalg import (
     IntMatrix,
     cokernel_group,
     kernel,
+    smith_normal_form,
     subquotient,
 )
 
@@ -57,6 +60,16 @@ def determinant_divisor_diagonal(mat):
         diag.append(g // prev)
         prev = g
     return tuple(diag)
+
+
+def lattice_basis(gens):
+    """A basis of the lattice spanned by the columns of ``gens``: with
+    U A V = D of rank r, the columns U_inv[:, :r] diag(d) span U_inv D,
+    which is A V, and are independent."""
+    dec = smith_normal_form(gens)
+    return IntMatrix([[x * d for x, d in zip(row, dec.diagonal)]
+                      for row in dec.U_inv.rows()],
+                     shape=(gens.nrows, dec.rank))
 
 
 def koszul_z2_cohomology(a1, a2):

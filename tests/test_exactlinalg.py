@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,14 +15,18 @@ from leray.exactlinalg import (
     element_order,
     group_from_divisors,
     kernel,
-    lattice_basis,
     preimage_lattice,
     smith_normal_form,
     solve,
     subquotient,
 )
 
-from oracles import determinant_divisor_diagonal, random_matrix, random_unimodular
+from oracles import (
+    determinant_divisor_diagonal,
+    lattice_basis,
+    random_matrix,
+    random_unimodular,
+)
 
 
 small_matrices = st.integers(min_value=0, max_value=5).flatmap(
@@ -277,6 +282,23 @@ def test_subquotient_zero_boundaries_equals_cycles_presentation():
     assert sq.quotient == FgAbGroup(2, ())
 
 
+@settings(max_examples=300, deadline=None)
+@given(cycles_and_boundaries())
+def test_canonical_rows_of_gen_change_project_the_cycle_basis(cb):
+    sq = subquotient(*cb)
+    assert sq._canonical(sq._gen_change) == sq.project_matrix(sq.cycle_gens)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_free_subquotient_equals_identity_presentation(n):
+    built = subquotient(IntMatrix.identity(n), IntMatrix.zeros(n, 0))
+    free = exactlinalg.Subquotient.free(n)
+    # every attribute: the cycles' SNF (U, V, diagonal, U_inv),
+    # _gen_change, the index lists, quotient, cycle_gens, boundary_gens
+    # and lift_matrix
+    assert vars(free) == vars(built)
+
+
 def reference_coordinates(dec, b):
     """zb-coordinates of the columns of b, one column at a time with
     dense sums: the r x k matrix, or None if a column is outside the
@@ -403,6 +425,46 @@ def test_preimage_lattice():
     assert pre.ncols == 1
     col = pre.column(0)
     assert col in ((2, 0), (-2, 0))
+
+
+@st.composite
+def maps_and_lattices(draw):
+    """(M, lat): M is n x k and lat has rank at most j, so its columns
+    are often dependent; sometimes its first column is repeated."""
+    n, k, j, l = (draw(st.integers(0, 3)) for _ in range(4))
+
+    def matrix(r, c):
+        return IntMatrix([[draw(small_entries) for _ in range(c)]
+                          for _ in range(r)], shape=(r, c))
+    lat = matrix(n, j) * matrix(j, l)
+    if l and draw(st.booleans()):
+        lat = lat.hstack(lat.submatrix_columns([0]))
+    return matrix(n, k), lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_lattices())
+@example((IntMatrix([[1, 0], [0, 2]]), IntMatrix([[2, 2], [0, 0]])))
+@example((IntMatrix([[1, 1], [0, 2]]), IntMatrix([[2, 0, 2], [2, 4, 2]])))
+def test_preimage_lattice_generates_the_preimage(case):
+    m, lat = case
+    pre = preimage_lattice(m, lat)
+    assert pre.nrows == m.ncols
+    # every column x has M x in span(lat)
+    assert solve(lat, m * pre) is not None
+    # every x of a box around 0 with M x in span(lat) is in span(pre)
+    in_lat = smith_normal_form(lat)
+    in_pre = smith_normal_form(pre)
+    for x in product(range(-2, 3), repeat=m.ncols):
+        col = IntMatrix.from_columns([x], nrows=m.ncols)
+        if in_lat.basis_coordinates(m * col) is not None:
+            assert in_pre.basis_coordinates(col) is not None
+    # the oracle basis lies in the span of the result, and with
+    # independent lat columns the result is itself a basis
+    basis = lattice_basis(pre)
+    assert solve(pre, basis) is not None
+    if in_lat.rank == lat.ncols:
+        assert pre.ncols == basis.ncols
 
 
 def test_group_canonical_form():

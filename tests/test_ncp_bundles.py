@@ -208,13 +208,22 @@ def test_e3_loses_exactly_the_torsion_summand():
     assert page3.group(0, 1) == FgAbGroup(2, ())
 
 
+def test_e3_rebuilds_only_the_entries_d2_touches():
+    spec, page2 = paper_pages((2, 4), (1, 0))
+    page3 = attach_d2(page2, d2_spec(spec, page2).page_differentials)
+    rebuilt = {key for key in page2.keys()
+               if page3.entries[key] is not page2.entries[key]}
+    assert rebuilt == {(0, 1), (2, 0)}
+
+
 def test_top_cell_evaluation_presents_coinvariants():
     # the map (fiber value v) -> (class of v on one coherently oriented
     # top cell) must present H^2 as the coinvariants: surjective with
     # kernel exactly the lattice spanned by the (A_i - I) columns
     from leray.exactlinalg import (
-        IntMatrix as M, hstack_all, lattice_basis, preimage_lattice, solve,
+        IntMatrix as M, hstack_all, preimage_lattice, solve,
     )
+    from oracles import lattice_basis
     for windings in [(2, 4), (0, 0), (3, 5), (0, 6)]:
         spec, page2 = paper_pages(windings, (0, 0))
         h2 = page2.entry(2, 0)

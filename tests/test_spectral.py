@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from leray.exactlinalg import FgAbGroup, IntMatrix
-from leray.cohomology import cohomology_groups
+from leray import exactlinalg
+from leray.exactlinalg import FgAbGroup, IntMatrix, shared_smith_forms
+from leray.cohomology import cohomology, cohomology_groups
 from leray.local_systems import GradedKBundle, LocalSystem, from_monodromy
 from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
 from leray.spectral import (
@@ -223,3 +224,55 @@ def test_page_dump_shapes():
     assert len(d["entries"]) == 4
     assert all(set(e) >= {"p", "q", "group", "differential_rank"}
                for e in d["entries"])
+
+
+def _count_kernel_calls(monkeypatch):
+    """Route the SNF kernel through a recorder; returns its call list."""
+    calls = []
+    kernel = exactlinalg.smith_with_transforms
+
+    def counting(a, nrows, ncols):
+        calls.append((nrows, ncols))
+        return kernel(a, nrows, ncols)
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", counting)
+    return calls
+
+
+def _twisted_torus_bundle():
+    x = torus2()
+    a, b = random_commuting_pair(random.Random(5), 2)
+    return x, GradedKBundle(from_monodromy(x, [a, b]),
+                            LocalSystem.constant(x, 1))
+
+
+def test_e1_page_makes_no_smith_decomposition(monkeypatch):
+    x, bundle = _twisted_torus_bundle()
+
+    def refuse(a, nrows, ncols):
+        raise AssertionError("SNF kernel called")
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", refuse)
+    page = e1_page(x, bundle)
+    assert page.group(1, 0) == FgAbGroup(21, ())
+    assert page.group(1, 1) == FgAbGroup(42, ())
+
+
+def test_zero_differential_turns_carry_entries_over(monkeypatch):
+    x = torus2()
+    page2 = e2_page(e1_page(x, constant_bundle(x, 2, 1)))
+    calls = _count_kernel_calls(monkeypatch)
+    for page3 in (stabilize(page2), attach_d2(page2, {})):
+        assert page3.r == 3
+        for key in page2.keys():
+            assert page3.entries[key] is page2.entries[key]
+    assert calls == []
+
+
+def test_cross_check_reuses_the_turns_decompositions(monkeypatch):
+    x, bundle = _twisted_torus_bundle()
+    with shared_smith_forms():
+        page1 = e1_page(x, bundle)
+        _turn(page1)
+        calls = _count_kernel_calls(monkeypatch)
+        for parity in (0, 1):
+            cohomology(page1.complexes[parity])
+    assert calls == []
