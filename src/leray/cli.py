@@ -13,6 +13,7 @@ error (unparseable document, schema violation, unknown builtin).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -436,6 +437,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="leray",

@@ -13,6 +13,7 @@ their integral homology (see ``_verify_surface``).
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 from .exactlinalg import IntMatrix, kernel, subquotient
@@ -275,19 +276,12 @@ def builtin(name, param=None) -> SimplicialComplex:
 
     Plain names: ``torus2``, ``sphere2``.  Parametrized: ``simplex(p)``,
     ``circle(n)``, ``genus(g)``, accepted either as separate arguments or
-    in call syntax, e.g. ``builtin("circle(5)")``.
+    in call syntax, e.g. ``builtin("circle(5)")``: exactly ``name(d)``, d
+    in ASCII digits without a leading zero, so each has one spelling.
     """
-    if param is None and "(" in name:
-        base, _, rest = name.partition("(")
-        base = base.strip()
-        rest = rest.strip()
-        if not rest.endswith(")"):
-            raise ValueError("malformed builtin name %r" % (name,))
-        try:
-            param = int(rest[:-1])
-        except ValueError:
-            raise ValueError("malformed builtin parameter in %r" % (name,))
-        name = base
+    call = re.fullmatch(r"([a-z0-9]+)\((0|[1-9][0-9]*)\)", name)
+    if call and param is None:
+        name, param = call[1], int(call[2])
     if name in _BUILTIN_PLAIN:
         if param is not None:
             raise ValueError("%s takes no parameter" % name)
@@ -296,4 +290,5 @@ def builtin(name, param=None) -> SimplicialComplex:
         if param is None:
             raise ValueError("%s requires a parameter" % name)
         return _BUILTIN_PARAM[name](param)
-    raise ValueError("unknown builtin complex %r" % (name,))
+    raise ValueError("unknown builtin complex %r (write name or name(d))"
+                     % (name,))

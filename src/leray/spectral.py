@@ -8,18 +8,19 @@ differential maps (p, q) to (p + r, q - 1 mod 2): one column step per
 page number, always flipping the stored q-row, and changing the
 coefficient parity by r - 1 as it must.
 
-The first page is the cell-by-cell cochain module with the
-e1-convention differential.  Turning a page is entrywise homology,
-computed on representatives so that later differentials can still be
-evaluated on actual cochains: every entry of every page stays presented
-inside the same ambient cochain module.  An entry that no nonzero
-differential enters or leaves is its own homology, E_{r+1} = E_r there,
-so the turn carries the same Subquotient object over; only entries a
-nonzero differential touches are rebuilt.
+The first page is the cell-by-cell cochain module with the e1-convention
+differential; the second is E2^{p,q} = H^p(X; K_{p+q}), from ``cohomology``.
+Later pages are entrywise homology, computed on representatives so that
+later differentials can still be evaluated on actual cochains: every entry
+of every page stays presented inside the same ambient cochain module.  An
+entry that no nonzero differential enters or leaves is its own homology,
+E_{r+1} = E_r there, so the turn carries the same Subquotient object over;
+only entries a nonzero differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
-alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
-and pages advance with zero differentials otherwise.
+alone; d_2 is injected (see ncp_bundles for the torus-bundle formula),
+validated as it enters in ``with_differentials``, and pages advance
+with zero differentials otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class SpectralPage:
     ``entries[(p, q)]`` is a Subquotient of the ambient cochain module;
     ``differentials[(p, q)]``, when present, is an integer matrix from
     the canonical generators of the entry to the canonical coordinates
-    of the entry at (p + r, (q - 1) % 2).  The differentials are
-    validated once, here; a page never changes afterwards.
+    of the entry at (p + r, (q - 1) % 2).  A page never changes once
+    made; E1's differentials are certified by ``build``.
     ``complexes``, when given, maps each coefficient parity to the
     cochain complex whose modules hold the entries.
     """
@@ -61,7 +62,6 @@ class SpectralPage:
         self.entries = dict(entries)
         self.differentials = dict(differentials)
         self.complexes = complexes
-        _validate_differentials(self)
 
     @property
     def dimension(self):
@@ -85,8 +85,12 @@ class SpectralPage:
         return (p + self.r, (q - 1) % 2)
 
     def with_differentials(self, differentials) -> "SpectralPage":
-        return SpectralPage(self.r, self.x, self.bundle,
+        """This page with ``differentials``, checked well-defined and
+        squaring to zero on classes."""
+        page = SpectralPage(self.r, self.x, self.bundle,
                             self.entries, differentials, self.complexes)
+        _validate_differentials(page)
+        return page
 
     def table_rows(self):
         """(r, p, q, group, outgoing differential rank) per entry."""
@@ -204,8 +208,8 @@ def _turn(page: SpectralPage) -> SpectralPage:
     the incoming map.  Where both maps are zero (or absent) the cycles
     are all of the entry and the boundaries add nothing, so the entry is
     carried over as the same object.  A nonzero differential cannot
-    leave the window: validation, done when the page was made, rejects
-    it.
+    leave the window: the first page stores none there, and
+    ``with_differentials`` rejects one.
     """
     live = {key for key, mat in page.differentials.items()
             if not mat.is_zero()}
@@ -235,23 +239,22 @@ def _turn(page: SpectralPage) -> SpectralPage:
 
 
 def e2_page(page1: SpectralPage) -> SpectralPage:
-    """Second page, with the Leray-Serre identification as a runtime
-    cross-check: every entry must equal the local-coefficient cohomology
-    of the base computed independently degree by degree."""
+    """Second page: entry (p, (s - p) mod 2) is H^p(X; K_s), certified
+    by sum_p (-1)^p rank H^p = chi(X) rank K_s, which fails if the rank
+    of a coboundary's SNF and that of its image's coordinates differ."""
     if page1.r != 1:
         raise PageError("e2_page expects a first page")
-    page2 = _turn(page1)
-    for parity in (0, 1):
-        hs = cohomology(page1.complexes[parity])
-        for p in range(page1.dimension + 1):
-            q = (parity - p) % 2
-            got = page2.group(p, q)
-            want = hs[p].quotient
-            if got != want:
-                raise PageError(
-                    "page-turned entry E2^(%d,%d) = %s disagrees with "
-                    "H^%d = %s" % (p, q, got.render(), p, want.render()))
-    return page2
+    entries = {}
+    for parity, c in page1.complexes.items():
+        hs = cohomology(c)
+        euler = sum((-1) ** p * h.quotient.free_rank for p, h in enumerate(hs))
+        expected = page1.x.euler_characteristic() * c.fiber_rank
+        if euler != expected:
+            raise PageError("E2 Euler characteristic %d of parity %d is "
+                            "not chi * rank = %d" % (euler, parity, expected))
+        for p, h in enumerate(hs):
+            entries[(p, (parity - p) % 2)] = h
+    return SpectralPage(2, page1.x, page1.bundle, entries, {}, page1.complexes)
 
 
 def attach_d2(page2: SpectralPage, d2=None) -> SpectralPage:

@@ -91,7 +91,9 @@ def test_criterion_02_leray_serre_cross_check():
     for base, system in cases:
         parity = 0
         bundle = GradedKBundle(system, LocalSystem.constant(base, 1))
-        page2 = e2_page(e1_page(base, bundle))  # cross-checks internally
+        # E2 is built as H^p and Euler-certified; test_spectral compares
+        # it with the E1 -> E2 page turn
+        page2 = e2_page(e1_page(base, bundle))
         groups = cohomology_groups(base, system)
         for p in range(base.dimension + 1):
             assert page2.group(p, (parity - p) % 2) == groups[p]

@@ -188,6 +188,12 @@ def _limit_memory():
                         "0-2": [[1]]}}}),
     ("cohomology", {"complex": "circle(11)",
                     "system": {"rank": 1, "transports": _CIRCLE_11}}),
+    ("cohomology", {"complex": "circle(1_0)", "system": _CONSTANT}),
+    ("cohomology", {"complex": "circle(+5)", "system": _CONSTANT}),
+    ("cohomology", {"complex": "circle( 5 )", "system": _CONSTANT}),
+    ("cohomology", {"complex": "circle(\u0665)", "system": _CONSTANT}),
+    ("ncp", {"bundle": {"base": "genus(0_8)", "windings": [0] * 16,
+                        "chern": [0, 0]}}),
 ], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
         "chern-int", "winding-float", "winding-str", "winding-bool",
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
@@ -196,7 +202,9 @@ def _limit_memory():
         "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-genus-60",
         "simplex-vertex-float", "simplex-vertex-bool",
         "simplex-vertices-integral-floats", "simplices-str",
-        "transport-edge-repeated", "transport-key-underscore"])
+        "transport-edge-repeated", "transport-key-underscore",
+        "builtin-underscore", "builtin-sign", "builtin-spaces",
+        "builtin-arabic-indic-digit", "ncp-base-underscore"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
     """The size caps reject oversized documents before anything is
     allocated; the memory limit and the timeout make a missing cap fail
@@ -311,3 +319,7 @@ def test_commands_share_nothing(monkeypatch, capsys, tmp_path):
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
     assert len(first[2]) == len(second[2])
+
+
+def test_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()

@@ -352,7 +352,7 @@ def test_analyze_validates_each_page_once(monkeypatch):
     monkeypatch.setattr(spectral, "_validate_differentials", record)
     res = analyze(spec_t2((2, 4), (1, 0)))
     pages = [page for page in validated if page.differentials]
-    # E1 with its d1, and E2 with the injected d2: once each
-    assert [page.r for page in pages] == [1, 2]
-    assert pages[1] is res.e2
+    # E2 with the injected d2, once; E1's d1 is certified by build
+    assert [page.r for page in pages] == [2]
+    assert pages[0] is res.e2
     assert len(validated) == len({id(page) for page in validated})

@@ -276,3 +276,70 @@ def test_cross_check_reuses_the_turns_decompositions(monkeypatch):
         for parity in (0, 1):
             cohomology(page1.complexes[parity])
     assert calls == []
+
+
+_ENTRY_ATTRIBUTES = ("cycle_gens", "boundary_gens", "lift_matrix",
+                     "_gen_change", "_cycles", "_free_idx", "_torsion_idx",
+                     "quotient")
+
+
+def _random_system(rng, x, loops, rank):
+    if loops == 0 or rank == 0:
+        return LocalSystem.constant(x, rank)
+    if loops == 1:
+        return from_monodromy(x, [random_unimodular(rng, rank)])
+    a, b = random_commuting_pair(rng, rank)
+    return from_monodromy(x, ([a, b] * (loops // 2))[:loops])
+
+
+def test_e2_equals_the_e1_page_turn():
+    """The E1 -> E2 page turn is the oracle: every E2 entry equals the
+    turned entry in every attribute, so d2 sees the same presentation."""
+    rng = random.Random(97)
+    bases = [(torus2(), 2), (genus_surface(2), 4), (circle(4), 1),
+             (sphere2(), 0), (simplex(2), 0)]
+    for x, loops in bases:
+        for even_rank, odd_rank in ((rng.randint(1, 2), 0),
+                                    (0, rng.randint(1, 2)),
+                                    (rng.randint(1, 2), rng.randint(1, 2))):
+            bundle = GradedKBundle(_random_system(rng, x, loops, even_rank),
+                                   _random_system(rng, x, loops, odd_rank))
+            page1 = e1_page(x, bundle)
+            page2 = e2_page(page1)
+            turned = _turn(page1)
+            assert page2.r == turned.r == 2
+            for key in page2.keys():
+                got, want = page2.entries[key], turned.entries[key]
+                for name in _ENTRY_ATTRIBUTES:
+                    assert getattr(got, name) == getattr(want, name), \
+                        (x, key, name)
+                assert vars(got) == vars(want)
+
+
+def test_e2_page_builds_one_subquotient_per_entry(monkeypatch):
+    x, bundle = _twisted_torus_bundle()
+    page1 = e1_page(x, bundle)
+    built = []
+    init = exactlinalg.Subquotient.__init__
+
+    def counting(self, cycles, boundaries):
+        built.append(cycles.nrows)
+        init(self, cycles, boundaries)
+    monkeypatch.setattr(exactlinalg.Subquotient, "__init__", counting)
+    e2_page(page1)
+    assert len(built) == 2 * (x.dimension + 1)
+
+
+def test_e2_page_rejects_a_wrong_rank_entry(monkeypatch):
+    import leray.spectral as spectral
+    x = torus2()
+    page1 = e1_page(x, constant_bundle(x, 1, 1))
+
+    def wrong_h1(c):
+        hs = cohomology(c)
+        # all of C^1 in place of H^1 = Z^2
+        hs[1] = exactlinalg.Subquotient.free(c.degree_rank(1))
+        return hs
+    monkeypatch.setattr(spectral, "cohomology", wrong_h1)
+    with pytest.raises(PageError, match="Euler characteristic"):
+        e2_page(page1)
