@@ -269,13 +269,13 @@ def cmd_group_cohomology(args, doc):
     if rank is None or not isinstance(mats, list):
         raise InputError("system needs 'rank' and a matrix list")
     _check_rank(rank)
+    if len(mats) not in (1, 2):
+        raise InputError("only actions of Z^1 or Z^2 are supported")
     matrices = tuple(parse_matrix(m, "action matrix") for m in mats)
     try:
         module = ZnModule(rank, matrices)
     except ValueError as exc:
         raise InputError("bad action: %s" % exc) from None
-    if module.n not in (1, 2):
-        raise InputError("only actions of Z^1 or Z^2 are supported")
     groups = zn_cohomology(module)
     lines = ["group cohomology H^k(Z^%d, Z^%d)" % (module.n, rank),
              "%-8s %s" % ("degree", "group")]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd
 from operator import mul
 
@@ -287,6 +287,32 @@ def vstack_all(matrices, ncols=None):
     for m in mats[1:]:
         out = out.vstack(m)
     return out
+
+
+def action_inverses(mats, rank):
+    """The exact inverses of ``mats``, once they are checked to define
+    an action of Z^n on Z^rank: each is rank x rank and unimodular, and
+    they commute pairwise.  Both ``from_monodromy`` and ``ZnModule``
+    check their matrices here; a violation raises ValueError naming the
+    first offending matrix or pair.
+
+    >>> action_inverses([IntMatrix([[1, 2], [0, 1]])], 2)
+    (IntMatrix([[1, -2], [0, 1]]),)
+    """
+    inverses = []
+    for i, m in enumerate(mats):
+        if m.shape != (rank, rank):
+            raise ValueError("matrix %d shape mismatch: expected %d x %d"
+                             % (i, rank, rank))
+        try:
+            inverses.append(m.inverse_unimodular())
+        except ValueError:
+            raise ValueError("matrix %d is not unimodular" % i) from None
+    for i, j in combinations(range(len(mats)), 2):
+        if mats[i] * mats[j] != mats[j] * mats[i]:
+            raise ValueError("non-commuting matrices: %d and %d do not "
+                             "commute" % (i, j))
+    return tuple(inverses)
 
 
 @dataclass(frozen=True)

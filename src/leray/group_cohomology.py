@@ -1,53 +1,42 @@
 """Group cohomology H^k(Z^n, M) for integer-matrix actions, n <= 2.
 
-For n = 1 the answer is the kernel/cokernel of A - I.  For n = 2 the
-torus is the classifying space, so H^k(Z^2, M) is computed as the
-local-coefficient cohomology of the built-in torus triangulation with
-holonomy (A1, A2).  ``recursion_check`` validates the result against
-the two-step recursion through H^*(Z, M): the short exact sequence
-determines the middle group only up to extension, so the check compares
-free ranks exactly and torsion orders by divisibility.
+With B_i = A_i - I, the Koszul complex of the commuting B_i computes
+H^*(Z^n, M) (Brown, *Cohomology of Groups*, GTM 87): M --B_1--> M for
+n = 1, and M --[B_1; B_2]--> M^2 --[-B_2 | B_1]--> M for n = 2.
+``recursion_check`` validates the result against the two-step recursion
+through H^*(Z, M): the short exact sequence determines the middle group
+only up to extension, so the check compares free ranks exactly and
+torsion orders by divisibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cohomology_groups
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
+    action_inverses,
     cokernel_group,
     kernel,
     preimage_lattice,
     solve,
     subquotient,
+    vstack_all,
 )
-from .local_systems import from_monodromy
-from .simplicial import torus2
 
 
 @dataclass(frozen=True)
 class ZnModule:
-    """Z^rank with an action of Z^n by commuting unimodular matrices."""
+    """Z^rank with an action of Z^n by commuting unimodular matrices,
+    checked once, by ``action_inverses``, when the module is made."""
 
     rank: int
     action: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "action", tuple(self.action))
-        for a in self.action:
-            if a.shape != (self.rank, self.rank):
-                raise ValueError("action matrix shape mismatch")
-            try:
-                a.inverse_unimodular()
-            except ValueError:
-                raise ValueError("action matrix is not unimodular") from None
-        for i in range(len(self.action)):
-            for j in range(i + 1, len(self.action)):
-                if self.action[i] * self.action[j] != \
-                        self.action[j] * self.action[i]:
-                    raise ValueError("non-commuting action")
+        action_inverses(self.action, self.rank)
 
     @property
     def n(self):
@@ -55,23 +44,19 @@ class ZnModule:
 
 
 def zn_cohomology(module: ZnModule):
-    """[H^0, ..., H^n] as FgAbGroup values; n must be 1 or 2.
-
-    n = 2 goes through the torus as classifying space, which also
-    resolves the extension ambiguity the recursion leaves open.
-    """
-    if module.n == 1:
-        a = module.action[0]
-        ident = IntMatrix.identity(module.rank)
-        h0 = FgAbGroup(kernel(a - ident).ncols, ())
-        h1 = cokernel_group(a - ident)
-        return [h0, h1]
+    """[H^0, ..., H^n] as FgAbGroup values, from the Koszul complex of
+    the already-checked action; n must be 1 or 2."""
+    if module.n not in (1, 2):
+        raise ValueError("only n = 1 or n = 2 is supported")
+    ident = IntMatrix.identity(module.rank)
+    b = [a - ident for a in module.action]
+    d0 = vstack_all(b)
+    top = d0 if module.n == 1 else (-b[1]).hstack(b[0])
+    groups = [FgAbGroup(kernel(d0).ncols, ())]
     if module.n == 2:
-        x = torus2()
-        system = from_monodromy(x, list(module.action),
-                                fiber_rank=module.rank)
-        return cohomology_groups(x, system)
-    raise ValueError("only n = 1 or n = 2 is supported")
+        groups.append(subquotient(kernel(top), d0).quotient)
+    groups.append(cokernel_group(top))
+    return groups
 
 
 def _induced_on_kernel(a1, k):

@@ -7,8 +7,15 @@ around every 2-simplex closes up -- makes transport depend only on the
 homotopy class of a path, which is what turns the system into a module
 over the fundamental group of the base.
 
-``from_monodromy`` realizes prescribed holonomy matrices in a spanning
-tree gauge: transports are the identity on tree edges, and each off-tree
+Each input is validated once, where it enters: ``LocalSystem(base, m,
+transports)`` checks every edge of a table from outside, while
+``constant`` and ``from_monodromy`` derive both directions of every
+edge from checked data and build the system by ``LocalSystem._trusted``.
+Flatness is certified by ``cohomology.build``.
+
+``from_monodromy`` realizes prescribed holonomy matrices in the base's
+spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
+base): transports are the identity on tree edges, and each off-tree
 edge carries the image of its fundamental cycle class.  This requires
 the prescribed matrices to commute pairwise (the representation factors
 through first homology), which covers every monodromy arising in the
@@ -23,6 +30,7 @@ from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
     Subquotient,
+    action_inverses,
     hstack_all,
     kernel,
     subquotient,
@@ -36,9 +44,10 @@ class FlatnessError(ValueError):
 
 
 class LocalSystem:
-    """Flat-candidate coefficient system; flatness itself is checked by
-    :func:`flatness_check` so deliberately broken systems can be built
-    for diagnostics."""
+    """Coefficient system from one transport per edge, each checked: on
+    an edge keyed by its increasing pair, m x m, unimodular.  Flatness
+    is checked by :func:`flatness_check` so deliberately broken systems
+    can be built for diagnostics."""
 
     def __init__(self, base: SimplicialComplex, fiber_rank: int, transports):
         if fiber_rank < 0:
@@ -66,10 +75,25 @@ class LocalSystem:
         self._table = table
 
     @classmethod
+    def _trusted(cls, base, fiber_rank, table):
+        """System from a table the package derived itself: both
+        directions of every edge, each the exact inverse of the other.
+        Nothing is checked (see ``IntMatrix._trusted``)."""
+        system = object.__new__(cls)
+        system.base = base
+        system.fiber_rank = fiber_rank
+        system._table = table
+        return system
+
+    @classmethod
     def constant(cls, base: SimplicialComplex, fiber_rank: int):
+        if fiber_rank < 0:
+            raise ValueError("fiber rank must be >= 0")
         ident = IntMatrix.identity(fiber_rank)
-        return cls(base, fiber_rank,
-                   {e: ident for e in base.simplices(1)})
+        table = {}
+        for (u, v) in base.simplices(1):
+            table[(u, v)] = table[(v, u)] = ident
+        return cls._trusted(base, fiber_rank, table)
 
     def transport(self, u, v) -> IntMatrix:
         """The matrix carrying the fiber at u to the fiber at v."""
@@ -142,77 +166,6 @@ def require_flat(system: LocalSystem):
         raise FlatnessError("flatness violated on 2-simplices %s" % (bad,))
 
 
-def _spanning_tree(base: SimplicialComplex):
-    """BFS tree from vertex 0: (parent map, tree edge set, paths to root)."""
-    adj = {i: [] for i in range(base.vertex_count)}
-    for (u, v) in base.simplices(1):
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj.values():
-        nbrs.sort()
-    parent = {0: None}
-    order = [0]
-    for u in order:
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-    if len(parent) != base.vertex_count:
-        raise ValueError("base complex is not connected")
-    tree_edges = {(min(u, v), max(u, v))
-                  for v, u in parent.items() if u is not None}
-    paths = {0: [0]}
-    for v in order[1:]:
-        paths[v] = paths[parent[v]] + [v]
-    return parent, tree_edges, paths
-
-
-def _cycle_vector(base, paths, u, v):
-    """Chain of the loop root -> u -> v -> root in edge coordinates.
-
-    Each canonical edge (a, b) with a < b is oriented a -> b and
-    contributes +1 when traversed forwards, -1 backwards.
-    """
-    coeff = [0] * base.n_simplices(1)
-    loop = paths[u] + list(reversed(paths[v]))
-    for a, b in zip(loop, loop[1:]):
-        e = (min(a, b), max(a, b))
-        coeff[base.index(e)] += 1 if (a, b) == e else -1
-    return tuple(coeff)
-
-
-class _TreeGauge:
-    """Spanning tree, fundamental cycles, and the H_1 presentation of a
-    connected base; shared by from_monodromy and generator_loops."""
-
-    def __init__(self, base: SimplicialComplex):
-        self.base = base
-        _, self.tree_edges, self.paths = _spanning_tree(base)
-        self.offtree = [e for e in base.simplices(1)
-                        if e not in self.tree_edges]
-        # columns: the fundamental cycle of each off-tree edge
-        self.cycles = IntMatrix.from_columns(
-            [_cycle_vector(base, self.paths, u, v) for (u, v) in self.offtree],
-            nrows=base.n_simplices(1))
-        self.h1 = subquotient(self.cycles, base.boundary_matrix(2))
-
-    def offtree_coords(self, chain):
-        return tuple(chain[self.base.index(e)] for e in self.offtree)
-
-    def loop_for_class(self, coords):
-        """An explicit vertex loop at the root realizing an H_1 class."""
-        chain = self.h1.lift(coords)
-        path = [0]
-        for e, n in zip(self.offtree, self.offtree_coords(chain)):
-            u, v = e
-            for _ in range(abs(n)):
-                a, b = (u, v) if n > 0 else (v, u)
-                path.extend(self.paths[a][1:])
-                path.append(b)
-                path.extend(reversed(self.paths[b][:-1]))
-        return path
-
-
 def generator_loops(base: SimplicialComplex):
     """Canonical generator loops of the base, as vertex paths at vertex 0.
 
@@ -220,12 +173,7 @@ def generator_loops(base: SimplicialComplex):
     canonical basis, so prescribing one holonomy matrix per loop pins a
     commuting representation completely.
     """
-    gauge = _TreeGauge(base)
-    if gauge.h1.quotient.torsion:
-        raise ValueError("base has torsion in H_1; unsupported")
-    return [gauge.loop_for_class(
-        tuple(1 if i == j else 0 for i in range(gauge.h1.quotient.ngens)))
-        for j in range(gauge.h1.quotient.free_rank)]
+    return [list(loop) for loop in base.tree_gauge.loops]
 
 
 def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSystem:
@@ -233,54 +181,34 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
 
     ``mats`` lists one unimodular matrix per canonical generator loop of
     the base (see :func:`generator_loops`); the matrices must commute
-    pairwise.  Tree edges carry the identity, so the holonomy equals the
-    given matrices exactly, with no basepoint conjugation.
+    pairwise.  Their count is checked first, then the matrices, by
+    ``action_inverses``.  Tree edges carry the identity, so the holonomy
+    equals the given matrices exactly, with no basepoint conjugation; an
+    off-tree edge of class c carries prod m_i^(c_i) forwards and
+    prod m_i^(-c_i) backwards.  The holonomy is certified here, and
+    flatness by ``cohomology.build``.
     """
     mats = list(mats)
     if fiber_rank is None:
         if not mats:
             raise ValueError("fiber_rank is required when no matrices are given")
         fiber_rank = mats[0].nrows
-    for m in mats:
-        if m.shape != (fiber_rank, fiber_rank):
-            raise ValueError("monodromy matrix shape mismatch")
-        try:
-            m.inverse_unimodular()
-        except ValueError:
-            raise ValueError("monodromy matrix is not unimodular") from None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
-                raise ValueError(
-                    "relation violated: monodromy matrices must commute "
-                    "(matrices %d and %d do not)" % (i, j))
-
-    gauge = _TreeGauge(base)
-    h1 = gauge.h1.quotient
-    if h1.torsion:
-        raise ValueError("base has torsion in H_1; unsupported")
-    if len(mats) != h1.free_rank:
+    loops = generator_loops(base)
+    if len(mats) != len(loops):
         raise ValueError("expected %d monodromy matrices for this base, got %d"
-                         % (h1.free_rank, len(mats)))
+                         % (len(loops), len(mats)))
+    inverses = action_inverses(mats, fiber_rank)
 
-    ident = IntMatrix.identity(fiber_rank)
-
-    def rep(coords):
-        out = ident
-        for m, c in zip(mats, coords):
+    system = LocalSystem.constant(base, fiber_rank)
+    gauge = base.tree_gauge
+    for (u, v), cls in zip(gauge.offtree, gauge.classes):
+        forward = backward = system.transport(u, v)
+        for m, m_inv, c in zip(mats, inverses, cls):
             if c:
-                out = out * m.power(c)
-        return out
-
-    transports = dict.fromkeys(base.simplices(1), ident)
-    classes = gauge.h1.project_matrix(gauge.cycles).transpose().rows()
-    for e, cls in zip(gauge.offtree, classes):
-        transports[e] = rep(cls)
-    system = LocalSystem(base, fiber_rank, transports)
-    require_flat(system)
-    for j, m in enumerate(mats):
-        loop = gauge.loop_for_class(
-            tuple(1 if i == j else 0 for i in range(h1.ngens)))
+                forward = forward * (m if c > 0 else m_inv).power(abs(c))
+                backward = backward * (m_inv if c > 0 else m).power(abs(c))
+        system._table[(u, v)], system._table[(v, u)] = forward, backward
+    for loop, m in zip(loops, mats):
         if transport_along(system, loop) != m:
             raise AssertionError("holonomy does not match the prescription")
     return system
@@ -301,9 +229,6 @@ def invariants(mats, fiber_rank) -> Invariants:
     FgAbGroup(free_rank=1, torsion=())
     """
     ident = IntMatrix.identity(fiber_rank)
-    for m in mats:
-        if m.shape != (fiber_rank, fiber_rank):
-            raise ValueError("matrix shape mismatch")
     stacked = vstack_all([m - ident for m in mats], ncols=fiber_rank)
     basis = kernel(stacked)
     return Invariants(FgAbGroup(basis.ncols, ()), basis)
@@ -316,8 +241,5 @@ def coinvariants(mats, fiber_rank) -> Subquotient:
     can be computed with ``project``.
     """
     ident = IntMatrix.identity(fiber_rank)
-    for m in mats:
-        if m.shape != (fiber_rank, fiber_rank):
-            raise ValueError("matrix shape mismatch")
     block = hstack_all([m - ident for m in mats], nrows=fiber_rank)
     return subquotient(IntMatrix.identity(fiber_rank), block)

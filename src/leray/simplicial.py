@@ -14,6 +14,7 @@ their integral homology (see ``_verify_surface``).
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import combinations
 
 from .exactlinalg import IntMatrix, kernel, subquotient
@@ -103,6 +104,12 @@ class SimplicialComplex:
         return sum((-1) ** p * self.n_simplices(p)
                    for p in range(self.dimension + 1))
 
+    @cached_property
+    def tree_gauge(self) -> "TreeGauge":
+        """The complex's ``TreeGauge``, built on first use and kept, so
+        every monodromy prescription on the complex shares it."""
+        return TreeGauge(self)
+
     def coherent_orientation(self):
         """Signs eps per 2-simplex making their signed sum a cycle.
 
@@ -156,6 +163,59 @@ class SimplicialComplex:
         counts = tuple(self.n_simplices(p) for p in range(self.dimension + 1))
         return "SimplicialComplex(vertices=%d, counts=%s)" % (
             self.vertex_count, counts)
+
+
+class TreeGauge:
+    """Spanning tree of a connected complex with torsion-free H_1, and
+    the H_1 data that pins a commuting monodromy representation in it.
+
+    ``paths`` holds each vertex's path from vertex 0 in the
+    breadth-first tree; ``h1`` presents H_1 by the fundamental cycles of
+    the ``offtree`` edges (two SNFs); ``classes`` holds each off-tree
+    edge's class in canonical coordinates, and ``loops`` one loop at
+    vertex 0 per generator, in the canonical order.
+    """
+
+    def __init__(self, x: SimplicialComplex):
+        adj = {i: [] for i in range(x.vertex_count)}
+        for (u, v) in x.simplices(1):  # sorted: so is each list
+            adj[u].append(v)
+            adj[v].append(u)
+        self.paths = {0: [0]}
+        queue = [0]
+        for u in queue:
+            for v in adj[u]:
+                if v not in self.paths:
+                    self.paths[v] = self.paths[u] + [v]
+                    queue.append(v)
+        if len(self.paths) != x.vertex_count:
+            raise ValueError("base complex is not connected")
+        tree = {tuple(sorted(p[-2:])) for p in list(self.paths.values())[1:]}
+        self.offtree = [e for e in x.simplices(1) if e not in tree]
+        # column j: the loop 0 -> u -> v -> 0 of off-tree edge (u, v), each
+        # edge (a, b), a < b, counted +1 forwards and -1 backwards
+        columns = []
+        for (u, v) in self.offtree:
+            coeff = [0] * x.n_simplices(1)
+            loop = self.paths[u] + self.paths[v][::-1]
+            for a, b in zip(loop, loop[1:]):
+                coeff[x.index((min(a, b), max(a, b)))] += 1 if a < b else -1
+            columns.append(coeff)
+        cycles = IntMatrix.from_columns(columns, nrows=x.n_simplices(1))
+        self.h1 = subquotient(cycles, x.boundary_matrix(2))
+        if self.h1.quotient.torsion:
+            raise ValueError("base has torsion in H_1; unsupported")
+        self.classes = self.h1.project_matrix(cycles).transpose().rows()
+        self.loops = []
+        for j in range(self.h1.quotient.ngens):
+            chain = self.h1.lift_matrix.column(j)
+            path = [0]
+            for u, v in self.offtree:
+                n = chain[x.index((u, v))]
+                a, b = (u, v) if n > 0 else (v, u)
+                for _ in range(abs(n)):
+                    path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
+            self.loops.append(path)
 
 
 def integral_homology(x: SimplicialComplex):

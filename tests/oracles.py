@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own reduction pipeline: the SNF
 diagonal is recomputed from determinant divisors (gcds of k x k minors,
-exhaustively enumerated), and Z^2 group cohomology is recomputed from
-the two-variable Koszul complex.  Both are only feasible at small sizes,
-which is all the tests need.  ``lattice_basis`` does use the library's
+exhaustively enumerated), Z^2 group cohomology is recomputed from
+the two-variable Koszul complex, and local-coefficient cohomology of
+the test bases from the holonomy alone, without a cochain complex.
+The first two are only feasible at small sizes, which is all the tests
+need.  ``lattice_basis`` does use the library's
 SNF; it is the reference basis that generator matrices, such as those
 ``preimage_lattice`` returns, are compared against.
 """
@@ -13,11 +15,18 @@ from itertools import combinations
 from math import gcd
 
 from leray.exactlinalg import (
+    FgAbGroup,
     IntMatrix,
     cokernel_group,
     kernel,
     smith_normal_form,
     subquotient,
+)
+from leray.local_systems import (
+    coinvariants,
+    generator_loops,
+    invariants,
+    transport_along,
 )
 
 
@@ -89,6 +98,42 @@ def koszul_z2_cohomology(a1, a2):
     h1 = subquotient(kernel(d1), d0).quotient
     h2 = cokernel_group(d1)
     return (h0, h1, h2)
+
+
+def surface_cohomology(x, system):
+    """H^0, ..., H^dim(x) of a flat system on a circle, the 2-sphere, the
+    torus or a closed surface of higher genus, from its holonomy along
+    the generator loops; no cochain complex is built.
+
+    * circle: ker and coker of A - I;
+    * sphere (Euler characteristic 2): (Z^m, 0, Z^m);
+    * torus (Euler characteristic 0): the Koszul complex of (A, B);
+    * genus g >= 2: H^0 the invariants, H^2 the coinvariants (Poincare
+      duality), and H^1 only by its free rank, which the Euler
+      characteristic fixes; it is returned as that int.
+    """
+    m = system.fiber_rank
+    mats = [transport_along(system, loop) for loop in generator_loops(x)]
+    if x.dimension == 1:
+        (a,) = mats
+        a = a - IntMatrix.identity(m)
+        return [FgAbGroup(kernel(a).ncols, ()), cokernel_group(a)]
+    chi = x.euler_characteristic()
+    if chi == 2:
+        return [FgAbGroup(m, ()), FgAbGroup(0, ()), FgAbGroup(m, ())]
+    if chi == 0:
+        return list(koszul_z2_cohomology(*mats))
+    h0 = invariants(mats, m).group
+    h2 = coinvariants(mats, m).quotient
+    return [h0, h0.free_rank + h2.free_rank - chi * m, h2]
+
+
+def matches_surface_cohomology(groups, expected):
+    """Whether ``groups`` equal ``surface_cohomology``'s answer, an int
+    standing for a group known by its free rank only."""
+    return len(groups) == len(expected) and all(
+        g.free_rank == want if isinstance(want, int) else g == want
+        for g, want in zip(groups, expected))
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):

@@ -39,9 +39,11 @@ from leray.spectral import assemble, attach_d2, e1_page, e2_page, stabilize
 
 from oracles import (
     determinant_divisor_diagonal,
+    matches_surface_cohomology,
     random_commuting_pair,
     random_matrix,
     random_unimodular,
+    surface_cohomology,
 )
 
 
@@ -83,8 +85,10 @@ def test_criterion_01_torus_coinvariants():
 
 
 def test_criterion_02_leray_serre_cross_check():
-    """E2 by page-turning equals local-coefficient cohomology, exactly,
-    for >= 20 randomized flat systems over four bases."""
+    """E2 equals local-coefficient cohomology, exactly, for >= 20
+    randomized flat systems over four bases, in both parities: as
+    computed by ``cohomology_groups``, and as computed from the holonomy
+    by oracles that build no cochain complex (``surface_cohomology``)."""
     start = time.monotonic()
     cases = randomized_systems(seed=2024, per_base=5)
     assert len(cases) >= 20
@@ -97,6 +101,11 @@ def test_criterion_02_leray_serre_cross_check():
         groups = cohomology_groups(base, system)
         for p in range(base.dimension + 1):
             assert page2.group(p, (parity - p) % 2) == groups[p]
+        for s in (0, 1):
+            column = [page2.group(p, (s - p) % 2)
+                      for p in range(base.dimension + 1)]
+            assert matches_surface_cohomology(
+                column, surface_cohomology(base, bundle.part(s)))
     assert time.monotonic() - start < 10.0
 
 

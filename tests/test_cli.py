@@ -3,10 +3,16 @@ import os
 import resource
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import pytest
 
-from leray import cli, exactlinalg
+from leray import cli, exactlinalg, ncp_bundles
+from leray.cohomology import CochainComplex
+from leray.exactlinalg import IntMatrix, shared_smith_forms
+from leray.local_systems import LocalSystem, from_monodromy
+from leray.simplicial import SimplicialComplex, builtin
 
 
 RUN = [sys.executable, "-m", "leray.cli"]
@@ -313,12 +319,96 @@ def test_command_decomposes_each_input_once(monkeypatch, capsys, tmp_path):
     assert len(set(inputs)) == len(inputs)
 
 
+def _gauge_inputs(monkeypatch, name):
+    """The kernel inputs of a fresh base's tree gauge."""
+    inputs = []
+    kernel = exactlinalg.smith_with_transforms
+
+    def recording(a, nrows, ncols):
+        inputs.append((nrows, ncols, tuple(map(tuple, a))))
+        return kernel(a, nrows, ncols)
+
+    x = builtin(name)
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recording)
+    with shared_smith_forms():
+        x.tree_gauge
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", kernel)
+    return inputs
+
+
 def test_commands_share_nothing(monkeypatch, capsys, tmp_path):
-    first = _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
-    second = _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
-    assert first[0] == second[0] == 0
-    assert first[1] == second[1]
-    assert len(first[2]) == len(second[2])
+    """Each command decomposes afresh: after the first run, which also
+    builds the base's tree gauge (two SNFs), runs give equal reports
+    from equal kernel inputs."""
+    ncp_bundles.resolve_base.cache_clear()  # a cold base, whatever ran before
+    runs = [_run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
+            for _ in range(3)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+    assert runs[1][2] == runs[2][2]
+    first, later = Counter(runs[0][2]), Counter(runs[1][2])
+    assert not later - first
+    assert sorted((first - later).elements()) == \
+        sorted(_gauge_inputs(monkeypatch, "torus2"))
+
+
+def test_warm_ncp_job_inverts_no_transport(monkeypatch, capsys, tmp_path):
+    """On a warm base an ncp job sends the SNF kernel no gauge matrix
+    and no edge transport, apart from the prescribed monodromy and the
+    identity, which the job decomposes for other reasons (checking the
+    action, and the change of basis in d2_spec)."""
+    _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
+    code, _, inputs = _run_in_process(monkeypatch, capsys, tmp_path,
+                                      "ncp", _NCP_TORUS)
+    assert code == 0
+    x = ncp_bundles.resolve_base("torus2")
+    mats = [IntMatrix(m) for m in _MONO]
+    system = from_monodromy(x, mats)
+    key = lambda m: (m.nrows, m.ncols, m.rows())  # noqa: E731
+    transports = {key(system.transport(u, v)) for e in x.simplices(1)
+                  for (u, v) in (e, e[::-1])}
+    transports -= {key(m) for m in mats + [IntMatrix.identity(2)]}
+    assert transports  # inverse classes give transports such as (1 -2; 0 1)
+    assert not transports & set(inputs)
+    assert not set(_gauge_inputs(monkeypatch, "torus2")) & set(inputs)
+
+
+def test_group_cohomology_builds_no_local_system(monkeypatch, capsys,
+                                                  tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group cohomology reached a complex")
+    for cls, name in ((SimplicialComplex, "__init__"),
+                      (LocalSystem, "__init__"), (LocalSystem, "_trusted"),
+                      (CochainComplex, "__init__")):
+        monkeypatch.setattr(cls, name, refuse, raising=False)
+    for doc in ({"system": {"rank": 2, "monodromy": _MONO}},
+                {"system": {"rank": 2, "monodromy": _MONO[:1]}}):
+        code, out, _ = _run_in_process(monkeypatch, capsys, tmp_path,
+                                       "group-cohomology", doc)
+        assert code == 0, out
+
+
+_MANY_MATRICES = [[[1]]] * 5000
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("group-cohomology", {"system": {"rank": 1,
+                                     "monodromy": _MANY_MATRICES}}),
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": 1, "monodromy": _MANY_MATRICES}}),
+])
+def test_wrong_matrix_count_fails_fast(capsys, tmp_path, command, doc):
+    """The count is checked before the pairwise commutation check, whose
+    cost grows quadratically with it."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = cli.main([command, "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert elapsed < 1.0
 
 
 def test_parser_is_built_once():

@@ -2,15 +2,28 @@ import random
 
 import pytest
 
+from leray.cohomology import cohomology_groups
 from leray.exactlinalg import FgAbGroup, IntMatrix
 from leray.group_cohomology import ZnModule, recursion_check, zn_cohomology
-from leray.local_systems import coinvariants, invariants
+from leray.local_systems import coinvariants, from_monodromy, invariants
+from leray.simplicial import circle, torus2
 
-from oracles import koszul_z2_cohomology, random_commuting_pair
+from oracles import (
+    koszul_z2_cohomology,
+    random_commuting_pair,
+    random_unimodular,
+)
 
 
 K2 = IntMatrix([[1, 2], [0, 1]])
 K4 = IntMatrix([[1, 4], [0, 1]])
+
+
+def classifying_space_cohomology(mats, rank):
+    """The reference: cohomology of the simplicial torus (n = 2) or
+    circle (n = 1) with the action as its holonomy."""
+    x = torus2() if len(mats) == 2 else circle(4)
+    return cohomology_groups(x, from_monodromy(x, mats, fiber_rank=rank))
 
 
 def test_trivial_action_n2():
@@ -26,6 +39,7 @@ def test_paper_module_n2():
     assert h[2] == FgAbGroup(1, (2,))
     # middle degree from the independent Koszul oracle
     assert tuple(h) == koszul_z2_cohomology(K2, K4)
+    assert h == classifying_space_cohomology([K2, K4], 2)
 
 
 def test_n1_swap_matrix_oracle_decides():
@@ -58,12 +72,24 @@ def test_koszul_oracle_randomized():
     rng = random.Random(99)
     for _ in range(8):
         a, b = random_commuting_pair(rng, 2)
-        assert tuple(zn_cohomology(ZnModule(2, (a, b)))) == \
-            koszul_z2_cohomology(a, b)
+        h = zn_cohomology(ZnModule(2, (a, b)))
+        assert tuple(h) == koszul_z2_cohomology(a, b)
+        assert h == classifying_space_cohomology([a, b], 2)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_classifying_space_reference(rank):
+    rng = random.Random(rank)
+    for _ in range(3):
+        a, b = random_commuting_pair(rng, rank)
+        assert zn_cohomology(ZnModule(rank, (a, b))) == \
+            classifying_space_cohomology([a, b], rank)
+        u = random_unimodular(rng, rank)
+        assert zn_cohomology(ZnModule(rank, (u,))) == \
+            classifying_space_cohomology([u], rank)
 
 
 def test_conjugation_invariance():
-    from oracles import random_unimodular
     rng = random.Random(13)
     a, b = K2, K4
     p = random_unimodular(rng, 2)

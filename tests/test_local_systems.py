@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from leray import exactlinalg
 from leray.exactlinalg import FgAbGroup, IntMatrix
 from leray.local_systems import (
     GradedKBundle,
@@ -182,3 +183,46 @@ def test_rank_zero_fiber():
     sys = LocalSystem.constant(torus2(), 0)
     assert flatness_check(sys) == []
     assert transport_along(sys, [0, 1]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_trusted_transports_equal_the_checked_ones(rank):
+    """``constant`` and ``from_monodromy`` store every backward transport
+    without inverting anything; the checking constructor, given the
+    same forward transports, inverts each by an SNF and must agree."""
+    rng = random.Random(rank)
+    for x, loops in ((torus2(), 2), (genus_surface(2), 4), (circle(4), 1)):
+        a, b = random_commuting_pair(rng, rank)
+        mats = ([a, b] * 2)[:loops]
+        for system in (LocalSystem.constant(x, rank), from_monodromy(x, mats)):
+            checked = LocalSystem(x, rank, {(u, v): system.transport(u, v)
+                                            for (u, v) in x.simplices(1)})
+            for (u, v) in x.simplices(1):
+                assert system.transport(u, v) == checked.transport(u, v)
+                assert system.transport(v, u) == checked.transport(v, u)
+
+
+def test_negative_classes_are_inverted_exactly():
+    # some off-tree edges of torus2 have classes with negative
+    # coordinates, so their transports use the prescribed inverses
+    x = torus2()
+    assert any(c < 0 for cls in x.tree_gauge.classes for c in cls)
+    sys = from_monodromy(x, [K2, K4])
+    for (u, v) in x.simplices(1):
+        assert (sys.transport(v, u) * sys.transport(u, v)).is_identity()
+
+
+def test_monodromy_systems_share_the_gauge_of_their_base(monkeypatch):
+    x = torus2()
+    from_monodromy(x, [K2, K4])
+    gauge = x.tree_gauge
+    shapes = []
+    kernel = exactlinalg.smith_with_transforms
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms",
+                        lambda a, r, c: shapes.append((r, c)) or
+                        kernel(a, r, c))
+    from_monodromy(x, [K4, K2])
+    assert x.tree_gauge is gauge
+    # the two prescribed matrices, inverted as they are checked; no
+    # transport and no gauge matrix
+    assert shapes == [(2, 2), (2, 2)]

@@ -145,3 +145,11 @@ def test_surfaces_build_without_smith_forms(monkeypatch):
     NcpTorusBundleSpec("genus(2)", (1, 0, 0, 0), (1, 0))
     with pytest.raises(ValueError, match="expected 4 windings"):
         NcpTorusBundleSpec("genus(2)", (1, 0, 0), (1, 0))
+
+
+def test_builtin_builds_no_tree_gauge(monkeypatch):
+    def refuse(a, nrows, ncols):
+        raise AssertionError("SNF kernel called")
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", refuse)
+    x = builtin("genus(8)")
+    assert "tree_gauge" not in vars(x)
