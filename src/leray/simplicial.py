@@ -178,7 +178,7 @@ class TreeGauge:
 
     def __init__(self, x: SimplicialComplex):
         adj = {i: [] for i in range(x.vertex_count)}
-        for (u, v) in x.simplices(1):  # sorted: so is each list
+        for (u, v) in x.simplices(1):  # edges come sorted, so do the lists
             adj[u].append(v)
             adj[v].append(u)
         self.paths = {0: [0]}

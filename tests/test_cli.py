@@ -319,6 +319,10 @@ def test_command_decomposes_each_input_once(monkeypatch, capsys, tmp_path):
     assert len(set(inputs)) == len(inputs)
 
 
+def _kernel_input(m):
+    return (m.nrows, m.ncols, m.rows())
+
+
 def _gauge_inputs(monkeypatch, name):
     """The kernel inputs of a fresh base's tree gauge."""
     inputs = []
@@ -364,10 +368,9 @@ def test_warm_ncp_job_inverts_no_transport(monkeypatch, capsys, tmp_path):
     x = ncp_bundles.resolve_base("torus2")
     mats = [IntMatrix(m) for m in _MONO]
     system = from_monodromy(x, mats)
-    key = lambda m: (m.nrows, m.ncols, m.rows())  # noqa: E731
-    transports = {key(system.transport(u, v)) for e in x.simplices(1)
-                  for (u, v) in (e, e[::-1])}
-    transports -= {key(m) for m in mats + [IntMatrix.identity(2)]}
+    transports = {_kernel_input(system.transport(u, v))
+                  for e in x.simplices(1) for (u, v) in (e, e[::-1])}
+    transports -= {_kernel_input(m) for m in mats + [IntMatrix.identity(2)]}
     assert transports  # inverse classes give transports such as (1 -2; 0 1)
     assert not transports & set(inputs)
     assert not set(_gauge_inputs(monkeypatch, "torus2")) & set(inputs)
@@ -375,6 +378,8 @@ def test_warm_ncp_job_inverts_no_transport(monkeypatch, capsys, tmp_path):
 
 def test_group_cohomology_builds_no_local_system(monkeypatch, capsys,
                                                   tmp_path):
+    """Group cohomology comes from the Koszul complex of the action, so
+    a job builds no complex, no local system and no cochain complex."""
     def refuse(*args, **kwargs):
         raise AssertionError("group cohomology reached a complex")
     for cls, name in ((SimplicialComplex, "__init__"),

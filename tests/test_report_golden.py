@@ -7,8 +7,8 @@ mode: every command in both modes, the paper's ``ncp`` example, a
 k = 0 spec, a genus(2) spec with a full Chern cochain, group cohomology
 of Z and of Z^2, and the exit-1 ``check`` report of a non-flat system.
 
-The digests were frozen from the reports of the code before the
-validation-once refactor.  Canonical coordinates, and with them
+The digests were frozen from the reports when this file was added, and
+refactors since have left them unchanged.  Canonical coordinates, and with them
 ``d2_images`` and every page's generator order, depend on the exact
 presentations the pipeline builds, not only on the groups.  A change of
 presentation (such as sparse pivoting or minimal cell models, ROADMAP
