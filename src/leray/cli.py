@@ -18,7 +18,7 @@ import json
 import sys
 
 from .cohomology import cohomology_groups, convention_compare
-from .exactlinalg import IntMatrix, shared_smith_forms
+from .exactlinalg import IntMatrix
 from .group_cohomology import ZnModule, zn_cohomology
 from .local_systems import (
     FlatnessError,
@@ -44,9 +44,9 @@ MAX_RANK = 16
 # bundle's at rank FIBER_RANK included.  Coboundaries and their SNF
 # transforms are dense: on CPython 3.11 (x86-64, 2 cores), spectral on
 # circle(256) with two constant rank-4 systems (2^20 entries, run with
-# the cap lifted) peaked at 236 MiB, and on circle(181) (about 2^19) at
-# 127 MiB.  genus(8) fits up to rank 6; ncp admits up to genus(24),
-# which took 9.0 s and peaked at 202 MiB.
+# the cap lifted) peaked at 211 MiB, and on circle(181) (about 2^19) at
+# 114 MiB.  genus(8) fits up to rank 6; ncp admits up to genus(24),
+# which took 5.6 s and peaked at 180 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 
@@ -261,13 +261,12 @@ def cmd_cohomology(args, doc):
 
 def cmd_group_cohomology(args, doc):
     _check_command_field(doc, "group-cohomology")
-    data = doc.get("system") or doc.get("action")
+    data = doc.get("system")
     if not isinstance(data, dict):
         raise InputError("group-cohomology needs a 'system' object")
-    rank = data.get("rank")
-    mats = data.get("monodromy") or data.get("matrices")
-    if rank is None or not isinstance(mats, list):
-        raise InputError("system needs 'rank' and a matrix list")
+    if "rank" not in data or not isinstance(data.get("monodromy"), list):
+        raise InputError("system needs 'rank' and a 'monodromy' list")
+    rank, mats = data["rank"], data["monodromy"]
     _check_rank(rank)
     if len(mats) not in (1, 2):
         raise InputError("only actions of Z^1 or Z^2 are supported")
@@ -460,8 +459,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         doc = load_document(args.input)
-        with shared_smith_forms():
-            return _HANDLERS[args.command](args, doc)
+        return _HANDLERS[args.command](args, doc)
     except InputError as exc:
         return _fail(2, "input error: %s" % exc)
     except (FlatnessError, PageError) as exc:

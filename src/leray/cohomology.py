@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import IntMatrix, kernel, subquotient
+from .exactlinalg import (IntMatrix, SmithDecomposition, Subquotient,
+                          relations, smith_normal_form)
 from .local_systems import LocalSystem, require_flat
 
 CONVENTIONS = ("classical", "e1")
@@ -39,6 +40,7 @@ class CochainComplex:
         self.system = system
         self.convention = convention
         self.differentials = differentials  # index p: C^p -> C^{p+1}
+        self._smith_forms = {}
 
     @property
     def fiber_rank(self):
@@ -53,6 +55,13 @@ class CochainComplex:
         if 0 <= p < len(self.differentials):
             return self.differentials[p]
         return IntMatrix.zeros(self.degree_rank(p + 1), self.degree_rank(p))
+
+    def smith_form(self, p) -> SmithDecomposition:
+        """D_p's Smith decomposition, made on first use and kept: every
+        reader of D_p's rank, kernel or cokernel shares that one SNF."""
+        if p not in self._smith_forms:
+            self._smith_forms[p] = smith_normal_form(self.differential(p))
+        return self._smith_forms[p]
 
 
 def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
@@ -92,13 +101,18 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
 
 
 def cohomology(c: CochainComplex):
-    """H^p = ker D_p / im D_{p-1} as Subquotients, p = 0..dim."""
+    """H^p = ker D_p / im D_{p-1} as Subquotients, p = 0..dim.
+
+    Z^p is presented by D_p's kernel decomposition, with no SNF of its
+    basis.  D_dim = 0, so H^dim = coker D_{dim-1} takes D_{dim-1}'s own
+    decomposition as its relations."""
+    dim = c.x.dimension
     out = []
-    for p in range(c.x.dimension + 1):
-        cycles = kernel(c.differential(p))
-        boundaries = c.differential(p - 1) if p >= 1 else \
-            IntMatrix.zeros(c.degree_rank(p), 0)
-        out.append(subquotient(cycles, boundaries))
+    for p in range(dim):
+        z = c.smith_form(p).kernel_decomposition()
+        out.append(Subquotient(z, relations(z, c.differential(p - 1))))
+    out.append(Subquotient(SmithDecomposition.identity(c.degree_rank(dim)),
+                           c.smith_form(dim - 1)))
     return out
 
 

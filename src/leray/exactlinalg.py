@@ -20,7 +20,6 @@ The main objects:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, compress
 from math import gcd
@@ -319,14 +318,21 @@ def action_inverses(mats, rank):
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
-    Only what callers read is kept: D is rebuilt from ``diagonal`` on
-    demand, and V's inverse is not stored.
+    D is rebuilt from ``diagonal`` on demand.  V's inverse is kept, as
+    it decomposes the kernel basis (``kernel_decomposition``).
     """
 
     U: IntMatrix
     V: IntMatrix
     diagonal: tuple
     U_inv: IntMatrix
+    V_inv: IntMatrix
+
+    @classmethod
+    def identity(cls, n):
+        """I_n's decomposition without an SNF: the kernel's is all I_n."""
+        ident = IntMatrix.identity(n)
+        return cls(ident, ident, (1,) * n, ident, ident)
 
     @property
     def rank(self):
@@ -368,33 +374,19 @@ class SmithDecomposition:
             rows.append(row)
         return IntMatrix._trusted(rows, r, b.ncols)
 
-
-# Input matrix -> its SmithDecomposition, while shared_smith_forms() is
-# active; None otherwise.
-_shared = None
-
-
-@contextmanager
-def shared_smith_forms():
-    """Within the block, ``smith_normal_form`` decomposes each distinct
-    input once and returns that decomposition for every equal input.
-
-    The table lives as long as the block, so nothing is kept between
-    blocks.  Outside any block every call reaches the kernel.
-
-    >>> a = IntMatrix([[2, 4], [6, 8]])
-    >>> with shared_smith_forms():
-    ...     smith_normal_form(a) is smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
-    True
-    >>> smith_normal_form(a) is smith_normal_form(a)
-    False
-    """
-    global _shared
-    outer, _shared = _shared, {}
-    try:
-        yield
-    finally:
-        _shared = outer
+    def kernel_decomposition(self) -> "SmithDecomposition":
+        """A decomposition of K = V[:, r:], the basis ``kernel`` returns,
+        made without an SNF: V^-1 K = [0; I], so with P moving the last
+        n - r rows first, (P V^-1) K I = [I; 0].  U_inv = V P^-1 starts
+        with K, so the basis zb of ``basis_coordinates`` is K itself.
+        """
+        r, n = self.rank, self.V.nrows
+        order = [*range(r, n), *range(r)]
+        ident = IntMatrix.identity(n - r)
+        return SmithDecomposition(
+            U=IntMatrix._trusted([self.V_inv.rows()[i] for i in order], n, n),
+            V=ident, diagonal=(1,) * (n - r),
+            U_inv=self.V.submatrix_columns(order), V_inv=ident)
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -407,23 +399,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return wrong coordinates without any error.  The check also proves
     that the ``D`` rebuilt from the diagonal equals the kernel's.
 
-    Inside ``shared_smith_forms()`` an input equal to one already
-    decomposed gets the same decomposition back.
-
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
-    if _shared is None:
-        return _decompose(a)
-    dec = _shared.get(a)
-    if dec is None:
-        dec = _shared[a] = _decompose(a)
-    return dec
-
-
-def _decompose(a: IntMatrix) -> SmithDecomposition:
     r, c = a.shape
-    u, d, v, uinv, _ = smith_with_transforms(a.rows(), r, c)
+    u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
     diag = []
     for i, row in enumerate(d):
         x = row[i] if i < c else 0
@@ -441,11 +421,8 @@ def _decompose(a: IntMatrix) -> SmithDecomposition:
         V=IntMatrix._trusted(v, c, c),
         diagonal=tuple(diag),
         U_inv=IntMatrix._trusted(uinv, r, r),
+        V_inv=IntMatrix._trusted(vinv, c, c),
     )
-
-
-def rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -453,12 +430,8 @@ def kernel(a: IntMatrix) -> IntMatrix:
 
     The basis columns are the trailing columns of the SNF transform V,
     hence extend to a basis of the whole domain: the kernel is returned
-    as a direct summand, which is what lift/project maps need.  On a
-    zero matrix the kernel makes no column operation and V is the
-    identity, so that case is answered without an SNF.
+    as a direct summand, which is what lift/project maps need.
     """
-    if a.is_zero():
-        return IntMatrix.identity(a.ncols)
     dec = smith_normal_form(a)
     return dec.V.submatrix_columns(range(dec.rank, a.ncols))
 
@@ -602,32 +575,28 @@ class Subquotient:
     ascending), and ``lift``/``project`` translate between canonical
     coordinates and ambient vectors.
 
-    Two SNFs build it.  That of the cycle generators C gives the basis
-    zb of Z and coordinates in it (``basis_coordinates``); those of the
-    boundary generators form the relation matrix y.  With U' y V' = D'
+    It is built from two Smith decompositions and makes none itself.
+    ``cycles``, of a matrix whose columns span Z, gives the basis zb of
+    Z and coordinates in it (``basis_coordinates``); ``relations`` is
+    that of the zb-coordinates y of generators of B.  With U' y V' = D'
     of rank s and g = zb U'_inv, B = zb span(y) has the basis
     g[:, :s] diag(d'), the columns of g with d'_i = 0 or >= 2 lift the
     free and torsion generators, and U' maps zb-coordinates to
     canonical ones.
     """
 
-    def __init__(self, cycles: IntMatrix, boundaries: IntMatrix):
-        if cycles.nrows != boundaries.nrows:
-            raise ValueError("ambient rank mismatch")
-        self.ambient_rank = cycles.nrows
-        self._cycles = smith_normal_form(cycles)
-        zb = _scaled_columns(self._cycles.U_inv, self._cycles.diagonal)
-        coords = self._cycles.basis_coordinates(boundaries)
-        if coords is None:
-            raise ValueError("boundary not contained in cycles")
-        dec = smith_normal_form(coords)
-        self._gen_change = dec.U  # presentation coords = U @ (Z-coords)
-        diag = dec.diagonal
-        self._free_idx = list(range(dec.rank, zb.ncols))
-        self._torsion_idx = [i for i in range(dec.rank) if diag[i] >= 2]
+    def __init__(self, cycles: SmithDecomposition,
+                 relations: SmithDecomposition):
+        self.ambient_rank = cycles.U.nrows
+        self._cycles = cycles
+        zb = _scaled_columns(cycles.U_inv, cycles.diagonal)
+        self._gen_change = relations.U  # presentation coords = U' @ (Z-coords)
+        diag, s = relations.diagonal, relations.rank
+        self._free_idx = list(range(s, zb.ncols))
+        self._torsion_idx = [i for i in range(s) if diag[i] >= 2]
         self.quotient = FgAbGroup(len(self._free_idx),
                                   tuple(diag[i] for i in self._torsion_idx))
-        g = zb * dec.U_inv
+        g = zb * relations.U_inv
         self.cycle_gens = zb
         self.boundary_gens = _scaled_columns(g, diag)
         # columns: ambient representatives of the canonical generators
@@ -643,15 +612,13 @@ class Subquotient:
         and the lift matrix are I; the relation matrix is n x 0, whose
         U and U_inv are I as well.  One identity object serves them all.
         """
-        ident = IntMatrix.identity(n)
         sq = object.__new__(cls)
         sq.ambient_rank = n
-        sq._cycles = SmithDecomposition(ident, ident, (1,) * n, ident)
-        sq._gen_change = ident
+        sq._cycles = SmithDecomposition.identity(n)
+        sq._gen_change = sq.cycle_gens = sq.lift_matrix = sq._cycles.U
         sq._free_idx = list(range(n))
         sq._torsion_idx = []
         sq.quotient = FgAbGroup(n, ())
-        sq.cycle_gens = sq.lift_matrix = ident
         sq.boundary_gens = IntMatrix.zeros(n, 0)
         return sq
 
@@ -694,14 +661,27 @@ class Subquotient:
             self.ambient_rank, self.quotient.render())
 
 
+def relations(cycles: SmithDecomposition,
+              boundaries: IntMatrix) -> SmithDecomposition:
+    """The relations a Subquotient takes: the decomposition, by one SNF,
+    of the coordinates of ``boundaries`` in the basis zb of ``cycles``."""
+    coords = cycles.basis_coordinates(boundaries)
+    if coords is None:
+        raise ValueError("boundary not contained in cycles")
+    return smith_normal_form(coords)
+
+
 def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:
     """Present Z/B for column-generated Z and B with B contained in Z."""
-    return Subquotient(cycles, boundaries)
+    dec = smith_normal_form(cycles)
+    return Subquotient(dec, relations(dec, boundaries))
 
 
 def cokernel(a: IntMatrix) -> Subquotient:
-    """Z^rows / im(A), presented with canonical generator expressions."""
-    return Subquotient(IntMatrix.identity(a.nrows), a)
+    """Z^rows / im(A), presented with canonical generator expressions;
+    the cycles are the identity, so A is its own relation matrix."""
+    return Subquotient(SmithDecomposition.identity(a.nrows),
+                       smith_normal_form(a))
 
 
 def cokernel_group(a: IntMatrix) -> FgAbGroup:

@@ -31,9 +31,9 @@ from .exactlinalg import (
     IntMatrix,
     Subquotient,
     action_inverses,
+    cokernel,
     hstack_all,
     kernel,
-    subquotient,
     vstack_all,
 )
 from .simplicial import SimplicialComplex
@@ -241,5 +241,4 @@ def coinvariants(mats, fiber_rank) -> Subquotient:
     can be computed with ``project``.
     """
     ident = IntMatrix.identity(fiber_rank)
-    block = hstack_all([m - ident for m in mats], nrows=fiber_rank)
-    return subquotient(IntMatrix.identity(fiber_rank), block)
+    return cokernel(hstack_all([m - ident for m in mats], nrows=fiber_rank))

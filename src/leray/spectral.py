@@ -33,8 +33,8 @@ from .exactlinalg import (
     IntMatrix,
     Subquotient,
     preimage_lattice,
-    rank as matrix_rank,
-    subquotient,
+    relations,
+    smith_normal_form,
 )
 from .local_systems import GradedKBundle
 
@@ -93,12 +93,16 @@ class SpectralPage:
         return page
 
     def table_rows(self):
-        """(r, p, q, group, outgoing differential rank) per entry."""
+        """(r, p, q, group, outgoing differential rank) per entry; E1's
+        ranks are those of the coboundaries its complexes decompose."""
         rows = []
         for (p, q) in self.keys():
             d = self.differentials.get((p, q))
+            if d is not None:
+                d = (self.complexes[(p + q) % 2].smith_form(p) if self.r == 1
+                     else smith_normal_form(d))
             rows.append((self.r, p, q, self.group(p, q).render(),
-                         matrix_rank(d) if d is not None else 0))
+                         d.rank if d is not None else 0))
         return rows
 
     def __repr__(self):
@@ -207,7 +211,8 @@ def _turn(page: SpectralPage) -> SpectralPage:
     outgoing map, new boundaries extend the old ones by lifted images of
     the incoming map.  Where both maps are zero (or absent) the cycles
     are all of the entry and the boundaries add nothing, so the entry is
-    carried over as the same object.  A nonzero differential cannot
+    carried over as the same object; where only the outgoing one is,
+    the cycles keep their decomposition.  A nonzero differential cannot
     leave the window: the first page stores none there, and
     ``with_differentials`` rejects one.
     """
@@ -220,20 +225,21 @@ def _turn(page: SpectralPage) -> SpectralPage:
         if (p, q) not in live and incoming not in live:
             new_entries[(p, q)] = entry
             continue
-        cycles = entry.cycle_gens
+        cycles = entry._cycles
         if (p, q) in live:
             # The canonical coordinates of the cycle basis: see
             # Subquotient._canonical.
             cond = page.differentials[(p, q)] * \
                 entry._canonical(entry._gen_change)
             target = page.entry(*page.target_key(p, q))
-            cycles = cycles * preimage_lattice(
-                cond, relation_lattice(target.quotient))
+            cycles = smith_normal_form(entry.cycle_gens * preimage_lattice(
+                cond, relation_lattice(target.quotient)))
         boundaries = entry.boundary_gens
         if incoming in live:
             boundaries = boundaries.hstack(
                 entry.lift_matrix * page.differentials[incoming])
-        new_entries[(p, q)] = subquotient(cycles, boundaries)
+        new_entries[(p, q)] = Subquotient(cycles,
+                                          relations(cycles, boundaries))
     return SpectralPage(page.r + 1, page.x, page.bundle, new_entries, {},
                         page.complexes)
 

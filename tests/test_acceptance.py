@@ -87,8 +87,10 @@ def test_criterion_01_torus_coinvariants():
 def test_criterion_02_leray_serre_cross_check():
     """E2 equals local-coefficient cohomology, exactly, for >= 20
     randomized flat systems over four bases, in both parities: as
-    computed by ``cohomology_groups``, and as computed from the holonomy
-    by oracles that build no cochain complex (``surface_cohomology``)."""
+    computed by ``cohomology_groups``, under the classical convention,
+    whose even-degree coboundaries differ in sign and so go through
+    other SNFs, and as computed from the holonomy by oracles that build
+    no cochain complex (``surface_cohomology``)."""
     start = time.monotonic()
     cases = randomized_systems(seed=2024, per_base=5)
     assert len(cases) >= 20
@@ -104,6 +106,8 @@ def test_criterion_02_leray_serre_cross_check():
         for s in (0, 1):
             column = [page2.group(p, (s - p) % 2)
                       for p in range(base.dimension + 1)]
+            assert column == cohomology_groups(base, bundle.part(s),
+                                               "classical")
             assert matches_surface_cohomology(
                 column, surface_cohomology(base, bundle.part(s)))
     assert time.monotonic() - start < 10.0

@@ -8,9 +8,9 @@ from collections import Counter
 
 import pytest
 
-from leray import cli, exactlinalg, ncp_bundles
-from leray.cohomology import CochainComplex
-from leray.exactlinalg import IntMatrix, shared_smith_forms
+from leray import cli, ncp_bundles
+from leray.cohomology import CochainComplex, build
+from leray.exactlinalg import IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
 
@@ -136,6 +136,15 @@ _IDENTITY_17 = [[int(i == j) for j in range(17)] for i in range(17)]
 _RANK_16 = {"rank": 16, "constant": True}
 _GENUS_60 = {"base": "genus(60)", "windings": [2, 4] + [0] * 118,
              "chern": [1, 0]}
+# group-cohomology documents read by key presence, each with the message
+# it must give; "action" and "matrices" are not keys of the schema
+_GROUP_KEY_DOCS = [
+    ({"system": {}, "action": {"rank": 1, "matrices": [[[1]]]}},
+     "'rank' and a 'monodromy' list"),
+    ({"system": {"rank": 2, "monodromy": []}},
+     "only actions of Z^1 or Z^2"),
+    ({"action": {"rank": 2, "matrices": _MONO}}, "'system'"),
+]
 
 
 def _limit_memory():
@@ -200,7 +209,8 @@ def _limit_memory():
     ("cohomology", {"complex": "circle(\u0665)", "system": _CONSTANT}),
     ("ncp", {"bundle": {"base": "genus(0_8)", "windings": [0] * 16,
                         "chern": [0, 0]}}),
-], ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
+] + [("group-cohomology", doc) for doc, _ in _GROUP_KEY_DOCS],
+    ids=["monodromy-int", "transports-list", "rank-bool", "group-rank-bool",
         "chern-int", "winding-float", "winding-str", "winding-bool",
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
         "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
@@ -210,7 +220,9 @@ def _limit_memory():
         "simplex-vertices-integral-floats", "simplices-str",
         "transport-edge-repeated", "transport-key-underscore",
         "builtin-underscore", "builtin-sign", "builtin-spaces",
-        "builtin-arabic-indic-digit", "ncp-base-underscore"])
+        "builtin-arabic-indic-digit", "ncp-base-underscore",
+        "group-system-empty-action-given", "group-monodromy-empty",
+        "group-action-only"])
 def test_schema_violation_exit_2(tmp_path, command, doc):
     """The size caps reject oversized documents before anything is
     allocated; the memory limit and the timeout make a missing cap fail
@@ -220,6 +232,15 @@ def test_schema_violation_exit_2(tmp_path, command, doc):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("input error:")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("doc, message", _GROUP_KEY_DOCS,
+                         ids=["system-empty-action-given", "monodromy-empty",
+                              "action-only"])
+def test_group_cohomology_reads_system_by_key(tmp_path, doc, message):
+    res = run_cli(tmp_path, "group-cohomology", doc)
+    assert res.returncode == 2
+    assert message in res.stderr
 
 
 def test_unknown_builtin_exit_2(tmp_path):
@@ -289,63 +310,62 @@ def test_undecodable_document_exit_2(tmp_path, raw):
     assert "Traceback" not in res.stderr
 
 
-def _run_in_process(monkeypatch, capsys, tmp_path, command, doc):
+def _run_in_process(kernel_calls, capsys, tmp_path, command, doc):
     """cli.main in this process: (exit code, stdout, kernel inputs)."""
-    inputs = []
-    kernel = exactlinalg.smith_with_transforms
-
-    def recording(a, nrows, ncols):
-        inputs.append((nrows, ncols, tuple(map(tuple, a))))
-        return kernel(a, nrows, ncols)
-
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recording)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
+    kernel_calls.clear()
     code = cli.main([command, "--input", str(path), "--emit", "machine"])
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", kernel)
-    return code, capsys.readouterr().out, inputs
+    return code, capsys.readouterr().out, list(kernel_calls)
 
 
 _NCP_TORUS = {"bundle": {"base": "torus2", "windings": [2, 4],
                          "chern": [1, 0]}}
 
 
-def test_command_decomposes_each_input_once(monkeypatch, capsys, tmp_path):
-    code, _, inputs = _run_in_process(monkeypatch, capsys, tmp_path,
+def test_command_decomposes_each_coboundary_once(kernel_calls, capsys,
+                                                 tmp_path):
+    """The paper's ncp job sends the SNF kernel each nonzero coboundary
+    of both parities exactly once, and no kernel basis of one and no
+    identity larger than the fiber: each complex keeps the decompositions
+    of its coboundaries, kernels and the top degree reuse them."""
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
                                       "ncp", _NCP_TORUS)
     assert code == 0
-    assert inputs
-    assert len(set(inputs)) == len(inputs)
+    spec = cli.parse_bundle_spec(_NCP_TORUS["bundle"])
+    bundle = ncp_bundles.k_theory_bundle(spec)
+    seen = Counter(inputs)
+    for system in (bundle.even, bundle.odd):
+        c = build(spec.base, system)
+        for p in range(spec.base.dimension):
+            d = c.differential(p)
+            assert not d.is_zero()
+            assert seen[_kernel_input(d)] == 1, p
+            assert seen[_kernel_input(kernel(d))] == 0, p
+    identities = [n for n, m, rows in inputs
+                  if n == m and IntMatrix(rows, shape=(n, m)).is_identity()]
+    assert max(identities, default=0) <= ncp_bundles.FIBER_RANK
 
 
 def _kernel_input(m):
     return (m.nrows, m.ncols, m.rows())
 
 
-def _gauge_inputs(monkeypatch, name):
+def _gauge_inputs(kernel_calls, name):
     """The kernel inputs of a fresh base's tree gauge."""
-    inputs = []
-    kernel = exactlinalg.smith_with_transforms
-
-    def recording(a, nrows, ncols):
-        inputs.append((nrows, ncols, tuple(map(tuple, a))))
-        return kernel(a, nrows, ncols)
-
     x = builtin(name)
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recording)
-    with shared_smith_forms():
-        x.tree_gauge
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", kernel)
-    return inputs
+    kernel_calls.clear()
+    x.tree_gauge
+    return list(kernel_calls)
 
 
-def test_commands_share_nothing(monkeypatch, capsys, tmp_path):
+def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
     builds the base's tree gauge (two SNFs), runs give equal reports
     from equal kernel inputs."""
     ncp_bundles.resolve_base.cache_clear()  # a cold base, whatever ran before
-    runs = [_run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
+    runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
             for _ in range(3)]
     assert [code for code, _, _ in runs] == [0, 0, 0]
     assert runs[0][1] == runs[1][1] == runs[2][1]
@@ -353,16 +373,16 @@ def test_commands_share_nothing(monkeypatch, capsys, tmp_path):
     first, later = Counter(runs[0][2]), Counter(runs[1][2])
     assert not later - first
     assert sorted((first - later).elements()) == \
-        sorted(_gauge_inputs(monkeypatch, "torus2"))
+        sorted(_gauge_inputs(kernel_calls, "torus2"))
 
 
-def test_warm_ncp_job_inverts_no_transport(monkeypatch, capsys, tmp_path):
+def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     """On a warm base an ncp job sends the SNF kernel no gauge matrix
     and no edge transport, apart from the prescribed monodromy and the
     identity, which the job decomposes for other reasons (checking the
     action, and the change of basis in d2_spec)."""
-    _run_in_process(monkeypatch, capsys, tmp_path, "ncp", _NCP_TORUS)
-    code, _, inputs = _run_in_process(monkeypatch, capsys, tmp_path,
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
                                       "ncp", _NCP_TORUS)
     assert code == 0
     x = ncp_bundles.resolve_base("torus2")
@@ -373,11 +393,11 @@ def test_warm_ncp_job_inverts_no_transport(monkeypatch, capsys, tmp_path):
     transports -= {_kernel_input(m) for m in mats + [IntMatrix.identity(2)]}
     assert transports  # inverse classes give transports such as (1 -2; 0 1)
     assert not transports & set(inputs)
-    assert not set(_gauge_inputs(monkeypatch, "torus2")) & set(inputs)
+    assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(inputs)
 
 
-def test_group_cohomology_builds_no_local_system(monkeypatch, capsys,
-                                                  tmp_path):
+def test_group_cohomology_builds_no_local_system(monkeypatch, kernel_calls,
+                                                  capsys, tmp_path):
     """Group cohomology comes from the Koszul complex of the action, so
     a job builds no complex, no local system and no cochain complex."""
     def refuse(*args, **kwargs):
@@ -388,7 +408,7 @@ def test_group_cohomology_builds_no_local_system(monkeypatch, capsys,
         monkeypatch.setattr(cls, name, refuse, raising=False)
     for doc in ({"system": {"rank": 2, "monodromy": _MONO}},
                 {"system": {"rank": 2, "monodromy": _MONO[:1]}}):
-        code, out, _ = _run_in_process(monkeypatch, capsys, tmp_path,
+        code, out, _ = _run_in_process(kernel_calls, capsys, tmp_path,
                                        "group-cohomology", doc)
         assert code == 0, out
 

@@ -41,11 +41,7 @@ def check_snf_identities(a):
     dec = smith_normal_form(a)
     assert dec.U * a * dec.V == dec.D
     assert (dec.U * dec.U_inv).is_identity()
-    # V's inverse is not kept by SmithDecomposition; check the kernel's
-    _, _, v, _, vinv = _kernel.smith_with_transforms(a.rows(), *a.shape)
-    n = a.ncols
-    assert (IntMatrix(v, shape=(n, n)) * IntMatrix(vinv, shape=(n, n))) \
-        .is_identity()
+    assert (dec.V * dec.V_inv).is_identity()
     for i in range(a.nrows):
         for j in range(a.ncols):
             if i != j:
@@ -227,18 +223,18 @@ def test_subquotient_project_outside_span():
     assert sq.project((4, 0)) == (2,)
 
 
-def test_subquotient_makes_two_smith_decompositions(monkeypatch):
-    shapes = []
-
-    def counting(a, nrows, ncols):
-        shapes.append((nrows, ncols))
-        return _kernel.smith_with_transforms(a, nrows, ncols)
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", counting)
-    sq = exactlinalg.Subquotient(IntMatrix([[2, 0], [0, 3], [1, 1]]),
-                                 IntMatrix([[4], [0], [2]]))
+def test_subquotient_makes_two_smith_decompositions(kernel_calls):
+    cycles = IntMatrix([[2, 0], [0, 3], [1, 1]])
+    boundaries = IntMatrix([[4], [0], [2]])
+    sq = subquotient(cycles, boundaries)
     assert sq.quotient == FgAbGroup(1, (2,))
     # the cycle generators (3 x 2), then the relation matrix (2 x 1)
-    assert shapes == [(3, 2), (2, 1)]
+    assert [(r, c) for r, c, _ in kernel_calls] == [(3, 2), (2, 1)]
+    # the constructor takes both decompositions and makes none itself
+    dec = smith_normal_form(cycles)
+    rel = exactlinalg.relations(dec, boundaries)
+    kernel_calls.refuse()
+    assert vars(exactlinalg.Subquotient(dec, rel)) == vars(sq)
 
 
 small_entries = st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, 6))
@@ -297,6 +293,33 @@ def test_free_subquotient_equals_identity_presentation(n):
     # _gen_change, the index lists, quotient, cycle_gens, boundary_gens
     # and lift_matrix
     assert vars(free) == vars(built)
+
+
+@st.composite
+def maps_and_kernel_boundaries(draw):
+    """(A, B): A often rank-deficient, B = kernel(A) M inside its kernel."""
+    a = draw(small_matrices)
+    k = kernel(a)
+    m = draw(st.integers(0, 3))
+    return a, k * IntMatrix([[draw(small_entries) for _ in range(m)]
+                             for _ in range(k.ncols)], shape=(k.ncols, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_kernel_boundaries())
+@example((IntMatrix.zeros(2, 3), IntMatrix([[2], [0], [0]])))
+@example((IntMatrix([[1, 0], [0, 3]]), IntMatrix.zeros(2, 1)))
+def test_kernel_decomposition_decomposes_the_kernel_basis(ab):
+    a, b = ab
+    k = kernel(a)
+    z = smith_normal_form(a).kernel_decomposition()
+    assert z.U * k * z.V == z.D
+    assert z.diagonal == (1,) * k.ncols
+    assert (z.U * z.U_inv).is_identity()
+    assert (z.V * z.V_inv).is_identity()
+    sq = exactlinalg.Subquotient(z, exactlinalg.relations(z, b))
+    assert sq.cycle_gens == k
+    assert sq.quotient == subquotient(k, b).quotient
 
 
 def reference_coordinates(dec, b):

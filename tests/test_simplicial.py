@@ -2,7 +2,6 @@ from itertools import combinations
 
 import pytest
 
-from leray import exactlinalg
 from leray.exactlinalg import FgAbGroup
 from leray.ncp_bundles import NcpTorusBundleSpec, resolve_base
 from leray.simplicial import (
@@ -133,11 +132,8 @@ def test_orientation_rejects_non_surfaces(x, message):
         x.coherent_orientation()
 
 
-def test_surfaces_build_without_smith_forms(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Smith normal form computed")
-
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", refuse)
+def test_surfaces_build_without_smith_forms(kernel_calls):
+    kernel_calls.refuse()
     resolve_base.cache_clear()
     torus2()
     sphere2()
@@ -147,9 +143,7 @@ def test_surfaces_build_without_smith_forms(monkeypatch):
         NcpTorusBundleSpec("genus(2)", (1, 0, 0), (1, 0))
 
 
-def test_builtin_builds_no_tree_gauge(monkeypatch):
-    def refuse(a, nrows, ncols):
-        raise AssertionError("SNF kernel called")
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", refuse)
+def test_builtin_builds_no_tree_gauge(kernel_calls):
+    kernel_calls.refuse()
     x = builtin("genus(8)")
     assert "tree_gauge" not in vars(x)
