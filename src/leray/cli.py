@@ -41,12 +41,13 @@ MAX_RANK = 16
 
 # Most entries of the largest coboundary, (n_(p+1) m) x (n_p m) for n_p
 # p-simplices and rank m.  It bounds every command's systems, the ncp
-# bundle's at rank FIBER_RANK included.  Coboundaries and their SNF
-# transforms are dense: on CPython 3.11 (x86-64, 2 cores), spectral on
-# circle(256) with two constant rank-4 systems (2^20 entries, run with
-# the cap lifted) peaked at 211 MiB, and on circle(181) (about 2^19) at
-# 114 MiB.  genus(8) fits up to rank 6; ncp admits up to genus(24),
-# which took 5.6 s and peaked at 180 MiB.
+# bundle's at rank FIBER_RANK included.  Coboundaries and the SNF
+# transforms handed back are dense (the kernel eliminates on sparse rows
+# but returns dense lists): on CPython 3.11 (x86-64, 2 cores), spectral
+# on circle(256) with two constant rank-4 systems (2^20 entries, run
+# with the cap lifted) peaked at 213 MiB, and on circle(181) (about
+# 2^19) at 115 MiB.  genus(8) fits up to rank 6; ncp admits up to
+# genus(24), which took 1.6-1.9 s and peaked at 180 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

@@ -132,8 +132,19 @@ class ConventionComparison:
 
 
 def convention_compare(x, system: LocalSystem) -> ConventionComparison:
-    """Cohomology under both sign conventions, degree by degree."""
+    """Cohomology under both sign conventions, degree by degree.
+
+    D_p(e1) = (-1)^(p+1) D_p(classical), so the odd-degree coboundaries
+    coincide.  Where a coboundary of the e1 complex compares equal to
+    the classical one, it takes the classical decomposition instead of
+    making its own."""
+    classical = build(x, system, "classical")
+    classical_groups = tuple(h.quotient for h in cohomology(classical))
+    e1 = build(x, system, "e1")
+    for p, form in classical._smith_forms.items():
+        if e1.differential(p) == classical.differential(p):
+            e1._smith_forms[p] = form
     return ConventionComparison(
-        classical=tuple(cohomology_groups(x, system, "classical")),
-        e1=tuple(cohomology_groups(x, system, "e1")),
+        classical=classical_groups,
+        e1=tuple(h.quotient for h in cohomology(e1)),
     )

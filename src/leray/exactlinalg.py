@@ -374,6 +374,11 @@ class SmithDecomposition:
             rows.append(row)
         return IntMatrix._trusted(rows, r, b.ncols)
 
+    def cokernel_group(self) -> "FgAbGroup":
+        """Isomorphism type of Z^rows / im(A), from the diagonal."""
+        return group_from_divisors(
+            list(self.diagonal) + [0] * (self.U.nrows - self.rank))
+
     def kernel_decomposition(self) -> "SmithDecomposition":
         """A decomposition of K = V[:, r:], the basis ``kernel`` returns,
         made without an SNF: V^-1 K = [0; I], so with P moving the last
@@ -686,6 +691,4 @@ def cokernel(a: IntMatrix) -> Subquotient:
 
 def cokernel_group(a: IntMatrix) -> FgAbGroup:
     """Isomorphism type of Z^rows / im(A)."""
-    dec = smith_normal_form(a)
-    divisors = list(dec.diagonal) + [0] * (a.nrows - dec.rank)
-    return group_from_divisors(divisors)
+    return smith_normal_form(a).cokernel_group()

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
+    Subquotient,
     action_inverses,
     cokernel_group,
     kernel,
     preimage_lattice,
+    relations,
+    smith_normal_form,
     solve,
     subquotient,
     vstack_all,
@@ -45,17 +48,24 @@ class ZnModule:
 
 def zn_cohomology(module: ZnModule):
     """[H^0, ..., H^n] as FgAbGroup values, from the Koszul complex of
-    the already-checked action; n must be 1 or 2."""
+    the already-checked action; n must be 1 or 2.
+
+    Each Koszul differential is decomposed once: H^0 is the kernel of
+    d0, H^1 for n = 2 is presented on the kernel decomposition of the
+    top differential, and H^n is the top differential's cokernel."""
     if module.n not in (1, 2):
         raise ValueError("only n = 1 or n = 2 is supported")
     ident = IntMatrix.identity(module.rank)
     b = [a - ident for a in module.action]
     d0 = vstack_all(b)
-    top = d0 if module.n == 1 else (-b[1]).hstack(b[0])
-    groups = [FgAbGroup(kernel(d0).ncols, ())]
+    d0_form = smith_normal_form(d0)
+    top_form = d0_form if module.n == 1 else \
+        smith_normal_form((-b[1]).hstack(b[0]))
+    groups = [FgAbGroup(module.rank - d0_form.rank, ())]
     if module.n == 2:
-        groups.append(subquotient(kernel(top), d0).quotient)
-    groups.append(cokernel_group(top))
+        z = top_form.kernel_decomposition()
+        groups.append(Subquotient(z, relations(z, d0)).quotient)
+    groups.append(top_form.cokernel_group())
     return groups
 
 

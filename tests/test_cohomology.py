@@ -154,6 +154,20 @@ def test_convention_compare():
     assert convention_compare(c4, sys).isomorphic
 
 
+def test_convention_compare_decomposes_the_shared_coboundary_once(
+        kernel_calls):
+    """The odd-degree coboundary is the same matrix under both
+    conventions, and the comparison decomposes it once."""
+    x = torus2()
+    system = from_monodromy(x, [K2, K4])
+    d1 = build(x, system, "classical").differential(1)
+    assert d1 == build(x, system, "e1").differential(1)
+    assert d1.shape == (28, 42)
+    kernel_calls.clear()
+    assert convention_compare(x, system).isomorphic
+    assert kernel_calls.count((28, 42, d1.rows())) == 1
+
+
 def test_differentials_square_to_zero_randomized():
     rng = random.Random(12)
     for x in [torus2(), sphere2(), genus_surface(2)]:

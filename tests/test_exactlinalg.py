@@ -95,6 +95,44 @@ def test_snf_permuted_structured_diagonals(a):
     assert list(dec.diagonal) == [x for x in expected if x]
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Up to 30 x 30, density 0.05-0.3, entries in [-9, 9] and now and
+    then +-10^20, with some rows and columns zeroed: the sizes and the
+    sparsity at which the kernel's choice of pivots matters."""
+    r = draw(st.integers(min_value=0, max_value=30))
+    c = draw(st.integers(min_value=0, max_value=30))
+    density = draw(st.floats(min_value=0.05, max_value=0.3))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1,
+                         1, 2, 3, 4, 5, 6, 7, 8, 9))
+             if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)]
+    if r and c:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            rows[rng.randrange(r)][rng.randrange(c)] = \
+                rng.choice((-1, 1)) * 10 ** 20
+    for i in draw(st.sets(st.integers(0, 29), max_size=3)):
+        if i < r:
+            rows[i] = [0] * c
+    zero_cols = draw(st.sets(st.integers(0, 29), max_size=3))
+    rows = [[0 if j in zero_cols else x for j, x in enumerate(row)]
+            for row in rows]
+    return IntMatrix(rows, shape=(r, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_snf_sparse_against_sympy(a):
+    dec = check_snf_identities(a)
+    theirs = sympy_snf(Matrix(a.nrows, a.ncols, list(a.entries)), domain=ZZ)
+    expected = [abs(theirs[i, i]) for i in range(min(a.nrows, a.ncols))]
+    assert list(dec.diagonal) == [x for x in expected if x]
+    copy = [list(row) for row in a.rows()]
+    assert _kernel.smith_with_transforms(a.rows(), a.nrows, a.ncols) == \
+        _kernel.smith_with_transforms(copy, a.nrows, a.ncols)
+
+
 def test_snf_repair_stays_in_its_block():
     # Repairing d_0 = 6, d_1 = 6, d_2 = 9 must not pull the later 6 into
     # position 1: that once left D[1][2] = 6, and solve() then returned

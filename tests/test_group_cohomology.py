@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leray.cohomology import cohomology_groups
-from leray.exactlinalg import FgAbGroup, IntMatrix
+from leray.exactlinalg import FgAbGroup, IntMatrix, kernel, vstack_all
 from leray.group_cohomology import ZnModule, recursion_check, zn_cohomology
 from leray.local_systems import coinvariants, from_monodromy, invariants
 from leray.simplicial import circle, torus2
@@ -97,6 +97,23 @@ def test_conjugation_invariance():
     h1 = zn_cohomology(ZnModule(2, (a, b)))
     h2 = zn_cohomology(ZnModule(2, (p * a * pinv, p * b * pinv)))
     assert h1 == h2
+
+
+@pytest.mark.parametrize("mats", [(K2,), (K2, K4)])
+def test_each_koszul_differential_is_decomposed_once(kernel_calls, mats):
+    """On an already-built module the SNF kernel sees d0 and the top
+    differential once each (one matrix for n = 1), plus, for n = 2, the
+    relations of H^1; no kernel basis is decomposed."""
+    module = ZnModule(2, mats)
+    kernel_calls.clear()
+    zn_cohomology(module)
+    inputs = set(kernel_calls)
+    assert len(kernel_calls) == (1 if len(mats) == 1 else 3)
+    b = [a - IntMatrix.identity(2) for a in mats]
+    d0 = vstack_all(b)
+    top = d0 if len(mats) == 1 else (-b[1]).hstack(b[0])
+    for basis in (kernel(d0), kernel(top)):
+        assert (basis.nrows, basis.ncols, basis.rows()) not in inputs
 
 
 def test_rejects_noncommuting():

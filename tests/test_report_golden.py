@@ -4,8 +4,10 @@ Reports are a pure function of the job document, and refactors of the
 pipeline must leave them byte-identical.  Each case below pins the exit
 code and the SHA-256 of stdout for one fixed document in one ``--emit``
 mode: every command in both modes, the paper's ``ncp`` example, a
-k = 0 spec, a genus(2) spec with a full Chern cochain, group cohomology
-of Z and of Z^2, and the exit-1 ``check`` report of a non-flat system.
+k = 0 spec, genus(2) and genus(8) specs with a full Chern cochain,
+group cohomology of Z and of Z^2, and the exit-1 ``check`` report of a
+non-flat system.  genus(8) is large enough for the SNF kernel's pivot
+order to show in the presentation of E2.
 
 The digests were frozen from the reports when this file was added, and
 refactors since have left them unchanged.  Canonical coordinates, and with them
@@ -27,6 +29,8 @@ from leray import cli
 _K2K4 = [[[1, 2], [0, 1]], [[1, 4], [0, 1]]]
 # a full integer 2-cochain over the 26 sorted triangles of genus(2)
 _GENUS2_CHERN = [(7 * i) % 5 - 2 for i in range(26)]
+# ... and over the 98 of genus(8)
+_GENUS8_CHERN = [(5 * i) % 7 - 3 for i in range(98)]
 
 DOCUMENTS = {
     "cohomology-torus2-monodromy": ("cohomology", {
@@ -51,6 +55,11 @@ DOCUMENTS = {
     "ncp-genus2-cochain": ("ncp", {
         "bundle": {"base": "genus(2)", "windings": [3, 0, 6, -9],
                    "chern": [_GENUS2_CHERN, 2]}}),
+    "ncp-genus8-cochain": ("ncp", {
+        "bundle": {"base": "genus(8)",
+                   "windings": [5, -10, 0, 15, 5, 0, -20, 5,
+                                0, 0, 10, 5, -15, 0, 5, 25],
+                   "chern": [_GENUS8_CHERN, -3]}}),
     "check-circle4": ("check", {
         "complex": "circle(4)",
         "system": {"rank": 2, "monodromy": [[[0, 1], [1, 0]]]}}),
@@ -90,6 +99,10 @@ GOLDEN = {
         0, "28d3549f7672342e515232a90211b3dd3b0f9db6d73e422afa4897c6640582a0"),
     "ncp-genus2-cochain/machine": (
         0, "1f09965253ca933d4960cc3005b94674e69eaf5b5963c592ec4a67dd584c370f"),
+    "ncp-genus8-cochain/human": (
+        0, "43375c9ce8afefe8c03672b202c4c490c836c97d3876e8c8580496bf6c998eb3"),
+    "ncp-genus8-cochain/machine": (
+        0, "df26d9b75579b7add98f049c4de576ec1541bbdd914da4da14e920a8ec4fad5e"),
     "ncp-k0/human": (
         0, "890cd7616bb0fd888c7c0bfeb516a6e063ccca54a495bfe230381455e3fb5217"),
     "ncp-k0/machine": (
