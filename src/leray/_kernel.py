@@ -18,7 +18,6 @@ so the output is deterministic.  Frozen digests of the output in
 tests/test_snf_golden.py pin it.
 """
 
-from heapq import heapify, heappop, heappush
 from itertools import compress
 
 # perfbench records this in every run and refuses to compare runs whose
@@ -47,11 +46,9 @@ def smith_with_transforms(a, nrows, ncols):
     d = e.d
     pivots = []
     while (c := e.sparsest_column()) is not None:
-        r, last = e.clear(c)
-        e.retired.add(last)
-        pivots.append((r, last))
-        if last != c:
-            e.fell(c)
+        r, c = e.clear(c)
+        e.active.discard(c)
+        pivots.append((r, c))
 
     for r, c in pivots:
         if d[r][c] < 0:
@@ -96,34 +93,17 @@ class _Elimination:
         self.uinvt = _identity(nrows)
         self.vt = _identity(ncols)
         self.vinv = _identity(ncols)
-        self.retired = set()
-        # Columns by (nonzero count, index).  Each fall in a count pushes
-        # a fresh entry, so every active column keeps an entry no larger
-        # than its count; one popped below its count goes back at it.
-        self.heap = [(len(rows), j) for j, rows in enumerate(self.rows_of)
-                     if rows]
-        heapify(self.heap)
+        # Columns not yet holding a pivot.  A zero column stays zero: row
+        # operations add rows that are zero there, and column operations
+        # change only columns with a nonzero in the pivot row.
+        self.active = {j for j, rows in enumerate(self.rows_of) if rows}
 
     def sparsest_column(self):
         """The active column with the fewest nonzeros, lowest index
         first, or None when the active block is zero."""
-        heap = self.heap
-        while heap:
-            k, j = heappop(heap)
-            if j in self.retired:
-                continue
-            count = len(self.rows_of[j])
-            if count == k:
-                return j
-            if count > k:
-                heappush(heap, (count, j))
-        return None
-
-    def fell(self, j):
-        """Column j lost a nonzero, or was popped and not retired."""
-        rows = self.rows_of[j]
-        if rows:
-            heappush(self.heap, (len(rows), j))
+        rows_of = self.rows_of
+        counts = [(len(rows_of[j]), j) for j in self.active if rows_of[j]]
+        return min(counts)[1] if counts else None
 
     def row_axpy(self, i, t, c):
         """Row i += c * row t; U_inv column t -= c * column i."""
@@ -138,7 +118,6 @@ class _Elimination:
             else:
                 del di[k]
                 rows_of[k].discard(i)
-                self.fell(k)
         _axpy(self.u[i], self.u[t], c)
         _axpy(self.uinvt[t], self.uinvt[i], -c)
 
@@ -152,7 +131,6 @@ class _Elimination:
         else:
             del dr[j]
             self.rows_of[j].discard(r)
-            self.fell(j)
         _axpy(self.vt[j], self.vt[t], c)
         _axpy(self.vinv[t], self.vinv[j], -c)
 

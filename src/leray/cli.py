@@ -47,7 +47,7 @@ MAX_RANK = 16
 # on circle(256) with two constant rank-4 systems (2^20 entries, run
 # with the cap lifted) peaked at 213 MiB, and on circle(181) (about
 # 2^19) at 115 MiB.  genus(8) fits up to rank 6; ncp admits up to
-# genus(24), which took 1.6-1.9 s and peaked at 180 MiB.
+# genus(24), which took 2.1-2.3 s and peaked at 172 MiB.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

@@ -170,8 +170,9 @@ def generator_loops(base: SimplicialComplex):
     """Canonical generator loops of the base, as vertex paths at vertex 0.
 
     There is one loop per free generator of H_1; their classes form the
-    canonical basis, so prescribing one holonomy matrix per loop pins a
-    commuting representation completely.
+    canonical basis, which the complex alone fixes (see ``TreeGauge``),
+    so prescribing one holonomy matrix per loop pins a commuting
+    representation completely.
     """
     return [list(loop) for loop in base.tree_gauge.loops]
 

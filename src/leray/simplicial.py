@@ -170,10 +170,20 @@ class TreeGauge:
     the H_1 data that pins a commuting monodromy representation in it.
 
     ``paths`` holds each vertex's path from vertex 0 in the
-    breadth-first tree; ``h1`` presents H_1 by the fundamental cycles of
-    the ``offtree`` edges (two SNFs); ``classes`` holds each off-tree
-    edge's class in canonical coordinates, and ``loops`` one loop at
-    vertex 0 per generator, in the canonical order.
+    breadth-first tree; ``classes`` holds the class in H_1 of each
+    ``offtree`` edge's fundamental loop, in canonical coordinates, and
+    ``loops`` one loop at vertex 0 per generator, in the canonical order.
+
+    H_1 is presented by the fundamental cycles modulo the boundaries of
+    the 2-simplices (two SNFs), and the canonical basis is then fixed by
+    the Hermite form of the class map, read from the last off-tree edge
+    (``_hermite_from_the_right``).  So the basis, and with it what a
+    monodromy prescription means, depends on the complex alone, not on
+    the transforms the SNF kernel happens to return (the vertex path of
+    each loop is still read off them; its class is not).  On a closed
+    surface every pivot of that form is 1: generator i is the class of
+    the fundamental loop of the off-tree edge at pivot i, and the other
+    off-tree edges are the edges of a spanning tree of the dual graph.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -202,13 +212,18 @@ class TreeGauge:
                 coeff[x.index((min(a, b), max(a, b)))] += 1 if a < b else -1
             columns.append(coeff)
         cycles = IntMatrix.from_columns(columns, nrows=x.n_simplices(1))
-        self.h1 = subquotient(cycles, x.boundary_matrix(2))
-        if self.h1.quotient.torsion:
+        h1 = subquotient(cycles, x.boundary_matrix(2))
+        if h1.quotient.torsion:
             raise ValueError("base has torsion in H_1; unsupported")
-        self.classes = self.h1.project_matrix(cycles).transpose().rows()
+        form, inverse = _hermite_from_the_right(
+            h1.project_matrix(cycles).rows(), len(self.offtree))
+        self.classes = tuple(tuple(row[j] for row in form)
+                             for j in range(len(self.offtree)))
+        lift = h1.lift_matrix * IntMatrix.from_columns(inverse,
+                                                      nrows=len(form))
         self.loops = []
-        for j in range(self.h1.quotient.ngens):
-            chain = self.h1.lift_matrix.column(j)
+        for j in range(len(form)):
+            chain = lift.column(j)
             path = [0]
             for u, v in self.offtree:
                 n = chain[x.index((u, v))]
@@ -216,6 +231,49 @@ class TreeGauge:
                 for _ in range(abs(n)):
                     path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
             self.loops.append(path)
+
+
+def _hermite_from_the_right(rows, ncols):
+    """The Hermite normal form H = M A of a full-row-rank integer matrix
+    A, read from its last column, and M^-1 as a list of columns.
+
+    H is the one matrix with the row space of A whose row i ends in a
+    positive pivot at column p_i, with p_0 < p_1 < ..., and whose
+    entries below each pivot lie in [0, pivot).  Pivots are found from
+    the right: the rows with a nonzero in a column are reduced to one
+    by Euclid's algorithm, which becomes that column's pivot row.
+
+    >>> _hermite_from_the_right([[0, 1, 1], [1, -1, 0]], 3)
+    ([[-1, 1, 0], [1, 0, 1]], [[1, -1], [1, 0]])
+    """
+    h = [list(row) for row in rows]
+    inverse = [[int(i == j) for i in range(len(h))] for j in range(len(h))]
+
+    def add(i, k, c):  # row i += c * row k; M^-1 column k -= c * column i
+        h[i] = [x + c * y for x, y in zip(h[i], h[k])]
+        inverse[k] = [x - c * y for x, y in zip(inverse[k], inverse[i])]
+
+    placed, free = [], list(range(len(h)))
+    for j in reversed(range(ncols)):
+        live = [i for i in free if h[i][j]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: (abs(h[i][j]), i))
+            for i in live:
+                if i != p:
+                    add(i, p, -(h[i][j] // h[p][j]))
+            live = [i for i in live if h[i][j]]
+        if not live:
+            continue
+        p = live[0]
+        if h[p][j] < 0:
+            h[p] = [-x for x in h[p]]
+            inverse[p] = [-x for x in inverse[p]]
+        for i in placed:
+            add(i, p, -(h[i][j] // h[p][j]))
+        placed.append(p)
+        free.remove(p)
+    placed.reverse()
+    return [h[i] for i in placed], [inverse[i] for i in placed]
 
 
 def integral_homology(x: SimplicialComplex):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from leray import exactlinalg
 from leray.exactlinalg import FgAbGroup
 from leray.ncp_bundles import NcpTorusBundleSpec, resolve_base
 from leray.simplicial import (
@@ -147,3 +148,49 @@ def test_builtin_builds_no_tree_gauge(kernel_calls):
     kernel_calls.refuse()
     x = builtin("genus(8)")
     assert "tree_gauge" not in vars(x)
+
+
+def _reversing(kernel):
+    """A kernel that decomposes A with its rows and columns reversed and
+    maps the transforms back: valid, and different from the kernel's."""
+    def snf(a, nrows, ncols):
+        b = [list(row)[::-1] for row in a][::-1]
+        u, d, v, uinv, vinv = kernel(b, nrows, ncols)
+        return ([row[::-1] for row in u], d, v[::-1], uinv[::-1],
+                [row[::-1] for row in vinv])
+    return snf
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
+        g, monkeypatch):
+    gauge = genus_surface(g).tree_gauge
+    kernel = exactlinalg.smith_with_transforms
+    seen = []
+
+    def other(a, nrows, ncols):
+        out = _reversing(kernel)(a, nrows, ncols)
+        seen.append(out != kernel(a, nrows, ncols))
+        return out
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", other)
+    again = genus_surface(g).tree_gauge
+    assert any(seen)
+    assert again.offtree == gauge.offtree
+    assert again.classes == gauge.classes
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 8])
+def test_tree_gauge_classes_are_in_hermite_form(g):
+    # every pivot is 1, so each generator is the class of one off-tree
+    # edge's fundamental loop
+    x = genus_surface(g)
+    gauge = x.tree_gauge
+    form = list(zip(*gauge.classes))
+    pivots = [max(j for j, c in enumerate(row) if c) for row in form]
+    assert len(form) == 2 * g
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in form] == [int(k == i) for k in range(2 * g)]
+    if g == 2:
+        assert [gauge.offtree[p] for p in pivots] == [
+            (5, 10), (6, 10), (7, 9), (9, 10)]
