@@ -1,8 +1,13 @@
-"""Simplicial cochain complexes with local coefficients.
+"""Cochain complexes of free modules, and their cohomology.
 
-A p-cochain assigns to each p-simplex a constant section of the
-coefficient system over it; a constant section is pinned down by its
-value at one point, and we store it at the minimal vertex of the
+A cochain complex is given by its coboundaries alone, so ``cohomology``
+serves every complex the package makes: the simplicial cochains of a
+local system (``build``), and the Koszul complex of a Z^n-action
+(``group_cohomology``).
+
+In ``build``, a p-cochain assigns to each p-simplex a constant section
+of the coefficient system over it; a constant section is pinned down by
+its value at one point, and we store it at the minimal vertex of the
 simplex.  Extending a section from a face to the whole simplex is then
 a single edge transport between minimal vertices (any in-simplex path
 gives the same answer by flatness).
@@ -32,27 +37,33 @@ CONVENTIONS = ("classical", "e1")
 
 
 class CochainComplex:
-    """Cochain groups C^p = (+)_{sigma in C_p} Z^m and their differentials."""
+    """A cochain complex of free modules C^0..C^dim, given by its
+    coboundaries D_p : C^p -> C^{p+1}, p = 0..dim; D_dim has no rows.
 
-    def __init__(self, x, system: LocalSystem, convention: str,
-                 differentials):
-        self.x = x
-        self.system = system
-        self.convention = convention
-        self.differentials = differentials  # index p: C^p -> C^{p+1}
+    The ranks of the modules are read off the shapes, and D_{p+1} D_p = 0
+    is checked here, once, whoever makes the complex.
+    """
+
+    def __init__(self, differentials):
+        self.differentials = tuple(differentials)  # index p: C^p -> C^{p+1}
+        if not self.differentials or self.differentials[-1].nrows:
+            raise ValueError("the top coboundary must have no rows")
+        for d, after in zip(self.differentials, self.differentials[1:]):
+            if not (after * d).is_zero():
+                raise AssertionError("differential does not square to zero")
         self._smith_forms = {}
 
     @property
-    def fiber_rank(self):
-        return self.system.fiber_rank
+    def dimension(self):
+        return len(self.differentials) - 1
 
     def degree_rank(self, p):
-        """Rank n_p of the free module C^p."""
-        return self.x.n_simplices(p) * self.fiber_rank
+        """Rank n_p of the free module C^p (0 outside 0..dim)."""
+        return self.differentials[p].ncols if 0 <= p <= self.dimension else 0
 
     def differential(self, p) -> IntMatrix:
-        """D_p : C^p -> C^{p+1} (zero matrix above the dimension)."""
-        if 0 <= p < len(self.differentials):
+        """D_p : C^p -> C^{p+1} (zero matrix outside 0..dim)."""
+        if 0 <= p <= self.dimension:
             return self.differentials[p]
         return IntMatrix.zeros(self.degree_rank(p + 1), self.degree_rank(p))
 
@@ -93,20 +104,17 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                             if v:
                                 entries[j * m + a][ti * m + b] += sign * v
         diffs.append(IntMatrix._trusted(entries, rows, cols))
-    complex_ = CochainComplex(x, system, convention, diffs)
-    for p in range(x.dimension):
-        if not (diffs[p + 1] * diffs[p]).is_zero():
-            raise AssertionError("differential does not square to zero")
-    return complex_
+    return CochainComplex(diffs)
 
 
 def cohomology(c: CochainComplex):
     """H^p = ker D_p / im D_{p-1} as Subquotients, p = 0..dim.
 
     Z^p is presented by D_p's kernel decomposition, with no SNF of its
-    basis.  D_dim = 0, so H^dim = coker D_{dim-1} takes D_{dim-1}'s own
-    decomposition as its relations."""
-    dim = c.x.dimension
+    basis; H^0's relations come from the empty D_{-1}, which costs no
+    SNF either.  D_dim = 0, so H^dim = coker D_{dim-1} takes D_{dim-1}'s
+    own decomposition as its relations."""
+    dim = c.dimension
     out = []
     for p in range(dim):
         z = c.smith_form(p).kernel_decomposition()

@@ -404,10 +404,17 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return wrong coordinates without any error.  The check also proves
     that the ``D`` rebuilt from the diagonal equals the kernel's.
 
+    A matrix without entries never reaches the kernel: its transforms
+    are the identities the kernel would return, so H^0's relations and
+    the cokernel of a map from 0 cost no SNF.
+
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
     r, c = a.shape
+    if not r * c:
+        u, v = IntMatrix.identity(r), IntMatrix.identity(c)
+        return SmithDecomposition(U=u, V=v, diagonal=(), U_inv=u, V_inv=v)
     u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
     diag = []
     for i, row in enumerate(d):

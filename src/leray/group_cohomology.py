@@ -2,7 +2,9 @@
 
 With B_i = A_i - I, the Koszul complex of the commuting B_i computes
 H^*(Z^n, M) (Brown, *Cohomology of Groups*, GTM 87): M --B_1--> M for
-n = 1, and M --[B_1; B_2]--> M^2 --[-B_2 | B_1]--> M for n = 2.
+n = 1, and M --[B_1; B_2]--> M^2 --[-B_2 | B_1]--> M for n = 2.  It is
+a ``CochainComplex`` like any other, so its groups come from
+``cohomology.cohomology``, the one cohomology routine of the package.
 ``recursion_check`` validates the result against the two-step recursion
 through H^*(Z, M): the short exact sequence determines the middle group
 only up to extension, so the check compares free ranks exactly and
@@ -13,16 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import CochainComplex, cohomology
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
-    Subquotient,
     action_inverses,
     cokernel_group,
     kernel,
     preimage_lattice,
-    relations,
-    smith_normal_form,
     solve,
     subquotient,
     vstack_all,
@@ -47,26 +47,20 @@ class ZnModule:
 
 
 def zn_cohomology(module: ZnModule):
-    """[H^0, ..., H^n] as FgAbGroup values, from the Koszul complex of
-    the already-checked action; n must be 1 or 2.
+    """[H^0, ..., H^n] as FgAbGroup values: the ``cohomology`` of the
+    Koszul complex of the already-checked action; n must be 1 or 2.
 
-    Each Koszul differential is decomposed once: H^0 is the kernel of
-    d0, H^1 for n = 2 is presented on the kernel decomposition of the
-    top differential, and H^n is the top differential's cokernel."""
+    Its coboundaries are the stacked B_i, then [-B_2 | B_1] when n = 2,
+    then the zero map, and each is decomposed once."""
     if module.n not in (1, 2):
         raise ValueError("only n = 1 or n = 2 is supported")
     ident = IntMatrix.identity(module.rank)
     b = [a - ident for a in module.action]
-    d0 = vstack_all(b)
-    d0_form = smith_normal_form(d0)
-    top_form = d0_form if module.n == 1 else \
-        smith_normal_form((-b[1]).hstack(b[0]))
-    groups = [FgAbGroup(module.rank - d0_form.rank, ())]
+    coboundaries = [vstack_all(b)]
     if module.n == 2:
-        z = top_form.kernel_decomposition()
-        groups.append(Subquotient(z, relations(z, d0)).quotient)
-    groups.append(top_form.cokernel_group())
-    return groups
+        coboundaries.append((-b[1]).hstack(b[0]))
+    coboundaries.append(IntMatrix.zeros(0, module.rank))
+    return [h.quotient for h in cohomology(CochainComplex(coboundaries))]
 
 
 def _induced_on_kernel(a1, k):

@@ -136,7 +136,7 @@ def fundamental_pairing(cochain, base: SimplicialComplex) -> int:
     ``cochain`` is indexed by the sorted 2-simplices; the sum is taken
     with the coherent orientation signs (first triangle normalized +1).
     """
-    eps = base.coherent_orientation()
+    eps = base.orientation
     values = tuple(cochain)
     if len(values) != base.n_simplices(2):
         raise ValueError("cochain length does not match the 2-skeleton")

@@ -17,7 +17,7 @@ import re
 from functools import cached_property
 from itertools import combinations
 
-from .exactlinalg import IntMatrix, kernel, subquotient
+from .exactlinalg import IntMatrix, cokernel, kernel, subquotient
 
 
 # Most faces a complex may enumerate: its vertices plus the nonempty
@@ -110,6 +110,12 @@ class SimplicialComplex:
         every monodromy prescription on the complex shares it."""
         return TreeGauge(self)
 
+    @cached_property
+    def orientation(self):
+        """``coherent_orientation()``, computed on first use and kept, so
+        a surface is oriented once; a non-surface raises on every use."""
+        return self.coherent_orientation()
+
     def coherent_orientation(self):
         """Signs eps per 2-simplex making their signed sum a cycle.
 
@@ -174,16 +180,18 @@ class TreeGauge:
     ``offtree`` edge's fundamental loop, in canonical coordinates, and
     ``loops`` one loop at vertex 0 per generator, in the canonical order.
 
-    H_1 is presented by the fundamental cycles modulo the boundaries of
-    the 2-simplices (two SNFs), and the canonical basis is then fixed by
-    the Hermite form of the class map, read from the last off-tree edge
-    (``_hermite_from_the_right``).  So the basis, and with it what a
-    monodromy prescription means, depends on the complex alone, not on
-    the transforms the SNF kernel happens to return (the vertex path of
-    each loop is still read off them; its class is not).  On a closed
-    surface every pivot of that form is 1: generator i is the class of
-    the fundamental loop of the off-tree edge at pivot i, and the other
-    off-tree edges are the edges of a spanning tree of the dual graph.
+    A 1-cycle is fixed by its coefficients on the off-tree edges, and
+    the fundamental loop of off-tree edge j has coefficients e_j, so H_1
+    is presented as the cokernel of the off-tree rows of d_2 (one SNF).
+    Its canonical basis is then fixed by the Hermite form of the class
+    map, read from the last off-tree edge (``_hermite_from_the_right``).
+    So the basis, and with it what a monodromy prescription means,
+    depends on the complex alone, not on the transforms the SNF kernel
+    happens to return (the vertex path of each loop is still read off
+    them; its class is not).  On a closed surface every pivot of that
+    form is 1: generator i is the class of the fundamental loop of the
+    off-tree edge at pivot i, and the other off-tree edges are the edges
+    of a spanning tree of the dual graph.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -202,31 +210,21 @@ class TreeGauge:
             raise ValueError("base complex is not connected")
         tree = {tuple(sorted(p[-2:])) for p in list(self.paths.values())[1:]}
         self.offtree = [e for e in x.simplices(1) if e not in tree]
-        # column j: the loop 0 -> u -> v -> 0 of off-tree edge (u, v), each
-        # edge (a, b), a < b, counted +1 forwards and -1 backwards
-        columns = []
-        for (u, v) in self.offtree:
-            coeff = [0] * x.n_simplices(1)
-            loop = self.paths[u] + self.paths[v][::-1]
-            for a, b in zip(loop, loop[1:]):
-                coeff[x.index((min(a, b), max(a, b)))] += 1 if a < b else -1
-            columns.append(coeff)
-        cycles = IntMatrix.from_columns(columns, nrows=x.n_simplices(1))
-        h1 = subquotient(cycles, x.boundary_matrix(2))
+        k = len(self.offtree)
+        d2 = x.boundary_matrix(2)
+        h1 = cokernel(IntMatrix._trusted(
+            [d2.rows()[x.index(e)] for e in self.offtree], k, d2.ncols))
         if h1.quotient.torsion:
             raise ValueError("base has torsion in H_1; unsupported")
         form, inverse = _hermite_from_the_right(
-            h1.project_matrix(cycles).rows(), len(self.offtree))
-        self.classes = tuple(tuple(row[j] for row in form)
-                             for j in range(len(self.offtree)))
+            h1.project_matrix(IntMatrix.identity(k)).rows(), k)
+        self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
         lift = h1.lift_matrix * IntMatrix.from_columns(inverse,
                                                       nrows=len(form))
         self.loops = []
         for j in range(len(form)):
-            chain = lift.column(j)
             path = [0]
-            for u, v in self.offtree:
-                n = chain[x.index((u, v))]
+            for (u, v), n in zip(self.offtree, lift.column(j)):
                 a, b = (u, v) if n > 0 else (v, u)
                 for _ in range(abs(n)):
                     path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
@@ -364,17 +362,17 @@ def _verify_surface(x, euler):
     """Certify that ``x`` is a closed oriented surface of Euler
     characteristic ``euler``, with H_0 = Z, H_1 = Z^(2 - euler), H_2 = Z.
 
-    ``coherent_orientation`` proves every vertex in one connected family
-    of triangles (so H_0 = Z) and every edge in exactly two of them.
-    Its edge relation forces every 2-cycle over Z, or over F_p for any
-    prime p, to be a multiple of the orientation, so H_2 = Z and
-    H_2(x; F_p) = F_p; by universal coefficients H_1 has no p-torsion,
-    and its rank is then 2 - euler.  A pinched surface passes too, with
-    the same homology.
+    The coherent orientation, kept as ``x.orientation``, proves every
+    vertex in one connected family of triangles (so H_0 = Z) and every
+    edge in exactly two of them.  Its edge relation forces every 2-cycle
+    over Z, or over F_p for any prime p, to be a multiple of the
+    orientation, so H_2 = Z and H_2(x; F_p) = F_p; by universal
+    coefficients H_1 has no p-torsion, and its rank is then 2 - euler.
+    A pinched surface passes too, with the same homology.
     """
     if x.euler_characteristic() != euler:
         raise AssertionError("triangulation has wrong Euler characteristic")
-    x.coherent_orientation()
+    x.orientation
 
 
 _BUILTIN_PLAIN = {

@@ -254,7 +254,8 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
     for parity, c in page1.complexes.items():
         hs = cohomology(c)
         euler = sum((-1) ** p * h.quotient.free_rank for p, h in enumerate(hs))
-        expected = page1.x.euler_characteristic() * c.fiber_rank
+        expected = (page1.x.euler_characteristic()
+                    * page1.bundle.part(parity).fiber_rank)
         if euler != expected:
             raise PageError("E2 Euler characteristic %d of parity %d is "
                             "not chi * rank = %d" % (euler, parity, expected))

@@ -8,11 +8,12 @@ from collections import Counter
 
 import pytest
 
-from leray import cli, ncp_bundles
-from leray.cohomology import CochainComplex, build
+from leray import cli, cohomology, ncp_bundles
+from leray.cohomology import build
 from leray.exactlinalg import IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
+from test_simplicial import _RP2
 
 
 RUN = [sys.executable, "-m", "leray.cli"]
@@ -243,6 +244,20 @@ def test_group_cohomology_reads_system_by_key(tmp_path, doc, message):
     assert message in res.stderr
 
 
+_TWO_TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("simplices, message", [
+    (_RP2, "torsion in H_1"), (_TWO_TRIANGLES, "not connected")],
+    ids=["rp2", "two-triangles"])
+def test_monodromy_base_rejections_exit_2(tmp_path, simplices, message):
+    doc = {"complex": {"vertices": 6, "simplices": simplices},
+           "system": {"rank": 1, "monodromy": []}}
+    res = run_cli(tmp_path, "cohomology", doc)
+    assert res.returncode == 2
+    assert message in res.stderr
+
+
 def test_unknown_builtin_exit_2(tmp_path):
     doc = {"complex": "klein", "system": {"rank": 1, "constant": True}}
     res = run_cli(tmp_path, "cohomology", doc)
@@ -362,7 +377,7 @@ def _gauge_inputs(kernel_calls, name):
 
 def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
-    builds the base's tree gauge (two SNFs), runs give equal reports
+    builds the base's tree gauge (one SNF), runs give equal reports
     from equal kernel inputs."""
     ncp_bundles.resolve_base.cache_clear()  # a cold base, whatever ran before
     runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
@@ -399,18 +414,37 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
 def test_group_cohomology_builds_no_local_system(monkeypatch, kernel_calls,
                                                   capsys, tmp_path):
     """Group cohomology comes from the Koszul complex of the action, so
-    a job builds no complex, no local system and no cochain complex."""
+    a job builds no simplicial complex, no local system and no cochains
+    of a triangulation."""
     def refuse(*args, **kwargs):
         raise AssertionError("group cohomology reached a complex")
-    for cls, name in ((SimplicialComplex, "__init__"),
-                      (LocalSystem, "__init__"), (LocalSystem, "_trusted"),
-                      (CochainComplex, "__init__")):
-        monkeypatch.setattr(cls, name, refuse, raising=False)
+    for owner, name in ((SimplicialComplex, "__init__"),
+                        (LocalSystem, "__init__"), (LocalSystem, "_trusted"),
+                        (cohomology, "build")):
+        monkeypatch.setattr(owner, name, refuse, raising=False)
     for doc in ({"system": {"rank": 2, "monodromy": _MONO}},
                 {"system": {"rank": 2, "monodromy": _MONO[:1]}}):
         code, out, _ = _run_in_process(kernel_calls, capsys, tmp_path,
                                        "group-cohomology", doc)
         assert code == 0, out
+
+
+def test_warm_ncp_job_orients_no_base(monkeypatch, kernel_calls, capsys,
+                                      tmp_path):
+    """A base is oriented when it is built; a warm ncp job reads the
+    kept orientation for its Chern pairings."""
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
+    passes = []
+    orient = SimplicialComplex.coherent_orientation
+
+    def counting(x):
+        passes.append(x)
+        return orient(x)
+    monkeypatch.setattr(SimplicialComplex, "coherent_orientation", counting)
+    code, _, _ = _run_in_process(kernel_calls, capsys, tmp_path,
+                                 "ncp", _NCP_TORUS)
+    assert code == 0
+    assert passes == []
 
 
 _MANY_MATRICES = [[[1]]] * 5000

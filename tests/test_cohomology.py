@@ -4,6 +4,7 @@ import pytest
 
 from leray.exactlinalg import FgAbGroup, IntMatrix, cokernel_group, kernel
 from leray.cohomology import (
+    CochainComplex,
     build,
     cohomology,
     cohomology_groups,
@@ -183,6 +184,30 @@ def test_differentials_square_to_zero_randomized():
         c = build(x, sys)
         for p in range(x.dimension):
             assert (c.differential(p + 1) * c.differential(p)).is_zero()
+
+
+def test_complex_checks_d_squared_when_made():
+    """D_{p+1} D_p = 0 is checked by the constructor, whoever makes the
+    complex, and the top coboundary must have no rows."""
+    d0 = IntMatrix([[1], [1]])
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        CochainComplex([d0, IntMatrix([[1, 0]]), IntMatrix.zeros(0, 1)])
+    with pytest.raises(ValueError, match="no rows"):
+        CochainComplex([d0])
+    c = CochainComplex([d0, IntMatrix([[1, -1]]), IntMatrix.zeros(0, 1)])
+    assert (c.dimension, c.degree_rank(1)) == (2, 2)
+    assert [h.quotient for h in cohomology(c)] == \
+        [FgAbGroup(0, ()), FgAbGroup(0, ()), FgAbGroup(0, ())]
+
+
+def test_cohomology_sends_the_kernel_no_empty_matrix(kernel_calls):
+    """H^0 has no incoming coboundary, and its relations cost no SNF."""
+    x = torus2()
+    c = build(x, from_monodromy(x, [K2, K4]))
+    kernel_calls.clear()
+    cohomology(c)
+    assert kernel_calls
+    assert all(nrows * ncols for nrows, ncols, _ in kernel_calls)
 
 
 def test_build_rejects_nonflat():

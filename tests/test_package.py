@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,3 +38,27 @@ def test_tracer_targets_exist():
             assert callable(vars(cls).get(meth)), (name, module, attr)
         else:
             assert callable(getattr(owner, attr, None)), (name, module, attr)
+
+
+def test_every_import_is_used():
+    """Every name a module of the package imports is used in it."""
+    package = os.path.dirname(leray.__file__)
+    unused = []
+    for info in pkgutil.iter_modules(leray.__path__):
+        path = os.path.join(package, info.name + ".py")
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (info.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert not unused

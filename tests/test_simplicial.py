@@ -133,6 +133,29 @@ def test_orientation_rejects_non_surfaces(x, message):
         x.coherent_orientation()
 
 
+def test_orientation_is_kept():
+    """A built surface keeps the orientation it was certified by; a
+    non-surface raises on every use."""
+    x = torus2()
+    assert "orientation" in vars(x)
+    assert x.orientation == x.coherent_orientation()
+    y = simplex(2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a closed"):
+            y.orientation
+
+
+def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
+    """H_1 is the cokernel of the off-tree rows of d_2: a fresh gauge
+    sends the SNF kernel that one matrix."""
+    x = genus_surface(2)
+    kernel_calls.clear()
+    gauge = x.tree_gauge
+    rows = x.boundary_matrix(2).rows()
+    offtree = tuple(rows[x.index(e)] for e in gauge.offtree)
+    assert kernel_calls == [(len(offtree), x.n_simplices(2), offtree)]
+
+
 def test_surfaces_build_without_smith_forms(kernel_calls):
     kernel_calls.refuse()
     resolve_base.cache_clear()
