@@ -28,10 +28,8 @@ from .local_systems import (
     from_monodromy,
 )
 from .ncp_bundles import FIBER_RANK, NcpTorusBundleSpec, analyze
-from .simplicial import SimplicialComplex, builtin
+from .simplicial import SimplicialComplex, shared_builtin
 from .spectral import PageError, assemble, e1_page, e2_page, stabilize
-
-COMMANDS = ("cohomology", "group-cohomology", "spectral", "ncp", "check")
 
 # Largest fiber rank a document may ask for.  The paper's fibers have
 # rank 2 (K-theory of the 2-torus), the benchmarks use 6, and 16 is the
@@ -125,7 +123,7 @@ def parse_matrix(data, what="matrix"):
 def parse_complex(data) -> SimplicialComplex:
     if isinstance(data, str):
         try:
-            return builtin(data)
+            return shared_builtin(data)
         except ValueError as exc:
             raise InputError(str(exc)) from None
     if isinstance(data, dict):
@@ -193,7 +191,10 @@ def parse_bundle_spec(data) -> NcpTorusBundleSpec:
     for key in ("base", "windings", "chern"):
         if key not in data:
             raise InputError("bundle needs '%s'" % key)
-    if data.get("n", FIBER_RANK) != FIBER_RANK:
+    n = data.get("n", FIBER_RANK)
+    if not _is_int(n):
+        raise InputError("'n' must be an integer")
+    if n != FIBER_RANK:
         raise InputError("only rank-%d torus fibers are supported"
                          % FIBER_RANK)
     windings = data["windings"]
@@ -444,7 +445,7 @@ def make_parser():
         description="Exact spectral sequence computations for K-theory "
                     "bundles over finite simplicial complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True,
                        help="job document (JSON file, or - for stdin)")

@@ -263,31 +263,6 @@ class IntMatrix:
             raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
 
 
-def hstack_all(matrices, nrows=None):
-    """Horizontal concatenation of a list of matrices (empty list allowed)."""
-    mats = list(matrices)
-    if not mats:
-        if nrows is None:
-            raise ValueError("need nrows for an empty stack")
-        return IntMatrix.zeros(nrows, 0)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
-
-
-def vstack_all(matrices, ncols=None):
-    mats = list(matrices)
-    if not mats:
-        if ncols is None:
-            raise ValueError("need ncols for an empty stack")
-        return IntMatrix.zeros(0, ncols)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
-
-
 def action_inverses(mats, rank):
     """The exact inverses of ``mats``, once they are checked to define
     an action of Z^n on Z^rank: each is rank x rank and unimodular, and
@@ -373,11 +348,6 @@ class SmithDecomposition:
                 row = [x // d for x in row]
             rows.append(row)
         return IntMatrix._trusted(rows, r, b.ncols)
-
-    def cokernel_group(self) -> "FgAbGroup":
-        """Isomorphism type of Z^rows / im(A), from the diagonal."""
-        return group_from_divisors(
-            list(self.diagonal) + [0] * (self.U.nrows - self.rank))
 
     def kernel_decomposition(self) -> "SmithDecomposition":
         """A decomposition of K = V[:, r:], the basis ``kernel`` returns,
@@ -520,11 +490,6 @@ class FgAbGroup:
             n *= t
         return n
 
-    def direct_sum(self, other):
-        divisors = ([0] * (self.free_rank + other.free_rank)
-                    + list(self.torsion) + list(other.torsion))
-        return group_from_divisors(divisors)
-
     def render(self):
         parts = []
         if self.free_rank == 1:
@@ -618,7 +583,8 @@ class Subquotient:
     @classmethod
     def free(cls, n) -> "Subquotient":
         """Z^n / 0 presented by identities, equal field for field to
-        ``subquotient(I_n, 0)`` but built without an SNF.
+        the Subquotient of I_n's decomposition with the relations of an
+        n x 0 matrix, but built without an SNF.
 
         The kernel returns U = V = U_inv = I on the identity, so zb, g
         and the lift matrix are I; the relation matrix is n x 0, whose
@@ -665,9 +631,6 @@ class Subquotient:
                  for t, i in zip(self.quotient.torsion, self._torsion_idx)]
         return IntMatrix._trusted(rows, self.quotient.ngens, w.ncols)
 
-    def is_zero_class(self, vector):
-        return all(c == 0 for c in self.project(vector))
-
     def __repr__(self):
         return "Subquotient(ambient=%d, quotient=%s)" % (
             self.ambient_rank, self.quotient.render())
@@ -683,19 +646,8 @@ def relations(cycles: SmithDecomposition,
     return smith_normal_form(coords)
 
 
-def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:
-    """Present Z/B for column-generated Z and B with B contained in Z."""
-    dec = smith_normal_form(cycles)
-    return Subquotient(dec, relations(dec, boundaries))
-
-
 def cokernel(a: IntMatrix) -> Subquotient:
     """Z^rows / im(A), presented with canonical generator expressions;
     the cycles are the identity, so A is its own relation matrix."""
     return Subquotient(SmithDecomposition.identity(a.nrows),
                        smith_normal_form(a))
-
-
-def cokernel_group(a: IntMatrix) -> FgAbGroup:
-    """Isomorphism type of Z^rows / im(A)."""
-    return smith_normal_form(a).cokernel_group()

@@ -26,16 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import (
-    FgAbGroup,
-    IntMatrix,
-    Subquotient,
-    action_inverses,
-    cokernel,
-    hstack_all,
-    kernel,
-    vstack_all,
-)
+from .exactlinalg import IntMatrix, action_inverses
 from .simplicial import SimplicialComplex
 
 
@@ -166,42 +157,33 @@ def require_flat(system: LocalSystem):
         raise FlatnessError("flatness violated on 2-simplices %s" % (bad,))
 
 
-def generator_loops(base: SimplicialComplex):
-    """Canonical generator loops of the base, as vertex paths at vertex 0.
-
-    There is one loop per free generator of H_1; their classes form the
-    canonical basis, which the complex alone fixes (see ``TreeGauge``),
-    so prescribing one holonomy matrix per loop pins a commuting
-    representation completely.
-    """
-    return [list(loop) for loop in base.tree_gauge.loops]
-
-
 def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSystem:
     """Flat system with prescribed holonomy along the canonical loops.
 
     ``mats`` lists one unimodular matrix per canonical generator loop of
-    the base (see :func:`generator_loops`); the matrices must commute
-    pairwise.  Their count is checked first, then the matrices, by
-    ``action_inverses``.  Tree edges carry the identity, so the holonomy
-    equals the given matrices exactly, with no basepoint conjugation; an
-    off-tree edge of class c carries prod m_i^(c_i) forwards and
-    prod m_i^(-c_i) backwards.  The holonomy is certified here, and
-    flatness by ``cohomology.build``.
+    the base, ``base.tree_gauge.loops``: vertex paths at vertex 0, one
+    per free generator of H_1, whose classes form the basis the complex
+    alone fixes (see ``TreeGauge``), so the matrices pin a commuting
+    representation completely.  They must commute pairwise.  Their
+    count is checked first, then the matrices, by ``action_inverses``.
+    Tree edges carry the identity, so the holonomy equals the given
+    matrices exactly, with no basepoint conjugation; an off-tree edge of
+    class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
+    backwards.  The holonomy is certified here, and flatness by
+    ``cohomology.build``.
     """
     mats = list(mats)
     if fiber_rank is None:
         if not mats:
             raise ValueError("fiber_rank is required when no matrices are given")
         fiber_rank = mats[0].nrows
-    loops = generator_loops(base)
-    if len(mats) != len(loops):
+    gauge = base.tree_gauge
+    if len(mats) != len(gauge.loops):
         raise ValueError("expected %d monodromy matrices for this base, got %d"
-                         % (len(loops), len(mats)))
+                         % (len(gauge.loops), len(mats)))
     inverses = action_inverses(mats, fiber_rank)
 
     system = LocalSystem.constant(base, fiber_rank)
-    gauge = base.tree_gauge
     for (u, v), cls in zip(gauge.offtree, gauge.classes):
         forward = backward = system.transport(u, v)
         for m, m_inv, c in zip(mats, inverses, cls):
@@ -209,37 +191,7 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
                 forward = forward * (m if c > 0 else m_inv).power(abs(c))
                 backward = backward * (m_inv if c > 0 else m).power(abs(c))
         system._table[(u, v)], system._table[(v, u)] = forward, backward
-    for loop, m in zip(loops, mats):
+    for loop, m in zip(gauge.loops, mats):
         if transport_along(system, loop) != m:
             raise AssertionError("holonomy does not match the prescription")
     return system
-
-
-@dataclass(frozen=True)
-class Invariants:
-    """The invariant subgroup of a fiber under commuting monodromy."""
-
-    group: FgAbGroup
-    basis: IntMatrix  # columns: a saturated basis inside Z^fiber_rank
-
-
-def invariants(mats, fiber_rank) -> Invariants:
-    """Common fixed subgroup: kernel of the stacked (A_i - I).
-
-    >>> invariants([IntMatrix([[1, 2], [0, 1]]), IntMatrix([[1, 4], [0, 1]])], 2).group
-    FgAbGroup(free_rank=1, torsion=())
-    """
-    ident = IntMatrix.identity(fiber_rank)
-    stacked = vstack_all([m - ident for m in mats], ncols=fiber_rank)
-    basis = kernel(stacked)
-    return Invariants(FgAbGroup(basis.ncols, ()), basis)
-
-
-def coinvariants(mats, fiber_rank) -> Subquotient:
-    """Largest quotient with trivial action: cokernel of [A_1-I | ... ].
-
-    Returned as a Subquotient of the fiber so classes of fiber vectors
-    can be computed with ``project``.
-    """
-    ident = IntMatrix.identity(fiber_rank)
-    return cokernel(hstack_all([m - ident for m in mats], nrows=fiber_rank))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactlinalg import (
     IntMatrix,
@@ -38,7 +37,7 @@ from .exactlinalg import (
     solve,
 )
 from .local_systems import GradedKBundle, LocalSystem, from_monodromy
-from .simplicial import SimplicialComplex, builtin
+from .simplicial import SimplicialComplex, shared_builtin
 from .spectral import (
     SpectralPage,
     assemble,
@@ -51,9 +50,10 @@ from .spectral import (
 FIBER_RANK = 2  # rank of K0 and K1 of a noncommutative 2-torus fiber
 
 
-@lru_cache(maxsize=None)
 def resolve_base(name: str) -> SimplicialComplex:
-    x = builtin(name)
+    """The base ``simplicial.shared_builtin(name)``, once its name is
+    checked to be ``torus2`` or ``genus(g)``."""
+    x = shared_builtin(name)
     if not name.startswith(("torus2", "genus")):
         raise ValueError("base must be torus2 or genus(g), got %r" % (name,))
     return x

@@ -14,10 +14,10 @@ their integral homology (see ``_verify_surface``).
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
-from .exactlinalg import IntMatrix, cokernel, kernel, subquotient
+from .exactlinalg import IntMatrix, cokernel
 
 
 # Most faces a complex may enumerate: its vertices plus the nonempty
@@ -112,12 +112,9 @@ class SimplicialComplex:
 
     @cached_property
     def orientation(self):
-        """``coherent_orientation()``, computed on first use and kept, so
-        a surface is oriented once; a non-surface raises on every use."""
-        return self.coherent_orientation()
-
-    def coherent_orientation(self):
-        """Signs eps per 2-simplex making their signed sum a cycle.
+        """Signs eps per 2-simplex making their signed sum a cycle,
+        computed on first use and kept, so a surface is oriented once;
+        a non-surface raises on every use.
 
         This is also the certificate that the complex is a closed,
         triangle-connected, orientable surface: dimension 2, every edge
@@ -274,17 +271,6 @@ def _hermite_from_the_right(rows, ncols):
     return [h[i] for i in placed], [inverse[i] for i in placed]
 
 
-def integral_homology(x: SimplicialComplex):
-    """H_p(X; Z) for p = 0..dim, via kernels/images of boundary matrices."""
-    out = []
-    for p in range(x.dimension + 1):
-        dp = x.boundary_matrix(p)
-        dnext = x.boundary_matrix(p + 1) if p + 1 <= x.dimension else \
-            IntMatrix.zeros(x.n_simplices(p), 0)
-        out.append(subquotient(kernel(dp), dnext).quotient)
-    return out
-
-
 def simplex(p: int) -> SimplicialComplex:
     """The full p-simplex (contractible)."""
     if p < 0:
@@ -408,3 +394,15 @@ def builtin(name, param=None) -> SimplicialComplex:
         return _BUILTIN_PARAM[name](param)
     raise ValueError("unknown builtin complex %r (write name or name(d))"
                      % (name,))
+
+
+@cache
+def shared_builtin(name) -> SimplicialComplex:
+    """``builtin(name)``, built on first use and kept for the process.
+
+    Every command that names a base, and ``ncp_bundles.resolve_base``,
+    takes it from here, so a base is verified, oriented and given its
+    tree gauge once per process.  Each distinct name stays cached;
+    ``builtin`` itself builds afresh.
+    """
+    return builtin(name)

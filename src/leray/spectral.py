@@ -18,9 +18,10 @@ E_{r+1} = E_r there, so the turn carries the same Subquotient object over;
 only entries a nonzero differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
-alone; d_2 is injected (see ncp_bundles for the torus-bundle formula),
-validated as it enters in ``with_differentials``, and pages advance
-with zero differentials otherwise.
+alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
+by ``with_differentials``, the one way a page gets differentials, which
+validates it as it enters; ``attach_d2`` turns the page it is on, and
+pages advance with zero differentials otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
     Subquotient,
+    element_order,
     preimage_lattice,
     relations,
     smith_normal_form,
@@ -125,14 +127,6 @@ class SpectralPage:
         }
 
 
-def _zero_class(entry, coords):
-    g = entry.quotient
-    if any(coords[i] for i in range(g.free_rank)):
-        return False
-    return all(c % t == 0
-               for c, t in zip(coords[g.free_rank:], g.torsion))
-
-
 def relation_lattice(group: FgAbGroup) -> IntMatrix:
     """Columns spanning the zero classes in canonical coordinates."""
     cols = []
@@ -161,7 +155,8 @@ def _validate_differentials(page: SpectralPage):
         g = source.quotient
         for j, t in enumerate(g.torsion):
             col = mat.column(g.free_rank + j)
-            if not _zero_class(target, tuple(t * c for c in col)):
+            if element_order(target.quotient,
+                             tuple(t * c for c in col)) != 1:
                 raise PageError(
                     "differential at (%d, %d) is not well-defined on classes"
                     % (p, q))
@@ -181,7 +176,7 @@ def _validate_differentials(page: SpectralPage):
             continue
         final = page.entry(ttp, ttq)
         for j in range(comp.ncols):
-            if not _zero_class(final, comp.column(j)):
+            if element_order(final.quotient, comp.column(j)) != 1:
                 raise PageError("differential does not square to zero")
 
 
@@ -264,19 +259,16 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
     return SpectralPage(2, page1.x, page1.bundle, entries, {}, page1.complexes)
 
 
-def attach_d2(page2: SpectralPage, d2=None) -> SpectralPage:
-    """Third page from an externally supplied d_2.
+def attach_d2(page2: SpectralPage) -> SpectralPage:
+    """Third page from the d_2 a second page carries.
 
-    ``d2`` maps (p, q) keys to matrices on canonical generators, with
-    target (p + 2, q - 1 mod 2).  The map must be well-defined on
-    classes; squaring to zero is automatic on a base of dimension <= 2
-    and is checked in general.  Without ``d2``, the differentials the
-    page already carries (see ``with_differentials``) are used.
+    A page gets its d_2 from ``with_differentials``, which checks it:
+    matrices on canonical generators keyed by (p, q), with target
+    (p + 2, q - 1 mod 2), well-defined on classes and squaring to zero.
+    A page that carries none turns with d_2 = 0.
     """
     if page2.r != 2:
         raise PageError("attach_d2 expects a second page")
-    if d2 is not None:
-        page2 = page2.with_differentials(d2)
     return _turn(page2)
 
 

@@ -9,25 +9,32 @@ The first two are only feasible at small sizes, which is all the tests
 need.  ``lattice_basis`` does use the library's
 SNF; it is the reference basis that generator matrices, such as those
 ``preimage_lattice`` returns, are compared against.
+
+The reference implementations below them are built on the library's
+exact layer, by routes no command takes: ``subquotient`` from plain
+matrices, ``integral_homology`` of a complex, the ``invariants`` and
+``coinvariants`` of commuting matrices, and ``recursion_check``, which
+compares H^*(Z^2, M) with the recursion through H^*(Z, M).
 """
 
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
 from leray.exactlinalg import (
     FgAbGroup,
     IntMatrix,
-    cokernel_group,
+    Subquotient,
+    cokernel,
     kernel,
+    preimage_lattice,
+    relations,
     smith_normal_form,
-    subquotient,
+    solve,
 )
-from leray.local_systems import (
-    coinvariants,
-    generator_loops,
-    invariants,
-    transport_along,
-)
+from leray.group_cohomology import zn_cohomology
+from leray.local_systems import transport_along
 
 
 def minor_det(mat, row_idx, col_idx):
@@ -96,7 +103,7 @@ def koszul_z2_cohomology(a1, a2):
     d1 = b2.hstack(-b1)
     h0 = subquotient(kernel(d0), IntMatrix.zeros(m, 0)).quotient
     h1 = subquotient(kernel(d1), d0).quotient
-    h2 = cokernel_group(d1)
+    h2 = cokernel(d1).quotient
     return (h0, h1, h2)
 
 
@@ -113,11 +120,11 @@ def surface_cohomology(x, system):
       characteristic fixes; it is returned as that int.
     """
     m = system.fiber_rank
-    mats = [transport_along(system, loop) for loop in generator_loops(x)]
+    mats = [transport_along(system, loop) for loop in x.tree_gauge.loops]
     if x.dimension == 1:
         (a,) = mats
         a = a - IntMatrix.identity(m)
-        return [FgAbGroup(kernel(a).ncols, ()), cokernel_group(a)]
+        return [FgAbGroup(kernel(a).ncols, ()), cokernel(a).quotient]
     chi = x.euler_characteristic()
     if chi == 2:
         return [FgAbGroup(m, ()), FgAbGroup(0, ()), FgAbGroup(m, ())]
@@ -182,3 +189,125 @@ def random_commuting_pair(rng, m):
     assert a1 * a2 == a2 * a1
     return a1, a2
 
+
+
+def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:
+    """Present Z/B for column-generated Z and B with B contained in Z."""
+    dec = smith_normal_form(cycles)
+    return Subquotient(dec, relations(dec, boundaries))
+
+
+def integral_homology(x):
+    """H_p(X; Z) for p = 0..dim, via kernels/images of boundary matrices."""
+    out = []
+    for p in range(x.dimension + 1):
+        dp = x.boundary_matrix(p)
+        dnext = x.boundary_matrix(p + 1) if p + 1 <= x.dimension else \
+            IntMatrix.zeros(x.n_simplices(p), 0)
+        out.append(subquotient(kernel(dp), dnext).quotient)
+    return out
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """The invariant subgroup of a fiber under commuting monodromy."""
+
+    group: FgAbGroup
+    basis: IntMatrix  # columns: a saturated basis inside Z^fiber_rank
+
+
+def invariants(mats, fiber_rank) -> Invariants:
+    """Common fixed subgroup: kernel of the stacked (A_i - I).
+
+    >>> invariants([IntMatrix([[1, 2], [0, 1]]), IntMatrix([[1, 4], [0, 1]])], 2).group
+    FgAbGroup(free_rank=1, torsion=())
+    """
+    ident = IntMatrix.identity(fiber_rank)
+    stacked = reduce(IntMatrix.vstack, [m - ident for m in mats],
+                     IntMatrix.zeros(0, fiber_rank))
+    basis = kernel(stacked)
+    return Invariants(FgAbGroup(basis.ncols, ()), basis)
+
+
+def coinvariants(mats, fiber_rank) -> Subquotient:
+    """Largest quotient with trivial action: cokernel of [A_1-I | ... ].
+
+    Returned as a Subquotient of the fiber so classes of fiber vectors
+    can be computed with ``project``.
+    """
+    ident = IntMatrix.identity(fiber_rank)
+    return cokernel(reduce(IntMatrix.hstack, [m - ident for m in mats],
+                           IntMatrix.zeros(fiber_rank, 0)))
+
+
+def _induced_on_kernel(a1, k):
+    """Matrix of a1 restricted to the saturated sublattice spanned by k."""
+    x = solve(k, a1 * k)
+    if x is None:
+        raise AssertionError("action does not preserve the kernel")
+    return x
+
+
+def _inv_on_quotient(a1, rel):
+    """Invariants of the action induced by a1 on Z^m / im(rel)."""
+    m = a1.nrows
+    ident = IntMatrix.identity(m)
+    pre = preimage_lattice(a1 - ident, rel)
+    return subquotient(pre, rel).quotient
+
+
+@dataclass(frozen=True)
+class RecursionReport:
+    """Per-degree comparison of H^k(Z^2, M) against the Z-recursion."""
+
+    groups: tuple           # H^0..H^2 of Z^2
+    coinv_ends: tuple       # Coinv_Z H^{k-1}(Z, M) for k = 0..2
+    inv_ends: tuple         # Inv_Z H^k(Z, M) for k = 0..2
+    rank_ok: tuple
+    torsion_ok: tuple
+
+    @property
+    def ok(self):
+        return all(self.rank_ok) and all(self.torsion_ok)
+
+
+def recursion_check(module) -> RecursionReport:
+    """Rank and torsion consistency of the classifying-space answer with
+    the recursion through the last Z-factor.
+
+    For each k the recursion provides a short exact sequence with ends
+    Coinv_Z H^{k-1}(Z, M) and Inv_Z H^k(Z, M), where Z acts through the
+    first matrix and H^*(Z, M) is taken for the second.  The sequence
+    determines the middle group only up to extension, so free ranks add
+    exactly, and the middle torsion order divides the product of the
+    ends'.
+    """
+    if module.n != 2:
+        raise ValueError("recursion check needs n = 2")
+    a1, a2 = module.action
+    m = module.rank
+    ident = IntMatrix.identity(m)
+    groups = tuple(zn_cohomology(module))
+
+    # H^*(Z, M) for the second factor, with the induced action of the first.
+    k_basis = kernel(a2 - ident)
+    a1_on_h0 = _induced_on_kernel(a1, k_basis)
+    sub_ident = IntMatrix.identity(k_basis.ncols)
+
+    inv_h0 = FgAbGroup(kernel(a1_on_h0 - sub_ident).ncols, ())
+    coinv_h0 = cokernel(a1_on_h0 - sub_ident).quotient
+    inv_h1 = _inv_on_quotient(a1, a2 - ident)
+    coinv_h1 = cokernel((a1 - ident).hstack(a2 - ident)).quotient
+
+    zero = FgAbGroup(0, ())
+    coinv_ends = (zero, coinv_h0, coinv_h1)   # Coinv of H^{k-1}
+    inv_ends = (inv_h0, inv_h1, zero)         # Inv of H^k
+
+    rank_ok = tuple(
+        groups[k].free_rank == coinv_ends[k].free_rank + inv_ends[k].free_rank
+        for k in range(3))
+    torsion_ok = tuple(
+        (coinv_ends[k].torsion_order() * inv_ends[k].torsion_order())
+        % groups[k].torsion_order() == 0
+        for k in range(3))
+    return RecursionReport(groups, coinv_ends, inv_ends, rank_ok, torsion_ok)

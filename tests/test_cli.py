@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from leray import cli, cohomology, ncp_bundles
+from leray import cli, cohomology, ncp_bundles, simplicial
 from leray.cohomology import build
 from leray.exactlinalg import IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
@@ -189,6 +190,8 @@ def _limit_memory():
                   "system": {"even": _RANK_16, "odd": _RANK_16}}),
     ("ncp", {"bundle": {"base": "torus2", "windings": [0, 0],
                         "chern": [0, 0], "n": 3}}),
+    ("ncp", {"bundle": {"base": "torus2", "windings": [0, 0],
+                        "chern": [0, 0], "n": 2.0}}),
     ("ncp", {"bundle": _GENUS_60}),
     ("cohomology", {"complex": {"vertices": 3, "simplices": [[0, 1.5]]},
                     "system": _CONSTANT}),
@@ -216,7 +219,8 @@ def _limit_memory():
         "circle-1e9", "simplex-60", "genus-1e9", "vertices-1e12",
         "simplex-70-inline", "rank-1e9", "group-rank-17", "vertices-bool",
         "vertices-float", "cohomology-circle-2500-rank-16",
-        "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-genus-60",
+        "spectral-circle-2500-rank-16", "ncp-n-3", "ncp-n-float",
+        "ncp-genus-60",
         "simplex-vertex-float", "simplex-vertex-bool",
         "simplex-vertices-integral-floats", "simplices-str",
         "transport-edge-repeated", "transport-key-underscore",
@@ -379,7 +383,7 @@ def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
     builds the base's tree gauge (one SNF), runs give equal reports
     from equal kernel inputs."""
-    ncp_bundles.resolve_base.cache_clear()  # a cold base, whatever ran before
+    simplicial.shared_builtin.cache_clear()  # a cold base, whatever ran before
     runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
             for _ in range(3)]
     assert [code for code, _, _ in runs] == [0, 0, 0]
@@ -411,6 +415,29 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(inputs)
 
 
+def test_named_bases_are_built_once_per_process(monkeypatch, kernel_calls,
+                                                capsys, tmp_path):
+    """cohomology, check and spectral jobs take a named base from the
+    cache ncp jobs use: once torus2 is built, no job builds, verifies or
+    gauges it again."""
+    gauge = set(_gauge_inputs(kernel_calls, "torus2"))
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
+
+    def refuse(name, param=None):
+        raise AssertionError("built %s again" % name)
+    monkeypatch.setattr(simplicial, "builtin", refuse)
+    system = {"rank": 2, "monodromy": _MONO}
+    for command, doc in (
+            ("cohomology", {"complex": "torus2", "system": system}),
+            ("check", {"complex": "torus2", "system": system}),
+            ("spectral", {"complex": "torus2",
+                          "system": {"even": system, "odd": system}})):
+        code, out, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                            command, doc)
+        assert code == 0, out
+        assert not gauge & set(inputs)
+
+
 def test_group_cohomology_builds_no_local_system(monkeypatch, kernel_calls,
                                                   capsys, tmp_path):
     """Group cohomology comes from the Koszul complex of the action, so
@@ -435,12 +462,14 @@ def test_warm_ncp_job_orients_no_base(monkeypatch, kernel_calls, capsys,
     kept orientation for its Chern pairings."""
     _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
     passes = []
-    orient = SimplicialComplex.coherent_orientation
+    orient = SimplicialComplex.orientation.func
 
     def counting(x):
         passes.append(x)
         return orient(x)
-    monkeypatch.setattr(SimplicialComplex, "coherent_orientation", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(SimplicialComplex, "orientation")
+    monkeypatch.setattr(SimplicialComplex, "orientation", counted)
     code, _, _ = _run_in_process(kernel_calls, capsys, tmp_path,
                                  "ncp", _NCP_TORUS)
     assert code == 0

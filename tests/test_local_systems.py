@@ -6,16 +6,18 @@ from leray.exactlinalg import FgAbGroup, IntMatrix
 from leray.local_systems import (
     GradedKBundle,
     LocalSystem,
-    coinvariants,
     flatness_check,
     from_monodromy,
-    generator_loops,
-    invariants,
     transport_along,
 )
 from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
 
-from oracles import random_commuting_pair, random_unimodular
+from oracles import (
+    coinvariants,
+    invariants,
+    random_commuting_pair,
+    random_unimodular,
+)
 
 
 K2 = IntMatrix([[1, 2], [0, 1]])
@@ -30,11 +32,11 @@ def test_constant_system():
 
 
 def test_generator_loops_counts():
-    assert len(generator_loops(torus2())) == 2
-    assert len(generator_loops(genus_surface(2))) == 4
-    assert len(generator_loops(circle(5))) == 1
-    assert len(generator_loops(sphere2())) == 0
-    assert len(generator_loops(simplex(2))) == 0
+    assert len(torus2().tree_gauge.loops) == 2
+    assert len(genus_surface(2).tree_gauge.loops) == 4
+    assert len(circle(5).tree_gauge.loops) == 1
+    assert len(sphere2().tree_gauge.loops) == 0
+    assert len(simplex(2).tree_gauge.loops) == 0
 
 
 def test_from_monodromy_trivial_is_constant():
@@ -46,14 +48,14 @@ def test_from_monodromy_trivial_is_constant():
 def test_from_monodromy_torus_paper_matrices():
     sys = from_monodromy(torus2(), [K2, K4])
     assert flatness_check(sys) == []
-    loops = generator_loops(torus2())
+    loops = torus2().tree_gauge.loops
     assert transport_along(sys, loops[0]) == K2
     assert transport_along(sys, loops[1]) == K4
 
 
 def test_from_monodromy_circle():
     sys = from_monodromy(circle(3), [SWAP])
-    loop = generator_loops(circle(3))[0]
+    loop = circle(3).tree_gauge.loops[0]
     assert transport_along(sys, loop) == SWAP
     # composing the three edge transports around the triangle gives A
     # (up to loop direction), independently of the gauge construction

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from leray.exactlinalg import FgAbGroup, IntMatrix, element_order
-from leray.local_systems import transport_along, generator_loops
+from leray.local_systems import transport_along
 from leray.ncp_bundles import (
     NcpTorusBundleSpec,
     analyze,
@@ -41,7 +41,7 @@ def test_k_theory_bundle_commutative_case():
 
 def test_k_theory_bundle_paper_holonomy():
     kb = k_theory_bundle(spec_t2((2, 4), (0, 0)))
-    loops = generator_loops(torus2())
+    loops = torus2().tree_gauge.loops
     assert transport_along(kb.even, loops[0]) == IntMatrix([[1, 2], [0, 1]])
     assert transport_along(kb.even, loops[1]) == IntMatrix([[1, 4], [0, 1]])
     assert kb.odd.is_constant()
@@ -50,7 +50,7 @@ def test_k_theory_bundle_paper_holonomy():
 def test_k_theory_bundle_genus2():
     spec = NcpTorusBundleSpec("genus(2)", (1, 0, 0, 0), (0, 0))
     kb = k_theory_bundle(spec)
-    loops = generator_loops(spec.base)
+    loops = spec.base.tree_gauge.loops
     mats = [transport_along(kb.even, loop) for loop in loops]
     assert mats[0] == IntMatrix([[1, 1], [0, 1]])
     assert all(m.is_identity() for m in mats[1:])
@@ -182,7 +182,7 @@ def test_d2_gcd_one_vanishes_for_any_chern():
         d2 = d2_spec(spec, page2)
         assert d2.k_gcd == 1
         assert d2.is_zero()
-        page3 = attach_d2(page2, d2.page_differentials)
+        page3 = attach_d2(page2.with_differentials(d2.page_differentials))
         for (p, q) in page2.keys():
             assert page3.group(p, q) == page2.group(p, q)
 
@@ -200,7 +200,7 @@ def test_d2_commutative_case_detects_chern():
 def test_e3_loses_exactly_the_torsion_summand():
     spec, page2 = paper_pages((2, 4), (1, 0))
     d2 = d2_spec(spec, page2)
-    page3 = attach_d2(page2, d2.page_differentials)
+    page3 = attach_d2(page2.with_differentials(d2.page_differentials))
     assert page2.group(2, 0) == FgAbGroup(1, (2,))
     assert page3.group(2, 0) == FgAbGroup(1, ())
     # kernel of (a, b) -> a mod 2 on Z^2 is an index-two sublattice,
@@ -210,7 +210,8 @@ def test_e3_loses_exactly_the_torsion_summand():
 
 def test_e3_rebuilds_only_the_entries_d2_touches():
     spec, page2 = paper_pages((2, 4), (1, 0))
-    page3 = attach_d2(page2, d2_spec(spec, page2).page_differentials)
+    d2 = d2_spec(spec, page2)
+    page3 = attach_d2(page2.with_differentials(d2.page_differentials))
     rebuilt = {key for key in page2.keys()
                if page3.entries[key] is not page2.entries[key]}
     assert rebuilt == {(0, 1), (2, 0)}
@@ -220,9 +221,7 @@ def test_top_cell_evaluation_presents_coinvariants():
     # the map (fiber value v) -> (class of v on one coherently oriented
     # top cell) must present H^2 as the coinvariants: surjective with
     # kernel exactly the lattice spanned by the (A_i - I) columns
-    from leray.exactlinalg import (
-        IntMatrix as M, hstack_all, preimage_lattice, solve,
-    )
+    from leray.exactlinalg import IntMatrix as M, preimage_lattice, solve
     from oracles import lattice_basis
     for windings in [(2, 4), (0, 0), (3, 5), (0, 6)]:
         spec, page2 = paper_pages(windings, (0, 0))
@@ -243,8 +242,8 @@ def test_top_cell_evaluation_presents_coinvariants():
             else M.zeros(h2.quotient.ngens, 0)
         ker_theta = preimage_lattice(theta, rel)
         ident = M.identity(2)
-        coinv_rel = hstack_all(
-            [M([[1, w], [0, 1]]) - ident for w in windings], nrows=2)
+        b1, b2 = [M([[1, w], [0, 1]]) - ident for w in windings]
+        coinv_rel = b1.hstack(b2)
         coinv_lat = lattice_basis(coinv_rel)
         # mutual containment: the two lattices coincide
         assert solve(ker_theta, coinv_lat) is not None
@@ -274,7 +273,7 @@ def test_commutative_case_e3_rank_drop():
     spec, page2 = paper_pages((0, 0), (1, 0))
     d2 = d2_spec(spec, page2)
     assert d2.k_gcd == 0 and not d2.is_zero()
-    page3 = attach_d2(page2, d2.page_differentials)
+    page3 = attach_d2(page2.with_differentials(d2.page_differentials))
     assert page2.group(2, 0) == FgAbGroup(2, ())
     assert page3.group(2, 0) == FgAbGroup(1, ())
     assert page2.group(0, 1) == FgAbGroup(2, ())

@@ -62,3 +62,64 @@ def test_every_import_is_used():
         unused += ["%s:%d %s" % (info.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert not unused
+
+
+# Public names no command reaches, each kept for a stated reader.
+UNREACHED_BY_DESIGN = {
+    # The floating-point front end: library-only, no document field
+    # reaches it, and acceptance criterion 09 pins its behaviour.
+    ("ncp_bundles", "winding_number"),
+    ("ncp_bundles", "chern_cocycle"),
+    ("ncp_bundles", "torus_transition_data"),
+    # Read by the benchmark harness, which records the kernel in use.
+    ("_kernel", "BACKEND"),
+}
+
+
+def _module_definitions(tree):
+    """{name: node} for the module-level definitions and assignments,
+    and {name: (module, name)} for the module-level relative imports."""
+    defs, imports = {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                imports[alias.asname or alias.name] = (node.module,
+                                                       alias.name)
+    return defs, imports
+
+
+def test_every_public_name_is_reached_from_main():
+    """Every public module-level name of the package is reached from
+    ``cli.main``: it appears, as a name or a relative import, in the
+    body of a definition that is reached, starting from ``main``."""
+    package = os.path.dirname(leray.__file__)
+    modules = {}
+    for info in pkgutil.iter_modules(leray.__path__):
+        with open(os.path.join(package, info.name + ".py"),
+                  encoding="utf-8") as f:
+            modules[info.name] = _module_definitions(ast.parse(f.read()))
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached:
+            continue
+        reached.add((module, name))
+        defs, imports = modules[module]
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                if node.id in defs:
+                    todo.append((module, node.id))
+                elif node.id in imports:
+                    todo.append(imports[node.id])
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                todo += [(node.module, alias.name) for alias in node.names]
+    unreached = {(module, name) for module, (defs, _) in modules.items()
+                 for name in defs if not name.startswith("_")} - reached
+    assert sorted(unreached - UNREACHED_BY_DESIGN) == []
+    assert sorted(UNREACHED_BY_DESIGN - unreached) == []

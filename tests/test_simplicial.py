@@ -4,17 +4,19 @@ import pytest
 
 from leray import exactlinalg
 from leray.exactlinalg import FgAbGroup
-from leray.ncp_bundles import NcpTorusBundleSpec, resolve_base
+from leray.ncp_bundles import NcpTorusBundleSpec
 from leray.simplicial import (
     SimplicialComplex,
     builtin,
     circle,
     genus_surface,
-    integral_homology,
+    shared_builtin,
     simplex,
     sphere2,
     torus2,
 )
+
+from oracles import integral_homology
 
 
 def test_closure_and_counts():
@@ -70,13 +72,13 @@ def test_builtin_circle():
 
 def test_coherent_orientation():
     for x in [torus2(), sphere2(), genus_surface(2)]:
-        eps = x.coherent_orientation()
+        eps = x.orientation
         assert eps[0] == 1
         assert all(abs(e) == 1 for e in eps)
         d2 = x.boundary_matrix(2)
         assert all(v == 0 for v in d2.apply(eps))
     with pytest.raises(ValueError):
-        simplex(2).coherent_orientation()
+        simplex(2).orientation
 
 
 def test_builtin_by_name():
@@ -110,7 +112,7 @@ _RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
 def test_orientation_certifies_homology(x):
     """The combinatorial certificate agrees with the SNF homology oracle:
     the signs are a 2-cycle, and H_* = [Z, Z^(2 - chi), Z]."""
-    eps = x.coherent_orientation()
+    eps = x.orientation
     assert eps[0] == 1
     assert all(v == 0 for v in x.boundary_matrix(2).apply(eps))
     assert integral_homology(x) == [
@@ -130,7 +132,7 @@ def test_orientation_certifies_homology(x):
         "simplex2", "simplex3"])
 def test_orientation_rejects_non_surfaces(x, message):
     with pytest.raises(ValueError, match=message):
-        x.coherent_orientation()
+        x.orientation
 
 
 def test_orientation_is_kept():
@@ -138,7 +140,7 @@ def test_orientation_is_kept():
     non-surface raises on every use."""
     x = torus2()
     assert "orientation" in vars(x)
-    assert x.orientation == x.coherent_orientation()
+    assert x.orientation == SimplicialComplex.orientation.func(x)
     y = simplex(2)
     for _ in range(2):
         with pytest.raises(ValueError, match="not a closed"):
@@ -158,7 +160,7 @@ def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
 
 def test_surfaces_build_without_smith_forms(kernel_calls):
     kernel_calls.refuse()
-    resolve_base.cache_clear()
+    shared_builtin.cache_clear()
     torus2()
     sphere2()
     genus_surface(3)

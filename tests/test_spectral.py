@@ -22,6 +22,7 @@ from oracles import (
     matches_surface_cohomology,
     random_commuting_pair,
     random_unimodular,
+    subquotient,
     surface_cohomology,
 )
 
@@ -155,7 +156,7 @@ def test_genus2_constant_fiber_column_ranks():
 def test_attach_zero_d2_is_identity_on_groups():
     x = torus2()
     page2 = e2_page(e1_page(x, constant_bundle(x, 1, 1)))
-    page3 = attach_d2(page2, {})
+    page3 = attach_d2(page2)
     assert page3.r == 3
     for (p, q) in page2.keys():
         assert page3.group(p, q) == page2.group(p, q)
@@ -165,7 +166,7 @@ def test_attach_d2_rejects_wrong_page():
     x = torus2()
     page1 = e1_page(x, constant_bundle(x, 1, 1))
     with pytest.raises(PageError):
-        attach_d2(page1, {})
+        attach_d2(page1)
 
 
 def test_attach_d2_rejects_ill_defined_map():
@@ -183,11 +184,11 @@ def test_attach_d2_rejects_ill_defined_map():
     # a synthetic page: map from (0,1) is legal; assert the shape check.
     bad = {(0, 1): IntMatrix.zeros(1, 5)}
     with pytest.raises(PageError):
-        attach_d2(page2, bad)
+        attach_d2(page2.with_differentials(bad))
 
 
 def test_validator_rejects_torsion_ill_defined_map():
-    from leray.exactlinalg import IntMatrix as M, subquotient
+    from leray.exactlinalg import IntMatrix as M
     from leray.spectral import SpectralPage
     x = torus2()
     bundle = constant_bundle(x, 1, 1)
@@ -206,7 +207,7 @@ def test_validator_rejects_torsion_ill_defined_map():
     # order-2 generator sent to an order-2 class: accepted, and turning
     # the page kills exactly that class
     good = {(0, 1): M([[0, 0], [0, 2]])}
-    page3 = attach_d2(page.with_differentials({}), good)
+    page3 = attach_d2(page.with_differentials(good))
     assert page3.group(0, 1) == FgAbGroup(1, ())
     assert page3.group(2, 0) == FgAbGroup(1, (2,))
 
@@ -259,7 +260,7 @@ def test_zero_differential_turns_carry_entries_over(kernel_calls):
     x = torus2()
     page2 = e2_page(e1_page(x, constant_bundle(x, 2, 1)))
     kernel_calls.clear()
-    for page3 in (stabilize(page2), attach_d2(page2, {})):
+    for page3 in (stabilize(page2), attach_d2(page2)):
         assert page3.r == 3
         for key in page2.keys():
             assert page3.entries[key] is page2.entries[key]
