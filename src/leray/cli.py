@@ -38,14 +38,16 @@ from .spectral import PageError, assemble, e1_page, e2_page, stabilize
 MAX_RANK = 16
 
 # Most entries of the largest coboundary, (n_(p+1) m) x (n_p m) for n_p
-# p-simplices and rank m.  It bounds every command's systems, the ncp
-# bundle's at rank FIBER_RANK included.  Coboundaries and the SNF
-# transforms handed back are dense (the kernel eliminates on sparse rows
-# but returns dense lists): on CPython 3.11 (x86-64, 2 cores), spectral
-# on circle(256) with two constant rank-4 systems (2^20 entries, run
-# with the cap lifted) peaked at 213 MiB, and on circle(181) (about
-# 2^19) at 115 MiB.  genus(8) fits up to rank 6; ncp admits up to
-# genus(24), which took 2.1-2.3 s and peaked at 172 MiB.
+# p-simplices and rank m.  It bounds every command's systems.
+# Coboundaries and the SNF transforms handed back are dense (the kernel
+# eliminates on sparse rows but returns dense lists): on CPython 3.11
+# (x86-64, 2 cores), spectral on circle(256) with two constant rank-4
+# systems (2^20 entries, run with the cap lifted) peaked at 213 MiB,
+# and on circle(181) (about 2^19) at 115 MiB.  genus(8) fits up to
+# rank 6.  An ncp job's pages are on cells, so its base is bounded at
+# rank 1, for the boundary behind the tree gauge: it admits up to
+# genus(49), whose cold job (build, gauge and pages, one process) took
+# 0.95-1.01 s and peaked at 54 MiB on the same host.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 
@@ -218,7 +220,9 @@ def parse_bundle_spec(data) -> NcpTorusBundleSpec:
         )
     except (TypeError, ValueError) as exc:
         raise InputError("bad bundle: %s" % exc) from None
-    _check_cochain_size(spec.base, FIBER_RANK)
+    # the one triangulation matrix an ncp job decomposes is the rank-1
+    # boundary behind the base's tree gauge; its pages are on cells
+    _check_cochain_size(spec.base, 1)
     return spec
 
 

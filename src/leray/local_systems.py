@@ -18,8 +18,10 @@ spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
 base): transports are the identity on tree edges, and each off-tree
 edge carries the image of its fundamental cycle class.  This requires
 the prescribed matrices to commute pairwise (the representation factors
-through first homology), which covers every monodromy arising in the
-torus-bundle computations here.
+through first homology).  The ``cohomology``, ``check`` and ``spectral``
+commands use it; an ``ncp`` job builds no local system, since its
+coefficient complexes live on the one-vertex cell structure of the base
+(see ``ncp_bundles.k_theory_bundle``).
 """
 
 from __future__ import annotations

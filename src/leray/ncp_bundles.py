@@ -8,7 +8,12 @@ class).  From this data the module produces:
 
 * the graded K-theory coefficient bundle: the even part has holonomy
   (1 w; 0 1) for each winding w in the basis ([1], beta) of the fiber
-  K0, the odd part is constant of rank two;
+  K0, the odd part is constant of rank two.  It is given by its cochain
+  complexes on the one-vertex cell structure of the base (one vertex,
+  2g loops, one 2-cell), not on the triangulation: cohomology does not
+  depend on the cell structure, and these complexes have modules of
+  rank 2, 4g and 2.  The triangulation still gives the canonical loops,
+  their intersection form and the Chern pairings;
 * the second-page differential: with k the gcd of all windings, the top
   cohomology of the even system is Z/k (+) Z with the image of [1]
   generating the torsion part, and d2 sends the i-th odd generator to
@@ -30,20 +35,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohomology import CochainComplex
 from .exactlinalg import (
     IntMatrix,
     element_order,
     group_from_divisors,
     solve,
 )
-from .local_systems import GradedKBundle, LocalSystem, from_monodromy
 from .simplicial import SimplicialComplex, shared_builtin
 from .spectral import (
     SpectralPage,
     assemble,
     attach_d2,
-    e1_page,
     e2_page,
+    first_page,
     relation_lattice,
 )
 
@@ -116,18 +121,36 @@ class NcpTorusBundleSpec:
         return math.gcd(*self.winding) if self.winding else 0
 
 
-def k_theory_bundle(spec: NcpTorusBundleSpec) -> GradedKBundle:
-    """The graded coefficient bundle of the classifying data.
+def k_theory_bundle(spec: NcpTorusBundleSpec):
+    """The cochain complexes ``{0: even, 1: odd}`` of the graded
+    coefficient bundle on the one-vertex cell structure of the base.
 
-    Even part: each generator loop acts on the fiber K0 = Z[1] (+) Z.beta
-    by (1 w; 0 1) with w the corresponding winding.  Odd part: the
-    classes [U_1], [U_2] are invariant, so the system is constant.
+    That structure has one 0-cell, one 1-cell per generator loop and one
+    2-cell.  Even part: loop i acts on the fiber K0 = Z[1] (+) Z.beta by
+    A_i = (1 w_i; 0 1), so N_i = A_i - I = w_i E_12, and Fox's free
+    differential calculus (Fox, Ann. Math. 57, 1953) gives the complex
+    Z^2 -> Z^(4g) -> Z^2 with delta_0 = stack(N_i) and block i of
+    delta_1 = sum_j J_ji N_j, J the base's ``intersection_form``;
+    it squares to zero because N_i N_j = 0.  Odd part: the classes
+    [U_1], [U_2] are invariant, so the system is constant: the same
+    modules with zero maps.  ``CochainComplex`` certifies both.
     """
-    base = spec.base
-    mats = [IntMatrix([[1, w], [0, 1]]) for w in spec.winding]
-    even = from_monodromy(base, mats, fiber_rank=FIBER_RANK)
-    odd = LocalSystem.constant(base, FIBER_RANK)
-    return GradedKBundle(even=even, odd=odd)
+    w = spec.winding
+    n = len(w)
+    form = spec.base.intersection_form
+    # N_i has the one entry w_i at (0, 1), and block i of delta_1 the
+    # one entry s_i = sum_j J_ji w_j there
+    s = [sum(form[j, i] * w[j] for j in range(n)) for i in range(n)]
+    even = CochainComplex([
+        IntMatrix._trusted([row for x in w for row in ([0, x], [0, 0])],
+                           2 * n, FIBER_RANK),
+        IntMatrix._trusted([[v for x in s for v in (0, x)], [0] * 2 * n],
+                           FIBER_RANK, 2 * n),
+        IntMatrix.zeros(0, FIBER_RANK)])
+    odd = CochainComplex([IntMatrix.zeros(2 * n, FIBER_RANK),
+                          IntMatrix.zeros(FIBER_RANK, 2 * n),
+                          IntMatrix.zeros(0, FIBER_RANK)])
+    return {0: even, 1: odd}
 
 
 def fundamental_pairing(cochain, base: SimplicialComplex) -> int:
@@ -286,24 +309,24 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
     """d2[U_i] = (Chern pairing i) mod k, expressed on the computed
     presentation of the page.
 
-    Validates along the way that the page looks like the one produced
-    from ``k_theory_bundle(spec)``: the odd degree-zero entry must have
-    the two invariant unit classes as a basis, and the top even entry
-    must be the coinvariant group Z/k (+) Z with the image of [1]
+    The page may sit on any cell structure of the base: the numbers of
+    0-cells and 2-cells are read off the ranks of its complexes, so the
+    one-vertex page of ``analyze`` and a simplicial page are served
+    alike.  Validates along the way that the page looks like one made
+    from the spec's coefficient bundle: the odd degree-zero entry must
+    have the two invariant unit classes as a basis, and the top even
+    entry must be the coinvariant group Z/k (+) Z with the image of [1]
     generating the torsion summand and the image of the Bott class a
     free generator.
     """
-    base = spec.base
-    dim = base.dimension
-    if e2.r != 2 or e2.x != base:
+    if e2.r != 2 or e2.dimension != 2:
         raise ValueError("page does not belong to this bundle spec")
     h0_odd = e2.entry(0, 1)
-    if e2.bundle.part(1).fiber_rank != FIBER_RANK or \
-            h0_odd.quotient != group_from_divisors([0, 0]):
+    n0, rest = divmod(e2.complexes[1].degree_rank(0), FIBER_RANK)
+    if rest or h0_odd.quotient != group_from_divisors([0, 0]):
         raise ValueError("basis of H^0(X, K1) does not match ([U_1], [U_2])")
-    # column i: the cochain with [U_i] at every vertex
+    # column i: the cochain with [U_i] on every 0-cell
     ident = IntMatrix.identity(FIBER_RANK)
-    n0 = base.n_simplices(0)
     units = IntMatrix(ident.rows() * n0, shape=(n0 * FIBER_RANK, FIBER_RANK))
     c = h0_odd.project_matrix(units)
     try:
@@ -312,10 +335,11 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
         raise ValueError(
             "basis of H^0(X, K1) does not match ([U_1], [U_2])") from None
 
-    h2_even = e2.entry(dim, 0 if dim % 2 == 0 else 1)
+    h2_even = e2.entry(2, 0)
     k = spec.k_gcd()
-    # column j: fiber vector e_j on the first 2-simplex (eps = +1)
-    n2 = base.n_simplices(dim)
+    # column j: fiber vector e_j on the first 2-cell (eps = +1 on a
+    # simplicial base)
+    n2 = e2.complexes[0].degree_rank(2) // FIBER_RANK
     theta = ident.vstack(IntMatrix.zeros((n2 - 1) * FIBER_RANK, FIBER_RANK))
     unit_class, bott_class = h2_even.project_matrix(theta).transpose().rows()
     _validate_coinvariant_presentation(spec, h2_even, unit_class, bott_class, k)
@@ -392,9 +416,9 @@ class NcpAnalysis:
 
 
 def analyze(spec: NcpTorusBundleSpec) -> NcpAnalysis:
-    """Full pipeline: pages, injected d2, limit, and triviality verdict."""
-    bundle = k_theory_bundle(spec)
-    page1 = e1_page(spec.base, bundle)
+    """Full pipeline on the one-vertex cell structure of the base:
+    pages, injected d2, limit, and triviality verdict."""
+    page1 = first_page(k_theory_bundle(spec))
     page2 = e2_page(page1)
     d2 = d2_spec(spec, page2)
     page2d = page2.with_differentials(d2.page_differentials)

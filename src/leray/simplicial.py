@@ -111,6 +111,35 @@ class SimplicialComplex:
         return TreeGauge(self)
 
     @cached_property
+    def intersection_form(self) -> IntMatrix:
+        """The intersection form J of the canonical H_1 basis of a
+        closed oriented surface, computed on first use and kept.
+
+        J_ij = sum_t eps_t alpha_i(a, b) alpha_j(b, c) over the
+        triangles t = (a, b, c), with eps the orientation: the cup
+        product of the cocycles alpha_i dual to the basis, evaluated on
+        the fundamental class.  alpha_i is coordinate i of ``classes``
+        on each off-tree edge and 0 on tree edges; it is a cocycle
+        because every triangle boundary is null-homologous.  Poincare
+        duality makes J skew-symmetric and unimodular, which is checked
+        here (one SNF); a failure raises.
+        """
+        gauge = self.tree_gauge
+        n = len(gauge.loops)
+        alpha = {e: [(i, c) for i, c in enumerate(cls) if c]
+                 for e, cls in zip(gauge.offtree, gauge.classes)}
+        form = [[0] * n for _ in range(n)]
+        for eps, (a, b, c) in zip(self.orientation, self.simplices(2)):
+            for i, x in alpha.get((a, b), ()):
+                for j, y in alpha.get((b, c), ()):
+                    form[i][j] += eps * x * y
+        j = IntMatrix._trusted(form, n, n)
+        if j.transpose() != -j or not cokernel(j).quotient.is_trivial():
+            raise ValueError("intersection form is not skew-symmetric "
+                             "and unimodular")
+        return j
+
+    @cached_property
     def orientation(self):
         """Signs eps per 2-simplex making their signed sum a cycle,
         computed on first use and kept, so a surface is oriented once;
@@ -184,11 +213,12 @@ class TreeGauge:
     map, read from the last off-tree edge (``_hermite_from_the_right``).
     So the basis, and with it what a monodromy prescription means,
     depends on the complex alone, not on the transforms the SNF kernel
-    happens to return (the vertex path of each loop is still read off
-    them; its class is not).  On a closed surface every pivot of that
-    form is 1: generator i is the class of the fundamental loop of the
-    off-tree edge at pivot i, and the other off-tree edges are the edges
-    of a spanning tree of the dual graph.
+    happens to return.  On a closed surface every pivot of that form is
+    1: generator i is the class of the fundamental loop of the off-tree
+    edge at pivot i, which is then its loop, and the other off-tree
+    edges are the edges of a spanning tree of the dual graph.  Where
+    some pivot is not 1, each loop is read off the lift of its class
+    through the SNF's transforms, so only its class is kernel-free.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -216,16 +246,30 @@ class TreeGauge:
         form, inverse = _hermite_from_the_right(
             h1.project_matrix(IntMatrix.identity(k)).rows(), k)
         self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
+        pivots = [max(j for j, c in enumerate(row) if c) for row in form]
+        if all(row[p] == 1 for row, p in zip(form, pivots)):
+            # column p_i of the form is e_i: generator i is the class of
+            # the fundamental loop of off-tree edge p_i
+            self.loops = [self._fundamental_loop(self.offtree[p], 1)
+                          for p in pivots]
+            return
         lift = h1.lift_matrix * IntMatrix.from_columns(inverse,
                                                       nrows=len(form))
         self.loops = []
         for j in range(len(form)):
             path = [0]
-            for (u, v), n in zip(self.offtree, lift.column(j)):
-                a, b = (u, v) if n > 0 else (v, u)
-                for _ in range(abs(n)):
-                    path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
+            for edge, n in zip(self.offtree, lift.column(j)):
+                path += self._fundamental_loop(edge, n)[1:]
             self.loops.append(path)
+
+    def _fundamental_loop(self, edge, n):
+        """The fundamental loop of off-tree ``edge`` (u, v), u < v, run
+        n times, backwards when n < 0: a vertex path at vertex 0."""
+        a, b = edge if n > 0 else edge[::-1]
+        path = [0]
+        for _ in range(abs(n)):
+            path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
+        return path
 
 
 def _hermite_from_the_right(rows, ncols):

@@ -8,14 +8,20 @@ differential maps (p, q) to (p + r, q - 1 mod 2): one column step per
 page number, always flipping the stored q-row, and changing the
 coefficient parity by r - 1 as it must.
 
-The first page is the cell-by-cell cochain module with the e1-convention
-differential; the second is E2^{p,q} = H^p(X; K_{p+q}), from ``cohomology``.
-Later pages are entrywise homology, computed on representatives so that
-later differentials can still be evaluated on actual cochains: every entry
-of every page stays presented inside the same ambient cochain module.  An
-entry that no nonzero differential enters or leaves is its own homology,
-E_{r+1} = E_r there, so the turn carries the same Subquotient object over;
-only entries a nonzero differential touches are rebuilt.
+A page is made from two cochain complexes, one per coefficient parity,
+on any cell structure of the base: cohomology does not depend on it.
+``e1_page`` builds them from the simplices of a complex and a graded
+bundle of local systems; ``ncp_bundles`` hands ``first_page`` the
+complexes of the one-vertex cell structure of a surface.  The first
+page is the cell-by-cell cochain module with the e1-convention
+differential; the second is E2^{p,q} = H^p(X; K_{p+q}), from
+``cohomology``.  Later pages are entrywise homology, computed on
+representatives so that later differentials can still be evaluated on
+actual cochains: every entry of every page stays presented inside the
+same ambient cochain module.  An entry that no nonzero differential
+enters or leaves is its own homology, E_{r+1} = E_r there, so the turn
+carries the same Subquotient object over; only entries a nonzero
+differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
 alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
@@ -52,22 +58,20 @@ class SpectralPage:
     ``differentials[(p, q)]``, when present, is an integer matrix from
     the canonical generators of the entry to the canonical coordinates
     of the entry at (p + r, (q - 1) % 2).  A page never changes once
-    made; E1's differentials are certified by ``build``.
-    ``complexes``, when given, maps each coefficient parity to the
-    cochain complex whose modules hold the entries.
+    made; E1's differentials are certified by ``CochainComplex``.
+    ``complexes`` maps each coefficient parity to the cochain complex
+    whose modules hold the entries; the page's dimension is theirs.
     """
 
-    def __init__(self, r, x, bundle, entries, differentials, complexes=None):
+    def __init__(self, r, complexes, entries, differentials):
         self.r = r
-        self.x = x
-        self.bundle = bundle
+        self.complexes = complexes
         self.entries = dict(entries)
         self.differentials = dict(differentials)
-        self.complexes = complexes
 
     @property
     def dimension(self):
-        return self.x.dimension
+        return self.complexes[0].dimension
 
     def keys(self):
         return [(p, q) for p in range(self.dimension + 1) for q in (0, 1)]
@@ -89,8 +93,8 @@ class SpectralPage:
     def with_differentials(self, differentials) -> "SpectralPage":
         """This page with ``differentials``, checked well-defined and
         squaring to zero on classes."""
-        page = SpectralPage(self.r, self.x, self.bundle,
-                            self.entries, differentials, self.complexes)
+        page = SpectralPage(self.r, self.complexes, self.entries,
+                            differentials)
         _validate_differentials(page)
         return page
 
@@ -181,21 +185,29 @@ def _validate_differentials(page: SpectralPage):
 
 
 def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
-    """First page: cochain modules of the two parity systems, with the
-    e1-convention differential; entry (p, q) carries the coefficient
-    system of parity (p + q) mod 2."""
+    """First page of a graded bundle of local systems on a simplicial
+    complex: its simplicial cochains with the e1-convention
+    differential."""
     if bundle.base != x:
         raise ValueError("bundle is not defined over this complex")
-    complexes = {0: build(x, bundle.even, "e1"), 1: build(x, bundle.odd, "e1")}
+    return first_page({0: build(x, bundle.even, "e1"),
+                       1: build(x, bundle.odd, "e1")})
+
+
+def first_page(complexes) -> SpectralPage:
+    """First page of the cochain complexes ``{0: even, 1: odd}`` of one
+    base: entry (p, q) is the cochain module of degree p of the complex
+    of parity (p + q) mod 2, and d1 is its coboundary."""
+    dim = complexes[0].dimension
     entries = {}
     differentials = {}
-    for p in range(x.dimension + 1):
+    for p in range(dim + 1):
         for q in (0, 1):
             c = complexes[(p + q) % 2]
             entries[(p, q)] = Subquotient.free(c.degree_rank(p))
-            if p + 1 <= x.dimension:
+            if p + 1 <= dim:
                 differentials[(p, q)] = c.differential(p)
-    return SpectralPage(1, x, bundle, entries, differentials, complexes)
+    return SpectralPage(1, complexes, entries, differentials)
 
 
 def _turn(page: SpectralPage) -> SpectralPage:
@@ -235,28 +247,30 @@ def _turn(page: SpectralPage) -> SpectralPage:
                 entry.lift_matrix * page.differentials[incoming])
         new_entries[(p, q)] = Subquotient(cycles,
                                           relations(cycles, boundaries))
-    return SpectralPage(page.r + 1, page.x, page.bundle, new_entries, {},
-                        page.complexes)
+    return SpectralPage(page.r + 1, page.complexes, new_entries, {})
 
 
 def e2_page(page1: SpectralPage) -> SpectralPage:
     """Second page: entry (p, (s - p) mod 2) is H^p(X; K_s), certified
-    by sum_p (-1)^p rank H^p = chi(X) rank K_s, which fails if the rank
-    of a coboundary's SNF and that of its image's coordinates differ."""
+    by sum_p (-1)^p rank H^p = sum_p (-1)^p rank C^p, the Euler
+    characteristic of the complex itself (chi(X) rank K_s on a
+    simplicial base), which fails if the rank of a coboundary's SNF and
+    that of its image's coordinates differ."""
     if page1.r != 1:
         raise PageError("e2_page expects a first page")
     entries = {}
     for parity, c in page1.complexes.items():
         hs = cohomology(c)
         euler = sum((-1) ** p * h.quotient.free_rank for p, h in enumerate(hs))
-        expected = (page1.x.euler_characteristic()
-                    * page1.bundle.part(parity).fiber_rank)
+        expected = sum((-1) ** p * c.degree_rank(p)
+                       for p in range(c.dimension + 1))
         if euler != expected:
             raise PageError("E2 Euler characteristic %d of parity %d is "
-                            "not chi * rank = %d" % (euler, parity, expected))
+                            "not that of its cochains, %d"
+                            % (euler, parity, expected))
         for p, h in enumerate(hs):
             entries[(p, (parity - p) % 2)] = h
-    return SpectralPage(2, page1.x, page1.bundle, entries, {}, page1.complexes)
+    return SpectralPage(2, page1.complexes, entries, {})
 
 
 def attach_d2(page2: SpectralPage) -> SpectralPage:

@@ -13,8 +13,10 @@ SNF; it is the reference basis that generator matrices, such as those
 The reference implementations below them are built on the library's
 exact layer, by routes no command takes: ``subquotient`` from plain
 matrices, ``integral_homology`` of a complex, the ``invariants`` and
-``coinvariants`` of commuting matrices, and ``recursion_check``, which
-compares H^*(Z^2, M) with the recursion through H^*(Z, M).
+``coinvariants`` of commuting matrices, ``recursion_check``, which
+compares H^*(Z^2, M) with the recursion through H^*(Z, M), and
+``simplicial_analysis``, the ``ncp`` pipeline on the cochains of the
+whole triangulation instead of the one-vertex cell structure.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,19 @@ from leray.exactlinalg import (
     solve,
 )
 from leray.group_cohomology import zn_cohomology
-from leray.local_systems import transport_along
+from leray.local_systems import (
+    GradedKBundle,
+    LocalSystem,
+    from_monodromy,
+    transport_along,
+)
+from leray.ncp_bundles import (
+    FIBER_RANK,
+    NcpAnalysis,
+    d2_spec,
+    is_rkk_trivial,
+)
+from leray.spectral import assemble, attach_d2, e1_page, e2_page
 
 
 def minor_det(mat, row_idx, col_idx):
@@ -311,3 +325,32 @@ def recursion_check(module) -> RecursionReport:
         % groups[k].torsion_order() == 0
         for k in range(3))
     return RecursionReport(groups, coinv_ends, inv_ends, rank_ok, torsion_ok)
+
+
+def simplicial_k_theory_bundle(spec) -> GradedKBundle:
+    """The graded coefficient bundle of an ncp spec on the triangulation
+    of its base.
+
+    Even part: each generator loop acts on the fiber K0 = Z[1] (+) Z.beta
+    by (1 w; 0 1) with w the corresponding winding.  Odd part: the
+    classes [U_1], [U_2] are invariant, so the system is constant.
+    """
+    base = spec.base
+    mats = [IntMatrix([[1, w], [0, 1]]) for w in spec.winding]
+    even = from_monodromy(base, mats, fiber_rank=FIBER_RANK)
+    odd = LocalSystem.constant(base, FIBER_RANK)
+    return GradedKBundle(even=even, odd=odd)
+
+
+def simplicial_analysis(spec) -> NcpAnalysis:
+    """``ncp_bundles.analyze`` on the simplicial cochains of the base:
+    the same pages, injected d2, limit and verdict, from coboundaries of
+    the size of the triangulation."""
+    page1 = e1_page(spec.base, simplicial_k_theory_bundle(spec))
+    page2 = e2_page(page1)
+    d2 = d2_spec(spec, page2)
+    page2d = page2.with_differentials(d2.page_differentials)
+    page3 = attach_d2(page2d)
+    k0, k1 = assemble(page3)
+    return NcpAnalysis(spec=spec, e1=page1, e2=page2d, d2=d2, e3=page3,
+                       k_even=k0, k_odd=k1, verdict=is_rkk_trivial(spec))

@@ -34,7 +34,14 @@ from leray.ncp_bundles import (
     torus_transition_data,
 )
 from leray.simplicial import circle, genus_surface, sphere2, torus2
-from leray.spectral import assemble, attach_d2, e1_page, e2_page, stabilize
+from leray.spectral import (
+    assemble,
+    attach_d2,
+    e1_page,
+    e2_page,
+    first_page,
+    stabilize,
+)
 
 from oracles import (
     coinvariants,
@@ -153,7 +160,7 @@ def test_criterion_04_kunneth_sanity():
 def test_criterion_05_commutative_d2_iff_chern():
     """Windings (0,0): d2 vanishes exactly when both Chern pairings do."""
     base_spec = NcpTorusBundleSpec("torus2", (0, 0), (0, 0))
-    page2 = e2_page(e1_page(base_spec.base, k_theory_bundle(base_spec)))
+    page2 = e2_page(first_page(k_theory_bundle(base_spec)))
     for c1 in range(-2, 3):
         for c2 in range(-2, 3):
             spec = NcpTorusBundleSpec("torus2", (0, 0), (c1, c2))
@@ -167,7 +174,7 @@ def test_criterion_06_d2_formula():
     E3 at the top corner loses exactly the Z/2 summand; windings (1,0)
     force d2 = 0 for every Chern choice."""
     spec = NcpTorusBundleSpec("torus2", (2, 4), (1, 0))
-    page2 = e2_page(e1_page(spec.base, k_theory_bundle(spec)))
+    page2 = e2_page(first_page(k_theory_bundle(spec)))
     d2 = d2_spec(spec, page2)
     assert d2.k_gcd == 2
     h2 = page2.entry(2, 0)
@@ -179,7 +186,7 @@ def test_criterion_06_d2_formula():
     assert page3.group(2, 1) == page2.group(2, 1)
 
     spec10 = NcpTorusBundleSpec("torus2", (1, 0), (0, 0))
-    page2 = e2_page(e1_page(spec10.base, k_theory_bundle(spec10)))
+    page2 = e2_page(first_page(k_theory_bundle(spec10)))
     for c1 in range(-2, 3):
         for c2 in range(-2, 3):
             d2 = d2_spec(NcpTorusBundleSpec("torus2", (1, 0), (c1, c2)),

@@ -10,7 +10,6 @@ from collections import Counter
 import pytest
 
 from leray import cli, cohomology, ncp_bundles, simplicial
-from leray.cohomology import build
 from leray.exactlinalg import IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
@@ -346,22 +345,21 @@ _NCP_TORUS = {"bundle": {"base": "torus2", "windings": [2, 4],
 def test_command_decomposes_each_coboundary_once(kernel_calls, capsys,
                                                  tmp_path):
     """The paper's ncp job sends the SNF kernel each nonzero coboundary
-    of both parities exactly once, and no kernel basis of one and no
-    identity larger than the fiber: each complex keeps the decompositions
-    of its coboundaries, kernels and the top degree reuse them."""
+    of its cell complexes exactly once, and no kernel basis of one and
+    no identity larger than the fiber: each complex keeps the
+    decompositions of its coboundaries, kernels and the top degree
+    reuse them."""
     code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
                                       "ncp", _NCP_TORUS)
     assert code == 0
     spec = cli.parse_bundle_spec(_NCP_TORUS["bundle"])
-    bundle = ncp_bundles.k_theory_bundle(spec)
     seen = Counter(inputs)
-    for system in (bundle.even, bundle.odd):
-        c = build(spec.base, system)
-        for p in range(spec.base.dimension):
-            d = c.differential(p)
-            assert not d.is_zero()
-            assert seen[_kernel_input(d)] == 1, p
-            assert seen[_kernel_input(kernel(d))] == 0, p
+    nonzero = [d for c in ncp_bundles.k_theory_bundle(spec).values()
+               for d in c.differentials if not d.is_zero()]
+    assert len(nonzero) == 2  # the even delta_0 and delta_1
+    for d in nonzero:
+        assert seen[_kernel_input(d)] == 1, d
+        assert seen[_kernel_input(kernel(d))] == 0, d
     identities = [n for n, m, rows in inputs
                   if n == m and IntMatrix(rows, shape=(n, m)).is_identity()]
     assert max(identities, default=0) <= ncp_bundles.FIBER_RANK
@@ -371,18 +369,21 @@ def _kernel_input(m):
     return (m.nrows, m.ncols, m.rows())
 
 
-def _gauge_inputs(kernel_calls, name):
-    """The kernel inputs of a fresh base's tree gauge."""
+def _gauge_inputs(kernel_calls, name, form=False):
+    """The kernel inputs of a fresh base's tree gauge, and with
+    ``form`` of its intersection form's certificate."""
     x = builtin(name)
     kernel_calls.clear()
     x.tree_gauge
+    if form:
+        x.intersection_form
     return list(kernel_calls)
 
 
 def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
-    builds the base's tree gauge (one SNF), runs give equal reports
-    from equal kernel inputs."""
+    builds the base's tree gauge and certifies its intersection form
+    (one SNF each), runs give equal reports from equal kernel inputs."""
     simplicial.shared_builtin.cache_clear()  # a cold base, whatever ran before
     runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
             for _ in range(3)]
@@ -392,14 +393,14 @@ def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     first, later = Counter(runs[0][2]), Counter(runs[1][2])
     assert not later - first
     assert sorted((first - later).elements()) == \
-        sorted(_gauge_inputs(kernel_calls, "torus2"))
+        sorted(_gauge_inputs(kernel_calls, "torus2", form=True))
 
 
 def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
-    """On a warm base an ncp job sends the SNF kernel no gauge matrix
-    and no edge transport, apart from the prescribed monodromy and the
-    identity, which the job decomposes for other reasons (checking the
-    action, and the change of basis in d2_spec)."""
+    """On a warm base an ncp job sends the SNF kernel no gauge matrix,
+    no intersection form and no edge transport of the simplicial
+    system, apart from the identity, which the job decomposes for
+    another reason (the change of basis in d2_spec)."""
     _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
     code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
                                       "ncp", _NCP_TORUS)
@@ -409,10 +410,39 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     system = from_monodromy(x, mats)
     transports = {_kernel_input(system.transport(u, v))
                   for e in x.simplices(1) for (u, v) in (e, e[::-1])}
-    transports -= {_kernel_input(m) for m in mats + [IntMatrix.identity(2)]}
+    transports -= {_kernel_input(IntMatrix.identity(2))}
     assert transports  # inverse classes give transports such as (1 -2; 0 1)
     assert not transports & set(inputs)
-    assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(inputs)
+    assert not set(_gauge_inputs(kernel_calls, "torus2", form=True)) & \
+        set(inputs)
+
+
+def test_warm_genus8_ncp_job_decomposes_only_cell_sized_matrices(
+        kernel_calls, capsys, tmp_path):
+    """An ncp job computes its pages on the one-vertex cell structure of
+    the base: on a warm genus(8), no SNF input has more than
+    4g = 32 rows or columns, where the triangulation's coboundaries
+    are up to 196 x 294."""
+    doc = {"bundle": {"base": "genus(8)", "windings": [2, 4] + [0] * 14,
+                      "chern": [1, 0]}}
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", doc)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      "ncp", doc)
+    assert code == 0
+    assert inputs
+    assert max(max(nrows, ncols) for nrows, ncols, _ in inputs) <= 32
+
+
+def test_ncp_on_genus30_runs(tmp_path):
+    """The ncp cap counts the one triangulation matrix a job decomposes,
+    the rank-1 boundary behind the tree gauge, so genus(30) is admitted
+    (and genus(60) is not: see test_schema_violation_exit_2)."""
+    doc = {"bundle": {"base": "genus(30)", "windings": [2, 4] + [0] * 58,
+                      "chern": [1, 0]}}
+    res = run_cli(tmp_path, "ncp", doc, preexec_fn=_limit_memory,
+                  timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "verdict: not RKK-trivial" in res.stdout
 
 
 def test_named_bases_are_built_once_per_process(monkeypatch, kernel_calls,

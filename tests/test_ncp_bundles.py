@@ -17,7 +17,9 @@ from leray.ncp_bundles import (
     winding_number,
 )
 from leray.simplicial import torus2
-from leray.spectral import attach_d2, e1_page, e2_page
+from leray.spectral import attach_d2, e1_page, e2_page, first_page
+
+from oracles import simplicial_analysis, simplicial_k_theory_bundle
 
 
 def spec_t2(windings, chern):
@@ -34,26 +36,45 @@ def test_spec_validation():
 
 
 def test_k_theory_bundle_commutative_case():
-    kb = k_theory_bundle(spec_t2((0, 0), (0, 0)))
+    spec = spec_t2((0, 0), (0, 0))
+    for c in k_theory_bundle(spec).values():
+        assert [c.degree_rank(p) for p in range(3)] == [2, 4, 2]
+        assert all(d.is_zero() for d in c.differentials)
+    kb = simplicial_k_theory_bundle(spec)
     assert kb.even.is_constant()
     assert kb.odd.is_constant()
 
 
 def test_k_theory_bundle_paper_holonomy():
-    kb = k_theory_bundle(spec_t2((2, 4), (0, 0)))
+    # the holonomy of the simplicial bundle along the generator loops is
+    # what the cell complexes are made of: delta_0 = stack(A_i - I)
+    spec = spec_t2((2, 4), (0, 0))
+    kb = simplicial_k_theory_bundle(spec)
     loops = torus2().tree_gauge.loops
-    assert transport_along(kb.even, loops[0]) == IntMatrix([[1, 2], [0, 1]])
-    assert transport_along(kb.even, loops[1]) == IntMatrix([[1, 4], [0, 1]])
+    mats = [transport_along(kb.even, loop) for loop in loops]
+    assert mats == [IntMatrix([[1, 2], [0, 1]]), IntMatrix([[1, 4], [0, 1]])]
     assert kb.odd.is_constant()
+    ident = IntMatrix.identity(2)
+    even, odd = k_theory_bundle(spec).values()
+    assert even.differential(0) == (mats[0] - ident).vstack(mats[1] - ident)
+    assert all(d.is_zero() for d in odd.differentials)
 
 
 def test_k_theory_bundle_genus2():
     spec = NcpTorusBundleSpec("genus(2)", (1, 0, 0, 0), (0, 0))
-    kb = k_theory_bundle(spec)
+    kb = simplicial_k_theory_bundle(spec)
     loops = spec.base.tree_gauge.loops
     mats = [transport_along(kb.even, loop) for loop in loops]
     assert mats[0] == IntMatrix([[1, 1], [0, 1]])
     assert all(m.is_identity() for m in mats[1:])
+    # block i of delta_1 is sum_j J_ji N_j, which is J_0i N_0 here
+    form = spec.base.intersection_form
+    n0 = mats[0] - IntMatrix.identity(2)
+    d1 = k_theory_bundle(spec)[0].differential(1)
+    for i in range(4):
+        block = d1.submatrix_columns([2 * i, 2 * i + 1])
+        assert block == IntMatrix([[form[0, i] * x for x in row]
+                                   for row in n0.rows()])
 
 
 def test_fundamental_pairing_basics():
@@ -155,10 +176,15 @@ def test_transition_data_triangle_winding_identity():
 
 
 def paper_pages(windings, chern):
+    """The spec and its second page on the one-vertex cell structure."""
     spec = spec_t2(windings, chern)
-    bundle = k_theory_bundle(spec)
-    page2 = e2_page(e1_page(spec.base, bundle))
-    return spec, page2
+    return spec, e2_page(first_page(k_theory_bundle(spec)))
+
+
+def simplicial_pages(windings, chern):
+    """The spec and its second page on the simplicial cochains."""
+    spec = spec_t2(windings, chern)
+    return spec, e2_page(e1_page(spec.base, simplicial_k_theory_bundle(spec)))
 
 
 def test_d2_spec_paper_example():
@@ -224,7 +250,7 @@ def test_top_cell_evaluation_presents_coinvariants():
     from leray.exactlinalg import IntMatrix as M, preimage_lattice, solve
     from oracles import lattice_basis
     for windings in [(2, 4), (0, 0), (3, 5), (0, 6)]:
-        spec, page2 = paper_pages(windings, (0, 0))
+        spec, page2 = simplicial_pages(windings, (0, 0))
         h2 = page2.entry(2, 0)
         n2 = spec.base.n_simplices(2)
         theta_cols = []
@@ -355,3 +381,53 @@ def test_analyze_validates_each_page_once(monkeypatch):
     assert [page.r for page in pages] == [2]
     assert pages[0] is res.e2
     assert len(validated) == len({id(page) for page in validated})
+
+
+def _seeded_specs(seed, per_base):
+    """Specs on torus2 and genus(2..4): every third has k = 0, and each
+    Chern entry is an integer or a full cochain, at random."""
+    rng = random.Random(seed)
+    specs = []
+    for name, g in (("torus2", 1), ("genus(2)", 2), ("genus(3)", 3),
+                    ("genus(4)", 4)):
+        n2 = NcpTorusBundleSpec(name, [0] * 2 * g, (0, 0)).base.n_simplices(2)
+        for i in range(per_base):
+            windings = [0] * 2 * g if i % 3 == 0 else \
+                [rng.randint(-6, 6) for _ in range(2 * g)]
+            chern = [rng.randint(-9, 9) if rng.random() < 0.5 else
+                     [rng.randint(-3, 3) for _ in range(n2)]
+                     for _ in range(2)]
+            specs.append(NcpTorusBundleSpec(name, windings, chern))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _seeded_specs(2008, 6),
+                         ids=lambda spec: "%s-%s" % (spec.base_name,
+                                                     spec.k_gcd()))
+def test_cell_pages_equal_the_simplicial_oracle(spec):
+    """analyze on the one-vertex cell structure against the simplicial
+    cochains of the whole triangulation: equal E2 and E3 tables with
+    their differential ranks, equal K pieces and verdict, and d2 images
+    of equal element orders, column by column."""
+    cell, oracle = analyze(spec), simplicial_analysis(spec)
+    assert cell.e2.table_rows() == oracle.e2.table_rows()
+    assert cell.e3.table_rows() == oracle.e3.table_rows()
+    for mine, theirs in ((cell.k_even, oracle.k_even),
+                         (cell.k_odd, oracle.k_odd)):
+        assert mine.graded_pieces == theirs.graded_pieces
+    assert cell.verdict == oracle.verdict
+    assert cell.d2.k_gcd == oracle.d2.k_gcd
+    top, top_oracle = cell.e2.group(2, 0), oracle.e2.group(2, 0)
+    for j in range(2):
+        assert element_order(top, cell.d2.images.column(j)) == \
+            element_order(top_oracle, oracle.d2.images.column(j))
+
+
+def test_the_oracle_runs_on_the_triangulation():
+    spec = NcpTorusBundleSpec("genus(2)", (2, 4, 0, 0), (1, 0))
+    base = spec.base
+    cell, oracle = analyze(spec), simplicial_analysis(spec)
+    assert [oracle.e1.entry(p, 0).quotient.free_rank for p in range(3)] == \
+        [2 * base.n_simplices(p) for p in range(3)]
+    assert [cell.e1.entry(p, 0).quotient.free_rank for p in range(3)] == \
+        [2, 8, 2]

@@ -3,7 +3,9 @@ from itertools import combinations
 import pytest
 
 from leray import exactlinalg
-from leray.exactlinalg import FgAbGroup
+from leray.cohomology import build, cohomology
+from leray.exactlinalg import FgAbGroup, IntMatrix, smith_normal_form
+from leray.local_systems import LocalSystem, from_monodromy, transport_along
 from leray.ncp_bundles import NcpTorusBundleSpec
 from leray.simplicial import (
     SimplicialComplex,
@@ -202,6 +204,28 @@ def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
     assert any(seen)
     assert again.offtree == gauge.offtree
     assert again.classes == gauge.classes
+    assert again.loops == gauge.loops
+
+
+# The mapping cylinder of the degree-2 map of circles, with a collar,
+# relabelled: H_1 = Z, and the class of an off-tree edge's loop is twice
+# the generator, so the Hermite pivot is 2
+_CYLINDER_Z2 = [
+    (0, 4, 8), (0, 8, 9), (0, 9, 13), (1, 2, 6), (1, 2, 7), (1, 3, 7),
+    (1, 3, 9), (1, 6, 8), (1, 8, 9), (2, 6, 11), (2, 7, 12), (2, 10, 11),
+    (2, 10, 12), (3, 5, 6), (3, 5, 7), (3, 6, 11), (3, 9, 11), (4, 5, 8),
+    (4, 5, 14), (5, 6, 8), (5, 7, 14), (7, 12, 14), (9, 11, 13),
+    (10, 11, 13)]
+
+
+def test_tree_gauge_lifts_the_loop_where_a_pivot_is_not_one():
+    x = SimplicialComplex(15, _CYLINDER_Z2)
+    assert integral_homology(x)[1] == FgAbGroup(1, ())
+    gauge = x.tree_gauge
+    assert [c for (c,) in gauge.classes if c][-1] == 2  # the pivot
+    # from_monodromy certifies the holonomy along the lifted loop
+    system = from_monodromy(x, [IntMatrix([[-1]])])
+    assert transport_along(system, gauge.loops[0]) == IntMatrix([[-1]])
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 8])
@@ -219,3 +243,50 @@ def test_tree_gauge_classes_are_in_hermite_form(g):
     if g == 2:
         assert [gauge.offtree[p] for p in pivots] == [
             (5, 10), (6, 10), (7, 9), (9, 10)]
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_intersection_form_is_skew_and_unimodular(g):
+    form = genus_surface(g).intersection_form
+    assert form.shape == (2 * g, 2 * g)
+    assert form.transpose() == -form
+    assert smith_normal_form(form).diagonal == (1,) * (2 * g)
+
+
+def test_intersection_form_of_torus2_and_genus2():
+    assert torus2().intersection_form == IntMatrix([[0, -1], [1, 0]])
+    assert genus_surface(2).intersection_form == IntMatrix([
+        [0, -1, 1, 1], [1, 0, 0, -1], [-1, 0, 0, 0], [-1, 1, 0, 0]])
+
+
+def test_intersection_form_is_kept_and_built_lazily(kernel_calls):
+    x = builtin("genus(2)")
+    assert "intersection_form" not in vars(x)
+    form = x.intersection_form
+    kernel_calls.refuse()
+    assert x.intersection_form is form
+
+
+def _on_path(x, cochain, path):
+    """A 1-cochain on the sorted edges, summed along a vertex path."""
+    return sum(cochain[x.index((min(u, v), max(u, v)))] * (1 if u < v else -1)
+               for u, v in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_intersection_form_is_the_cup_product_on_the_loops(g):
+    """An oracle that reads neither ``classes`` nor ``offtree``: cup the
+    H^1 generators of the constant rank-1 system, from cohomology()'s
+    lift matrix, over the fundamental cycle, giving K.  With E_ai the
+    value of cocycle a on generator loop i, the cocycles are
+    sum_i E_ai alpha_i in cohomology, so K = E J E^T."""
+    x = genus_surface(g)
+    h1 = cohomology(build(x, LocalSystem.constant(x, 1)))[1]
+    cocycles = [h1.lift_matrix.column(a) for a in range(2 * g)]
+    cup = [[sum(eps * z[x.index((a, b))] * w[x.index((b, c))]
+                for eps, (a, b, c) in zip(x.orientation, x.simplices(2)))
+            for w in cocycles] for z in cocycles]
+    e = IntMatrix([[_on_path(x, z, loop) for loop in x.tree_gauge.loops]
+                   for z in cocycles])
+    assert smith_normal_form(e).diagonal == (1,) * (2 * g)
+    assert e * x.intersection_form * e.transpose() == IntMatrix(cup)
