@@ -1,13 +1,16 @@
 """Smith normal form kernel.
 
-The one hot loop in the package: full SNF with unimodular transforms
-over arbitrary-precision integers, eliminating on sparse rows.  D is
-held as ``{column: value}`` rows, with the set of rows holding a
-nonzero in each column; U, V^T, U_inv^T and V_inv are sparse rows too,
-so every operation on a transform is a row operation over one row's
-nonzeros.  Rows and columns are never swapped: each pivot records its
-(row, column), and the permutation is applied once, when the dense
-result is built.
+The one hot loop in the package: Smith normal form over
+arbitrary-precision integers, eliminating on sparse rows.  It has two
+entries that run the same pivot loop: ``smith_with_transforms`` returns
+D with its unimodular transforms, and ``invariant_factors`` returns
+only D's nonzero diagonal, for callers that read a rank or a group and
+no coordinates.  D is held as ``{column: value}`` rows, with the set of
+rows holding a nonzero in each column; U, V^T, U_inv^T and V_inv, when
+they are made, are sparse rows too, so every operation on a transform
+is a row operation over one row's nonzeros.  Rows and columns are never
+swapped: each pivot records its (row, column), and the permutation is
+applied once, when the dense result is built.
 
 Pivoting is Markowitz-style (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations",
@@ -32,36 +35,18 @@ def smith_with_transforms(a, nrows, ncols):
     not mutated.  Returns ``(u, d, v, uinv, vinv)`` as lists of list rows
     with ``u @ a @ v == d``, ``u @ uinv == I``, ``v @ vinv == I``, and
     ``d`` diagonal with nonnegative entries in a divisibility chain.
-
-    Each pivot (r, c) is cleared by Euclid's algorithm: every other row
-    of column c is reduced by row r, and while a remainder is left the
-    smallest one becomes the pivot; then row r is reduced by column c
-    the same way.  Once column c has only the pivot (r, c), reducing row
-    r changes no other entry of D.  Cleared rows and columns leave the
-    active block for good.  The diagonal is then made nonnegative, and
-    2x2 extended-gcd steps on pairs of pivots, (a, b) -> (gcd, lcm),
-    restore the divisibility chain, with the unit pivots put first.
     """
+    e = _Transforms(a, nrows, ncols)
+    return e.dense(e.diagonalize())
+
+
+def invariant_factors(a, nrows, ncols):
+    """The nonzero diagonal of ``smith_with_transforms(a, nrows, ncols)``,
+    as a list in divisibility order, from the same eliminations made on
+    D alone: no transform is allocated or updated.  ``a`` is not
+    mutated."""
     e = _Elimination(a, nrows, ncols)
-    d = e.d
-    pivots = []
-    while (c := e.sparsest_column()) is not None:
-        r, c = e.clear(c)
-        e.active.discard(c)
-        pivots.append((r, c))
-
-    for r, c in pivots:
-        if d[r][c] < 0:
-            e.negate_row(r)
-
-    # Units divide everything, so only the other pivots are paired.
-    units = [p for p in pivots if d[p[0]][p[1]] == 1]
-    rest = [p for p in pivots if d[p[0]][p[1]] != 1]
-    for i, (ri, ci) in enumerate(rest):
-        for rj, cj in rest[i + 1:]:
-            if d[rj][cj] % d[ri][ci]:
-                e.gcd_step(ri, ci, rj, cj)
-    return e.dense(units + rest)
+    return [e.d[r][c] for r, c in e.diagonalize()]
 
 
 def _axpy(dst, src, c):
@@ -78,8 +63,14 @@ def _identity(n):
     return [{i: 1} for i in range(n)]
 
 
+def _negate(row):
+    for k in row:
+        row[k] = -row[k]
+
+
 class _Elimination:
-    """D and the four transforms of one SNF, as sparse rows."""
+    """D of one SNF as sparse rows, and the operations that diagonalize
+    it.  ``_Transforms`` makes the same operations on the transforms."""
 
     def __init__(self, a, nrows, ncols):
         self.nrows, self.ncols = nrows, ncols
@@ -89,14 +80,43 @@ class _Elimination:
         for i, row in enumerate(self.d):
             for j in row:
                 self.rows_of[j].add(i)
-        self.u = _identity(nrows)
-        self.uinvt = _identity(nrows)
-        self.vt = _identity(ncols)
-        self.vinv = _identity(ncols)
         # Columns not yet holding a pivot.  A zero column stays zero: row
         # operations add rows that are zero there, and column operations
         # change only columns with a nonzero in the pivot row.
         self.active = {j for j, rows in enumerate(self.rows_of) if rows}
+
+    def diagonalize(self):
+        """Bring D to Smith form; returns its pivots (row, column) in
+        diagonal order, units first.
+
+        Each pivot (r, c) is cleared by Euclid's algorithm: every other
+        row of column c is reduced by row r, and while a remainder is
+        left the smallest one becomes the pivot; then row r is reduced
+        by column c the same way.  Once column c has only the pivot
+        (r, c), reducing row r changes no other entry of D.  Cleared rows
+        and columns leave the active block for good.  The diagonal is
+        then made nonnegative, and 2x2 extended-gcd steps on pairs of
+        pivots, (a, b) -> (gcd, lcm), restore the divisibility chain.
+        """
+        d = self.d
+        pivots = []
+        while (c := self.sparsest_column()) is not None:
+            r, c = self.clear(c)
+            self.active.discard(c)
+            pivots.append((r, c))
+
+        for r, c in pivots:
+            if d[r][c] < 0:
+                self.negate_row(r)
+
+        # Units divide everything, so only the other pivots are paired.
+        units = [p for p in pivots if d[p[0]][p[1]] == 1]
+        rest = [p for p in pivots if d[p[0]][p[1]] != 1]
+        for i, (ri, ci) in enumerate(rest):
+            for rj, cj in rest[i + 1:]:
+                if d[rj][cj] % d[ri][ci]:
+                    self.gcd_step(ri, ci, rj, cj)
+        return units + rest
 
     def sparsest_column(self):
         """The active column with the fewest nonzeros, lowest index
@@ -106,7 +126,7 @@ class _Elimination:
         return min(counts)[1] if counts else None
 
     def row_axpy(self, i, t, c):
-        """Row i += c * row t; U_inv column t -= c * column i."""
+        """Row i += c * row t."""
         di, rows_of = self.d[i], self.rows_of
         for k, x in self.d[t].items():
             y = di.get(k)
@@ -118,12 +138,10 @@ class _Elimination:
             else:
                 del di[k]
                 rows_of[k].discard(i)
-        _axpy(self.u[i], self.u[t], c)
-        _axpy(self.uinvt[t], self.uinvt[i], -c)
 
     def col_axpy_on_pivot_row(self, r, j, t, c):
         """Column j += c * column t, where row r holds column t's only
-        nonzero; V_inv row t -= c * row j."""
+        nonzero."""
         dr = self.d[r]
         y = dr.get(j, 0) + c * dr[t]
         if y:
@@ -131,8 +149,6 @@ class _Elimination:
         else:
             del dr[j]
             self.rows_of[j].discard(r)
-        _axpy(self.vt[j], self.vt[t], c)
-        _axpy(self.vinv[t], self.vinv[j], -c)
 
     def clear(self, c):
         """Clear a pivot's row and column by Euclid's algorithm, starting
@@ -159,21 +175,55 @@ class _Elimination:
             c = min(dr, key=lambda j: (abs(dr[j]), len(rows_of[j]), j))
 
     def negate_row(self, r):
-        """Row r of D and U, and column r of U_inv, negated."""
-        for row in (self.d[r], self.u[r], self.uinvt[r]):
-            for k in row:
-                row[k] = -row[k]
+        """Row r of D negated."""
+        _negate(self.d[r])
 
     def gcd_step(self, ri, ci, rj, cj):
         """diag(a, b) at pivots (ri, ci), (rj, cj) -> diag(g, a b / g)
-        for g = gcd(a, b) = s a + t b, a, b > 0: rows by
-        [[s, t], [-b/g, a/g]], columns by [[1, -t b/g], [1, s a/g]].
-        Both have determinant 1; U_inv and V_inv take their inverses."""
+        for g = gcd(a, b) = s a + t b, a, b > 0; returns
+        (s, t, a/g, b/g)."""
         d = self.d
         a, b = d[ri][ci], d[rj][cj]
         g, s, t = _xgcd(a, b)
         al, be = a // g, b // g
         d[ri][ci], d[rj][cj] = g, a * be
+        return s, t, al, be
+
+
+class _Transforms(_Elimination):
+    """D and the four transforms of one SNF, as sparse rows: U, V^T,
+    U_inv^T and V_inv, each updated by every operation on D."""
+
+    def __init__(self, a, nrows, ncols):
+        super().__init__(a, nrows, ncols)
+        self.u = _identity(nrows)
+        self.uinvt = _identity(nrows)
+        self.vt = _identity(ncols)
+        self.vinv = _identity(ncols)
+
+    def row_axpy(self, i, t, c):
+        """Row i += c * row t; U_inv column t -= c * column i."""
+        super().row_axpy(i, t, c)
+        _axpy(self.u[i], self.u[t], c)
+        _axpy(self.uinvt[t], self.uinvt[i], -c)
+
+    def col_axpy_on_pivot_row(self, r, j, t, c):
+        """Column j += c * column t, where row r holds column t's only
+        nonzero; V_inv row t -= c * row j."""
+        super().col_axpy_on_pivot_row(r, j, t, c)
+        _axpy(self.vt[j], self.vt[t], c)
+        _axpy(self.vinv[t], self.vinv[j], -c)
+
+    def negate_row(self, r):
+        """Row r of D and U, and column r of U_inv, negated."""
+        for row in (self.d[r], self.u[r], self.uinvt[r]):
+            _negate(row)
+
+    def gcd_step(self, ri, ci, rj, cj):
+        """The step on D, with rows by [[s, t], [-b/g, a/g]] and columns
+        by [[1, -t b/g], [1, s a/g]].  Both have determinant 1; U_inv and
+        V_inv take their inverses."""
+        s, t, al, be = super().gcd_step(ri, ci, rj, cj)
         _mix(self.u, ri, rj, s, t, -be, al)
         _mix(self.uinvt, ri, rj, al, be, -t, s)
         _mix(self.vt, ci, cj, 1, 1, -t * be, s * al)

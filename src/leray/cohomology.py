@@ -1,9 +1,16 @@
 """Cochain complexes of free modules, and their cohomology.
 
-A cochain complex is given by its coboundaries alone, so ``cohomology``
-serves every complex the package makes: the simplicial cochains of a
-local system (``build``), and the Koszul complex of a Z^n-action
-(``group_cohomology``).
+A cochain complex is given by its coboundaries alone, so two routines
+serve every complex the package makes, the simplicial cochains of a
+local system (``build``) and the Koszul complex of a Z^n-action
+(``group_cohomology``):
+
+* ``groups`` gives the isomorphism types alone, from the invariant
+  factors of the coboundaries, with no transforms; the ``cohomology``,
+  ``check`` and ``group-cohomology`` commands read nothing else.
+* ``cohomology`` presents each group as a ``Subquotient`` of its
+  cochains, with representatives, from the Smith decompositions of the
+  coboundaries; the spectral sequence needs them for its later pages.
 
 In ``build``, a p-cochain assigns to each p-simplex a constant section
 of the coefficient system over it; a constant section is pinned down by
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import (IntMatrix, SmithDecomposition, Subquotient,
-                          relations, smith_normal_form)
+from .exactlinalg import (FgAbGroup, IntMatrix, SmithDecomposition,
+                          Subquotient, invariant_factors, relations,
+                          smith_normal_form)
 from .local_systems import LocalSystem, require_flat
 
 CONVENTIONS = ("classical", "e1")
@@ -52,6 +60,7 @@ class CochainComplex:
             if not (after * d).is_zero():
                 raise AssertionError("differential does not square to zero")
         self._smith_forms = {}
+        self._invariant_factors = {}
 
     @property
     def dimension(self):
@@ -69,10 +78,18 @@ class CochainComplex:
 
     def smith_form(self, p) -> SmithDecomposition:
         """D_p's Smith decomposition, made on first use and kept: every
-        reader of D_p's rank, kernel or cokernel shares that one SNF."""
+        reader of D_p's kernel or cokernel presentation, and of its rank
+        on a page, shares that one SNF."""
         if p not in self._smith_forms:
             self._smith_forms[p] = smith_normal_form(self.differential(p))
         return self._smith_forms[p]
+
+    def invariant_factors(self, p):
+        """D_p's nonzero invariant factors, found on first use, by
+        elimination on D_p alone, and kept."""
+        if p not in self._invariant_factors:
+            self._invariant_factors[p] = invariant_factors(self.differential(p))
+        return self._invariant_factors[p]
 
 
 def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
@@ -124,9 +141,28 @@ def cohomology(c: CochainComplex):
     return out
 
 
+def groups(c: CochainComplex):
+    """The isomorphism types of H^0..H^dim, the quotients of
+    ``cohomology(c)``, from the invariant factors of the coboundaries.
+
+    ker D_p is a direct summand of C^p that holds im D_{p-1}, so with
+    r_p the rank of D_p, H^p = Z^(n_p - r_p - r_{p-1}) (+) Z/d over the
+    invariant factors d >= 2 of D_{p-1}."""
+    out, before = [], ()
+    for p in range(c.dimension + 1):
+        factors = c.invariant_factors(p)
+        free = c.degree_rank(p) - len(factors) - len(before)
+        if free < 0:
+            raise AssertionError("H^%d has negative free rank %d"
+                                 % (p, free))
+        out.append(FgAbGroup(free, tuple(d for d in before if d >= 2)))
+        before = factors
+    return out
+
+
 def cohomology_groups(x, system: LocalSystem, convention: str = "e1"):
     """Just the isomorphism types, H^0..H^dim."""
-    return [h.quotient for h in cohomology(build(x, system, convention))]
+    return groups(build(x, system, convention))
 
 
 @dataclass(frozen=True)
@@ -140,19 +176,17 @@ class ConventionComparison:
 
 
 def convention_compare(x, system: LocalSystem) -> ConventionComparison:
-    """Cohomology under both sign conventions, degree by degree.
+    """Cohomology groups under both sign conventions, degree by degree.
 
     D_p(e1) = (-1)^(p+1) D_p(classical), so the odd-degree coboundaries
     coincide.  Where a coboundary of the e1 complex compares equal to
-    the classical one, it takes the classical decomposition instead of
-    making its own."""
+    the classical one, it takes the classical invariant factors instead
+    of eliminating it again."""
     classical = build(x, system, "classical")
-    classical_groups = tuple(h.quotient for h in cohomology(classical))
+    classical_groups = tuple(groups(classical))
     e1 = build(x, system, "e1")
-    for p, form in classical._smith_forms.items():
+    for p, factors in classical._invariant_factors.items():
         if e1.differential(p) == classical.differential(p):
-            e1._smith_forms[p] = form
-    return ConventionComparison(
-        classical=classical_groups,
-        e1=tuple(h.quotient for h in cohomology(e1)),
-    )
+            e1._invariant_factors[p] = factors
+    return ConventionComparison(classical=classical_groups,
+                                e1=tuple(groups(e1)))

@@ -25,6 +25,7 @@ from itertools import combinations, compress
 from math import gcd
 from operator import mul
 
+from ._kernel import invariant_factors as _kernel_invariant_factors
 from ._kernel import smith_with_transforms
 
 
@@ -367,44 +368,72 @@ class SmithDecomposition:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
-    The shape of D is checked on every kernel call, in one pass over its
-    rows: diagonal, non-negative, a divisibility chain with zeros last.
+    The shape of D is checked on every kernel call: diagonal, then
+    non-negative, a divisibility chain with zeros last (``_chain``).
     A violation raises AssertionError (explicitly, so ``python -O`` keeps
     the check); ``solve`` and ``Subquotient.project`` would otherwise
     return wrong coordinates without any error.  The check also proves
     that the ``D`` rebuilt from the diagonal equals the kernel's.
 
-    A matrix without entries never reaches the kernel: its transforms
-    are the identities the kernel would return, so H^0's relations and
-    the cokernel of a map from 0 cost no SNF.
+    A zero matrix, and so one without entries, never reaches the kernel:
+    its transforms are the identities the kernel would return, so H^0's
+    relations, the cokernel of a map from 0 and a zero coboundary cost
+    no SNF.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
     r, c = a.shape
-    if not r * c:
+    if a.is_zero():
         u, v = IntMatrix.identity(r), IntMatrix.identity(c)
         return SmithDecomposition(U=u, V=v, diagonal=(), U_inv=u, V_inv=v)
     u, d, v, uinv, vinv = smith_with_transforms(a.rows(), r, c)
-    diag = []
     for i, row in enumerate(d):
         x = row[i] if i < c else 0
         if row.count(0) != c - (x != 0):
             raise AssertionError("SNF postcondition: D is not diagonal "
                                  "in row %d" % i)
-        if x:
-            if x < 0 or len(diag) < i or (diag and x % diag[-1]):
-                raise AssertionError(
-                    "SNF postcondition: D[%d][%d] = %d breaks the "
-                    "non-negative divisibility chain" % (i, i, x))
-            diag.append(x)
+    diag = [d[i][i] for i in range(min(r, c))]
+    while diag and not diag[-1]:
+        diag.pop()
     return SmithDecomposition(
         U=IntMatrix._trusted(u, r, r),
         V=IntMatrix._trusted(v, c, c),
-        diagonal=tuple(diag),
+        diagonal=_chain(diag, min(r, c)),
         U_inv=IntMatrix._trusted(uinv, r, r),
         V_inv=IntMatrix._trusted(vinv, c, c),
     )
+
+
+def invariant_factors(a: IntMatrix) -> tuple:
+    """The nonzero invariant factors d_1 | d_2 | ... of A, which are
+    ``smith_normal_form(a).diagonal``, from the kernel's eliminations on
+    A alone: no transform is made.  Their count is the rank of A, and
+    those >= 2 are the torsion of coker A.
+
+    The result of every kernel call is checked as ``smith_normal_form``
+    checks D's diagonal, and a zero matrix never reaches the kernel.
+
+    >>> invariant_factors(IntMatrix([[2, 4], [6, 8]]))
+    (2, 4)
+    """
+    if a.is_zero():
+        return ()
+    r, c = a.shape
+    return _chain(_kernel_invariant_factors(a.rows(), r, c), min(r, c))
+
+
+def _chain(diag, limit):
+    """``diag`` as a tuple, once checked to be the nonzero diagonal of
+    a Smith form with at most ``limit`` entries: positive, each dividing
+    the next.  A violation raises AssertionError, explicitly, so
+    ``python -O`` keeps the check."""
+    for i, x in enumerate(diag):
+        if x < 1 or i >= limit or (i and x % diag[i - 1]):
+            raise AssertionError(
+                "SNF postcondition: D[%d][%d] = %d breaks the "
+                "non-negative divisibility chain" % (i, i, x))
+    return tuple(diag)
 
 
 def kernel(a: IntMatrix) -> IntMatrix:

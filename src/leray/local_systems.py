@@ -171,8 +171,8 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     Tree edges carry the identity, so the holonomy equals the given
     matrices exactly, with no basepoint conjugation; an off-tree edge of
     class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
-    backwards.  The holonomy is certified here, and flatness by
-    ``cohomology.build``.
+    backwards, each power made once per call.  The holonomy is certified
+    here, and flatness by ``cohomology.build``.
     """
     mats = list(mats)
     if fiber_rank is None:
@@ -185,13 +185,17 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
                          % (len(gauge.loops), len(mats)))
     inverses = action_inverses(mats, fiber_rank)
 
+    exponents = {(i, e) for cls in gauge.classes for i, c in enumerate(cls)
+                 if c for e in (c, -c)}
+    powers = {(i, e): (mats[i] if e > 0 else inverses[i]).power(abs(e))
+              for i, e in exponents}
     system = LocalSystem.constant(base, fiber_rank)
     for (u, v), cls in zip(gauge.offtree, gauge.classes):
         forward = backward = system.transport(u, v)
-        for m, m_inv, c in zip(mats, inverses, cls):
+        for i, c in enumerate(cls):
             if c:
-                forward = forward * (m if c > 0 else m_inv).power(abs(c))
-                backward = backward * (m_inv if c > 0 else m).power(abs(c))
+                forward = forward * powers[i, c]
+                backward = backward * powers[i, -c]
         system._table[(u, v)], system._table[(v, u)] = forward, backward
     for loop, m in zip(gauge.loops, mats):
         if transport_along(system, loop) != m:

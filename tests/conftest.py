@@ -18,11 +18,21 @@ def pytest_runtest_logreport(report):
 
 
 class KernelCalls(list):
-    """The SNF kernel's calls, one ``(nrows, ncols, rows)`` each, with
-    ``rows`` a tuple of row tuples.  After ``refuse()`` every further
-    call raises AssertionError instead of reaching the kernel."""
+    """The SNF kernel's calls through either entry, one
+    ``(nrows, ncols, rows)`` each, with ``rows`` a tuple of row tuples.
+    ``transformed`` lists the calls of ``smith_with_transforms`` alone,
+    the rest went to ``invariant_factors``.  After ``refuse()`` every
+    further call raises AssertionError instead of reaching the kernel."""
 
     refusing = False
+
+    def __init__(self):
+        super().__init__()
+        self.transformed = []
+
+    def clear(self):
+        super().clear()
+        self.transformed.clear()
 
     def refuse(self):
         self.refusing = True
@@ -30,15 +40,22 @@ class KernelCalls(list):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Route ``exactlinalg``'s SNF kernel through a recorder for the
-    rest of the test; returns its ``KernelCalls``."""
+    """Route both of ``exactlinalg``'s SNF kernel entries through a
+    recorder for the rest of the test; returns its ``KernelCalls``."""
     calls = KernelCalls()
-    kernel = exactlinalg.smith_with_transforms
 
-    def recording(a, nrows, ncols):
-        if calls.refusing:
-            raise AssertionError("SNF kernel called")
-        calls.append((nrows, ncols, tuple(map(tuple, a))))
-        return kernel(a, nrows, ncols)
-    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recording)
+    def recorder(kernel, transformed):
+        def recording(a, nrows, ncols):
+            if calls.refusing:
+                raise AssertionError("SNF kernel called")
+            call = (nrows, ncols, tuple(map(tuple, a)))
+            calls.append(call)
+            if transformed:
+                calls.transformed.append(call)
+            return kernel(a, nrows, ncols)
+        return recording
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", recorder(
+        exactlinalg.smith_with_transforms, True))
+    monkeypatch.setattr(exactlinalg, "_kernel_invariant_factors", recorder(
+        exactlinalg._kernel_invariant_factors, False))
     return calls

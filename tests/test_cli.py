@@ -433,6 +433,45 @@ def test_warm_genus8_ncp_job_decomposes_only_cell_sized_matrices(
     assert max(max(nrows, ncols) for nrows, ncols, _ in inputs) <= 32
 
 
+@pytest.mark.parametrize("base, loops", [("torus2", 2), ("genus(8)", 16)])
+def test_warm_ncp_job_sends_the_kernel_no_zero_matrix(
+        kernel_calls, capsys, tmp_path, base, loops):
+    """The odd complex's coboundaries are zero, and so is a block of
+    relations; a zero map's Smith form is known without elimination."""
+    doc = {"bundle": {"base": base, "windings": [2, 4] + [0] * (loops - 2),
+                      "chern": [1, 0]}}
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", doc)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      "ncp", doc)
+    assert code == 0
+    assert inputs
+    assert all(any(map(any, rows)) for _, _, rows in inputs)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cohomology", {"complex": "torus2",
+                    "system": {"rank": 2, "monodromy": _MONO}}),
+    ("cohomology", {"complex": "genus(2)",
+                    "system": {"rank": 2, "monodromy": _MONO * 2}}),
+    ("check", {"complex": "torus2",
+               "system": {"rank": 2, "monodromy": _MONO}}),
+    ("group-cohomology", {"system": {"rank": 2, "monodromy": _MONO}}),
+])
+def test_groups_only_jobs_transform_no_coboundary(kernel_calls, capsys,
+                                                  tmp_path, command, doc):
+    """cohomology, check and group-cohomology report isomorphism types
+    alone: a warm job eliminates its coboundaries on D alone, and asks
+    for transforms only to invert the monodromy matrices it validates."""
+    _run_in_process(kernel_calls, capsys, tmp_path, command, doc)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      command, doc)
+    assert code == 0
+    assert len(inputs) > len(kernel_calls.transformed)
+    monodromy = {_kernel_input(IntMatrix(m))
+                 for m in doc["system"]["monodromy"]}
+    assert set(kernel_calls.transformed) <= monodromy
+
+
 def test_ncp_on_genus30_runs(tmp_path):
     """The ncp cap counts the one triangulation matrix a job decomposes,
     the rank-1 boundary behind the tree gauge, so genus(30) is admitted

@@ -132,6 +132,42 @@ def test_snf_sparse_against_sympy(a):
         _kernel.smith_with_transforms(copy, a.nrows, a.ncols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices, permuted_diagonals(), sparse_matrices()))
+@example(IntMatrix.zeros(0, 4))
+@example(IntMatrix.zeros(4, 0))
+@example(IntMatrix.zeros(3, 5))
+@example(IntMatrix([[10 ** 20, 0, 6], [0, -(10 ** 20), 0], [4, 0, 0]]))
+def test_invariant_factors_are_the_smith_diagonal(a):
+    """The diagonal-only kernel entry eliminates as the transform entry
+    does, so it gives the same diagonal."""
+    assert exactlinalg.invariant_factors(a) == smith_normal_form(a).diagonal
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_matrices())
+def test_invariant_factors_against_sympy(a):
+    theirs = sympy_snf(Matrix(a.nrows, a.ncols, list(a.entries)), domain=ZZ)
+    expected = [abs(theirs[i, i]) for i in range(min(a.nrows, a.ncols))]
+    assert list(exactlinalg.invariant_factors(a)) == [x for x in expected if x]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5),
+                                   (5, 2), (4, 4)])
+def test_zero_matrix_skips_the_kernel(kernel_calls, shape):
+    """A zero matrix gets, with no elimination, what the kernel returns
+    for it: identity transforms and an empty diagonal."""
+    r, c = shape
+    a = IntMatrix.zeros(r, c)
+    u, d, v, uinv, vinv = _kernel.smith_with_transforms(a.rows(), r, c)
+    kernel_calls.refuse()
+    dec = smith_normal_form(a)
+    assert dec.U == IntMatrix(u, shape=(r, r)) == dec.U_inv
+    assert dec.V == IntMatrix(v, shape=(c, c)) == dec.V_inv
+    assert dec.D == IntMatrix(d, shape=(r, c))
+    assert dec.diagonal == exactlinalg.invariant_factors(a) == ()
+
+
 def test_snf_repair_stays_in_its_block():
     # Repairing d_0 = 6, d_1 = 6, d_2 = 9 must not pull the later 6 into
     # position 1: that once left D[1][2] = 6, and solve() then returned
@@ -158,11 +194,23 @@ def test_snf_postcondition_catches_bad_kernel_output(monkeypatch, d):
         smith_normal_form(IntMatrix.identity(2))
 
 
+@pytest.mark.parametrize("diag", [[2, 3], [-2, 4], [0, 2], [1, 1, 1]],
+                         ids=["non-dividing", "negative", "zero",
+                              "longer-than-the-shape"])
+def test_invariant_factors_postcondition_catches_bad_kernel_output(
+        monkeypatch, diag):
+    monkeypatch.setattr(exactlinalg, "_kernel_invariant_factors",
+                        lambda a, nrows, ncols: list(diag))
+    with pytest.raises(AssertionError, match="SNF postcondition"):
+        exactlinalg.invariant_factors(IntMatrix.identity(2))
+
+
 def test_input_not_mutated():
     a = [[2, 4], [6, 8]]
     snapshot = [row[:] for row in a]
-    _kernel.smith_with_transforms(a, 2, 2)
-    assert a == snapshot
+    for entry in (_kernel.smith_with_transforms, _kernel.invariant_factors):
+        entry(a, 2, 2)
+        assert a == snapshot
 
 
 def test_snf_golden_examples():

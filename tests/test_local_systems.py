@@ -223,3 +223,22 @@ def test_monodromy_systems_share_the_gauge_of_their_base(kernel_calls):
     # the two prescribed matrices, inverted as they are checked; no
     # transport and no gauge matrix
     assert [(r, c) for r, c, _ in kernel_calls] == [(2, 2), (2, 2)]
+
+
+def test_from_monodromy_makes_each_power_once(monkeypatch):
+    """Each m_i^(+-c) an off-tree class needs is made once per call and
+    shared by every edge of that class coordinate."""
+    x = genus_surface(2)
+    classes = x.tree_gauge.classes
+    needed = {(i, e) for cls in classes for i, c in enumerate(cls) if c
+              for e in (c, -c)}
+    assert len(needed) < 2 * sum(1 for cls in classes for c in cls if c)
+    made = []
+    power = IntMatrix.power
+
+    def counting(m, n):
+        made.append(n)
+        return power(m, n)
+    monkeypatch.setattr(IntMatrix, "power", counting)
+    from_monodromy(x, [K2, K4, K2, K4])
+    assert len(made) == len(needed)
