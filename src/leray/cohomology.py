@@ -10,7 +10,8 @@ local system (``build``) and the Koszul complex of a Z^n-action
   ``check`` and ``group-cohomology`` commands read nothing else.
 * ``cohomology`` presents each group as a ``Subquotient`` of its
   cochains, with representatives, from the Smith decompositions of the
-  coboundaries; the spectral sequence needs them for its later pages.
+  coboundaries; the spectral sequence makes them for a page's entries
+  only when a differential reads their representatives.
 
 In ``build``, a p-cochain assigns to each p-simplex a constant section
 of the coefficient system over it; a constant section is pinned down by
@@ -78,17 +79,21 @@ class CochainComplex:
 
     def smith_form(self, p) -> SmithDecomposition:
         """D_p's Smith decomposition, made on first use and kept: every
-        reader of D_p's kernel or cokernel presentation, and of its rank
-        on a page, shares that one SNF."""
+        reader of D_p's kernel or cokernel presentation shares that one
+        SNF, and ``invariant_factors`` reads its diagonal."""
         if p not in self._smith_forms:
             self._smith_forms[p] = smith_normal_form(self.differential(p))
         return self._smith_forms[p]
 
     def invariant_factors(self, p):
-        """D_p's nonzero invariant factors, found on first use, by
-        elimination on D_p alone, and kept."""
+        """D_p's nonzero invariant factors, found on first use and kept:
+        the diagonal of D_p's Smith form when that is already made, else
+        by elimination on D_p alone."""
         if p not in self._invariant_factors:
-            self._invariant_factors[p] = invariant_factors(self.differential(p))
+            made = self._smith_forms.get(p)
+            self._invariant_factors[p] = (
+                made.diagonal if made is not None
+                else invariant_factors(self.differential(p)))
         return self._invariant_factors[p]
 
 
@@ -113,13 +118,13 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                         sign = (-1) ** l
                     else:
                         sign = (-1) ** (p + 1 - l)
-                    t = system.transport(tau[0], sigma[0])
+                    t = system.transport(tau[0], sigma[0]).rows()
                     ti = x.index(tau)
-                    for a in range(m):
-                        for b in range(m):
-                            v = t[a, b]
+                    for a, t_row in enumerate(t):
+                        row = entries[j * m + a]
+                        for b, v in enumerate(t_row, ti * m):
                             if v:
-                                entries[j * m + a][ti * m + b] += sign * v
+                                row[b] += sign * v
         diffs.append(IntMatrix._trusted(entries, rows, cols))
     return CochainComplex(diffs)
 

@@ -228,7 +228,7 @@ class IntMatrix:
             self._nrows, len(indices))
 
     def is_zero(self):
-        return all(x == 0 for row in self._data for x in row)
+        return not any(map(any, self._data))
 
     def is_identity(self):
         return (self._nrows == self._ncols
@@ -237,13 +237,49 @@ class IntMatrix:
                         for j in range(self._ncols)))
 
     def inverse_unimodular(self):
-        """Exact inverse of a unimodular matrix."""
-        dec = smith_normal_form(self)
-        if self._nrows != self._ncols or len(dec.diagonal) != self._nrows \
-                or any(d != 1 for d in dec.diagonal):
+        """Exact inverse of a unimodular matrix, by fraction-free
+        Gauss-Jordan elimination on [A | I] (Bareiss, Math. Comp. 22,
+        1968), with no SNF.
+
+        Step k takes the first nonzero entry at or below the diagonal of
+        column k as the pivot a, in row r, and replaces every other row
+        x by (a x - x_k r) / a', with x_k the entry of x in column k and
+        a' the pivot before (1 at first).  Every entry is then a minor
+        of [A | I], so the division is exact.  The row
+        operations T bring A to d I, d = +-det A the last pivot, so the
+        right block is T = d A^-1, and A is unimodular exactly when
+        d = +-1.  The result is checked by A A^-1 = I, explicitly, so
+        ``python -O`` keeps the check.
+
+        >>> IntMatrix([[2, 1], [1, 1]]).inverse_unimodular()
+        IntMatrix([[1, -1], [-1, 2]])
+        """
+        n = self._nrows
+        if n != self._ncols:
             raise ValueError("matrix is not unimodular")
-        # U A V = I  =>  A^{-1} = V U
-        return dec.V * dec.U
+        rows = [[*row, *(int(i == j) for j in range(n))]
+                for i, row in enumerate(self._data)]
+        last = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if rows[i][k]), None)
+            if p is None:
+                raise ValueError("matrix is not unimodular")
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            a = pivot_row[k]
+            for i, row in enumerate(rows):
+                c = row[k]
+                if i != k and (c or a != last):
+                    rows[i] = [(a * x - c * y) // last
+                               for x, y in zip(row, pivot_row)]
+            last = a
+        if last not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        inverse = IntMatrix._trusted([[last * x for x in row[n:]]
+                                      for row in rows], n, n)
+        if not (self * inverse).is_identity():
+            raise AssertionError("inverse_unimodular: A A^-1 is not I")
+        return inverse
 
     def power(self, n):
         """Integer power; negative exponents via the unimodular inverse."""

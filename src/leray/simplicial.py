@@ -17,7 +17,7 @@ import re
 from functools import cache, cached_property
 from itertools import combinations
 
-from .exactlinalg import IntMatrix, cokernel
+from .exactlinalg import IntMatrix, cokernel, invariant_factors
 
 
 # Most faces a complex may enumerate: its vertices plus the nonempty
@@ -122,7 +122,8 @@ class SimplicialComplex:
         on each off-tree edge and 0 on tree edges; it is a cocycle
         because every triangle boundary is null-homologous.  Poincare
         duality makes J skew-symmetric and unimodular, which is checked
-        here (one SNF); a failure raises.
+        here: its invariant factors, found with no transforms, must be n
+        ones.  A failure raises.
         """
         gauge = self.tree_gauge
         n = len(gauge.loops)
@@ -134,7 +135,7 @@ class SimplicialComplex:
                 for j, y in alpha.get((b, c), ()):
                     form[i][j] += eps * x * y
         j = IntMatrix._trusted(form, n, n)
-        if j.transpose() != -j or not cokernel(j).quotient.is_trivial():
+        if j.transpose() != -j or invariant_factors(j) != (1,) * n:
             raise ValueError("intersection form is not skew-symmetric "
                              "and unimodular")
         return j

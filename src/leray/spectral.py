@@ -14,14 +14,20 @@ on any cell structure of the base: cohomology does not depend on it.
 bundle of local systems; ``ncp_bundles`` hands ``first_page`` the
 complexes of the one-vertex cell structure of a surface.  The first
 page is the cell-by-cell cochain module with the e1-convention
-differential; the second is E2^{p,q} = H^p(X; K_{p+q}), from
-``cohomology``.  Later pages are entrywise homology, computed on
-representatives so that later differentials can still be evaluated on
-actual cochains: every entry of every page stays presented inside the
-same ambient cochain module.  An entry that no nonzero differential
-enters or leaves is its own homology, E_{r+1} = E_r there, so the turn
-carries the same Subquotient object over; only entries a nonzero
-differential touches are rebuilt.
+differential; the second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups
+come from the invariant factors of the coboundaries
+(``cohomology.groups``), with no transforms; its entries, presented
+with representatives by ``cohomology``, are made for one parity at a
+time, the first time an entry of that parity is read, and certified
+against those groups.  A page that only reports groups and ranks, as
+the ``spectral`` command's do, makes no presentation at all.  Later
+pages are entrywise homology, computed on representatives so that
+later differentials can still be evaluated on actual cochains: every
+entry of every page stays presented inside the same ambient cochain
+module.  An entry that no nonzero differential enters or leaves is its
+own homology, E_{r+1} = E_r there, so the turn takes it over from the
+page before, the same object, made when first read; only entries a
+nonzero differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
 alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
@@ -34,12 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import build, cohomology
+from .cohomology import build, cohomology, groups
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
     Subquotient,
     element_order,
+    invariant_factors,
     preimage_lattice,
     relations,
     smith_normal_form,
@@ -54,20 +61,28 @@ class PageError(ValueError):
 class SpectralPage:
     """One page: entries and differentials on the (p, q mod 2) cylinder.
 
-    ``entries[(p, q)]`` is a Subquotient of the ambient cochain module;
-    ``differentials[(p, q)]``, when present, is an integer matrix from
-    the canonical generators of the entry to the canonical coordinates
-    of the entry at (p + r, (q - 1) % 2).  A page never changes once
-    made; E1's differentials are certified by ``CochainComplex``.
-    ``complexes`` maps each coefficient parity to the cochain complex
-    whose modules hold the entries; the page's dimension is theirs.
+    ``entry(p, q)`` is a Subquotient of the ambient cochain module and
+    ``group(p, q)`` its quotient; ``differentials[(p, q)]``, when
+    present, is an integer matrix from the canonical generators of the
+    entry to the canonical coordinates of the entry at
+    (p + r, (q - 1) % 2).  A page never changes once made; E1's
+    differentials are certified by ``CochainComplex``.  ``complexes``
+    maps each coefficient parity to the cochain complex whose modules
+    hold the entries; the page's dimension is theirs.
+
+    ``entries`` are the entries made with the page.  Any other entry or
+    group is read from ``source``, an object with the same ``entry`` and
+    ``group`` methods: the page before, or E2's cohomology.  Every entry
+    and group read is kept.
     """
 
-    def __init__(self, r, complexes, entries, differentials):
+    def __init__(self, r, complexes, entries, differentials, source=None):
         self.r = r
         self.complexes = complexes
-        self.entries = dict(entries)
+        self._entries = dict(entries)
+        self._groups = {}
         self.differentials = dict(differentials)
+        self._source = source
 
     @property
     def dimension(self):
@@ -77,12 +92,22 @@ class SpectralPage:
         return [(p, q) for p in range(self.dimension + 1) for q in (0, 1)]
 
     def entry(self, p, q):
-        return self.entries[(p, q % 2)]
+        key = (p, q % 2)
+        if key not in self._entries:
+            if not 0 <= p <= self.dimension:
+                raise KeyError(key)
+            self._entries[key] = self._source.entry(*key)
+        return self._entries[key]
 
     def group(self, p, q) -> FgAbGroup:
-        if not 0 <= p <= self.dimension:
-            return FgAbGroup(0, ())
-        return self.entry(p, q).quotient
+        key = (p, q % 2)
+        if key not in self._groups:
+            if not 0 <= p <= self.dimension:
+                return FgAbGroup(0, ())
+            self._groups[key] = (
+                self._entries[key].quotient if key in self._entries
+                else self._source.group(*key))
+        return self._groups[key]
 
     def coefficient_parity(self, p, q):
         return (p + q) % 2
@@ -93,22 +118,25 @@ class SpectralPage:
     def with_differentials(self, differentials) -> "SpectralPage":
         """This page with ``differentials``, checked well-defined and
         squaring to zero on classes."""
-        page = SpectralPage(self.r, self.complexes, self.entries,
-                            differentials)
+        page = SpectralPage(self.r, self.complexes, {}, differentials,
+                            source=self)
         _validate_differentials(page)
         return page
 
     def table_rows(self):
-        """(r, p, q, group, outgoing differential rank) per entry; E1's
-        ranks are those of the coboundaries its complexes decompose."""
+        """(r, p, q, group, outgoing differential rank) per entry, the
+        ranks counted by invariant factors; E1's are those of the
+        coboundaries, which their complexes keep for E2's groups."""
         rows = []
         for (p, q) in self.keys():
             d = self.differentials.get((p, q))
-            if d is not None:
-                d = (self.complexes[(p + q) % 2].smith_form(p) if self.r == 1
-                     else smith_normal_form(d))
-            rows.append((self.r, p, q, self.group(p, q).render(),
-                         d.rank if d is not None else 0))
+            if d is None:
+                rank = 0
+            elif self.r == 1:
+                rank = len(self.complexes[(p + q) % 2].invariant_factors(p))
+            else:
+                rank = len(invariant_factors(d))
+            rows.append((self.r, p, q, self.group(p, q).render(), rank))
         return rows
 
     def __repr__(self):
@@ -217,21 +245,21 @@ def _turn(page: SpectralPage) -> SpectralPage:
     as its predecessor: new cycles are the preimage of zero under the
     outgoing map, new boundaries extend the old ones by lifted images of
     the incoming map.  Where both maps are zero (or absent) the cycles
-    are all of the entry and the boundaries add nothing, so the entry is
-    carried over as the same object; where only the outgoing one is,
-    the cycles keep their decomposition.  A nonzero differential cannot
-    leave the window: the first page stores none there, and
-    ``with_differentials`` rejects one.
+    are all of the entry and the boundaries add nothing, so the new page
+    takes the entry and its group from this one, the same objects, and
+    nothing is made for it, here or later; where only the outgoing map
+    is zero, the cycles keep their decomposition.  A nonzero
+    differential cannot leave the window: the first page stores none
+    there, and ``with_differentials`` rejects one.
     """
     live = {key for key, mat in page.differentials.items()
             if not mat.is_zero()}
     new_entries = {}
     for (p, q) in page.keys():
-        entry = page.entry(p, q)
         incoming = (p - page.r, (q + 1) % 2)
         if (p, q) not in live and incoming not in live:
-            new_entries[(p, q)] = entry
             continue
+        entry = page.entry(p, q)
         cycles = entry._cycles
         if (p, q) in live:
             # The canonical coordinates of the cycle basis: see
@@ -247,30 +275,62 @@ def _turn(page: SpectralPage) -> SpectralPage:
                 entry.lift_matrix * page.differentials[incoming])
         new_entries[(p, q)] = Subquotient(cycles,
                                           relations(cycles, boundaries))
-    return SpectralPage(page.r + 1, page.complexes, new_entries, {})
+    return SpectralPage(page.r + 1, page.complexes, new_entries, {},
+                        source=page)
+
+
+class _Cohomology:
+    """The entries of E2, H^p(X; K_s) at (p, (s - p) mod 2), for the
+    cochain complexes ``{s: K_s cochains}``.
+
+    The groups of parity s are ``groups`` of its complex, from the
+    invariant factors of the coboundaries.  Its presentations are
+    ``cohomology`` of the complex, made the first time an entry of
+    parity s is read; each quotient must equal the group the invariant
+    factors give, or PageError is raised.  The complex keeps the Smith
+    forms ``cohomology`` makes, and ``groups`` reads their diagonals, so
+    presenting a parity before its groups are read eliminates each
+    coboundary once.
+    """
+
+    def __init__(self, complexes):
+        self.complexes = complexes
+        self._groups = {}
+        self._entries = {}
+
+    def group(self, p, q):
+        s = (p + q) % 2
+        if s not in self._groups:
+            self._groups[s] = groups(self.complexes[s])
+        return self._groups[s][p]
+
+    def entry(self, p, q):
+        s = (p + q) % 2
+        if s not in self._entries:
+            hs = cohomology(self.complexes[s])
+            for i, h in enumerate(hs):
+                if h.quotient != self.group(i, s - i):
+                    raise PageError(
+                        "E2 entry H^%d of parity %d presents %s, where the "
+                        "invariant factors give %s"
+                        % (i, s, h.quotient.render(),
+                           self.group(i, s - i).render()))
+            self._entries[s] = hs
+        return self._entries[s][p]
 
 
 def e2_page(page1: SpectralPage) -> SpectralPage:
-    """Second page: entry (p, (s - p) mod 2) is H^p(X; K_s), certified
-    by sum_p (-1)^p rank H^p = sum_p (-1)^p rank C^p, the Euler
-    characteristic of the complex itself (chi(X) rank K_s on a
-    simplicial base), which fails if the rank of a coboundary's SNF and
-    that of its image's coordinates differ."""
+    """Second page: entry (p, (s - p) mod 2) is H^p(X; K_s).
+
+    Nothing is computed here.  The groups come from the invariant
+    factors of the coboundaries of each parity's complex, with no
+    transforms.  The entries of a parity, presented with
+    representatives, are made the first time one of them is read, and
+    certified against those groups (see ``_Cohomology``)."""
     if page1.r != 1:
         raise PageError("e2_page expects a first page")
-    entries = {}
-    for parity, c in page1.complexes.items():
-        hs = cohomology(c)
-        euler = sum((-1) ** p * h.quotient.free_rank for p, h in enumerate(hs))
-        expected = sum((-1) ** p * c.degree_rank(p)
-                       for p in range(c.dimension + 1))
-        if euler != expected:
-            raise PageError("E2 Euler characteristic %d of parity %d is "
-                            "not that of its cochains, %d"
-                            % (euler, parity, expected))
-        for p, h in enumerate(hs):
-            entries[(p, (parity - p) % 2)] = h
-    return SpectralPage(2, page1.complexes, entries, {})
+    return SpectralPage(2, page1.complexes, {}, {},
+                        source=_Cohomology(page1.complexes))
 
 
 def attach_d2(page2: SpectralPage) -> SpectralPage:

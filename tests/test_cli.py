@@ -9,8 +9,8 @@ from collections import Counter
 
 import pytest
 
-from leray import cli, cohomology, ncp_bundles, simplicial
-from leray.exactlinalg import IntMatrix, kernel
+from leray import cli, cohomology, ncp_bundles, simplicial, spectral
+from leray.exactlinalg import FgAbGroup, IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
 from test_simplicial import _RP2
@@ -470,6 +470,52 @@ def test_groups_only_jobs_transform_no_coboundary(kernel_calls, capsys,
     monodromy = {_kernel_input(IntMatrix(m))
                  for m in doc["system"]["monodromy"]}
     assert set(kernel_calls.transformed) <= monodromy
+
+
+def test_spectral_job_transforms_no_coboundary(kernel_calls, capsys,
+                                               tmp_path):
+    """spectral reports groups and ranks alone, so its pages present no
+    entry: a warm job sends each nonzero coboundary of its two complexes
+    to the kernel once, by invariant factors, and none for transforms."""
+    doc = {"complex": "torus2",
+           "system": {"even": {"rank": 2, "monodromy": _MONO},
+                      "odd": _CONSTANT}}
+    _run_in_process(kernel_calls, capsys, tmp_path, "spectral", doc)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      "spectral", doc)
+    assert code == 0
+    x = cli.parse_complex("torus2")
+    coboundaries = {_kernel_input(d)
+                    for system in doc["system"].values()
+                    for d in cohomology.build(
+                        x, cli.parse_system(system, x)).differentials
+                    if not d.is_zero()}
+    assert len(coboundaries) == 4  # delta_0 and delta_1 of each parity
+    seen = Counter(inputs)
+    for d in coboundaries:
+        assert seen[d] == 1
+    assert not coboundaries & set(kernel_calls.transformed)
+
+
+def test_ncp_job_exits_1_when_the_e2_groups_lose_torsion(monkeypatch, capsys,
+                                                        tmp_path):
+    """The E2 cross-check can fail.  With the invariant-factor groups
+    stripped of their torsion, as the page module reads them, an ncp
+    job with k = 2 exits 1 when d2_spec first reads an even entry: on
+    torus2 the first with torsion is H^1 = Z^2 (+) Z/2."""
+    real = spectral.groups
+
+    def torsion_free(c):
+        return [FgAbGroup(g.free_rank, ()) for g in real(c)]
+    monkeypatch.setattr(spectral, "groups", torsion_free)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_NCP_TORUS))
+    capsys.readouterr()
+    assert cli.main(["ncp", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("computation error: E2 entry H^1 of parity 0 presents "
+                   "Z^2 (+) Z/2, where the invariant factors give Z^2\n")
 
 
 def test_ncp_on_genus30_runs(tmp_path):

@@ -223,7 +223,7 @@ def test_groups_refuse_a_negative_free_rank():
     ident = IntMatrix.identity(2)
     c = object.__new__(CochainComplex)
     c.differentials = (ident, ident, IntMatrix.zeros(0, 2))
-    c._invariant_factors = {}
+    c._smith_forms, c._invariant_factors = {}, {}
     with pytest.raises(AssertionError, match="negative free rank"):
         groups(c)
 

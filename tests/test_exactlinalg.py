@@ -628,6 +628,32 @@ def test_unimodular_inverse():
         IntMatrix([[1, 2, 3]]).inverse_unimodular()
 
 
+def test_unimodular_inverse_is_the_smith_inverse(kernel_calls):
+    """Fraction-free elimination gives V U from the SNF U A V = I, on
+    seeded unimodular matrices of sizes 0 to 8, without calling the SNF
+    kernel."""
+    rng = random.Random(21)
+    cases = [random_unimodular(rng, n, steps=rng.randint(0, 40))
+             for n in range(9) for _ in range(20)]
+    kernel_calls.refuse()
+    inverses = [u.inverse_unimodular() for u in cases]
+    kernel_calls.refusing = False
+    for u, inv in zip(cases, inverses):
+        dec = smith_normal_form(u)
+        assert inv == dec.V * dec.U, u
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 1]], [[0, 1], [2, 0]], [[1, 1], [-1, 1]],
+    [[0, 1, 0], [2, 0, 0], [0, 0, -1]],
+    [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]],
+    [[1, 2, 3]], [[1], [0]]])
+def test_unimodular_inverse_rejects(rows):
+    """det = +-2, singular and non-square matrices are not unimodular."""
+    with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+        IntMatrix(rows).inverse_unimodular()
+
+
 def test_preimage_lattice_shape_mismatch():
     with pytest.raises(ValueError, match="codomain"):
         preimage_lattice(IntMatrix([[1, 0]]), IntMatrix([[1], [0]]))

@@ -239,7 +239,7 @@ def test_e3_rebuilds_only_the_entries_d2_touches():
     d2 = d2_spec(spec, page2)
     page3 = attach_d2(page2.with_differentials(d2.page_differentials))
     rebuilt = {key for key in page2.keys()
-               if page3.entries[key] is not page2.entries[key]}
+               if page3.entry(*key) is not page2.entry(*key)}
     assert rebuilt == {(0, 1), (2, 0)}
 
 

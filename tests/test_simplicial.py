@@ -267,6 +267,17 @@ def test_intersection_form_is_kept_and_built_lazily(kernel_calls):
     assert x.intersection_form is form
 
 
+def test_intersection_form_certificate_makes_no_transforms(kernel_calls):
+    """Unimodularity of J is read off its invariant factors: one kernel
+    call, on J, with no transforms."""
+    x = builtin("genus(3)")
+    x.tree_gauge
+    kernel_calls.clear()
+    form = x.intersection_form
+    assert kernel_calls == [(6, 6, form.rows())]
+    assert kernel_calls.transformed == []
+
+
 def _on_path(x, cochain, path):
     """A 1-cochain on the sorted edges, summed along a vertex path."""
     return sum(cochain[x.index((min(u, v), max(u, v)))] * (1 if u < v else -1)

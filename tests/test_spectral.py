@@ -240,6 +240,12 @@ def test_page_dump_shapes():
     assert len(d["entries"]) == 4
     assert all(set(e) >= {"p", "q", "group", "differential_rank"}
                for e in d["entries"])
+    # outside the window an entry is trivial as a group and absent as a
+    # presentation, on E2 as on every page
+    for p in (-1, 2):
+        assert page.group(p, 0) == FgAbGroup(0, ())
+        with pytest.raises(KeyError):
+            page.entry(p, 0)
 
 
 def _twisted_torus_bundle():
@@ -258,14 +264,19 @@ def test_e1_page_makes_no_smith_decomposition(kernel_calls):
 
 
 def test_zero_differential_turns_carry_entries_over(kernel_calls):
+    """A turn with no nonzero differential makes nothing, not even E2's
+    groups: the next page reads every group and entry from E2, the same
+    objects."""
     x = torus2()
     page2 = e2_page(e1_page(x, constant_bundle(x, 2, 1)))
-    kernel_calls.clear()
-    for page3 in (stabilize(page2), attach_d2(page2)):
+    kernel_calls.refuse()
+    pages3 = (stabilize(page2), attach_d2(page2))
+    kernel_calls.refusing = False
+    for page3 in pages3:
         assert page3.r == 3
         for key in page2.keys():
-            assert page3.entries[key] is page2.entries[key]
-    assert kernel_calls == []
+            assert page3.group(*key) is page2.group(*key)
+            assert page3.entry(*key) is page2.entry(*key)
 
 
 def test_d2_turn_keeps_the_e2_cycle_decomposition():
@@ -322,7 +333,7 @@ def test_e2_equals_the_e1_page_turn():
             turned = _turn(page1)
             assert page2.r == turned.r == 2
             for key in page2.keys():
-                got, want = page2.entries[key], turned.entries[key]
+                got, want = page2.entry(*key), turned.entry(*key)
                 assert got.quotient == want.quotient, (x, key)
                 assert _same_lattice(got.cycle_gens, want.cycle_gens)
                 assert _same_lattice(got.boundary_gens, want.boundary_gens)
@@ -333,6 +344,9 @@ def test_e2_equals_the_e1_page_turn():
 
 
 def test_e2_page_builds_one_subquotient_per_entry(monkeypatch):
+    """e2_page presents nothing, and neither does reading its groups;
+    the first entry read presents every entry of its parity, one
+    Subquotient each, and no later read builds one again."""
     x, bundle = _twisted_torus_bundle()
     page1 = e1_page(x, bundle)
     built = []
@@ -342,11 +356,25 @@ def test_e2_page_builds_one_subquotient_per_entry(monkeypatch):
         built.append(cycles.U.nrows)
         init(self, cycles, relations)
     monkeypatch.setattr(exactlinalg.Subquotient, "__init__", counting)
-    e2_page(page1)
+    page2 = e2_page(page1)
+    page2.table_rows()
+    assert built == []
+    first = page2.entry(1, 0)  # parity 1
+    assert built == [page1.complexes[1].degree_rank(p)
+                     for p in range(x.dimension + 1)]
+    for key in page2.keys():
+        if (key[0] + key[1]) % 2 == 1:
+            page2.entry(*key)
+    assert page2.entry(1, 0) is first
+    assert len(built) == x.dimension + 1
+    for key in page2.keys():
+        page2.entry(*key)
     assert len(built) == 2 * (x.dimension + 1)
 
 
 def test_e2_page_rejects_a_wrong_rank_entry(monkeypatch):
+    """A presentation whose group is not the one the invariant factors
+    give raises PageError when its parity is first read, not before."""
     import leray.spectral as spectral
     x = torus2()
     page1 = e1_page(x, constant_bundle(x, 1, 1))
@@ -357,5 +385,9 @@ def test_e2_page_rejects_a_wrong_rank_entry(monkeypatch):
         hs[1] = exactlinalg.Subquotient.free(c.degree_rank(1))
         return hs
     monkeypatch.setattr(spectral, "cohomology", wrong_h1)
-    with pytest.raises(PageError, match="Euler characteristic"):
-        e2_page(page1)
+    page2 = e2_page(page1)
+    assert page2.group(1, 0) == FgAbGroup(2, ())
+    with pytest.raises(PageError, match="H\\^1 of parity 1 presents Z\\^21"):
+        page2.entry(0, 1)
+    with pytest.raises(PageError, match="H\\^1 of parity 0 presents Z\\^21"):
+        page2.entry(1, 1)
