@@ -45,10 +45,11 @@ MAX_RANK = 16
 # alone and makes none.  On CPython 3.11 (x86-64, 2 cores), spectral on
 # circle(256) with two constant rank-4 systems (2^20 entries, run with
 # the cap lifted) peaked at 74 MiB in 0.6 s, and on circle(181) (about
-# 2^19) at 45 MiB in 0.3 s.  genus(8) fits up to rank 6.  An ncp job's pages are on cells, so its base is bounded at
-# rank 1, for the boundary behind the tree gauge: it admits up to
-# genus(49), whose cold job (build, gauge and pages, one process) took
-# 0.95-1.01 s and peaked at 54 MiB on the same host.
+# 2^19) at 45 MiB in 0.3 s.  genus(8) fits up to rank 6.  An ncp
+# job's pages are on cells, so its base is bounded at rank 1, for the
+# boundary behind the tree gauge: it admits up to genus(49), whose cold
+# job (build, gauge and pages, one process) took 0.23-0.37 s and
+# peaked at 51 MiB on the same host.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

@@ -8,10 +8,10 @@ local system (``build``) and the Koszul complex of a Z^n-action
 * ``groups`` gives the isomorphism types alone, from the invariant
   factors of the coboundaries, with no transforms; the ``cohomology``,
   ``check`` and ``group-cohomology`` commands read nothing else.
-* ``cohomology`` presents each group as a ``Subquotient`` of its
+* ``cohomology`` presents one group as a ``Subquotient`` of its
   cochains, with representatives, from the Smith decompositions of the
-  coboundaries; the spectral sequence makes them for a page's entries
-  only when a differential reads their representatives.
+  coboundaries; the spectral sequence presents a page's entry only
+  when a differential reads its representatives.
 
 In ``build``, a p-cochain assigns to each p-simplex a constant section
 of the coefficient system over it; a constant section is pinned down by
@@ -79,8 +79,8 @@ class CochainComplex:
 
     def smith_form(self, p) -> SmithDecomposition:
         """D_p's Smith decomposition, made on first use and kept: every
-        reader of D_p's kernel or cokernel presentation shares that one
-        SNF, and ``invariant_factors`` reads its diagonal."""
+        reader of D_p's kernel or image shares that one SNF, and
+        ``invariant_factors`` reads its diagonal."""
         if p not in self._smith_forms:
             self._smith_forms[p] = smith_normal_form(self.differential(p))
         return self._smith_forms[p]
@@ -129,26 +129,23 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     return CochainComplex(diffs)
 
 
-def cohomology(c: CochainComplex):
-    """H^p = ker D_p / im D_{p-1} as Subquotients, p = 0..dim.
+def cohomology(c: CochainComplex, p):
+    """H^p = ker D_p / im D_{p-1} as a Subquotient of C^p.
 
     Z^p is presented by D_p's kernel decomposition, with no SNF of its
     basis; H^0's relations come from the empty D_{-1}, which costs no
     SNF either.  D_dim = 0, so H^dim = coker D_{dim-1} takes D_{dim-1}'s
     own decomposition as its relations."""
-    dim = c.dimension
-    out = []
-    for p in range(dim):
-        z = c.smith_form(p).kernel_decomposition()
-        out.append(Subquotient(z, relations(z, c.differential(p - 1))))
-    out.append(Subquotient(SmithDecomposition.identity(c.degree_rank(dim)),
-                           c.smith_form(dim - 1)))
-    return out
+    if p == c.dimension:
+        return Subquotient(SmithDecomposition.identity(c.degree_rank(p)),
+                           c.smith_form(p - 1))
+    z = c.smith_form(p).kernel_decomposition()
+    return Subquotient(z, relations(z, c.differential(p - 1)))
 
 
 def groups(c: CochainComplex):
     """The isomorphism types of H^0..H^dim, the quotients of
-    ``cohomology(c)``, from the invariant factors of the coboundaries.
+    ``cohomology(c, p)``, from the invariant factors of the coboundaries.
 
     ker D_p is a direct summand of C^p that holds im D_{p-1}, so with
     r_p the rank of D_p, H^p = Z^(n_p - r_p - r_{p-1}) (+) Z/d over the

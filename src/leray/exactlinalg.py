@@ -413,8 +413,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     A zero matrix, and so one without entries, never reaches the kernel:
     its transforms are the identities the kernel would return, so H^0's
-    relations, the cokernel of a map from 0 and a zero coboundary cost
-    no SNF.
+    relations and a zero coboundary cost no SNF.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
@@ -710,9 +709,3 @@ def relations(cycles: SmithDecomposition,
         raise ValueError("boundary not contained in cycles")
     return smith_normal_form(coords)
 
-
-def cokernel(a: IntMatrix) -> Subquotient:
-    """Z^rows / im(A), presented with canonical generator expressions;
-    the cycles are the identity, so A is its own relation matrix."""
-    return Subquotient(SmithDecomposition.identity(a.nrows),
-                       smith_normal_form(a))

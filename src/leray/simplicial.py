@@ -17,7 +17,8 @@ import re
 from functools import cache, cached_property
 from itertools import combinations
 
-from .exactlinalg import IntMatrix, cokernel, invariant_factors
+from .exactlinalg import (IntMatrix, invariant_factors, smith_normal_form,
+                          solve)
 
 
 # Most faces a complex may enumerate: its vertices plus the nonempty
@@ -209,17 +210,21 @@ class TreeGauge:
 
     A 1-cycle is fixed by its coefficients on the off-tree edges, and
     the fundamental loop of off-tree edge j has coefficients e_j, so H_1
-    is presented as the cokernel of the off-tree rows of d_2 (one SNF).
-    Its canonical basis is then fixed by the Hermite form of the class
-    map, read from the last off-tree edge (``_hermite_from_the_right``).
-    So the basis, and with it what a monodromy prescription means,
-    depends on the complex alone, not on the transforms the SNF kernel
-    happens to return.  On a closed surface every pivot of that form is
-    1: generator i is the class of the fundamental loop of the off-tree
-    edge at pivot i, which is then its loop, and the other off-tree
-    edges are the edges of a spanning tree of the dual graph.  Where
-    some pivot is not 1, each loop is read off the lift of its class
-    through the SNF's transforms, so only its class is kernel-free.
+    is Z^k modulo the columns of A, the k x n_2 off-tree rows of d_2.
+    With U A V = D of rank r (one SNF), H_1 has torsion exactly when D
+    holds an entry >= 2, and rows r.. of U, which span the integer row
+    vectors y with y A = 0, map each off-tree edge to its class.  The
+    canonical basis is then fixed by the Hermite form H of that class
+    map, read from the last off-tree edge (``_hermite_from_the_right``):
+    it depends on the row lattice alone, so the basis, and with it what
+    a monodromy prescription means, depends on the complex alone, not
+    on the transforms the SNF kernel happens to return.  On a closed surface
+    every pivot of H is 1: generator i is the class of the fundamental
+    loop of the off-tree edge at pivot i, which is then its loop, and
+    the other off-tree edges are the edges of a spanning tree of the
+    dual graph.  Where some pivot is not 1, the loop of generator j
+    runs the fundamental loops by the integer solution x of H x = e_j
+    (``solve``), so only its class is kernel-free.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -240,12 +245,11 @@ class TreeGauge:
         self.offtree = [e for e in x.simplices(1) if e not in tree]
         k = len(self.offtree)
         d2 = x.boundary_matrix(2)
-        h1 = cokernel(IntMatrix._trusted(
+        h1 = smith_normal_form(IntMatrix._trusted(
             [d2.rows()[x.index(e)] for e in self.offtree], k, d2.ncols))
-        if h1.quotient.torsion:
+        if any(d >= 2 for d in h1.diagonal):
             raise ValueError("base has torsion in H_1; unsupported")
-        form, inverse = _hermite_from_the_right(
-            h1.project_matrix(IntMatrix.identity(k)).rows(), k)
+        form = _hermite_from_the_right(h1.U.rows()[h1.rank:], k)
         self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
         pivots = [max(j for j, c in enumerate(row) if c) for row in form]
         if all(row[p] == 1 for row, p in zip(form, pivots)):
@@ -254,8 +258,8 @@ class TreeGauge:
             self.loops = [self._fundamental_loop(self.offtree[p], 1)
                           for p in pivots]
             return
-        lift = h1.lift_matrix * IntMatrix.from_columns(inverse,
-                                                      nrows=len(form))
+        lift = solve(IntMatrix._trusted(form, len(form), k),
+                     IntMatrix.identity(len(form)))
         self.loops = []
         for j in range(len(form)):
             path = [0]
@@ -274,8 +278,8 @@ class TreeGauge:
 
 
 def _hermite_from_the_right(rows, ncols):
-    """The Hermite normal form H = M A of a full-row-rank integer matrix
-    A, read from its last column, and M^-1 as a list of columns.
+    """The Hermite normal form of a full-row-rank integer matrix A, read
+    from its last column, as a list of rows.
 
     H is the one matrix with the row space of A whose row i ends in a
     positive pivot at column p_i, with p_0 < p_1 < ..., and whose
@@ -284,14 +288,13 @@ def _hermite_from_the_right(rows, ncols):
     by Euclid's algorithm, which becomes that column's pivot row.
 
     >>> _hermite_from_the_right([[0, 1, 1], [1, -1, 0]], 3)
-    ([[-1, 1, 0], [1, 0, 1]], [[1, -1], [1, 0]])
+    [[-1, 1, 0], [1, 0, 1]]
     """
     h = [list(row) for row in rows]
-    inverse = [[int(i == j) for i in range(len(h))] for j in range(len(h))]
 
-    def add(i, k, c):  # row i += c * row k; M^-1 column k -= c * column i
-        h[i] = [x + c * y for x, y in zip(h[i], h[k])]
-        inverse[k] = [x - c * y for x, y in zip(inverse[k], inverse[i])]
+    def add(i, k, c):  # row i += c * row k
+        if c:
+            h[i] = [x + c * y for x, y in zip(h[i], h[k])]
 
     placed, free = [], list(range(len(h)))
     for j in reversed(range(ncols)):
@@ -307,13 +310,11 @@ def _hermite_from_the_right(rows, ncols):
         p = live[0]
         if h[p][j] < 0:
             h[p] = [-x for x in h[p]]
-            inverse[p] = [-x for x in inverse[p]]
         for i in placed:
             add(i, p, -(h[i][j] // h[p][j]))
         placed.append(p)
         free.remove(p)
-    placed.reverse()
-    return [h[i] for i in placed], [inverse[i] for i in placed]
+    return [h[i] for i in reversed(placed)]
 
 
 def simplex(p: int) -> SimplicialComplex:

@@ -16,24 +16,23 @@ complexes of the one-vertex cell structure of a surface.  The first
 page is the cell-by-cell cochain module with the e1-convention
 differential; the second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups
 come from the invariant factors of the coboundaries
-(``cohomology.groups``), with no transforms; its entries, presented
-with representatives by ``cohomology``, are made for one parity at a
-time, the first time an entry of that parity is read, and certified
-against those groups.  A page that only reports groups and ranks, as
-the ``spectral`` command's do, makes no presentation at all.  Later
-pages are entrywise homology, computed on representatives so that
-later differentials can still be evaluated on actual cochains: every
-entry of every page stays presented inside the same ambient cochain
-module.  An entry that no nonzero differential enters or leaves is its
-own homology, E_{r+1} = E_r there, so the turn takes it over from the
-page before, the same object, made when first read; only entries a
-nonzero differential touches are rebuilt.
+(``cohomology.groups``), with no transforms; its entries, with
+representatives from ``cohomology``, are presented one at a time, when
+read, and each is certified against its group.  A page that only
+reports groups and ranks, as the ``spectral`` command's do, makes no
+presentation at all.  Later pages are entrywise homology, computed on
+representatives so that later differentials can still be evaluated on
+actual cochains: every entry of every page stays presented inside the
+same ambient cochain module.  An entry that no nonzero differential
+enters or leaves is its own homology, E_{r+1} = E_r there, so the turn
+takes it over from the page before, the same object, made when first
+read; only entries a nonzero differential touches are rebuilt.
 
 No differential beyond the first is derivable from the cochain data
 alone; d_2 is injected (see ncp_bundles for the torus-bundle formula)
-by ``with_differentials``, the one way a page gets differentials, which
-validates it as it enters; ``attach_d2`` turns the page it is on, and
-pages advance with zero differentials otherwise.
+by ``with_differentials``, the one way a page gets differentials, and
+certified by ``d2_spec``, which makes it; ``attach_d2`` turns the page
+it is on, and pages advance with zero differentials otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
     Subquotient,
-    element_order,
     invariant_factors,
     preimage_lattice,
     relations,
@@ -116,12 +114,11 @@ class SpectralPage:
         return (p + self.r, (q - 1) % 2)
 
     def with_differentials(self, differentials) -> "SpectralPage":
-        """This page with ``differentials``, checked well-defined and
-        squaring to zero on classes."""
-        page = SpectralPage(self.r, self.complexes, {}, differentials,
+        """This page with ``differentials``, matrices on canonical
+        generators keyed by source; their maker certifies them, as
+        ``ncp_bundles.d2_spec`` does d_2."""
+        return SpectralPage(self.r, self.complexes, {}, differentials,
                             source=self)
-        _validate_differentials(page)
-        return page
 
     def table_rows(self):
         """(r, p, q, group, outgoing differential rank) per entry, the
@@ -171,47 +168,6 @@ def relation_lattice(group: FgAbGroup) -> IntMatrix:
         else IntMatrix.zeros(n, 0)
 
 
-def _validate_differentials(page: SpectralPage):
-    for (p, q), mat in page.differentials.items():
-        if not 0 <= p <= page.dimension:
-            raise PageError("differential source (%d, %d) outside window" % (p, q))
-        tp, tq = page.target_key(p, q)
-        if tp > page.dimension:
-            if not mat.is_zero():
-                raise PageError("nonzero differential maps outside the window")
-            continue
-        source = page.entry(p, q)
-        target = page.entry(tp, tq)
-        if mat.shape != (target.quotient.ngens, source.quotient.ngens):
-            raise PageError("differential at (%d, %d) has wrong shape" % (p, q))
-        g = source.quotient
-        for j, t in enumerate(g.torsion):
-            col = mat.column(g.free_rank + j)
-            if element_order(target.quotient,
-                             tuple(t * c for c in col)) != 1:
-                raise PageError(
-                    "differential at (%d, %d) is not well-defined on classes"
-                    % (p, q))
-    # d o d = 0 on classes
-    for (p, q), mat in page.differentials.items():
-        tp, tq = page.target_key(p, q)
-        if tp > page.dimension:
-            continue
-        nxt = page.differentials.get((tp, tq))
-        if nxt is None:
-            continue
-        comp = nxt * mat
-        ttp, ttq = page.target_key(tp, tq)
-        if ttp > page.dimension:
-            if not comp.is_zero():
-                raise PageError("differential does not square to zero")
-            continue
-        final = page.entry(ttp, ttq)
-        for j in range(comp.ncols):
-            if element_order(final.quotient, comp.column(j)) != 1:
-                raise PageError("differential does not square to zero")
-
-
 def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
     """First page of a graded bundle of local systems on a simplicial
     complex: its simplicial cochains with the e1-convention
@@ -250,7 +206,7 @@ def _turn(page: SpectralPage) -> SpectralPage:
     nothing is made for it, here or later; where only the outgoing map
     is zero, the cycles keep their decomposition.  A nonzero
     differential cannot leave the window: the first page stores none
-    there, and ``with_differentials`` rejects one.
+    there, and ``d2_spec`` makes only d_2 from (0, 1) to (2, 0).
     """
     live = {key for key, mat in page.differentials.items()
             if not mat.is_zero()}
@@ -284,19 +240,18 @@ class _Cohomology:
     cochain complexes ``{s: K_s cochains}``.
 
     The groups of parity s are ``groups`` of its complex, from the
-    invariant factors of the coboundaries.  Its presentations are
-    ``cohomology`` of the complex, made the first time an entry of
-    parity s is read; each quotient must equal the group the invariant
-    factors give, or PageError is raised.  The complex keeps the Smith
-    forms ``cohomology`` makes, and ``groups`` reads their diagonals, so
-    presenting a parity before its groups are read eliminates each
+    invariant factors of the coboundaries.  An entry is ``cohomology``
+    of its complex in its degree, presented when it is read (the page
+    keeps it); its quotient must equal the group the invariant factors
+    give, or PageError is raised.  The complex keeps the Smith forms
+    ``cohomology`` makes, and ``groups`` reads their diagonals, so
+    presenting an entry before its groups are read eliminates each
     coboundary once.
     """
 
     def __init__(self, complexes):
         self.complexes = complexes
         self._groups = {}
-        self._entries = {}
 
     def group(self, p, q):
         s = (p + q) % 2
@@ -306,17 +261,13 @@ class _Cohomology:
 
     def entry(self, p, q):
         s = (p + q) % 2
-        if s not in self._entries:
-            hs = cohomology(self.complexes[s])
-            for i, h in enumerate(hs):
-                if h.quotient != self.group(i, s - i):
-                    raise PageError(
-                        "E2 entry H^%d of parity %d presents %s, where the "
-                        "invariant factors give %s"
-                        % (i, s, h.quotient.render(),
-                           self.group(i, s - i).render()))
-            self._entries[s] = hs
-        return self._entries[s][p]
+        h, group = cohomology(self.complexes[s], p), self.group(p, q)
+        if h.quotient != group:
+            raise PageError(
+                "E2 entry H^%d of parity %d presents %s, where the "
+                "invariant factors give %s"
+                % (p, s, h.quotient.render(), group.render()))
+        return h
 
 
 def e2_page(page1: SpectralPage) -> SpectralPage:
@@ -324,9 +275,9 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
 
     Nothing is computed here.  The groups come from the invariant
     factors of the coboundaries of each parity's complex, with no
-    transforms.  The entries of a parity, presented with
-    representatives, are made the first time one of them is read, and
-    certified against those groups (see ``_Cohomology``)."""
+    transforms.  Each entry, presented with representatives, is made
+    when it is read, and certified against its group (see
+    ``_Cohomology``)."""
     if page1.r != 1:
         raise PageError("e2_page expects a first page")
     return SpectralPage(2, page1.complexes, {}, {},
@@ -336,10 +287,10 @@ def e2_page(page1: SpectralPage) -> SpectralPage:
 def attach_d2(page2: SpectralPage) -> SpectralPage:
     """Third page from the d_2 a second page carries.
 
-    A page gets its d_2 from ``with_differentials``, which checks it:
-    matrices on canonical generators keyed by (p, q), with target
-    (p + 2, q - 1 mod 2), well-defined on classes and squaring to zero.
-    A page that carries none turns with d_2 = 0.
+    A page gets its d_2 from ``with_differentials``: matrices on
+    canonical generators keyed by (p, q), with target (p + 2, q - 1
+    mod 2), certified by their maker, ``ncp_bundles.d2_spec``.  A page
+    that carries none turns with d_2 = 0.
     """
     if page2.r != 2:
         raise PageError("attach_d2 expects a second page")

@@ -59,3 +59,18 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(exactlinalg, "_kernel_invariant_factors", recorder(
         exactlinalg._kernel_invariant_factors, False))
     return calls
+
+
+@pytest.fixture
+def presentations(monkeypatch):
+    """Record the ambient rank of each ``Subquotient`` made by its
+    constructor for the rest of the test (``Subquotient.free`` makes
+    none); returns the list of ranks."""
+    ranks = []
+    init = exactlinalg.Subquotient.__init__
+
+    def recording(self, cycles, relations):
+        ranks.append(cycles.U.nrows)
+        init(self, cycles, relations)
+    monkeypatch.setattr(exactlinalg.Subquotient, "__init__", recording)
+    return ranks

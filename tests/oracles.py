@@ -12,9 +12,10 @@ SNF; it is the reference basis that generator matrices, such as those
 
 The reference implementations below them are built on the library's
 exact layer, by routes no command takes: ``subquotient`` from plain
-matrices, ``integral_homology`` of a complex, the ``invariants`` and
-``coinvariants`` of commuting matrices, ``recursion_check``, which
-compares H^*(Z^2, M) with the recursion through H^*(Z, M), and
+matrices, the ``cokernel`` of one, ``integral_homology`` of a complex,
+the ``invariants`` and ``coinvariants`` of commuting matrices,
+``recursion_check``, which compares H^*(Z^2, M) with the recursion
+through H^*(Z, M), and
 ``simplicial_analysis``, the ``ncp`` pipeline on the cochains of the
 whole triangulation instead of the one-vertex cell structure.
 """
@@ -27,8 +28,8 @@ from math import gcd
 from leray.exactlinalg import (
     FgAbGroup,
     IntMatrix,
+    SmithDecomposition,
     Subquotient,
-    cokernel,
     kernel,
     preimage_lattice,
     relations,
@@ -209,6 +210,13 @@ def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:
     """Present Z/B for column-generated Z and B with B contained in Z."""
     dec = smith_normal_form(cycles)
     return Subquotient(dec, relations(dec, boundaries))
+
+
+def cokernel(a: IntMatrix) -> Subquotient:
+    """Z^rows / im(A), presented with canonical generator expressions;
+    the cycles are the identity, so A is its own relation matrix."""
+    return Subquotient(SmithDecomposition.identity(a.nrows),
+                       smith_normal_form(a))
 
 
 def integral_homology(x):

@@ -501,8 +501,8 @@ def test_ncp_job_exits_1_when_the_e2_groups_lose_torsion(monkeypatch, capsys,
                                                         tmp_path):
     """The E2 cross-check can fail.  With the invariant-factor groups
     stripped of their torsion, as the page module reads them, an ncp
-    job with k = 2 exits 1 when d2_spec first reads an even entry: on
-    torus2 the first with torsion is H^1 = Z^2 (+) Z/2."""
+    job with k = 2 exits 1 when d2_spec reads its even entry, H^2 =
+    Z (+) Z/2 on torus2."""
     real = spectral.groups
 
     def torsion_free(c):
@@ -514,8 +514,8 @@ def test_ncp_job_exits_1_when_the_e2_groups_lose_torsion(monkeypatch, capsys,
     assert cli.main(["ncp", "--input", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("computation error: E2 entry H^1 of parity 0 presents "
-                   "Z^2 (+) Z/2, where the invariant factors give Z^2\n")
+    assert err == ("computation error: E2 entry H^2 of parity 0 presents "
+                   "Z (+) Z/2, where the invariant factors give Z\n")
 
 
 def test_ncp_on_genus30_runs(tmp_path):

@@ -10,7 +10,6 @@ from leray import _kernel, exactlinalg
 from leray.exactlinalg import (
     FgAbGroup,
     IntMatrix,
-    cokernel,
     element_order,
     group_from_divisors,
     kernel,
@@ -20,6 +19,7 @@ from leray.exactlinalg import (
 )
 
 from oracles import (
+    cokernel,
     determinant_divisor_diagonal,
     lattice_basis,
     random_matrix,

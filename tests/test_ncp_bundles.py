@@ -365,22 +365,19 @@ def test_analyze_genus2():
     assert not res.verdict.trivial
 
 
-def test_analyze_validates_each_page_once(monkeypatch):
-    import leray.spectral as spectral
-    validated = []
-    check = spectral._validate_differentials
-
-    def record(page):
-        validated.append(page)
-        check(page)
-
-    monkeypatch.setattr(spectral, "_validate_differentials", record)
-    res = analyze(spec_t2((2, 4), (1, 0)))
-    pages = [page for page in validated if page.differentials]
-    # E2 with the injected d2, once; E1's d1 is certified by build
-    assert [page.r for page in pages] == [2]
-    assert pages[0] is res.e2
-    assert len(validated) == len({id(page) for page in validated})
+@pytest.mark.parametrize("spec, made", [
+    (NcpTorusBundleSpec("genus(2)", (1, 0, 0, 0), (3, 0)), 2),
+    (spec_t2((2, 4), (1, 0)), 4),
+    (spec_t2((0, 0), (3, -1)), 4),
+])
+def test_analyze_presents_only_the_entries_d2_reads(spec, made,
+                                                    presentations):
+    """E2 presents the two entries d2_spec reads, H^0(X; K1) and
+    H^2(X; K0), each in a module of rank 2 on the one cell; a nonzero d2
+    turns just those two into E3's, and a zero one turns nothing."""
+    res = analyze(spec)
+    assert res.d2.is_zero() == (made == 2)
+    assert presentations == [2] * made
 
 
 def _seeded_specs(seed, per_base):

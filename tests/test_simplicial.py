@@ -292,7 +292,7 @@ def test_intersection_form_is_the_cup_product_on_the_loops(g):
     value of cocycle a on generator loop i, the cocycles are
     sum_i E_ai alpha_i in cohomology, so K = E J E^T."""
     x = genus_surface(g)
-    h1 = cohomology(build(x, LocalSystem.constant(x, 1)))[1]
+    h1 = cohomology(build(x, LocalSystem.constant(x, 1)), 1)
     cocycles = [h1.lift_matrix.column(a) for a in range(2 * g)]
     cup = [[sum(eps * z[x.index((a, b))] * w[x.index((b, c))]
                 for eps, (a, b, c) in zip(x.orientation, x.simplices(2)))
