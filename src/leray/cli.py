@@ -1,9 +1,10 @@
 """Command-line driver.
 
-Reads a JSON job document, runs the requested computation, and emits a
-human-readable table or a machine-readable JSON mirror.  Output is a
-pure function of the document: identical inputs produce byte-identical
-reports.
+Reads a JSON job document and runs the requested computation.  Each
+command builds one report, a JSON-ready dict; ``--emit machine`` prints
+it as JSON, and ``--emit human`` renders it as text by
+``human_report``, which reads nothing else.  Output is a pure function
+of the document: identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 1 computation-level invariant failure (non-flat
 system, differential not squaring to zero, page mismatch), 2 input
@@ -20,16 +21,10 @@ import sys
 from .cohomology import cohomology_groups, convention_compare
 from .exactlinalg import IntMatrix
 from .group_cohomology import ZnModule, zn_cohomology
-from .local_systems import (
-    FlatnessError,
-    GradedKBundle,
-    LocalSystem,
-    flatness_check,
-    from_monodromy,
-)
+from .local_systems import GradedKBundle, LocalSystem, from_monodromy
 from .ncp_bundles import FIBER_RANK, NcpTorusBundleSpec, analyze
 from .simplicial import SimplicialComplex, shared_builtin
-from .spectral import PageError, assemble, e1_page, e2_page, stabilize
+from .spectral import assemble, e1_page, e2_page, stabilize
 
 # Largest fiber rank a document may ask for.  The paper's fibers have
 # rank 2 (K-theory of the 2-torus), the benchmarks use 6, and 16 is the
@@ -240,12 +235,9 @@ def _group_json(g):
             "torsion": list(g.torsion)}
 
 
-def _emit(args, human_lines, machine_obj):
-    if args.emit == "machine":
-        out = json.dumps(machine_obj, sort_keys=True, indent=2)
-    else:
-        out = "\n".join(human_lines)
-    print(out)
+def _k_json(k):
+    return {"pieces": [_group_json(g) for g in k.graded_pieces],
+            "extension_ambiguous": k.extension_ambiguous}
 
 
 def cmd_cohomology(args, doc):
@@ -253,18 +245,12 @@ def cmd_cohomology(args, doc):
     x = parse_complex(doc.get("complex"))
     system = parse_system(doc.get("system"), x)
     groups = cohomology_groups(x, system, args.convention)
-    lines = ["cohomology (%s convention)" % args.convention,
-             "%-8s %s" % ("degree", "group")]
-    for p, g in enumerate(groups):
-        lines.append("%-8s %s" % ("H^%d" % p, g.render()))
-    machine = {
+    return {
         "command": "cohomology",
         "convention": args.convention,
         "groups": [dict(degree=p, **_group_json(g))
                    for p, g in enumerate(groups)],
     }
-    _emit(args, lines, machine)
-    return 0
 
 
 def cmd_group_cohomology(args, doc):
@@ -283,37 +269,13 @@ def cmd_group_cohomology(args, doc):
         module = ZnModule(rank, matrices)
     except ValueError as exc:
         raise InputError("bad action: %s" % exc) from None
-    groups = zn_cohomology(module)
-    lines = ["group cohomology H^k(Z^%d, Z^%d)" % (module.n, rank),
-             "%-8s %s" % ("degree", "group")]
-    for k, g in enumerate(groups):
-        lines.append("%-8s %s" % ("H^%d" % k, g.render()))
-    machine = {
+    return {
         "command": "group-cohomology",
         "n": module.n,
         "rank": rank,
         "groups": [dict(degree=k, **_group_json(g))
-                   for k, g in enumerate(groups)],
+                   for k, g in enumerate(zn_cohomology(module))],
     }
-    _emit(args, lines, machine)
-    return 0
-
-
-def _page_lines(page, title):
-    lines = ["%s" % title,
-             "  %-3s %-3s %-6s %-20s %s" % ("p", "q", "coeff", "group", "d_rank")]
-    for (r, p, q, group, drank) in page.table_rows():
-        coeff = "K%d" % page.coefficient_parity(p, q)
-        lines.append("  %-3d %-3d %-6s %-20s %d" % (p, q, coeff, group, drank))
-    return lines
-
-
-def _assembled_lines(k0, k1):
-    return [
-        "assembled graded K-theory (extension-ambiguous):",
-        "  K0 pieces: %s" % k0.render(),
-        "  K1 pieces: %s" % k1.render(),
-    ]
 
 
 def cmd_spectral(args, doc):
@@ -329,81 +291,42 @@ def cmd_spectral(args, doc):
     page2 = e2_page(page1)
     einf = stabilize(page2)
     k0, k1 = assemble(einf)
-    lines = []
-    lines += _page_lines(page1, "page r=1")
-    lines += _page_lines(page2, "page r=2")
-    lines += _page_lines(einf, "page r=%d (stable)" % einf.r)
-    lines.append("note: d2 and higher assumed zero "
-                 "(not derivable from cochain data)")
-    lines += _assembled_lines(k0, k1)
-    machine = {
+    return {
         "command": "spectral",
         "pages": [page1.to_dict(), page2.to_dict(), einf.to_dict()],
         "d2": "assumed zero",
-        "k0": {"pieces": [_group_json(g) for g in k0.graded_pieces],
-               "extension_ambiguous": True},
-        "k1": {"pieces": [_group_json(g) for g in k1.graded_pieces],
-               "extension_ambiguous": True},
+        "k0": _k_json(k0),
+        "k1": _k_json(k1),
     }
-    _emit(args, lines, machine)
-    return 0
 
 
 def cmd_ncp(args, doc):
     _check_command_field(doc, "ncp")
     spec = parse_bundle_spec(doc.get("bundle"))
     result = analyze(spec)
-    k = result.d2.k_gcd
-    pairings = result.verdict.chern_pairings
-    lines = [
-        "ncp torus bundle over %s" % spec.base_name,
-        "windings: %s" % (list(spec.winding),),
-        "chern pairings: %s" % (list(pairings),),
-        "k = gcd(windings) = %d" % k,
-    ]
-    for i, p in enumerate(pairings, start=1):
-        if k:
-            lines.append("d2[U_%d] = %d (mod %d)%s"
-                         % (i, p % k, k, "" if p % k else "  [zero]"))
-        else:
-            lines.append("d2[U_%d] = %d in Z%s"
-                         % (i, p, "" if p else "  [zero]"))
-    lines += _page_lines(result.e2, "page r=2")
-    lines += _page_lines(result.e3, "page r=3 (stable)")
-    lines += _assembled_lines(result.k_even, result.k_odd)
-    verdict = "RKK-trivial" if result.verdict.trivial else "not RKK-trivial"
-    lines.append("verdict: %s (%s)" % (verdict, result.verdict.certificate))
-    machine = {
+    return {
         "command": "ncp",
         "base": spec.base_name,
         "windings": list(spec.winding),
-        "chern_pairings": list(pairings),
-        "k_gcd": k,
+        "chern_pairings": list(result.verdict.chern_pairings),
+        "k_gcd": result.d2.k_gcd,
         "d2_images": [list(result.d2.images.column(j))
                       for j in range(result.d2.images.ncols)],
         "pages": [result.e2.to_dict(), result.e3.to_dict()],
-        "k0": {"pieces": [_group_json(g) for g in result.k_even.graded_pieces],
-               "extension_ambiguous": True},
-        "k1": {"pieces": [_group_json(g) for g in result.k_odd.graded_pieces],
-               "extension_ambiguous": True},
+        "k0": _k_json(result.k_even),
+        "k1": _k_json(result.k_odd),
         "verdict": {"trivial": result.verdict.trivial,
                     "certificate": result.verdict.certificate},
     }
-    _emit(args, lines, machine)
-    return 0
 
 
 def cmd_check(args, doc):
     _check_command_field(doc, "check")
     x = parse_complex(doc.get("complex"))
     system = parse_system(doc.get("system"), x)
-    failures = 0
-    lines = []
-    checks = []
-
-    violations = flatness_check(system)
-    checks.append(("flatness", not violations,
-                   "violations at %s" % (violations,) if violations else "ok"))
+    violations = system.violations
+    checks = [("flatness", not violations,
+               "violations at %s" % (violations,) if violations else "ok")]
     if not violations:
         # build raises unless d o d = 0, so both d-squared checks passed
         # once the comparison, which builds each complex, has returned
@@ -421,18 +344,81 @@ def cmd_check(args, doc):
         ok = total == expected
         checks.append(("euler characteristic", ok,
                        "ok" if ok else "%d != chi*m = %d" % (total, expected)))
-    for name, ok, detail in checks:
-        failures += 0 if ok else 1
-        lines.append("%-26s %s" % (name + ":", detail))
-    lines.append("result: %s" % ("ok" if failures == 0 else
-                                 "%d check(s) failed" % failures))
-    machine = {
+    return {
         "command": "check",
         "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        "ok": failures == 0,
+        "ok": all(ok for _, ok, _ in checks),
     }
-    _emit(args, lines, machine)
-    return 0 if failures == 0 else 1
+
+
+def _degree_lines(title, groups):
+    return [title, "%-8s %s" % ("degree", "group")] + [
+        "%-8s %s" % ("H^%d" % g["degree"], g["group"]) for g in groups]
+
+
+def _page_lines(pages):
+    """The tables of ``pages``, the last one marked stable."""
+    lines = []
+    for i, page in enumerate(pages, start=1):
+        lines += ["page r=%d%s" % (page["r"], " (stable)"
+                                   if i == len(pages) else ""),
+                  "  %-3s %-3s %-6s %-20s %s"
+                  % ("p", "q", "coeff", "group", "d_rank")]
+        lines += ["  %-3d %-3d %-6s %-20s %d"
+                  % (e["p"], e["q"], "K%d" % e["coefficient_parity"],
+                     e["group"], e["differential_rank"])
+                  for e in page["entries"]]
+    return lines
+
+
+def _k_lines(report):
+    ambiguous = report["k0"]["extension_ambiguous"] or \
+        report["k1"]["extension_ambiguous"]
+    return ["assembled graded K-theory%s:"
+            % (" (extension-ambiguous)" if ambiguous else "")] + [
+        "  K%d pieces: %s" % (s, ", ".join(g["group"] for g in
+                                           report["k%d" % s]["pieces"]))
+        for s in (0, 1)]
+
+
+def human_report(report):
+    """The human-readable text of any command's report."""
+    command = report["command"]
+    if command == "cohomology":
+        lines = _degree_lines("cohomology (%s convention)"
+                              % report["convention"], report["groups"])
+    elif command == "group-cohomology":
+        lines = _degree_lines("group cohomology H^k(Z^%d, Z^%d)"
+                              % (report["n"], report["rank"]),
+                              report["groups"])
+    elif command == "check":
+        failures = sum(not c["ok"] for c in report["checks"])
+        lines = ["%-26s %s" % (c["name"] + ":", c["detail"])
+                 for c in report["checks"]]
+        lines.append("result: %s" % ("%d check(s) failed" % failures
+                                     if failures else "ok"))
+    elif command == "spectral":
+        lines = _page_lines(report["pages"]) + [
+            "note: d2 and higher assumed zero "
+            "(not derivable from cochain data)"] + _k_lines(report)
+    else:
+        k, verdict = report["k_gcd"], report["verdict"]
+        lines = ["ncp torus bundle over %s" % report["base"],
+                 "windings: %s" % (report["windings"],),
+                 "chern pairings: %s" % (report["chern_pairings"],),
+                 "k = gcd(windings) = %d" % k]
+        for i, p in enumerate(report["chern_pairings"], start=1):
+            if k:
+                lines.append("d2[U_%d] = %d (mod %d)%s"
+                             % (i, p % k, k, "" if p % k else "  [zero]"))
+            else:
+                lines.append("d2[U_%d] = %d in Z%s"
+                             % (i, p, "" if p else "  [zero]"))
+        lines += _page_lines(report["pages"]) + _k_lines(report)
+        lines.append("verdict: %s (%s)" % (
+            "RKK-trivial" if verdict["trivial"] else "not RKK-trivial",
+            verdict["certificate"]))
+    return "\n".join(lines)
 
 
 _HANDLERS = {
@@ -466,14 +452,16 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        doc = load_document(args.input)
-        return _HANDLERS[args.command](args, doc)
+        report = _HANDLERS[args.command](args, load_document(args.input))
     except InputError as exc:
         return _fail(2, "input error: %s" % exc)
-    except (FlatnessError, PageError) as exc:
-        return _fail(1, "computation error: %s" % exc)
     except (ValueError, AssertionError) as exc:
         return _fail(1, "computation error: %s" % exc)
+    if args.emit == "machine":
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        print(human_report(report))
+    return 0 if report.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Each input is validated once, where it enters: ``LocalSystem(base, m,
 transports)`` checks every edge of a table from outside, while
 ``constant`` and ``from_monodromy`` derive both directions of every
 edge from checked data and build the system by ``LocalSystem._trusted``.
-Flatness is certified by ``cohomology.build``.
+Flatness is checked once per system, when its ``violations`` are first
+read, and certified by ``cohomology.build``.
 
 ``from_monodromy`` realizes prescribed holonomy matrices in the base's
 spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
@@ -26,6 +27,7 @@ coefficient complexes live on the one-vertex cell structure of the base
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .exactlinalg import IntMatrix, action_inverses
@@ -39,8 +41,8 @@ class FlatnessError(ValueError):
 class LocalSystem:
     """Coefficient system from one transport per edge, each checked: on
     an edge keyed by its increasing pair, m x m, unimodular.  Flatness
-    is checked by :func:`flatness_check` so deliberately broken systems
-    can be built for diagnostics."""
+    is not required, so deliberately broken systems can be built for
+    diagnostics: ``violations`` lists where it fails."""
 
     def __init__(self, base: SimplicialComplex, fiber_rank: int, transports):
         if fiber_rank < 0:
@@ -96,6 +98,12 @@ class LocalSystem:
             return self._table[(u, v)]
         except KeyError:
             raise KeyError("no edge between %r and %r" % (u, v)) from None
+
+    @functools.cached_property
+    def violations(self):
+        """The 2-simplices where transport fails to close, found by one
+        :func:`flatness_check` per system, on first read."""
+        return flatness_check(self)
 
     def is_constant(self):
         return all(m.is_identity() for m in self._table.values())
@@ -154,9 +162,9 @@ def flatness_check(system: LocalSystem):
 
 
 def require_flat(system: LocalSystem):
-    bad = flatness_check(system)
-    if bad:
-        raise FlatnessError("flatness violated on 2-simplices %s" % (bad,))
+    if system.violations:
+        raise FlatnessError("flatness violated on 2-simplices %s"
+                            % (system.violations,))
 
 
 def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSystem:
@@ -189,6 +197,8 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
                  if c for e in (c, -c)}
     powers = {(i, e): (mats[i] if e > 0 else inverses[i]).power(abs(e))
               for i, e in exponents}
+    # the table is edited in place, so nothing reads the system's
+    # violations before the loop below has finished
     system = LocalSystem.constant(base, fiber_rank)
     for (u, v), cls in zip(gauge.offtree, gauge.classes):
         forward = backward = system.transport(u, v)

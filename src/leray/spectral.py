@@ -120,11 +120,12 @@ class SpectralPage:
         return SpectralPage(self.r, self.complexes, {}, differentials,
                             source=self)
 
-    def table_rows(self):
-        """(r, p, q, group, outgoing differential rank) per entry, the
-        ranks counted by invariant factors; E1's are those of the
-        coboundaries, which their complexes keep for E2's groups."""
-        rows = []
+    def to_dict(self):
+        """The page report: per entry its group and the rank of its
+        outgoing differential, counted by invariant factors; E1's are
+        those of the coboundaries, which their complexes keep for E2's
+        groups."""
+        entries = []
         for (p, q) in self.keys():
             d = self.differentials.get((p, q))
             if d is None:
@@ -133,27 +134,13 @@ class SpectralPage:
                 rank = len(self.complexes[(p + q) % 2].invariant_factors(p))
             else:
                 rank = len(invariant_factors(d))
-            rows.append((self.r, p, q, self.group(p, q).render(), rank))
-        return rows
-
-    def __repr__(self):
-        cells = ", ".join("E(%d,%d)=%s" % (p, q, self.group(p, q).render())
-                          for (p, q) in self.keys())
-        return "SpectralPage(r=%d, %s)" % (self.r, cells)
-
-    def to_dict(self):
-        return {
-            "r": self.r,
-            "entries": [
-                {"p": p, "q": q,
-                 "coefficient_parity": self.coefficient_parity(p, q),
-                 "group": self.group(p, q).render(),
-                 "free_rank": self.group(p, q).free_rank,
-                 "torsion": list(self.group(p, q).torsion),
-                 "differential_rank": row[4]}
-                for (p, q), row in zip(self.keys(), self.table_rows())
-            ],
-        }
+            g = self.group(p, q)
+            entries.append({
+                "p": p, "q": q,
+                "coefficient_parity": self.coefficient_parity(p, q),
+                "group": g.render(), "free_rank": g.free_rank,
+                "torsion": list(g.torsion), "differential_rank": rank})
+        return {"r": self.r, "entries": entries}
 
 
 def relation_lattice(group: FgAbGroup) -> IntMatrix:
@@ -320,9 +307,6 @@ class AssembledKTheory:
     @property
     def total_rank(self):
         return sum(g.free_rank for g in self.graded_pieces)
-
-    def render(self):
-        return ", ".join(g.render() for g in self.graded_pieces)
 
 
 def assemble(page: SpectralPage):

@@ -9,10 +9,18 @@ from collections import Counter
 
 import pytest
 
-from leray import cli, cohomology, ncp_bundles, simplicial, spectral
+from leray import (
+    cli,
+    cohomology,
+    local_systems,
+    ncp_bundles,
+    simplicial,
+    spectral,
+)
 from leray.exactlinalg import FgAbGroup, IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
+from test_report_golden import DOCUMENTS
 from test_simplicial import _RP2
 
 
@@ -328,13 +336,14 @@ def test_undecodable_document_exit_2(tmp_path, raw):
     assert "Traceback" not in res.stderr
 
 
-def _run_in_process(kernel_calls, capsys, tmp_path, command, doc):
+def _run_in_process(kernel_calls, capsys, tmp_path, command, doc,
+                    emit="machine"):
     """cli.main in this process: (exit code, stdout, kernel inputs)."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     kernel_calls.clear()
-    code = cli.main([command, "--input", str(path), "--emit", "machine"])
+    code = cli.main([command, "--input", str(path), "--emit", emit])
     return code, capsys.readouterr().out, list(kernel_calls)
 
 
@@ -415,6 +424,56 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     assert not transports & set(inputs)
     assert not set(_gauge_inputs(kernel_calls, "torus2", form=True)) & \
         set(inputs)
+
+
+@pytest.mark.parametrize("emit", ["human", "machine"])
+def test_warm_ncp_job_eliminates_its_d2_once(kernel_calls, capsys, tmp_path,
+                                             emit):
+    """Each page report counts the rank of its outgoing differentials
+    once, so a warm ncp job with nonzero d2 sends that d2 to the SNF
+    kernel once, for its invariant factors, whatever the emit mode."""
+    _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      "ncp", _NCP_TORUS, emit)
+    assert code == 0
+    spec = cli.parse_bundle_spec(_NCP_TORUS["bundle"])
+    d2 = ncp_bundles.analyze(spec).e2.differentials[(0, 1)]
+    assert d2.shape == (2, 2) and not d2.is_zero()
+    assert inputs.count(_kernel_input(d2)) == 1
+    assert _kernel_input(d2) not in kernel_calls.transformed
+
+
+def test_check_job_makes_one_flatness_pass(monkeypatch, capsys, tmp_path):
+    """A system's violations are found once and kept: the check's own
+    flatness line and both complexes the convention comparison builds
+    read the same pass."""
+    passes = []
+    check = local_systems.flatness_check
+
+    def counting(system):
+        passes.append(system)
+        return check(system)
+    monkeypatch.setattr(local_systems, "flatness_check", counting)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"complex": "torus2",
+                                "system": {"rank": 2, "monodromy": _MONO}}))
+    assert cli.main(["check", "--input", str(path)]) == 0
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_human_report_renders_the_machine_report(capsys, tmp_path, name):
+    """The human text is rendered from the machine report alone."""
+    command, doc, *extra = DOCUMENTS[name]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    runs = [(cli.main([command, "--input", str(path), "--emit", emit] +
+                      extra), capsys.readouterr().out)
+            for emit in ("human", "machine")]
+    (human_code, human), (machine_code, machine) = runs
+    assert human_code == machine_code
+    assert human == cli.human_report(json.loads(machine)) + "\n"
 
 
 def test_warm_genus8_ncp_job_decomposes_only_cell_sized_matrices(

@@ -407,8 +407,8 @@ def test_cell_pages_equal_the_simplicial_oracle(spec):
     their differential ranks, equal K pieces and verdict, and d2 images
     of equal element orders, column by column."""
     cell, oracle = analyze(spec), simplicial_analysis(spec)
-    assert cell.e2.table_rows() == oracle.e2.table_rows()
-    assert cell.e3.table_rows() == oracle.e3.table_rows()
+    assert cell.e2.to_dict() == oracle.e2.to_dict()
+    assert cell.e3.to_dict() == oracle.e3.to_dict()
     for mine, theirs in ((cell.k_even, oracle.k_even),
                          (cell.k_odd, oracle.k_odd)):
         assert mine.graded_pieces == theirs.graded_pieces

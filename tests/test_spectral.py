@@ -212,8 +212,6 @@ def test_assemble_requires_stable_page():
 def test_page_dump_shapes():
     x = circle(3)
     page = e2_page(e1_page(x, constant_bundle(x, 1, 1)))
-    rows = page.table_rows()
-    assert len(rows) == 4
     d = page.to_dict()
     assert d["r"] == 2
     assert len(d["entries"]) == 4
@@ -330,7 +328,7 @@ def test_e2_page_builds_one_subquotient_per_entry(presentations):
     x, bundle = _twisted_torus_bundle()
     page1 = e1_page(x, bundle)
     page2 = e2_page(page1)
-    page2.table_rows()
+    page2.to_dict()
     assert presentations == []
     first = page2.entry(1, 0)  # H^1 of parity 1
     assert presentations == [page1.complexes[1].degree_rank(1)]
