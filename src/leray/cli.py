@@ -308,7 +308,7 @@ def cmd_ncp(args, doc):
         "command": "ncp",
         "base": spec.base_name,
         "windings": list(spec.winding),
-        "chern_pairings": list(result.verdict.chern_pairings),
+        "chern_pairings": list(spec.pairings),
         "k_gcd": result.d2.k_gcd,
         "d2_images": [list(result.d2.images.column(j))
                       for j in range(result.d2.images.ncols)],
@@ -328,8 +328,10 @@ def cmd_check(args, doc):
     checks = [("flatness", not violations,
                "violations at %s" % (violations,) if violations else "ok")]
     if not violations:
-        # build raises unless d o d = 0, so both d-squared checks passed
-        # once the comparison, which builds each complex, has returned
+        # CochainComplex raises unless d o d = 0, so both d-squared
+        # checks passed once the comparison has returned: it assembles
+        # the e1 complex and derives the classical one by sign, and each
+        # complex checks its own squares when it is made
         cmp_result = convention_compare(x, system)
         for convention in ("classical", "e1"):
             checks.append(("d-squared (%s)" % convention, True, "ok"))

@@ -27,10 +27,11 @@ by the l-th face of a (p+1)-simplex:
 * ``e1``: (-1)^(p+1-l), the normalization produced by the canonical
   oriented isomorphisms on the first page of the spectral sequence.
 
-The two differ by an alternating per-degree rescaling, so they have
-isomorphic cohomology; ``convention_compare`` verifies this instead of
-assuming it.  The spectral sequence consumes ``e1``, which is the
-default.
+So D_p(classical) = (-1)^(p+1) D_p(e1): ``build`` assembles the e1
+complex, once, and the classical one is that complex with each
+even-degree coboundary negated.  The two have isomorphic cohomology;
+``convention_compare`` verifies this instead of assuming it, from one
+assembly.  The spectral sequence consumes ``e1``, which is the default.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ class CochainComplex:
 
 
 def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
-    """Assemble the cochain complex of a flat system over x."""
+    """Assemble the cochain complex of a flat system over x: the e1
+    complex, or under ``classical`` the same coboundaries with the
+    signs of ``_classical``."""
     if convention not in CONVENTIONS:
         raise ValueError("unknown convention %r" % (convention,))
     if system.base != x:
@@ -114,10 +117,7 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
             for j, sigma in enumerate(x.simplices(p + 1)):
                 for l in range(p + 2):
                     tau = sigma[:l] + sigma[l + 1:]
-                    if convention == "classical":
-                        sign = (-1) ** l
-                    else:
-                        sign = (-1) ** (p + 1 - l)
+                    sign = (-1) ** (p + 1 - l)
                     t = system.transport(tau[0], sigma[0]).rows()
                     ti = x.index(tau)
                     for a, t_row in enumerate(t):
@@ -126,7 +126,14 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                             if v:
                                 row[b] += sign * v
         diffs.append(IntMatrix._trusted(entries, rows, cols))
-    return CochainComplex(diffs)
+    return CochainComplex(diffs if convention == "e1" else _classical(diffs))
+
+
+def _classical(e1_differentials):
+    """The classical coboundaries of one system from its e1 ones:
+    D_p(classical) = (-1)^(p+1) D_p(e1), so each even-degree coboundary
+    is negated and each odd-degree one is the same object."""
+    return [d if p % 2 else -d for p, d in enumerate(e1_differentials)]
 
 
 def cohomology(c: CochainComplex, p):
@@ -180,15 +187,17 @@ class ConventionComparison:
 def convention_compare(x, system: LocalSystem) -> ConventionComparison:
     """Cohomology groups under both sign conventions, degree by degree.
 
-    D_p(e1) = (-1)^(p+1) D_p(classical), so the odd-degree coboundaries
-    coincide.  Where a coboundary of the e1 complex compares equal to
-    the classical one, it takes the classical invariant factors instead
-    of eliminating it again."""
-    classical = build(x, system, "classical")
-    classical_groups = tuple(groups(classical))
+    The system's cochains are assembled once, under ``e1``; the
+    classical complex is derived from them by sign (``_classical``), so
+    its odd-degree coboundaries are the e1 ones, the same objects, and
+    the e1 complex takes their invariant factors instead of eliminating
+    them again.  Each even-degree coboundary is eliminated under both
+    signs."""
     e1 = build(x, system, "e1")
+    classical = CochainComplex(_classical(e1.differentials))
+    classical_groups = tuple(groups(classical))
     for p, factors in classical._invariant_factors.items():
-        if e1.differential(p) == classical.differential(p):
+        if e1.differential(p) is classical.differential(p):
             e1._invariant_factors[p] = factors
     return ConventionComparison(classical=classical_groups,
                                 e1=tuple(groups(e1)))

@@ -644,26 +644,6 @@ class Subquotient:
         self.lift_matrix = g.submatrix_columns(self._free_idx +
                                                self._torsion_idx)
 
-    @classmethod
-    def free(cls, n) -> "Subquotient":
-        """Z^n / 0 presented by identities, equal field for field to
-        the Subquotient of I_n's decomposition with the relations of an
-        n x 0 matrix, but built without an SNF.
-
-        The kernel returns U = V = U_inv = I on the identity, so zb, g
-        and the lift matrix are I; the relation matrix is n x 0, whose
-        U and U_inv are I as well.  One identity object serves them all.
-        """
-        sq = object.__new__(cls)
-        sq.ambient_rank = n
-        sq._cycles = SmithDecomposition.identity(n)
-        sq._gen_change = sq.cycle_gens = sq.lift_matrix = sq._cycles.U
-        sq._free_idx = list(range(n))
-        sq._torsion_idx = []
-        sq.quotient = FgAbGroup(n, ())
-        sq.boundary_gens = IntMatrix.zeros(n, 0)
-        return sq
-
     def lift(self, coords):
         """Ambient representative of the element with canonical coordinates."""
         if len(coords) != self.quotient.ngens:

@@ -32,7 +32,7 @@ integer-cocycle extraction of ``chern_cocycle``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import CochainComplex
@@ -66,18 +66,26 @@ def resolve_base(name: str) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class NcpTorusBundleSpec:
-    """Classifying data: base surface, windings, and Chern data.
+    """Classifying data: base surface, windings, and Chern data, read
+    once, when the spec is made.
 
     ``winding`` lists one integer per canonical generator loop of the
     base (two for torus2, 2g for genus(g)).  Each ``chern`` entry is
-    either a bare integer pairing (realized as that multiple of the
-    indicator cochain of the first 2-simplex) or a full integer
-    2-cochain over the sorted 2-simplices.
+    either a bare integer pairing or a full integer 2-cochain over the
+    sorted 2-simplices.  Construction checks the data and stores what
+    every reader takes from it: the resolved ``base`` (left out of
+    equality), the two Chern ``pairings`` with the fundamental class,
+    and ``k``, the gcd of the windings.  An integer entry is its own
+    pairing: it stands for that multiple of the indicator cochain of
+    the first 2-simplex, which the coherent orientation signs +1.
     """
 
     base_name: str
     winding: tuple
     chern: tuple
+    base: SimplicialComplex = field(init=False, compare=False)
+    pairings: tuple = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "winding", tuple(self.winding))
@@ -94,31 +102,11 @@ class NcpTorusBundleSpec:
         for c in chern:
             if not isinstance(c, int) and len(c) != base.n_simplices(2):
                 raise ValueError("Chern cochain has wrong length")
-
-    @property
-    def base(self) -> SimplicialComplex:
-        return resolve_base(self.base_name)
-
-    def chern_cochains(self):
-        """Both Chern entries as full integer cochains over C_2."""
-        base = self.base
-        out = []
-        for c in self.chern:
-            if isinstance(c, int):
-                coch = [0] * base.n_simplices(2)
-                if coch:
-                    coch[0] = c
-                out.append(tuple(coch))
-            else:
-                out.append(tuple(c))
-        return tuple(out)
-
-    def chern_pairings(self):
-        return tuple(fundamental_pairing(c, self.base)
-                     for c in self.chern_cochains())
-
-    def k_gcd(self):
-        return math.gcd(*self.winding) if self.winding else 0
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pairings", tuple(
+            c if isinstance(c, int) else fundamental_pairing(c, base)
+            for c in chern))
+        object.__setattr__(self, "k", math.gcd(*self.winding))
 
 
 def k_theory_bundle(spec: NcpTorusBundleSpec):
@@ -327,7 +315,7 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
         raise ValueError("basis of H^0(X, K1) does not match ([U_1], [U_2])")
     # column i: the cochain with [U_i] on every 0-cell
     ident = IntMatrix.identity(FIBER_RANK)
-    units = IntMatrix(ident.rows() * n0, shape=(n0 * FIBER_RANK, FIBER_RANK))
+    units = IntMatrix._trusted(ident.rows() * n0, n0 * FIBER_RANK, FIBER_RANK)
     c = h0_odd.project_matrix(units)
     try:
         c_inv = c.inverse_unimodular()
@@ -336,7 +324,7 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
             "basis of H^0(X, K1) does not match ([U_1], [U_2])") from None
 
     h2_even = e2.entry(2, 0)
-    k = spec.k_gcd()
+    k = spec.k
     # column j: fiber vector e_j on the first 2-cell (eps = +1 on a
     # simplicial base)
     n2 = e2.complexes[0].degree_rank(2) // FIBER_RANK
@@ -344,10 +332,9 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
     unit_class, bott_class = h2_even.project_matrix(theta).transpose().rows()
     _validate_coinvariant_presentation(spec, h2_even, unit_class, bott_class, k)
 
-    pairings = spec.chern_pairings()
-    images = IntMatrix.from_columns(
-        [tuple(p * u for u in unit_class) for p in pairings],
-        nrows=h2_even.quotient.ngens)
+    images = IntMatrix._trusted(
+        [[p * u for p in spec.pairings] for u in unit_class],
+        h2_even.quotient.ngens, FIBER_RANK)
     on_gens = images * c_inv
     diffs = {(0, 1): on_gens} if not on_gens.is_zero() else {}
     return D2Spec(k_gcd=k, images=images, unit_class=unit_class,
@@ -363,8 +350,8 @@ def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
     if element_order(group, bott_class) != 0:
         raise ValueError("image of the Bott class is not free")
     # together the two classes must generate the whole group
-    gens = IntMatrix.from_columns([unit_class, bott_class],
-                                  nrows=group.ngens)
+    gens = IntMatrix._trusted(list(zip(unit_class, bott_class)),
+                              group.ngens, 2)
     full = gens.hstack(relation_lattice(group))
     if solve(full, IntMatrix.identity(group.ngens)) is None:
         raise ValueError("unit and Bott classes do not generate H^2")
@@ -374,8 +361,6 @@ def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
 class TrivialityVerdict:
     trivial: bool
     certificate: str
-    windings: tuple
-    chern_pairings: tuple
 
 
 def is_rkk_trivial(spec: NcpTorusBundleSpec) -> TrivialityVerdict:
@@ -385,20 +370,15 @@ def is_rkk_trivial(spec: NcpTorusBundleSpec) -> TrivialityVerdict:
     zero) and the second-page differential vanishes (both Chern pairings
     zero); the certificate names the first violated condition.
     """
-    pairings = spec.chern_pairings()
     if any(spec.winding):
         return TrivialityVerdict(
-            False,
-            "K-theory bundle nontrivial: windings %s" % (spec.winding,),
-            spec.winding, pairings)
-    if any(pairings):
+            False, "K-theory bundle nontrivial: windings %s"
+            % (spec.winding,))
+    if any(spec.pairings):
         return TrivialityVerdict(
-            False,
-            "d2 differential nonzero: Chern pairings %s" % (pairings,),
-            spec.winding, pairings)
-    return TrivialityVerdict(
-        True, "windings and Chern pairings all vanish",
-        spec.winding, pairings)
+            False, "d2 differential nonzero: Chern pairings %s"
+            % (spec.pairings,))
+    return TrivialityVerdict(True, "windings and Chern pairings all vanish")
 
 
 @dataclass(frozen=True)

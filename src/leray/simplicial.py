@@ -419,17 +419,16 @@ _BUILTIN_PARAM = {
 }
 
 
-def builtin(name, param=None) -> SimplicialComplex:
+def builtin(name) -> SimplicialComplex:
     """Built-in triangulations by name.
 
     Plain names: ``torus2``, ``sphere2``.  Parametrized: ``simplex(p)``,
-    ``circle(n)``, ``genus(g)``, accepted either as separate arguments or
-    in call syntax, e.g. ``builtin("circle(5)")``: exactly ``name(d)``, d
-    in ASCII digits without a leading zero, so each has one spelling.
+    ``circle(n)``, ``genus(g)``, in call syntax, e.g.
+    ``builtin("circle(5)")``: exactly ``name(d)``, d in ASCII digits
+    without a leading zero, so each has one spelling.
     """
     call = re.fullmatch(r"([a-z0-9]+)\((0|[1-9][0-9]*)\)", name)
-    if call and param is None:
-        name, param = call[1], int(call[2])
+    name, param = (call[1], int(call[2])) if call else (name, None)
     if name in _BUILTIN_PLAIN:
         if param is not None:
             raise ValueError("%s takes no parameter" % name)

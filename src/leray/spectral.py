@@ -14,8 +14,9 @@ on any cell structure of the base: cohomology does not depend on it.
 bundle of local systems; ``ncp_bundles`` hands ``first_page`` the
 complexes of the one-vertex cell structure of a surface.  The first
 page is the cell-by-cell cochain module with the e1-convention
-differential; the second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups
-come from the invariant factors of the coboundaries
+differential; it stores that differential alone and presents no
+entry.  The second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups come
+from the invariant factors of the coboundaries
 (``cohomology.groups``), with no transforms; its entries, with
 representatives from ``cohomology``, are presented one at a time, when
 read, and each is certified against its group.  A page that only
@@ -71,7 +72,9 @@ class SpectralPage:
     ``entries`` are the entries made with the page.  Any other entry or
     group is read from ``source``, an object with the same ``entry`` and
     ``group`` methods: the page before, or E2's cohomology.  Every entry
-    and group read is kept.
+    and group read is kept.  E1 has no source and presents nothing: its
+    group at (p, q) is the free cochain module Z^(n_p), and reading one
+    of its entries raises PageError.
     """
 
     def __init__(self, r, complexes, entries, differentials, source=None):
@@ -94,6 +97,8 @@ class SpectralPage:
         if key not in self._entries:
             if not 0 <= p <= self.dimension:
                 raise KeyError(key)
+            if self._source is None:
+                raise PageError("E1 presents no entries")
             self._entries[key] = self._source.entry(*key)
         return self._entries[key]
 
@@ -102,9 +107,13 @@ class SpectralPage:
         if key not in self._groups:
             if not 0 <= p <= self.dimension:
                 return FgAbGroup(0, ())
-            self._groups[key] = (
-                self._entries[key].quotient if key in self._entries
-                else self._source.group(*key))
+            if key in self._entries:
+                self._groups[key] = self._entries[key].quotient
+            elif self._source is None:
+                self._groups[key] = FgAbGroup(
+                    self.complexes[(p + q) % 2].degree_rank(p), ())
+            else:
+                self._groups[key] = self._source.group(*key)
         return self._groups[key]
 
     def coefficient_parity(self, p, q):
@@ -145,14 +154,11 @@ class SpectralPage:
 
 def relation_lattice(group: FgAbGroup) -> IntMatrix:
     """Columns spanning the zero classes in canonical coordinates."""
-    cols = []
-    n = group.ngens
-    for j, t in enumerate(group.torsion):
-        col = [0] * n
-        col[group.free_rank + j] = t
-        cols.append(tuple(col))
-    return IntMatrix.from_columns(cols, nrows=n) if cols \
-        else IntMatrix.zeros(n, 0)
+    n, torsion = group.ngens, group.torsion
+    rows = [[0] * len(torsion) for _ in range(n)]
+    for j, t in enumerate(torsion):
+        rows[group.free_rank + j][j] = t
+    return IntMatrix._trusted(rows, n, len(torsion))
 
 
 def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
@@ -168,17 +174,11 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
 def first_page(complexes) -> SpectralPage:
     """First page of the cochain complexes ``{0: even, 1: odd}`` of one
     base: entry (p, q) is the cochain module of degree p of the complex
-    of parity (p + q) mod 2, and d1 is its coboundary."""
-    dim = complexes[0].dimension
-    entries = {}
-    differentials = {}
-    for p in range(dim + 1):
-        for q in (0, 1):
-            c = complexes[(p + q) % 2]
-            entries[(p, q)] = Subquotient.free(c.degree_rank(p))
-            if p + 1 <= dim:
-                differentials[(p, q)] = c.differential(p)
-    return SpectralPage(1, complexes, entries, differentials)
+    of parity (p + q) mod 2, and d1 is its coboundary.  Only d1 is
+    stored; the page's groups are the free modules (``group``)."""
+    differentials = {(p, q): complexes[(p + q) % 2].differential(p)
+                     for p in range(complexes[0].dimension) for q in (0, 1)}
+    return SpectralPage(1, complexes, {}, differentials)
 
 
 def _turn(page: SpectralPage) -> SpectralPage:

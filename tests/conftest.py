@@ -63,9 +63,8 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def presentations(monkeypatch):
-    """Record the ambient rank of each ``Subquotient`` made by its
-    constructor for the rest of the test (``Subquotient.free`` makes
-    none); returns the list of ranks."""
+    """Record the ambient rank of each ``Subquotient`` made for the
+    rest of the test; returns the list of ranks."""
     ranks = []
     init = exactlinalg.Subquotient.__init__
 

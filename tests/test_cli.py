@@ -445,8 +445,8 @@ def test_warm_ncp_job_eliminates_its_d2_once(kernel_calls, capsys, tmp_path,
 
 def test_check_job_makes_one_flatness_pass(monkeypatch, capsys, tmp_path):
     """A system's violations are found once and kept: the check's own
-    flatness line and both complexes the convention comparison builds
-    read the same pass."""
+    flatness line and the convention comparison's one assembly read the
+    same pass."""
     passes = []
     check = local_systems.flatness_check
 
@@ -459,6 +459,61 @@ def test_check_job_makes_one_flatness_pass(monkeypatch, capsys, tmp_path):
                                 "system": {"rank": 2, "monodromy": _MONO}}))
     assert cli.main(["check", "--input", str(path)]) == 0
     assert len(passes) == 1
+
+
+def _counting(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` in ``calls`` for the rest of
+    the test."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_warm_ncp_job_reads_its_spec_once(monkeypatch, capsys, tmp_path):
+    """The spec resolves its base and pairs its Chern data once, when
+    it is made, and every reader takes the stored fields: a warm ncp
+    job resolves its base once, evaluates a pairing only for its
+    cochain entry (an integer entry is its own pairing), and makes no
+    matrix through the validating constructor."""
+    n2 = simplicial.shared_builtin("genus(2)").n_simplices(2)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"bundle": {
+        "base": "genus(2)", "windings": [2, 4, 0, 6],
+        "chern": [3, [1] + [0] * (n2 - 1)]}}))
+    argv = ["ncp", "--input", str(path), "--emit", "machine"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    calls = Counter()
+    _counting(monkeypatch, calls, ncp_bundles, "resolve_base")
+    _counting(monkeypatch, calls, ncp_bundles, "fundamental_pairing")
+    _counting(monkeypatch, calls, IntMatrix, "__init__")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["chern_pairings"] == [3, 1]
+    assert calls == {"resolve_base": 1, "fundamental_pairing": 1}
+
+
+def test_check_job_assembles_its_cochains_once(monkeypatch, kernel_calls,
+                                               capsys, tmp_path):
+    """A check job assembles its system's cochains once, as the e1
+    complex, and derives the classical one by sign; the comparison still
+    eliminates each even-degree coboundary under both signs and shares
+    the odd-degree ones, so a warm torus2 job sends the kernel D_0,
+    -D_0 and D_1, for their invariant factors alone."""
+    doc = {"complex": "torus2", "system": {"rank": 2, "monodromy": _MONO}}
+    _run_in_process(kernel_calls, capsys, tmp_path, "check", doc)
+    calls = Counter()
+    _counting(monkeypatch, calls, cohomology, "build")
+    code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
+                                      "check", doc)
+    assert code == 0 and calls == {"build": 1}
+    x = simplicial.shared_builtin("torus2")
+    e1 = cohomology.build(x, from_monodromy(x, [IntMatrix(m) for m in _MONO]))
+    d0, d1 = e1.differential(0), e1.differential(1)
+    assert sorted(inputs) == sorted(map(_kernel_input, (d0, -d0, d1)))
+    assert not kernel_calls.transformed
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))

@@ -193,6 +193,41 @@ def _seeded_systems():
     yield "genus2-rank2", x, from_monodromy(x, [a, b, a * b, b.power(-1)])
 
 
+def _textbook_coboundary(x, system, p, sign):
+    """D_p entry by entry: the block of (sigma, tau) for the l-th face
+    tau of a (p+1)-simplex sigma is sign(l) times the transport from
+    tau's minimal vertex to sigma's."""
+    m = system.fiber_rank
+    rows = [[0] * (x.n_simplices(p) * m)
+            for _ in range(x.n_simplices(p + 1) * m)]
+    for j, sigma in enumerate(x.simplices(p + 1)):
+        for l in range(p + 2):
+            tau = sigma[:l] + sigma[l + 1:]
+            t = system.transport(tau[0], sigma[0])
+            for a in range(m):
+                for b in range(m):
+                    rows[j * m + a][x.index(tau) * m + b] += \
+                        sign(l) * t[a, b]
+    return rows
+
+
+def test_both_conventions_are_the_textbook_coboundaries():
+    """build assembles the e1 complex and derives the classical one by
+    sign; each coboundary is the one its convention defines, with
+    (-1)^l on the l-th face (classical) or (-1)^(p+1-l) (e1)."""
+    for label, x, system in _seeded_systems():
+        classical = build(x, system, "classical")
+        e1 = build(x, system, "e1")
+        for p in range(x.dimension):
+            assert classical.differential(p).rows() == tuple(map(
+                tuple, _textbook_coboundary(
+                    x, system, p, lambda l: (-1) ** l))), (label, p)
+            assert e1.differential(p).rows() == tuple(map(
+                tuple, _textbook_coboundary(
+                    x, system, p, lambda l: (-1) ** (p + 1 - l)))), \
+                (label, p)
+
+
 @pytest.mark.parametrize("convention", ["classical", "e1"])
 def test_groups_equal_the_quotients_of_cohomology(convention):
     """The groups read off invariant factors alone are the quotients of

@@ -370,16 +370,6 @@ def test_canonical_rows_of_gen_change_project_the_cycle_basis(cb):
     assert sq._canonical(sq._gen_change) == sq.project_matrix(sq.cycle_gens)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7])
-def test_free_subquotient_equals_identity_presentation(n):
-    built = subquotient(IntMatrix.identity(n), IntMatrix.zeros(n, 0))
-    free = exactlinalg.Subquotient.free(n)
-    # every attribute: the cycles' SNF (U, V, diagonal, U_inv),
-    # _gen_change, the index lists, quotient, cycle_gens, boundary_gens
-    # and lift_matrix
-    assert vars(free) == vars(built)
-
-
 @st.composite
 def maps_and_kernel_boundaries(draw):
     """(A, B): A often rank-deficient, B = kernel(A) M inside its kernel."""

@@ -85,14 +85,15 @@ def test_coherent_orientation():
 
 def test_builtin_by_name():
     assert builtin("torus2").n_simplices(2) == 14
-    assert builtin("circle", 5).n_simplices(1) == 5
     assert builtin("circle(5)").n_simplices(1) == 5
     assert builtin("genus(2)").euler_characteristic() == -2
     assert builtin("simplex(3)").dimension == 3
     with pytest.raises(ValueError):
         builtin("klein")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="torus2 takes no parameter"):
         builtin("torus2(3)")
+    with pytest.raises(ValueError, match="circle requires a parameter"):
+        builtin("circle")
 
 
 def test_homology_of_contractible():

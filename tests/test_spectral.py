@@ -2,14 +2,21 @@ import random
 
 import pytest
 
-from leray import exactlinalg
-from leray.exactlinalg import FgAbGroup, IntMatrix, solve
+from leray.exactlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    SmithDecomposition,
+    Subquotient,
+    smith_normal_form,
+    solve,
+)
 from leray.cohomology import cohomology, cohomology_groups
 from leray.local_systems import GradedKBundle, LocalSystem, from_monodromy
 from leray.ncp_bundles import NcpTorusBundleSpec, analyze
 from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
 from leray.spectral import (
     PageError,
+    SpectralPage,
     _turn,
     assemble,
     attach_d2,
@@ -40,6 +47,18 @@ def test_e1_ranks_torus_constant():
     assert ranks[(0, 0)] == 14 and ranks[(0, 1)] == 14
     assert ranks[(1, 0)] == 42 and ranks[(1, 1)] == 42
     assert ranks[(2, 0)] == 28 and ranks[(2, 1)] == 28
+
+
+def test_e1_presents_nothing():
+    """E1's groups are the free cochain modules Z^(n_p), read off the
+    complexes, and E1 has no entry to read."""
+    x = torus2()
+    page = e1_page(x, constant_bundle(x, 2, 1))
+    for (p, q) in page.keys():
+        n = page.complexes[(p + q) % 2].degree_rank(p)
+        assert page.group(p, q) == FgAbGroup(n, ())
+        with pytest.raises(PageError, match="E1 presents no entries"):
+            page.entry(p, q)
 
 
 def test_e1_differential_squares_to_zero():
@@ -174,7 +193,6 @@ def test_d2_turn_kills_an_order_two_class():
     """A d2 from Z (+) Z/2 to Z (+) Z/4 sending the order-2 generator to
     the order-2 class 2 * t: the turn kills exactly that class, in the
     source and in the target."""
-    from leray.spectral import SpectralPage
     x = torus2()
     complexes = e1_page(x, constant_bundle(x, 1, 1)).complexes
     # source (0,1): Z (+) Z/2 inside Z^2; target (2,0): Z (+) Z/4
@@ -289,6 +307,13 @@ def _identity_on(group, m):
         x % t == 0 for t, row in zip(group.torsion, diff[free:]) for x in row)
 
 
+def _free(n):
+    """Z^n / 0 presented in Z^n: I_n's decomposition, with the relations
+    of an n x 0 matrix, which reach no kernel."""
+    return Subquotient(SmithDecomposition.identity(n),
+                       smith_normal_form(IntMatrix.zeros(n, 0)))
+
+
 def test_e2_equals_the_e1_page_turn():
     """The E1 -> E2 page turn is the oracle: every E2 entry is the same
     subquotient of the same cochain module as the turned entry.  The
@@ -307,7 +332,10 @@ def test_e2_equals_the_e1_page_turn():
                                    _random_system(rng, x, loops, odd_rank))
             page1 = e1_page(x, bundle)
             page2 = e2_page(page1)
-            turned = _turn(page1)
+            turned = _turn(SpectralPage(
+                1, page1.complexes,
+                {key: _free(page1.group(*key).free_rank)
+                 for key in page1.keys()}, page1.differentials))
             assert page2.r == turned.r == 2
             for key in page2.keys():
                 got, want = page2.entry(*key), turned.entry(*key)
@@ -351,7 +379,7 @@ def test_e2_page_rejects_a_wrong_rank_entry(monkeypatch):
 
     def wrong_h1(c, p):
         if p == 1:  # all of C^1 in place of H^1 = Z^2
-            return exactlinalg.Subquotient.free(c.degree_rank(1))
+            return _free(c.degree_rank(1))
         return cohomology(c, p)
     monkeypatch.setattr(spectral, "cohomology", wrong_h1)
     page2 = e2_page(page1)
