@@ -1,9 +1,10 @@
 """Cochain complexes of free modules, and their cohomology.
 
 A cochain complex is given by its coboundaries alone, so two routines
-serve every complex the package makes, the simplicial cochains of a
-local system (``build``) and the Koszul complex of a Z^n-action
-(``group_cohomology``):
+serve every complex the package makes: the simplicial cochains of a
+local system (``build``), the complex of the one-relator cell model of
+a closed surface (``fox_complex``, ``surface_complex``) and the Koszul
+complex of a Z^n-action (``group_cohomology``):
 
 * ``groups`` gives the isomorphism types alone, from the invariant
   factors of the coboundaries, with no transforms; the ``cohomology``,
@@ -32,6 +33,15 @@ complex, once, and the classical one is that complex with each
 even-degree coboundary negated.  The two have isomorphic cohomology;
 ``convention_compare`` verifies this instead of assuming it, from one
 assembly.  The spectral sequence consumes ``e1``, which is the default.
+
+Cohomology does not depend on the cell structure.  On a named closed
+surface (``torus2``, ``sphere2``, ``genus(g)``), the ``cohomology`` and
+``spectral`` commands compute a system given by ``monodromy`` or
+``constant`` on the surface's one vertex, 2g loops and one 2-cell
+(``surface_complex``), whose modules have rank m, 2g m and m, and
+build no simplicial cochains; the conventions give the same groups
+there.  Inline complexes, ``circle(n)``, ``simplex(p)``, systems given
+by ``transports`` and the ``check`` command stay on ``build``.
 """
 
 from __future__ import annotations
@@ -63,6 +73,16 @@ class CochainComplex:
                 raise AssertionError("differential does not square to zero")
         self._smith_forms = {}
         self._invariant_factors = {}
+
+    @classmethod
+    def _trusted(cls, differentials):
+        """Complex from coboundaries whose products the package has
+        already certified to vanish: nothing is multiplied again."""
+        c = object.__new__(cls)
+        c.differentials = tuple(differentials)
+        c._smith_forms = {}
+        c._invariant_factors = {}
+        return c
 
     @property
     def dimension(self):
@@ -127,6 +147,53 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                                 row[b] += sign * v
         diffs.append(IntMatrix._trusted(entries, rows, cols))
     return CochainComplex(diffs if convention == "e1" else _classical(diffs))
+
+
+def fox_complex(word, action, fiber_rank) -> CochainComplex:
+    """The cochain complex M -> M^n -> M of the one-relator cell model
+    (one vertex, n loops x_i, one 2-cell on ``word``) with coefficients
+    in M = Z^``fiber_rank``, where ``action`` lists one pair
+    (rho(x_i), rho(x_i)^-1) per generator, rho a homomorphism on words
+    read left to right.
+
+    By Fox's free differential calculus (Fox, Ann. Math. 57, 1953),
+    delta_0 = stack(rho(x_i) - I), and block i of delta_1 is
+    rho(dw/dx_i): over the letters of w, +rho(prefix) for each x_i and
+    -rho(prefix through the letter) for each x_i^-1.  ``CochainComplex``
+    certifies delta_1 delta_0 = rho(w) - I = 0.
+    """
+    m, n = fiber_rank, len(action)
+    ident = IntMatrix.identity(m)
+    blocks = [IntMatrix.zeros(m, m)] * n
+    prefix = ident
+    for i, s in word:
+        if s > 0:
+            blocks[i] = blocks[i] + prefix
+            prefix = prefix * action[i][0]
+        else:
+            prefix = prefix * action[i][1]
+            blocks[i] = blocks[i] - prefix
+    d0 = [row for a, _ in action for row in (a - ident).rows()]
+    d1 = [sum((b.rows()[r] for b in blocks), ()) for r in range(m)]
+    return CochainComplex([IntMatrix._trusted(d0, n * m, m),
+                           IntMatrix._trusted(d1, m, n * m),
+                           IntMatrix.zeros(0, m)])
+
+
+def surface_complex(system: LocalSystem) -> CochainComplex:
+    """The cochain complex of a system that keeps its holonomy, over a
+    closed oriented surface, on the surface's one-relator cell model:
+    ``fox_complex`` of the base's ``boundary_word``.  No transport is
+    read.
+
+    The simplicial complex of the system is chain equivalent to it under
+    rho(x_i) = T_i^-1, T_i the transport around loop i: with the tree
+    transports the identity, the simplicial D_0 on loop edge (a, b) is
+    f(a) - T_i^-1 f(b).  Its groups are those of ``build`` under either
+    convention, which differ by the signs of whole coboundaries.
+    """
+    action = [(inverse, t) for t, inverse in system.holonomy]
+    return fox_complex(system.base.boundary_word, action, system.fiber_rank)
 
 
 def _classical(e1_differentials):
@@ -194,7 +261,8 @@ def convention_compare(x, system: LocalSystem) -> ConventionComparison:
     them again.  Each even-degree coboundary is eliminated under both
     signs."""
     e1 = build(x, system, "e1")
-    classical = CochainComplex(_classical(e1.differentials))
+    # (+-D_(p+1)) (+-D_p) = +-D_(p+1) D_p, which e1 certified
+    classical = CochainComplex._trusted(_classical(e1.differentials))
     classical_groups = tuple(groups(classical))
     for p, factors in classical._invariant_factors.items():
         if e1.differential(p) is classical.differential(p):

@@ -20,9 +20,15 @@ base): transports are the identity on tree edges, and each off-tree
 edge carries the image of its fundamental cycle class.  This requires
 the prescribed matrices to commute pairwise (the representation factors
 through first homology).  The ``cohomology``, ``check`` and ``spectral``
-commands use it; an ``ncp`` job builds no local system, since its
-coefficient complexes live on the one-vertex cell structure of the base
-(see ``ncp_bundles.k_theory_bundle``).
+commands use it.  A system from ``constant`` or ``from_monodromy``
+keeps its holonomy and makes its transport table only when a transport
+is read: on a named closed surface the ``cohomology`` and ``spectral``
+commands read the holonomy alone, for the complex of the one-relator
+cell model (``cohomology.surface_complex``), while ``check``, inline
+complexes, ``circle`` and ``simplex`` read the transports.  An ``ncp``
+job builds no local system, since its coefficient complexes live on
+the one-vertex cell structure of the base (see
+``ncp_bundles.k_theory_bundle``).
 """
 
 from __future__ import annotations
@@ -42,7 +48,12 @@ class LocalSystem:
     """Coefficient system from one transport per edge, each checked: on
     an edge keyed by its increasing pair, m x m, unimodular.  Flatness
     is not required, so deliberately broken systems can be built for
-    diagnostics: ``violations`` lists where it fails."""
+    diagnostics: ``violations`` lists where it fails.
+
+    A system the package derives itself (``constant``,
+    ``from_monodromy``) keeps its ``holonomy`` instead, and makes its
+    table of edge transports when a transport is first read; a system
+    given by its transports keeps no holonomy (None)."""
 
     def __init__(self, base: SimplicialComplex, fiber_rank: int, transports):
         if fiber_rank < 0:
@@ -68,27 +79,44 @@ class LocalSystem:
             if (u, v) not in table:
                 raise ValueError("missing transport for edge %r" % ((u, v),))
         self._table = table
+        self.holonomy = None
 
     @classmethod
-    def _trusted(cls, base, fiber_rank, table):
-        """System from a table the package derived itself: both
-        directions of every edge, each the exact inverse of the other.
-        Nothing is checked (see ``IntMatrix._trusted``)."""
+    def _trusted(cls, base, fiber_rank, holonomy, make_table):
+        """System from data the package derived itself: ``holonomy``,
+        a function giving one pair (T_i, T_i^-1) per loop of
+        ``base.tree_gauge.loops``, T_i the transport around it, and
+        ``make_table``, a function giving both directions of every edge,
+        each the exact inverse of the other.  Each is called once, on
+        first read.  Nothing is checked (see ``IntMatrix._trusted``)."""
         system = object.__new__(cls)
         system.base = base
         system.fiber_rank = fiber_rank
-        system._table = table
+        system._make_holonomy = holonomy
+        system._make_table = make_table
         return system
+
+    @functools.cached_property
+    def holonomy(self):
+        return self._make_holonomy()
+
+    @functools.cached_property
+    def _table(self):
+        return self._make_table()
 
     @classmethod
     def constant(cls, base: SimplicialComplex, fiber_rank: int):
         if fiber_rank < 0:
             raise ValueError("fiber rank must be >= 0")
         ident = IntMatrix.identity(fiber_rank)
-        table = {}
-        for (u, v) in base.simplices(1):
-            table[(u, v)] = table[(v, u)] = ident
-        return cls._trusted(base, fiber_rank, table)
+
+        def holonomy():
+            return ((ident, ident),) * len(base.tree_gauge.loops)
+
+        def make_table():
+            return {h: ident for (u, v) in base.simplices(1)
+                    for h in ((u, v), (v, u))}
+        return cls._trusted(base, fiber_rank, holonomy, make_table)
 
     def transport(self, u, v) -> IntMatrix:
         """The matrix carrying the fiber at u to the fiber at v."""
@@ -179,8 +207,12 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     Tree edges carry the identity, so the holonomy equals the given
     matrices exactly, with no basepoint conjugation; an off-tree edge of
     class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
-    backwards, each power made once per call.  The holonomy is certified
-    here, and flatness by ``cohomology.build``.
+    backwards, each power made once per table.  The system keeps the
+    checked matrices, with their inverses, as its ``holonomy``; the
+    table is made when a transport is first read, and the holonomy along
+    each loop is certified then, and flatness by ``cohomology.build``.
+    A job on the cell model of a named surface reads the holonomy alone
+    and makes no table.
     """
     mats = list(mats)
     if fiber_rank is None:
@@ -192,22 +224,29 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
         raise ValueError("expected %d monodromy matrices for this base, got %d"
                          % (len(gauge.loops), len(mats)))
     inverses = action_inverses(mats, fiber_rank)
+    holonomy = tuple(zip(mats, inverses))
+    ident = IntMatrix.identity(fiber_rank)
 
-    exponents = {(i, e) for cls in gauge.classes for i, c in enumerate(cls)
-                 if c for e in (c, -c)}
-    powers = {(i, e): (mats[i] if e > 0 else inverses[i]).power(abs(e))
-              for i, e in exponents}
-    # the table is edited in place, so nothing reads the system's
-    # violations before the loop below has finished
-    system = LocalSystem.constant(base, fiber_rank)
-    for (u, v), cls in zip(gauge.offtree, gauge.classes):
-        forward = backward = system.transport(u, v)
-        for i, c in enumerate(cls):
-            if c:
-                forward = forward * powers[i, c]
-                backward = backward * powers[i, -c]
-        system._table[(u, v)], system._table[(v, u)] = forward, backward
-    for loop, m in zip(gauge.loops, mats):
-        if transport_along(system, loop) != m:
-            raise AssertionError("holonomy does not match the prescription")
-    return system
+    def make_table():
+        exponents = {(i, e) for cls in gauge.classes
+                     for i, c in enumerate(cls) if c for e in (c, -c)}
+        powers = {(i, e): (mats[i] if e > 0 else inverses[i]).power(abs(e))
+                  for i, e in exponents}
+        table = {h: ident for (u, v) in base.simplices(1)
+                 for h in ((u, v), (v, u))}
+        for (u, v), cls in zip(gauge.offtree, gauge.classes):
+            forward = backward = ident
+            for i, c in enumerate(cls):
+                if c:
+                    forward = forward * powers[i, c]
+                    backward = backward * powers[i, -c]
+            table[(u, v)], table[(v, u)] = forward, backward
+        made = LocalSystem._trusted(base, fiber_rank, None, lambda: table)
+        for loop, m in zip(gauge.loops, mats):
+            if transport_along(made, loop) != m:
+                raise AssertionError(
+                    "holonomy does not match the prescription")
+        return table
+
+    return LocalSystem._trusted(base, fiber_rank, lambda: holonomy,
+                                make_table)

@@ -112,6 +112,51 @@ class SimplicialComplex:
         return TreeGauge(self)
 
     @cached_property
+    def boundary_word(self):
+        """The relator of the one-relator cell model of a closed oriented
+        surface, made on first use and kept: a tuple of letters (i, s),
+        x_i^s, over the generators of ``tree_gauge.loops``.
+
+        Cutting the surface along the breadth-first tree and the cotree
+        (the off-tree edges that are not ``tree_gauge.loop_edges``)
+        leaves one disk (Eppstein, SODA 2003).  Its boundary is walked
+        on half-edges, each triangle's edges directed by its
+        ``orientation``: after u -> v comes v -> w of the same triangle,
+        and while v -> w is a cotree edge, interior to the disk, the walk
+        turns about v into the triangle across it.  A half-edge of loop
+        edge (a, b), a < b, reads x_i from a to b and x_i^-1 back; tree
+        edges read nothing.  The walk must cover every non-cotree
+        half-edge exactly once, which makes the cut surface one disk,
+        and the word is certified by ``check_surface_word``.  A failure
+        raises ValueError.
+        """
+        gauge = self.tree_gauge
+        loop_edges = gauge.loop_edges or ()
+        letters = {}
+        for i, (a, b) in enumerate(loop_edges):
+            letters[a, b], letters[b, a] = (i, 1), (i, -1)
+        cotree = set(gauge.offtree) - set(loop_edges)
+        after = {}  # half-edge -> the next one around its triangle
+        for eps, (a, b, c) in zip(self.orientation, self.simplices(2)):
+            cycle = (a, b, c) if eps > 0 else (a, c, b)
+            for k in range(3):
+                after[cycle[k - 2], cycle[k - 1]] = (cycle[k - 1], cycle[k])
+        walk = [next(h for h in after if tuple(sorted(h)) not in cotree)]
+        while len(walk) <= len(after):
+            h = after[walk[-1]]
+            while tuple(sorted(h)) in cotree:
+                h = after[h[::-1]]
+            if h == walk[0]:
+                break
+            walk.append(h)
+        if len(walk) != 2 * (self.n_simplices(1) - len(cotree)):
+            raise ValueError("the surface cut along its tree and cotree "
+                             "is not one disk")
+        word = tuple(letters[h] for h in walk if h in letters)
+        check_surface_word(word, len(gauge.loops))
+        return word
+
+    @cached_property
     def intersection_form(self) -> IntMatrix:
         """The intersection form J of the canonical H_1 basis of a
         closed oriented surface, computed on first use and kept.
@@ -199,6 +244,17 @@ class SimplicialComplex:
             self.vertex_count, counts)
 
 
+def check_surface_word(word, generators):
+    """Certify ``word``, letters (i, s) with s = +-1, as the relator of
+    a closed oriented surface on ``generators`` = 2g generators: its
+    length is 4g, and each generator occurs twice, once with each sign.
+    A failure raises ValueError."""
+    if len(word) != 2 * generators or sorted(word) != sorted(
+            (i, s) for i in range(generators) for s in (-1, 1)):
+        raise ValueError("boundary word %r is not a surface relator on "
+                         "%d generators" % (word, generators))
+
+
 class TreeGauge:
     """Spanning tree of a connected complex with torsion-free H_1, and
     the H_1 data that pins a commuting monodromy representation in it.
@@ -222,9 +278,11 @@ class TreeGauge:
     every pivot of H is 1: generator i is the class of the fundamental
     loop of the off-tree edge at pivot i, which is then its loop, and
     the other off-tree edges are the edges of a spanning tree of the
-    dual graph.  Where some pivot is not 1, the loop of generator j
-    runs the fundamental loops by the integer solution x of H x = e_j
-    (``solve``), so only its class is kernel-free.
+    dual graph, the cotree.  ``loop_edges`` lists the pivot edges, in
+    the order of the generators.  Where some pivot is not 1, the loop of
+    generator j runs the fundamental loops by the integer solution x of
+    H x = e_j (``solve``), so only its class is kernel-free, and
+    ``loop_edges`` is None.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -255,9 +313,11 @@ class TreeGauge:
         if all(row[p] == 1 for row, p in zip(form, pivots)):
             # column p_i of the form is e_i: generator i is the class of
             # the fundamental loop of off-tree edge p_i
-            self.loops = [self._fundamental_loop(self.offtree[p], 1)
-                          for p in pivots]
+            self.loop_edges = [self.offtree[p] for p in pivots]
+            self.loops = [self._fundamental_loop(e, 1)
+                          for e in self.loop_edges]
             return
+        self.loop_edges = None
         lift = solve(IntMatrix._trusted(form, len(form), k),
                      IntMatrix.identity(len(form)))
         self.loops = []

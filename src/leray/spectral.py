@@ -12,10 +12,15 @@ A page is made from two cochain complexes, one per coefficient parity,
 on any cell structure of the base: cohomology does not depend on it.
 ``e1_page`` builds them from the simplices of a complex and a graded
 bundle of local systems; ``ncp_bundles`` hands ``first_page`` the
-complexes of the one-vertex cell structure of a surface.  The first
-page is the cell-by-cell cochain module with the e1-convention
-differential; it stores that differential alone and presents no
-entry.  The second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups come
+complexes of the one-vertex cell structure of a surface, and
+``surface_e1_page`` those of a graded bundle on that structure, for
+the ``spectral`` command on a named closed surface.  The first page is
+the cell-by-cell cochain module with the e1-convention differential;
+it stores that differential alone and presents no entry.  Its groups
+and d1 ranks are reported from its module ranks and E2's free ranks,
+so ``surface_e1_page`` reports the simplicial E1 from the simplex
+counts alone, with no simplicial coboundary made.  The second is
+E2^{p,q} = H^p(X; K_{p+q}).  Its groups come
 from the invariant factors of the coboundaries
 (``cohomology.groups``), with no transforms; its entries, with
 representatives from ``cohomology``, are presented one at a time, when
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import build, cohomology, groups
+from .cohomology import build, cohomology, groups, surface_complex
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -74,16 +79,20 @@ class SpectralPage:
     ``group`` methods: the page before, or E2's cohomology.  Every entry
     and group read is kept.  E1 has no source and presents nothing: its
     group at (p, q) is the free cochain module Z^(n_p), and reading one
-    of its entries raises PageError.
+    of its entries raises PageError.  n_p is the degree-p rank of the
+    complex of parity s = (p + q) mod 2, or ``modules[s][p]`` when E1
+    is given the module ranks of another cell structure of the base.
     """
 
-    def __init__(self, r, complexes, entries, differentials, source=None):
+    def __init__(self, r, complexes, entries, differentials, source=None,
+                 modules=None):
         self.r = r
         self.complexes = complexes
         self._entries = dict(entries)
         self._groups = {}
         self.differentials = dict(differentials)
         self._source = source
+        self.modules = modules
 
     @property
     def dimension(self):
@@ -110,8 +119,10 @@ class SpectralPage:
             if key in self._entries:
                 self._groups[key] = self._entries[key].quotient
             elif self._source is None:
+                s = (p + q) % 2
                 self._groups[key] = FgAbGroup(
-                    self.complexes[(p + q) % 2].degree_rank(p), ())
+                    self.complexes[s].degree_rank(p) if self.modules is None
+                    else self.modules[s][p], ())
             else:
                 self._groups[key] = self._source.group(*key)
         return self._groups[key]
@@ -129,20 +140,30 @@ class SpectralPage:
         return SpectralPage(self.r, self.complexes, {}, differentials,
                             source=self)
 
+    def _d1_ranks(self, s):
+        """E1's d1 ranks on the cochains of parity s, degree by degree,
+        from its groups and E2's: the free rank of H^p is n_p - rank d1_p
+        - rank d1_(p-1), so rank d1_p = n_p - free rank H^p - rank
+        d1_(p-1).  E2's groups come from the invariant factors the
+        complex keeps, so nothing is eliminated twice."""
+        ranks = [0]
+        for p, h in enumerate(groups(self.complexes[s])):
+            ranks.append(self.group(p, s - p).free_rank - h.free_rank
+                         - ranks[-1])
+        return ranks[1:]
+
     def to_dict(self):
         """The page report: per entry its group and the rank of its
-        outgoing differential, counted by invariant factors; E1's are
-        those of the coboundaries, which their complexes keep for E2's
-        groups."""
+        outgoing differential, counted by invariant factors; E1's
+        follow from its groups and E2's (``_d1_ranks``)."""
+        d1 = {s: self._d1_ranks(s) for s in (0, 1)} if self.r == 1 else {}
         entries = []
         for (p, q) in self.keys():
-            d = self.differentials.get((p, q))
-            if d is None:
-                rank = 0
-            elif self.r == 1:
-                rank = len(self.complexes[(p + q) % 2].invariant_factors(p))
+            if self.r == 1:
+                rank = d1[(p + q) % 2][p]
             else:
-                rank = len(invariant_factors(d))
+                d = self.differentials.get((p, q))
+                rank = 0 if d is None else len(invariant_factors(d))
             g = self.group(p, q)
             entries.append({
                 "p": p, "q": q,
@@ -171,11 +192,34 @@ def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
                        1: build(x, bundle.odd, "e1")})
 
 
-def first_page(complexes) -> SpectralPage:
+def surface_e1_page(x, bundle: GradedKBundle) -> SpectralPage:
+    """First page of a graded bundle of systems that keep their
+    holonomy, on a closed oriented surface x, computed on the
+    one-relator cell model (``cohomology.surface_complex``).  Its groups
+    are x's simplicial cochain modules, Z^(n_p m) for n_p p-simplices
+    and rank m, counted, and every later page is made from the cell
+    complexes: no simplicial coboundary is made."""
+    if bundle.base != x:
+        raise ValueError("bundle is not defined over this complex")
+    parts = (bundle.even, bundle.odd)
+    return first_page(
+        {s: surface_complex(part) for s, part in enumerate(parts)},
+        {s: [x.n_simplices(p) * part.fiber_rank
+             for p in range(x.dimension + 1)]
+         for s, part in enumerate(parts)})
+
+
+def first_page(complexes, modules=None) -> SpectralPage:
     """First page of the cochain complexes ``{0: even, 1: odd}`` of one
     base: entry (p, q) is the cochain module of degree p of the complex
     of parity (p + q) mod 2, and d1 is its coboundary.  Only d1 is
-    stored; the page's groups are the free modules (``group``)."""
+    stored; the page's groups are the free modules (``group``).
+
+    ``modules``, when given, maps each parity to the module ranks of
+    another cell structure of the base: those are the page's groups,
+    and it stores no d1, which is not that of ``complexes``."""
+    if modules is not None:
+        return SpectralPage(1, complexes, {}, {}, modules=modules)
     differentials = {(p, q): complexes[(p + q) % 2].differential(p)
                      for p in range(complexes[0].dimension) for q in (0, 1)}
     return SpectralPage(1, complexes, {}, differentials)

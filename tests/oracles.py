@@ -205,6 +205,67 @@ def random_commuting_pair(rng, m):
     return a1, a2
 
 
+def block_unipotent_family(rng, count):
+    """``count`` commuting 6 x 6 matrices I + a N + b N^2 for one seeded
+    strictly upper triangular N: two 3 x 3 diagonal blocks with a sparse
+    coupling block, the shape of the benchmark's rank-6 systems, whose
+    cohomology often has torsion."""
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            if (i < 3) == (j < 3) or rng.random() < 0.3:
+                rows[i][j] = rng.randint(-2, 2)
+    n = IntMatrix(rows)
+    n2 = n * n
+    ident = IntMatrix.identity(6)
+    return [ident + n * rng.randint(-2, 2) + n2 * rng.randint(-1, 1)
+            for _ in range(count)]
+
+
+def flat_system_from_loops(x, mats) -> LocalSystem:
+    """The flat system on a closed surface x whose transport around
+    loop i of ``x.tree_gauge.loops`` is ``mats[i]``, which need not
+    commute: the identity on tree edges, mats[i] along loop edge i, and
+    each cotree edge solved from a triangle whose other two edges are
+    known, peeling the cotree from its leaves.  The matrices must make
+    the boundary word's holonomy the identity."""
+    gauge = x.tree_gauge
+    known = {e: IntMatrix.identity(len(mats[0].rows()))
+             for e in x.simplices(1)
+             if e not in gauge.offtree}
+    known.update(zip(gauge.loop_edges, mats))
+    while len(known) < x.n_simplices(1):
+        for (u, v, w) in x.simplices(2):
+            missing = [e for e in ((u, v), (v, w), (u, w)) if e not in known]
+            if len(missing) != 1:
+                continue
+            # flatness on the triangle: T_vw T_uv = T_uw
+            if missing == [(u, w)]:
+                known[u, w] = known[v, w] * known[u, v]
+            elif missing == [(u, v)]:
+                known[u, v] = known[v, w].inverse_unimodular() * known[u, w]
+            else:
+                known[v, w] = known[u, w] * known[u, v].inverse_unimodular()
+    return LocalSystem(x, len(mats[0].rows()), known)
+
+
+def word_intersection_form(word, generators) -> IntMatrix:
+    """The intersection form read from a surface relator: J_ab =
+    sum_k s_k alpha_a(p_k) [x_k = b] over the letters x_k^(s_k), where
+    alpha_a counts x_a in p_k, the prefix before letter k, or through it
+    when the letter is inverted."""
+    form = [[0] * generators for _ in range(generators)]
+    count = [0] * generators
+    for b, s in word:
+        if s < 0:
+            count[b] -= 1
+        for a in range(generators):
+            form[a][b] += s * count[a]
+        if s > 0:
+            count[b] += 1
+    return IntMatrix(form)
+
+
 
 def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:
     """Present Z/B for column-generated Z and B with B contained in Z."""

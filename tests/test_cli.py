@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from leray import (
 from leray.exactlinalg import FgAbGroup, IntMatrix, kernel
 from leray.local_systems import LocalSystem, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
+from oracles import block_unipotent_family
 from test_report_golden import DOCUMENTS
 from test_simplicial import _RP2
 
@@ -516,6 +518,20 @@ def test_check_job_assembles_its_cochains_once(monkeypatch, kernel_calls,
     assert not kernel_calls.transformed
 
 
+def test_check_job_certifies_each_square_once(monkeypatch, capsys,
+                                             tmp_path):
+    """The classical complex of a check job is the certified e1 complex
+    with signs flipped, so it multiplies no D_(p+1) D_p again: one
+    complex is made through the certifying constructor."""
+    doc = {"complex": "torus2", "system": {"rank": 2, "monodromy": _MONO}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    calls = Counter()
+    _counting(monkeypatch, calls, cohomology.CochainComplex, "__init__")
+    assert cli.main(["check", "--input", str(path)]) == 0
+    assert calls == {"__init__": 1}
+
+
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_human_report_renders_the_machine_report(capsys, tmp_path, name):
     """The human text is rendered from the machine report alone."""
@@ -589,8 +605,9 @@ def test_groups_only_jobs_transform_no_coboundary(kernel_calls, capsys,
 def test_spectral_job_transforms_no_coboundary(kernel_calls, capsys,
                                                tmp_path):
     """spectral reports groups and ranks alone, so its pages present no
-    entry: a warm job sends each nonzero coboundary of its two complexes
-    to the kernel once, by invariant factors, and none for transforms."""
+    entry: a warm job sends each nonzero coboundary of its two complexes,
+    on the cell model of the named surface, to the kernel once, by
+    invariant factors, and none for transforms."""
     doc = {"complex": "torus2",
            "system": {"even": {"rank": 2, "monodromy": _MONO},
                       "odd": _CONSTANT}}
@@ -601,14 +618,92 @@ def test_spectral_job_transforms_no_coboundary(kernel_calls, capsys,
     x = cli.parse_complex("torus2")
     coboundaries = {_kernel_input(d)
                     for system in doc["system"].values()
-                    for d in cohomology.build(
-                        x, cli.parse_system(system, x)).differentials
+                    for d in cohomology.surface_complex(
+                        cli.parse_system(system, x)).differentials
                     if not d.is_zero()}
-    assert len(coboundaries) == 4  # delta_0 and delta_1 of each parity
+    # delta_0 and delta_1 of the even system; the constant odd system's
+    # cell coboundaries are zero
+    assert len(coboundaries) == 2
     seen = Counter(inputs)
     for d in coboundaries:
         assert seen[d] == 1
     assert not coboundaries & set(kernel_calls.transformed)
+
+
+def _rank6_system(seed, loops):
+    mats = block_unipotent_family(random.Random(seed), loops)
+    return {"rank": 6, "monodromy": [[list(r) for r in m.rows()]
+                                     for m in mats]}
+
+
+def _refuse_transport_tables(monkeypatch):
+    """Make reading any system's transport table raise for the rest of
+    the test."""
+    def refuse(system):
+        raise AssertionError("a transport table was made")
+    table = functools.cached_property(refuse)
+    table.__set_name__(LocalSystem, "_table")
+    monkeypatch.setattr(LocalSystem, "_table", table)
+
+
+@pytest.mark.parametrize("command, args, doc", [
+    ("cohomology", [], {"complex": "genus(2)",
+                        "system": _rank6_system("cells:0", 4)}),
+    ("cohomology", ["--convention", "classical"],
+     {"complex": "genus(2)", "system": _rank6_system("cells:1", 4)}),
+    ("spectral", [], {"complex": "genus(2)", "system": {
+        "even": _rank6_system("cells:2", 4),
+        "odd": {"rank": 6, "constant": True}}}),
+])
+def test_warm_genus2_jobs_decompose_only_cell_sized_matrices(
+        monkeypatch, kernel_calls, capsys, tmp_path, command, args, doc):
+    """cohomology and spectral on a named surface compute on its
+    one-relator cell model: on a warm genus(2) at rank 6, no SNF input
+    has more than 2g r = 24 rows or columns, where the triangulation's
+    coboundaries are up to 156 x 234, and no job makes a table of edge
+    transports."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path), "--emit", "machine"] + args
+    assert cli.main(argv) == 0
+    _refuse_transport_tables(monkeypatch)
+    kernel_calls.clear()
+    assert cli.main(argv) == 0
+    assert kernel_calls
+    assert max(max(nrows, ncols) for nrows, ncols, _ in kernel_calls) <= 24
+
+
+def _inline(name):
+    x = builtin(name)
+    return {"vertices": x.vertex_count,
+            "simplices": [list(t) for t in x.simplices(x.dimension)]}
+
+
+@pytest.mark.parametrize("name, loops", [("torus2", 2), ("genus(2)", 4),
+                                         ("sphere2", 0)])
+@pytest.mark.parametrize("emit", ["human", "machine"])
+def test_named_and_inline_surfaces_give_identical_reports(
+        capsys, tmp_path, name, loops, emit):
+    """A named surface computes on its cell model and the same
+    triangulation given inline on its simplicial cochains; the reports
+    are byte-identical, for cohomology under both conventions and for
+    spectral (E1 counted from the simplices on the cell path)."""
+    system = _rank6_system("inline:%s" % name, loops)
+    odd = {"rank": 2, "constant": True}
+    jobs = [("cohomology", [], {"system": system}),
+            ("cohomology", ["--convention", "classical"], {"system": system}),
+            ("spectral", [], {"system": {"even": system, "odd": odd}})]
+    for command, args, doc in jobs:
+        reports = []
+        for base in (name, _inline(name)):
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(dict(doc, complex=base)))
+            capsys.readouterr()
+            code = cli.main([command, "--input", str(path), "--emit", emit]
+                            + args)
+            reports.append((code, capsys.readouterr().out))
+        assert reports[0] == reports[1], (command, args)
+        assert reports[0][0] == 0
 
 
 def test_ncp_job_exits_1_when_the_e2_groups_lose_torsion(monkeypatch, capsys,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,14 +10,20 @@ from leray.cohomology import (
     cohomology,
     cohomology_groups,
     convention_compare,
+    fox_complex,
     groups,
+    surface_complex,
 )
 from leray.group_cohomology import ZnModule, koszul_complex
-from leray.local_systems import FlatnessError, LocalSystem, from_monodromy
-from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
+from leray.local_systems import (FlatnessError, LocalSystem, from_monodromy,
+                                 transport_along)
+from leray.simplicial import (builtin, circle, genus_surface, simplex, sphere2,
+                              torus2)
 
 from oracles import (
+    block_unipotent_family,
     cokernel,
+    flat_system_from_loops,
     coinvariants,
     invariants,
     random_commuting_pair,
@@ -328,3 +335,107 @@ def test_cohomology_lift_project_roundtrip():
         for j in range(n):
             coords = tuple(1 if i == j else 0 for i in range(n))
             assert h.project(h.lift(coords)) == coords
+
+
+def test_cell_model_groups_equal_the_simplicial_ones():
+    """On every named closed surface, the Fox complex of the one-relator
+    cell model has the groups of the triangulation's cochains under
+    both conventions: 48 seeded commuting rank-6 block-unipotent
+    systems, many with torsion, and the constant system."""
+    rng = random.Random("cell-model:26")
+    torsion = 0
+    for name in ("sphere2", "torus2", "genus(2)", "genus(3)"):
+        x = builtin(name)
+        loops = len(x.tree_gauge.loops)
+        systems = [LocalSystem.constant(x, 6)] + [
+            from_monodromy(x, block_unipotent_family(rng, loops),
+                           fiber_rank=6) for _ in range(12)]
+        for system in systems:
+            cell = tuple(groups(surface_complex(system)))
+            assert "_table" not in vars(system)
+            both = convention_compare(x, system)
+            assert both.classical == both.e1 == cell, name
+            torsion += any(g.torsion for g in cell)
+    assert torsion >= 10
+
+
+def test_fox_complex_of_the_torus_word():
+    """On w = x1 x0 x1^-1 x0^-1 the Fox derivatives are dw/dx0 = x1 -
+    x1 x0 x1^-1 x0^-1 and dw/dx1 = 1 - x1 x0 x1^-1, so for commuting
+    matrices the blocks of delta_1 are rho(x1) - I and I - rho(x0); the
+    groups are those of the paper's torus system (README)."""
+    a, b = IntMatrix([[1, 2], [0, 1]]), IntMatrix([[1, 4], [0, 1]])
+    word = ((1, 1), (0, 1), (1, -1), (0, -1))
+    action = [(a, a.inverse_unimodular()), (b, b.inverse_unimodular())]
+    c = fox_complex(word, action, 2)
+    ident = IntMatrix.identity(2)
+    assert c.differential(0) == (a - ident).vstack(b - ident)
+    assert c.differential(1) == (b - ident).hstack(ident - a)
+    assert [g.render() for g in groups(c)] == \
+        ["Z", "Z^2 (+) Z/2", "Z (+) Z/2"]
+
+
+def test_fox_complex_rejects_an_action_the_word_does_not_kill():
+    """delta_1 delta_0 = rho(w) - I, which CochainComplex certifies: a
+    non-commuting pair on the torus word fails it."""
+    a, b = IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 0], [1, 1]])
+    word = ((1, 1), (0, 1), (1, -1), (0, -1))
+    action = [(a, a.inverse_unimodular()), (b, b.inverse_unimodular())]
+    with pytest.raises(AssertionError, match="square to zero"):
+        fox_complex(word, action, 2)
+
+
+def test_cell_delta0_is_the_simplicial_coboundary_on_the_loop_edges():
+    """surface_complex takes rho(x_i) = T_i^-1, T_i the transport around
+    loop i: a 0-cochain with one value v at every vertex, constant in
+    the tree gauge, has the e1 coboundary v - T_i^-1 v on loop edge i,
+    which is -(rho(x_i) - I) v, block i of delta_0 up to sign."""
+    x = genus_surface(2)
+    system = from_monodromy(x, block_unipotent_family(
+        random.Random("delta0"), 4), fiber_rank=6)
+    d = build(x, system).differential(0).rows()
+    cell = surface_complex(system).differential(0)
+    for i, edge in enumerate(x.tree_gauge.loop_edges):
+        rows = d[6 * x.index(edge):6 * x.index(edge) + 6]
+        on_constant = IntMatrix([[sum(row[6 * v + b]
+                                      for v in range(x.vertex_count))
+                                  for b in range(6)] for row in rows])
+        assert on_constant == -IntMatrix(cell.rows()[6 * i:6 * i + 6])
+
+
+def _freely_trivial(word):
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == (letter[0], -letter[1]):
+            stack.pop()
+        else:
+            stack.append(letter)
+    return not stack
+
+
+def test_cell_model_groups_of_noncommuting_systems():
+    """Flat systems with non-commuting holonomy, which only a table of
+    transports can give: where the boundary word, cut down to two
+    generators, reduces to the empty word, any two matrices on those
+    loops and the identity on the others are a flat system.  The Fox
+    complex of the holonomy around the loops has the groups of the
+    triangulation's cochains."""
+    rng = random.Random("noncommuting")
+    cases = 0
+    for name in ("genus(2)", "genus(3)"):
+        x = builtin(name)
+        word, loops = x.boundary_word, x.tree_gauge.loops
+        for i, j in combinations(range(len(loops)), 2):
+            if not _freely_trivial([l for l in word if l[0] in (i, j)]):
+                continue
+            mats = [IntMatrix.identity(3)] * len(loops)
+            while mats[i] * mats[j] == mats[j] * mats[i]:
+                mats[i], mats[j] = (random_unimodular(rng, 3, steps=4),
+                                    random_unimodular(rng, 3, steps=4))
+            system = flat_system_from_loops(x, mats)
+            assert [transport_along(system, loop) for loop in loops] == mats
+            action = [(t.inverse_unimodular(), t) for t in mats]
+            assert tuple(groups(fox_complex(word, action, 3))) == \
+                tuple(cohomology_groups(x, system)), (name, i, j)
+            cases += 1
+    assert cases >= 4

@@ -225,9 +225,33 @@ def test_monodromy_systems_share_the_gauge_of_their_base(kernel_calls):
     assert kernel_calls == []
 
 
+def test_derived_systems_keep_their_holonomy_and_make_tables_lazily():
+    """constant and from_monodromy keep the checked holonomy, a pair
+    (T_i, T_i^-1) per loop, and make no transport table until a
+    transport is read; a system given by transports keeps none."""
+    x = genus_surface(2)
+    ident = IntMatrix.identity(2)
+    mats = [K2, K4, K2, K4]
+    monodromy = from_monodromy(x, mats)
+    constant = LocalSystem.constant(x, 2)
+    for system in (monodromy, constant):
+        assert "_table" not in vars(system)
+    assert [t for t, _ in monodromy.holonomy] == mats
+    assert all((t * inverse).is_identity()
+               for t, inverse in monodromy.holonomy)
+    assert constant.holonomy == ((ident, ident),) * 4
+    assert "_table" not in vars(monodromy)
+    assert [transport_along(monodromy, loop)
+            for loop in x.tree_gauge.loops] == mats
+    given = LocalSystem(x, 2, {e: monodromy.transport(*e)
+                               for e in x.simplices(1)})
+    assert given.holonomy is None
+
+
 def test_from_monodromy_makes_each_power_once(monkeypatch):
-    """Each m_i^(+-c) an off-tree class needs is made once per call and
-    shared by every edge of that class coordinate."""
+    """Each m_i^(+-c) an off-tree class needs is made once per table,
+    when a transport is first read, and shared by every edge of that
+    class coordinate."""
     x = genus_surface(2)
     classes = x.tree_gauge.classes
     needed = {(i, e) for cls in classes for i, c in enumerate(cls) if c
@@ -240,5 +264,8 @@ def test_from_monodromy_makes_each_power_once(monkeypatch):
         made.append(n)
         return power(m, n)
     monkeypatch.setattr(IntMatrix, "power", counting)
-    from_monodromy(x, [K2, K4, K2, K4])
+    system = from_monodromy(x, [K2, K4, K2, K4])
+    assert made == []
+    system.transport(0, 1)
+    system.transport(1, 0)
     assert len(made) == len(needed)

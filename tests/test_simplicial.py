@@ -10,6 +10,7 @@ from leray.ncp_bundles import NcpTorusBundleSpec
 from leray.simplicial import (
     SimplicialComplex,
     builtin,
+    check_surface_word,
     circle,
     genus_surface,
     shared_builtin,
@@ -18,7 +19,7 @@ from leray.simplicial import (
     torus2,
 )
 
-from oracles import integral_homology
+from oracles import integral_homology, word_intersection_form
 
 
 def test_closure_and_counts():
@@ -302,3 +303,77 @@ def test_intersection_form_is_the_cup_product_on_the_loops(g):
                    for z in cocycles])
     assert smith_normal_form(e).diagonal == (1,) * (2 * g)
     assert e * x.intersection_form * e.transpose() == IntMatrix(cup)
+
+
+_SURFACES = ["sphere2", "torus2"] + ["genus(%d)" % g for g in range(1, 9)]
+
+
+@pytest.mark.parametrize("name", _SURFACES)
+def test_boundary_word_is_a_certified_surface_relator(name):
+    """The walk of the disk left by cutting along the tree and the
+    cotree reads a word of length 4g in which each generator occurs
+    twice, with opposite signs; the walk covers every half-edge of the
+    2(V - 1 + 2g) tree and loop edges once, each a letter or a tree
+    step."""
+    x = builtin(name)
+    gauge = x.tree_gauge
+    word = x.boundary_word
+    g = (2 - x.euler_characteristic()) // 2
+    assert len(gauge.loops) == len(gauge.loop_edges) == 2 * g
+    assert len(word) == 4 * g
+    for i in range(2 * g):
+        assert sorted(s for j, s in word if j == i) == [-1, 1]
+    tree = x.vertex_count - 1
+    cotree = len(gauge.offtree) - 2 * g
+    assert cotree == x.n_simplices(2) - 1  # a spanning tree of the dual
+    assert x.n_simplices(1) - cotree == tree + 2 * g
+    check_surface_word(word, 2 * g)
+
+
+@pytest.mark.parametrize("name", _SURFACES[1:5])
+def test_boundary_word_reads_the_intersection_form(name):
+    """The word is the relator of the triangulation's own cell
+    structure: the form it gives, J_ab = sum_k s_k alpha_a(p_k)
+    [x_k = b], is the intersection form the triangles' cup products
+    give, with no sign or transpose."""
+    x = builtin(name)
+    loops = len(x.tree_gauge.loops)
+    assert word_intersection_form(x.boundary_word, loops) == \
+        x.intersection_form
+
+
+def test_boundary_words_of_torus2_and_genus2():
+    assert torus2().boundary_word == ((1, 1), (0, 1), (1, -1), (0, -1))
+    assert len(genus_surface(2).boundary_word) == 8
+    assert sphere2().boundary_word == ()
+
+
+@pytest.mark.parametrize("name", _SURFACES[1:])
+def test_mutated_boundary_words_are_rejected(name):
+    """A word with one letter's sign flipped, or one letter dropped, is
+    not a surface relator on its generators."""
+    word = list(builtin(name).boundary_word)
+    n = len(word) // 2
+    for k, (i, s) in enumerate(word):
+        flipped = word[:k] + [(i, -s)] + word[k + 1:]
+        with pytest.raises(ValueError, match="not a surface relator"):
+            check_surface_word(flipped, n)
+        with pytest.raises(ValueError, match="not a surface relator"):
+            check_surface_word(word[:k] + word[k + 1:], n)
+
+
+def test_boundary_word_is_made_on_first_read(kernel_calls):
+    """Neither the build nor the gauge makes the word; it is kept once
+    read, and costs no SNF on a gauged base."""
+    x = genus_surface(3)
+    x.tree_gauge
+    assert "boundary_word" not in vars(x)
+    kernel_calls.clear()
+    word = x.boundary_word
+    assert kernel_calls == []
+    assert x.boundary_word is word
+
+
+def test_boundary_word_needs_a_closed_surface():
+    with pytest.raises(ValueError, match="not a closed connected surface"):
+        circle(5).boundary_word
