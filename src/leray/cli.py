@@ -48,8 +48,8 @@ MAX_RANK = 16
 # 2^19) at 45 MiB in 0.3 s.  genus(8) fits up to rank 6.  An ncp
 # job's pages are on cells, so its base is bounded at rank 1, for the
 # boundary behind the tree gauge: it admits up to genus(49), whose cold
-# job (build, gauge and pages, one process) took 0.23-0.37 s and
-# peaked at 51 MiB on the same host.
+# job (import, build, gauge, boundary word and pages, one process) took
+# 0.20-0.28 s and peaked at 50 MiB on the same host.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

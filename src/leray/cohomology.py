@@ -47,6 +47,7 @@ by ``transports`` and the ``check`` command stay on ``build``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .exactlinalg import (FgAbGroup, IntMatrix, SmithDecomposition,
                           Subquotient, invariant_factors, relations,
@@ -161,20 +162,32 @@ def fox_complex(word, action, fiber_rank) -> CochainComplex:
     rho(dw/dx_i): over the letters of w, +rho(prefix) for each x_i and
     -rho(prefix through the letter) for each x_i^-1.  ``CochainComplex``
     certifies delta_1 delta_0 = rho(w) - I = 0.
+
+    The word is read on plain row lists, adding nothing through
+    ``IntMatrix``: row r of rho(prefix) times a matrix sums a times its
+    row k over the nonzero entries a = rho(prefix)_rk.
     """
     m, n = fiber_rank, len(action)
-    ident = IntMatrix.identity(m)
-    blocks = [IntMatrix.zeros(m, m)] * n
-    prefix = ident
+    columns = range(m)
+    blocks = [[[0] * m for _ in columns] for _ in range(n)]
+    ident = prefix = [[int(r == c) for c in columns] for r in columns]
     for i, s in word:
-        if s > 0:
-            blocks[i] = blocks[i] + prefix
-            prefix = prefix * action[i][0]
-        else:
-            prefix = prefix * action[i][1]
-            blocks[i] = blocks[i] - prefix
-    d0 = [row for a, _ in action for row in (a - ident).rows()]
-    d1 = [sum((b.rows()[r] for b in blocks), ()) for r in range(m)]
+        g = action[i][s < 0].rows()
+        through = []
+        for row in prefix:
+            acc = [0] * m
+            for a, g_row in zip(row, g):
+                if a:
+                    for j in columns:
+                        acc[j] += a * g_row[j]
+            through.append(acc)
+        for b_row, t_row in zip(blocks[i], prefix if s > 0 else through):
+            for j in columns:
+                b_row[j] += s * t_row[j]
+        prefix = through
+    d0 = [list(map(sub, row, irow))
+          for a, _ in action for row, irow in zip(a.rows(), ident)]
+    d1 = [[v for block in blocks for v in block[r]] for r in range(m)]
     return CochainComplex([IntMatrix._trusted(d0, n * m, m),
                            IntMatrix._trusted(d1, m, n * m),
                            IntMatrix.zeros(0, m)])

@@ -26,9 +26,9 @@ is read: on a named closed surface the ``cohomology`` and ``spectral``
 commands read the holonomy alone, for the complex of the one-relator
 cell model (``cohomology.surface_complex``), while ``check``, inline
 complexes, ``circle`` and ``simplex`` read the transports.  An ``ncp``
-job builds no local system, since its coefficient complexes live on
-the one-vertex cell structure of the base (see
-``ncp_bundles.k_theory_bundle``).
+job builds no local system: ``ncp_bundles.k_theory_bundle`` hands its
+holonomy, one matrix (1 w_i; 0 1) per loop, to the same
+``cohomology.fox_complex`` of the base's boundary word.
 """
 
 from __future__ import annotations

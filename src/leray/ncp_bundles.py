@@ -9,11 +9,11 @@ class).  From this data the module produces:
 * the graded K-theory coefficient bundle: the even part has holonomy
   (1 w; 0 1) for each winding w in the basis ([1], beta) of the fiber
   K0, the odd part is constant of rank two.  It is given by its cochain
-  complexes on the one-vertex cell structure of the base (one vertex,
-  2g loops, one 2-cell), not on the triangulation: cohomology does not
-  depend on the cell structure, and these complexes have modules of
-  rank 2, 4g and 2.  The triangulation still gives the canonical loops,
-  their intersection form and the Chern pairings;
+  complexes on the one-relator cell model of the base (one vertex, 2g
+  loops, one 2-cell on its boundary word), not on the triangulation:
+  cohomology does not depend on the cell structure, and these complexes
+  have modules of rank 2, 4g and 2.  The triangulation still gives the
+  canonical loops, the boundary word and the Chern pairings;
 * the second-page differential: with k the gcd of all windings, the top
   cohomology of the even system is Z/k (+) Z with the image of [1]
   generating the torsion part, and d2 sends the i-th odd generator to
@@ -22,20 +22,14 @@ class).  From this data the module produces:
 * the triviality decision: trivial exactly when all windings and both
   Chern pairings vanish, with a certificate naming the violated
   condition otherwise.
-
-``torus_transition_data`` builds honest degree-d circle-bundle
-transition logs on the flat model of the 7-vertex torus (unit-grid
-triangulation of the plane modulo the index-7 sublattice), feeding the
-integer-cocycle extraction of ``chern_cocycle``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .cohomology import CochainComplex
+from .cohomology import CochainComplex, fox_complex
 from .exactlinalg import (
     IntMatrix,
     element_order,
@@ -111,33 +105,25 @@ class NcpTorusBundleSpec:
 
 def k_theory_bundle(spec: NcpTorusBundleSpec):
     """The cochain complexes ``{0: even, 1: odd}`` of the graded
-    coefficient bundle on the one-vertex cell structure of the base.
+    coefficient bundle on the one-relator cell model of the base.
 
-    That structure has one 0-cell, one 1-cell per generator loop and one
-    2-cell.  Even part: loop i acts on the fiber K0 = Z[1] (+) Z.beta by
-    A_i = (1 w_i; 0 1), so N_i = A_i - I = w_i E_12, and Fox's free
-    differential calculus (Fox, Ann. Math. 57, 1953) gives the complex
-    Z^2 -> Z^(4g) -> Z^2 with delta_0 = stack(N_i) and block i of
-    delta_1 = sum_j J_ji N_j, J the base's ``intersection_form``;
-    it squares to zero because N_i N_j = 0.  Odd part: the classes
-    [U_1], [U_2] are invariant, so the system is constant: the same
-    modules with zero maps.  ``CochainComplex`` certifies both.
+    That model has one 0-cell, one 1-cell per generator loop and one
+    2-cell on the base's ``boundary_word``.  Even part: loop i acts on
+    the fiber K0 = Z[1] (+) Z.beta by A_i = (1 w_i; 0 1), and the
+    complex Z^2 -> Z^(4g) -> Z^2 is ``fox_complex`` of the word with
+    rho(x_i) = A_i.  Odd part: the classes [U_1], [U_2] are invariant,
+    so the system is constant: the same modules with zero maps.
+    ``CochainComplex`` certifies the even complex.
     """
-    w = spec.winding
-    n = len(w)
-    form = spec.base.intersection_form
-    # N_i has the one entry w_i at (0, 1), and block i of delta_1 the
-    # one entry s_i = sum_j J_ji w_j there
-    s = [sum(form[j, i] * w[j] for j in range(n)) for i in range(n)]
-    even = CochainComplex([
-        IntMatrix._trusted([row for x in w for row in ([0, x], [0, 0])],
-                           2 * n, FIBER_RANK),
-        IntMatrix._trusted([[v for x in s for v in (0, x)], [0] * 2 * n],
-                           FIBER_RANK, 2 * n),
-        IntMatrix.zeros(0, FIBER_RANK)])
-    odd = CochainComplex([IntMatrix.zeros(2 * n, FIBER_RANK),
-                          IntMatrix.zeros(FIBER_RANK, 2 * n),
-                          IntMatrix.zeros(0, FIBER_RANK)])
+    action = [(IntMatrix._trusted(((1, w), (0, 1)), 2, 2),
+               IntMatrix._trusted(((1, -w), (0, 1)), 2, 2))
+              for w in spec.winding]
+    even = fox_complex(spec.base.boundary_word, action, FIBER_RANK)
+    n = len(action)
+    # zero maps: their products vanish with nothing to multiply
+    odd = CochainComplex._trusted([IntMatrix.zeros(2 * n, FIBER_RANK),
+                                   IntMatrix.zeros(FIBER_RANK, 2 * n),
+                                   IntMatrix.zeros(0, FIBER_RANK)])
     return {0: even, 1: odd}
 
 
@@ -152,128 +138,6 @@ def fundamental_pairing(cochain, base: SimplicialComplex) -> int:
     if len(values) != base.n_simplices(2):
         raise ValueError("cochain length does not match the 2-skeleton")
     return sum(e * v for e, v in zip(eps, values))
-
-
-def winding_number(phases, tol=1e-6) -> int:
-    """Winding of a circle-valued loop from sampled phase angles.
-
-    The samples must traverse the loop densely enough that consecutive
-    angles differ by less than pi (principal-branch condition), and the
-    first and last samples must represent the same point.
-    """
-    total = 0.0
-    for a, b in zip(phases, phases[1:]):
-        inc = math.remainder(float(b) - float(a), 2.0 * math.pi)
-        if abs(inc) >= math.pi - 1e-9:
-            raise ValueError("undersampled loop: phase step of %.3f rad" % inc)
-        total += inc
-    turns = total / (2.0 * math.pi)
-    nearest = round(turns)
-    if abs(turns - nearest) > tol:
-        raise ValueError("closure mismatch: %.6f turns is not an integer"
-                         % turns)
-    return int(nearest)
-
-
-def chern_cocycle(transitions, base: SimplicialComplex, tol=1e-6):
-    """Integer 2-cochain from transition-log data.
-
-    ``transitions`` maps each 2-simplex (u, v, w), u < v < w, to the
-    triple (h_uv, h_vw, h_wu) of transition logs evaluated near that
-    simplex; their sum must be within ``tol`` of an integer, which
-    becomes the cocycle value.  A list in sorted 2-simplex order is also
-    accepted.
-    """
-    tris = base.simplices(2)
-    if not isinstance(transitions, dict):
-        transitions = dict(zip(tris, transitions))
-    values = []
-    for tri in tris:
-        try:
-            triple = transitions[tri]
-        except KeyError:
-            raise ValueError("missing transition data for %r" % (tri,)) from None
-        s = float(sum(triple))
-        nearest = round(s)
-        if abs(s - nearest) > tol:
-            raise ValueError(
-                "non-integral transition sum %.8f on %r: inconsistent data"
-                % (s, tri))
-        values.append(int(nearest))
-    return tuple(values)
-
-
-# --- degree-d transition data on the flat 7-vertex torus ---------------
-#
-# The 7-vertex torus is the unit-grid triangulation of the plane modulo
-# L = ker(Z^2 -> Z/7, (x, y) -> x + 2y).  A degree-d line bundle is
-# realized by the factor of automorphy  f(z + m) = e^{2 pi i d m_t s(z)} f(z)
-# in L-adapted coordinates (s, t); vertex charts use the canonical lifts
-# (c, 0), and the transition log between charts i and j near a triangle is
-# d * (mu_i - mu_j)_t * (p - mu_i)_s  with mu the lift offsets and p the
-# evaluation point.  The resulting cocycle pairs to _DEGREE_SIGN * d; the
-# constant is the orientation of this chart atlas against the builtin
-# coherent orientation and is fixed once here.
-
-_L_BASIS = ((-2, 1), (1, 3))  # basis of L; det = -7
-_DEGREE_SIGN = -1  # orientation of the chart atlas against the builtin
-                   # coherent orientation; pins pairing(data(d)) == d
-
-
-def _l_coords(point):
-    """Exact (s, t) coordinates of an integer or rational point in the
-    L-basis."""
-    (a, c), (b, d) = _L_BASIS  # columns (a, c) and (b, d)
-    det = a * d - b * c
-    x, y = Fraction(point[0]), Fraction(point[1])
-    s = (d * x - b * y) / det
-    t = (-c * x + a * y) / det
-    return s, t
-
-
-def _torus_grid_lifts():
-    """Lifted vertex triples for each triangle of the 7-vertex torus,
-    keyed by the sorted vertex tuple; lifts are grid points in Z^2."""
-    lifts = {}
-    for i in range(7):
-        for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))):
-            tri = {}
-            for (dx, dy) in corners:
-                pt = (i + dx, dy)
-                cls = (pt[0] + 2 * pt[1]) % 7
-                tri[cls] = pt
-            key = tuple(sorted(tri))
-            lifts[key] = tri
-    return lifts
-
-
-def torus_transition_data(d: int):
-    """Transition-log triples of a degree-d circle bundle on torus2.
-
-    Returns {2-simplex: (h_uv, h_vw, h_wu)} suitable for
-    :func:`chern_cocycle`; the extracted cocycle pairs to exactly d.
-    """
-    d = _DEGREE_SIGN * d
-    data = {}
-    for tri, lift in _torus_grid_lifts().items():
-        mu = {}
-        for cls, pt in lift.items():
-            offset = (pt[0] - cls, pt[1])  # lift minus canonical lift (cls, 0)
-            s, t = _l_coords(offset)
-            if s.denominator != 1 or t.denominator != 1:
-                raise AssertionError("lift offset is not in the sublattice")
-            mu[cls] = (int(s), int(t))
-        bary = (Fraction(sum(pt[0] for pt in lift.values()), 3),
-                Fraction(sum(pt[1] for pt in lift.values()), 3))
-        ps, pt_ = _l_coords(bary)
-
-        def h(i, j):
-            dt = mu[i][1] - mu[j][1]
-            return float(d * dt * (ps - mu[i][0]))
-
-        u, v, w = tri
-        data[tri] = (h(u, v), h(v, w), h(w, u))
-    return data
 
 
 @dataclass(frozen=True)

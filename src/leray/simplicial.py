@@ -17,8 +17,7 @@ import re
 from functools import cache, cached_property
 from itertools import combinations
 
-from .exactlinalg import (IntMatrix, invariant_factors, smith_normal_form,
-                          solve)
+from .exactlinalg import IntMatrix, smith_normal_form, solve
 
 
 # Most faces a complex may enumerate: its vertices plus the nonempty
@@ -157,36 +156,6 @@ class SimplicialComplex:
         return word
 
     @cached_property
-    def intersection_form(self) -> IntMatrix:
-        """The intersection form J of the canonical H_1 basis of a
-        closed oriented surface, computed on first use and kept.
-
-        J_ij = sum_t eps_t alpha_i(a, b) alpha_j(b, c) over the
-        triangles t = (a, b, c), with eps the orientation: the cup
-        product of the cocycles alpha_i dual to the basis, evaluated on
-        the fundamental class.  alpha_i is coordinate i of ``classes``
-        on each off-tree edge and 0 on tree edges; it is a cocycle
-        because every triangle boundary is null-homologous.  Poincare
-        duality makes J skew-symmetric and unimodular, which is checked
-        here: its invariant factors, found with no transforms, must be n
-        ones.  A failure raises.
-        """
-        gauge = self.tree_gauge
-        n = len(gauge.loops)
-        alpha = {e: [(i, c) for i, c in enumerate(cls) if c]
-                 for e, cls in zip(gauge.offtree, gauge.classes)}
-        form = [[0] * n for _ in range(n)]
-        for eps, (a, b, c) in zip(self.orientation, self.simplices(2)):
-            for i, x in alpha.get((a, b), ()):
-                for j, y in alpha.get((b, c), ()):
-                    form[i][j] += eps * x * y
-        j = IntMatrix._trusted(form, n, n)
-        if j.transpose() != -j or invariant_factors(j) != (1,) * n:
-            raise ValueError("intersection form is not skew-symmetric "
-                             "and unimodular")
-        return j
-
-    @cached_property
     def orientation(self):
         """Signs eps per 2-simplex making their signed sum a cycle,
         computed on first use and kept, so a surface is oriented once;
@@ -317,6 +286,8 @@ class TreeGauge:
             self.loops = [self._fundamental_loop(e, 1)
                           for e in self.loop_edges]
             return
+        # no builtin reaches this, but an inline complex can: the
+        # mapping cylinder of the degree-2 map of circles has one pivot 2
         self.loop_edges = None
         lift = solve(IntMatrix._trusted(form, len(form), k),
                      IntMatrix.identity(len(form)))

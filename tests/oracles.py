@@ -18,9 +18,18 @@ the ``invariants`` and ``coinvariants`` of commuting matrices,
 through H^*(Z, M), and
 ``simplicial_analysis``, the ``ncp`` pipeline on the cochains of the
 whole triangulation instead of the one-vertex cell structure.
+
+``cup_intersection_form`` gives a surface's intersection form from its
+triangles' cup products, the reference for the form its boundary word
+gives (``word_intersection_form``) and for the ``ncp`` even complex.
+The floating-point front end, ``winding_number``, ``chern_cocycle`` and
+``torus_transition_data``, is kept here for acceptance criterion 09:
+no command reads it.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
@@ -249,6 +258,28 @@ def flat_system_from_loops(x, mats) -> LocalSystem:
     return LocalSystem(x, len(mats[0].rows()), known)
 
 
+def cup_intersection_form(x) -> IntMatrix:
+    """The intersection form J of the canonical H_1 basis of a closed
+    oriented surface, from the triangles' cup products.
+
+    J_ij = sum_t eps_t alpha_i(a, b) alpha_j(b, c) over the triangles
+    t = (a, b, c), with eps the orientation: the cup product of the
+    cocycles alpha_i dual to the basis, evaluated on the fundamental
+    class.  alpha_i is coordinate i of ``tree_gauge.classes`` on each
+    off-tree edge and 0 on tree edges; it is a cocycle because every
+    triangle boundary is null-homologous."""
+    gauge = x.tree_gauge
+    n = len(gauge.loops)
+    alpha = {e: [(i, c) for i, c in enumerate(cls) if c]
+             for e, cls in zip(gauge.offtree, gauge.classes)}
+    form = [[0] * n for _ in range(n)]
+    for eps, (a, b, c) in zip(x.orientation, x.simplices(2)):
+        for i, u in alpha.get((a, b), ()):
+            for j, v in alpha.get((b, c), ()):
+                form[i][j] += eps * u * v
+    return IntMatrix(form)
+
+
 def word_intersection_form(word, generators) -> IntMatrix:
     """The intersection form read from a surface relator: J_ab =
     sum_k s_k alpha_a(p_k) [x_k = b] over the letters x_k^(s_k), where
@@ -265,6 +296,134 @@ def word_intersection_form(word, generators) -> IntMatrix:
             count[b] += 1
     return IntMatrix(form)
 
+
+# --- the floating-point front end ---------------------------------------
+#
+# Winding numbers from phase samples and Chern cocycles from transition
+# logs.  No command reads them: a ``bundle`` document gives its windings
+# and Chern data as integers.  Acceptance criterion 09 runs them on
+# honest transition data of the flat 7-vertex torus.
+
+def winding_number(phases, tol=1e-6) -> int:
+    """Winding of a circle-valued loop from sampled phase angles.
+
+    The samples must traverse the loop densely enough that consecutive
+    angles differ by less than pi (principal-branch condition), and the
+    first and last samples must represent the same point.
+    """
+    total = 0.0
+    for a, b in zip(phases, phases[1:]):
+        inc = math.remainder(float(b) - float(a), 2.0 * math.pi)
+        if abs(inc) >= math.pi - 1e-9:
+            raise ValueError("undersampled loop: phase step of %.3f rad" % inc)
+        total += inc
+    turns = total / (2.0 * math.pi)
+    nearest = round(turns)
+    if abs(turns - nearest) > tol:
+        raise ValueError("closure mismatch: %.6f turns is not an integer"
+                         % turns)
+    return int(nearest)
+
+
+def chern_cocycle(transitions, base, tol=1e-6):
+    """Integer 2-cochain from transition-log data.
+
+    ``transitions`` maps each 2-simplex (u, v, w), u < v < w, to the
+    triple (h_uv, h_vw, h_wu) of transition logs evaluated near that
+    simplex; their sum must be within ``tol`` of an integer, which
+    becomes the cocycle value.  A list in sorted 2-simplex order is also
+    accepted.
+    """
+    tris = base.simplices(2)
+    if not isinstance(transitions, dict):
+        transitions = dict(zip(tris, transitions))
+    values = []
+    for tri in tris:
+        try:
+            triple = transitions[tri]
+        except KeyError:
+            raise ValueError("missing transition data for %r" % (tri,)) from None
+        s = float(sum(triple))
+        nearest = round(s)
+        if abs(s - nearest) > tol:
+            raise ValueError(
+                "non-integral transition sum %.8f on %r: inconsistent data"
+                % (s, tri))
+        values.append(int(nearest))
+    return tuple(values)
+
+
+# --- degree-d transition data on the flat 7-vertex torus ---------------
+#
+# The 7-vertex torus is the unit-grid triangulation of the plane modulo
+# L = ker(Z^2 -> Z/7, (x, y) -> x + 2y).  A degree-d line bundle is
+# realized by the factor of automorphy  f(z + m) = e^{2 pi i d m_t s(z)} f(z)
+# in L-adapted coordinates (s, t); vertex charts use the canonical lifts
+# (c, 0), and the transition log between charts i and j near a triangle is
+# d * (mu_i - mu_j)_t * (p - mu_i)_s  with mu the lift offsets and p the
+# evaluation point.  The resulting cocycle pairs to _DEGREE_SIGN * d; the
+# constant is the orientation of this chart atlas against the builtin
+# coherent orientation and is fixed once here.
+
+_L_BASIS = ((-2, 1), (1, 3))  # basis of L; det = -7
+_DEGREE_SIGN = -1  # orientation of the chart atlas against the builtin
+                   # coherent orientation; pins pairing(data(d)) == d
+
+
+def _l_coords(point):
+    """Exact (s, t) coordinates of an integer or rational point in the
+    L-basis."""
+    (a, c), (b, d) = _L_BASIS  # columns (a, c) and (b, d)
+    det = a * d - b * c
+    x, y = Fraction(point[0]), Fraction(point[1])
+    s = (d * x - b * y) / det
+    t = (-c * x + a * y) / det
+    return s, t
+
+
+def _torus_grid_lifts():
+    """Lifted vertex triples for each triangle of the 7-vertex torus,
+    keyed by the sorted vertex tuple; lifts are grid points in Z^2."""
+    lifts = {}
+    for i in range(7):
+        for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))):
+            tri = {}
+            for (dx, dy) in corners:
+                pt = (i + dx, dy)
+                cls = (pt[0] + 2 * pt[1]) % 7
+                tri[cls] = pt
+            key = tuple(sorted(tri))
+            lifts[key] = tri
+    return lifts
+
+
+def torus_transition_data(d: int):
+    """Transition-log triples of a degree-d circle bundle on torus2.
+
+    Returns {2-simplex: (h_uv, h_vw, h_wu)} suitable for
+    :func:`chern_cocycle`; the extracted cocycle pairs to exactly d.
+    """
+    d = _DEGREE_SIGN * d
+    data = {}
+    for tri, lift in _torus_grid_lifts().items():
+        mu = {}
+        for cls, pt in lift.items():
+            offset = (pt[0] - cls, pt[1])  # lift minus canonical lift (cls, 0)
+            s, t = _l_coords(offset)
+            if s.denominator != 1 or t.denominator != 1:
+                raise AssertionError("lift offset is not in the sublattice")
+            mu[cls] = (int(s), int(t))
+        bary = (Fraction(sum(pt[0] for pt in lift.values()), 3),
+                Fraction(sum(pt[1] for pt in lift.values()), 3))
+        ps, pt_ = _l_coords(bary)
+
+        def h(i, j):
+            dt = mu[i][1] - mu[j][1]
+            return float(d * dt * (ps - mu[i][0]))
+
+        u, v, w = tri
+        data[tri] = (h(u, v), h(v, w), h(w, u))
+    return data
 
 
 def subquotient(cycles: IntMatrix, boundaries: IntMatrix) -> Subquotient:

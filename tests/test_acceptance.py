@@ -26,12 +26,10 @@ from leray.local_systems import (
 )
 from leray.ncp_bundles import (
     NcpTorusBundleSpec,
-    chern_cocycle,
     d2_spec,
     fundamental_pairing,
     is_rkk_trivial,
     k_theory_bundle,
-    torus_transition_data,
 )
 from leray.simplicial import circle, genus_surface, sphere2, torus2
 from leray.spectral import (
@@ -44,6 +42,7 @@ from leray.spectral import (
 )
 
 from oracles import (
+    chern_cocycle,
     coinvariants,
     determinant_divisor_diagonal,
     matches_surface_cohomology,
@@ -51,6 +50,7 @@ from oracles import (
     random_matrix,
     random_unimodular,
     surface_cohomology,
+    torus_transition_data,
 )
 
 

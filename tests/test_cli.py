@@ -380,21 +380,18 @@ def _kernel_input(m):
     return (m.nrows, m.ncols, m.rows())
 
 
-def _gauge_inputs(kernel_calls, name, form=False):
-    """The kernel inputs of a fresh base's tree gauge, and with
-    ``form`` of its intersection form's certificate."""
+def _gauge_inputs(kernel_calls, name):
+    """The kernel inputs of a fresh base's tree gauge."""
     x = builtin(name)
     kernel_calls.clear()
     x.tree_gauge
-    if form:
-        x.intersection_form
     return list(kernel_calls)
 
 
 def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
-    builds the base's tree gauge and certifies its intersection form
-    (one SNF each), runs give equal reports from equal kernel inputs."""
+    builds the base's tree gauge (one SNF) and reads its boundary word
+    (none), runs give equal reports from equal kernel inputs."""
     simplicial.shared_builtin.cache_clear()  # a cold base, whatever ran before
     runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
             for _ in range(3)]
@@ -404,13 +401,12 @@ def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     first, later = Counter(runs[0][2]), Counter(runs[1][2])
     assert not later - first
     assert sorted((first - later).elements()) == \
-        sorted(_gauge_inputs(kernel_calls, "torus2", form=True))
+        sorted(_gauge_inputs(kernel_calls, "torus2"))
 
 
 def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
-    """On a warm base an ncp job sends the SNF kernel no gauge matrix,
-    no intersection form and no edge transport of the simplicial
-    system, apart from the identity, which the job decomposes for
+    """On a warm base an ncp job sends the SNF kernel no gauge matrix
+    and no edge transport of the simplicial system, apart from the identity, which the job decomposes for
     another reason (the change of basis in d2_spec)."""
     _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
     code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
@@ -424,8 +420,7 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     transports -= {_kernel_input(IntMatrix.identity(2))}
     assert transports  # inverse classes give transports such as (1 -2; 0 1)
     assert not transports & set(inputs)
-    assert not set(_gauge_inputs(kernel_calls, "torus2", form=True)) & \
-        set(inputs)
+    assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(inputs)
 
 
 @pytest.mark.parametrize("emit", ["human", "machine"])

@@ -385,6 +385,19 @@ def test_fox_complex_rejects_an_action_the_word_does_not_kill():
         fox_complex(word, action, 2)
 
 
+def test_fox_blocks_read_the_prefix_left_to_right():
+    """On w = x0 x1^-1 x2 the Fox derivatives are 1, -x0 x1^-1 and
+    x0 x1^-1, so with a non-commuting pair A, B and rho(x2) = B A^-1
+    the blocks of delta_1 are I, -A B^-1 and A B^-1, not B^-1 A."""
+    a, b = IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 0], [1, 1]])
+    ab = a * b.inverse_unimodular()
+    action = [(g, g.inverse_unimodular())
+              for g in (a, b, ab.inverse_unimodular())]
+    c = fox_complex(((0, 1), (1, -1), (2, 1)), action, 2)
+    assert c.differential(1) == \
+        IntMatrix.identity(2).hstack(-ab).hstack(ab)
+
+
 def test_cell_delta0_is_the_simplicial_coboundary_on_the_loop_edges():
     """surface_complex takes rho(x_i) = T_i^-1, T_i the transport around
     loop i: a 0-cochain with one value v at every vertex, constant in

@@ -8,18 +8,23 @@ from leray.local_systems import transport_along
 from leray.ncp_bundles import (
     NcpTorusBundleSpec,
     analyze,
-    chern_cocycle,
     d2_spec,
     fundamental_pairing,
     is_rkk_trivial,
     k_theory_bundle,
-    torus_transition_data,
-    winding_number,
+    resolve_base,
 )
 from leray.simplicial import torus2
 from leray.spectral import attach_d2, e1_page, e2_page, first_page
 
-from oracles import simplicial_analysis, simplicial_k_theory_bundle
+from oracles import (
+    chern_cocycle,
+    cup_intersection_form,
+    simplicial_analysis,
+    simplicial_k_theory_bundle,
+    torus_transition_data,
+    winding_number,
+)
 
 
 def spec_t2(windings, chern):
@@ -68,13 +73,39 @@ def test_k_theory_bundle_genus2():
     assert mats[0] == IntMatrix([[1, 1], [0, 1]])
     assert all(m.is_identity() for m in mats[1:])
     # block i of delta_1 is sum_j J_ji N_j, which is J_0i N_0 here
-    form = spec.base.intersection_form
+    form = cup_intersection_form(spec.base)
     n0 = mats[0] - IntMatrix.identity(2)
     d1 = k_theory_bundle(spec)[0].differential(1)
     for i in range(4):
         block = d1.submatrix_columns([2 * i, 2 * i + 1])
         assert block == IntMatrix([[form[0, i] * x for x in row]
                                    for row in n0.rows()])
+
+
+@pytest.mark.parametrize("name", ["torus2"] + ["genus(%d)" % g
+                                             for g in range(2, 6)])
+def test_even_complex_is_the_cup_form_complex(name):
+    """With rho(x_i) = A_i = (1 w_i; 0 1) and N_i = A_i - I, the Fox
+    complex of the boundary word is delta_0 = stack(N_i) and block i of
+    delta_1 = sum_j J_ji N_j, J the intersection form of the triangles'
+    cup products, which reads no word: rho = A_i^-1 would negate both
+    coboundaries."""
+    x = resolve_base(name)
+    n = 2 - x.euler_characteristic()
+    form = cup_intersection_form(x)
+    rng = random.Random(27)
+    for _ in range(6):
+        w = [rng.randint(-4, 4) for _ in range(n)]
+        spec = NcpTorusBundleSpec(name, w, (0, 0))
+        nil = [IntMatrix([[0, x], [0, 0]]) for x in w]
+        d0 = IntMatrix([row for x in nil for row in x.rows()])
+        blocks = [sum((nil[j] * form[j, i] for j in range(n)),
+                      IntMatrix.zeros(2, 2)) for i in range(n)]
+        d1 = IntMatrix([sum((b.rows()[r] for b in blocks), ())
+                        for r in range(2)])
+        even = k_theory_bundle(spec)[0]
+        assert even.differential(0) == d0
+        assert even.differential(1) == d1
 
 
 def test_fundamental_pairing_basics():

@@ -66,11 +66,6 @@ def test_every_import_is_used():
 
 # Public names no command reaches, each kept for a stated reader.
 UNREACHED_BY_DESIGN = {
-    # The floating-point front end: library-only, no document field
-    # reaches it, and acceptance criterion 09 pins its behaviour.
-    ("ncp_bundles", "winding_number"),
-    ("ncp_bundles", "chern_cocycle"),
-    ("ncp_bundles", "torus_transition_data"),
     # Read by the benchmark harness, which records the kernel in use.
     ("_kernel", "BACKEND"),
 }

