@@ -49,7 +49,7 @@ MAX_RANK = 16
 # job's pages are on cells, so its base is bounded at rank 1, for the
 # boundary behind the tree gauge: it admits up to genus(49), whose cold
 # job (import, build, gauge, boundary word and pages, one process) took
-# 0.20-0.28 s and peaked at 50 MiB on the same host.
+# 0.22-0.27 s and peaked at 48 MiB on the same host.
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

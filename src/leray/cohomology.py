@@ -46,7 +46,6 @@ by ``transports`` and the ``check`` command stay on ``build``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 
 from .exactlinalg import (FgAbGroup, IntMatrix, SmithDecomposition,
@@ -254,10 +253,14 @@ def cohomology_groups(x, system: LocalSystem, convention: str = "e1"):
     return groups(build(x, system, convention))
 
 
-@dataclass(frozen=True)
 class ConventionComparison:
-    classical: tuple
-    e1: tuple
+    """The groups H^0..H^dim under each sign convention."""
+
+    __slots__ = ("classical", "e1")
+
+    def __init__(self, classical, e1):
+        self.classical = classical
+        self.e1 = e1
 
     @property
     def isomorphic(self):
@@ -280,5 +283,4 @@ def convention_compare(x, system: LocalSystem) -> ConventionComparison:
     for p, factors in classical._invariant_factors.items():
         if e1.differential(p) is classical.differential(p):
             e1._invariant_factors[p] = factors
-    return ConventionComparison(classical=classical_groups,
-                                e1=tuple(groups(e1)))
+    return ConventionComparison(classical_groups, tuple(groups(e1)))

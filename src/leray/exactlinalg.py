@@ -20,7 +20,6 @@ The main objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from math import gcd
 from operator import mul
@@ -326,19 +325,28 @@ def action_inverses(mats, rank):
     return tuple(inverses)
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
     D is rebuilt from ``diagonal`` on demand.  V's inverse is kept, as
-    it decomposes the kernel basis (``kernel_decomposition``).
+    it decomposes the kernel basis (``kernel_decomposition``).  Two
+    decompositions are equal when their five parts are.
     """
 
-    U: IntMatrix
-    V: IntMatrix
-    diagonal: tuple
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    __slots__ = ("U", "V", "diagonal", "U_inv", "V_inv")
+
+    def __init__(self, U, V, diagonal, U_inv, V_inv):
+        self.U = U
+        self.V = V
+        self.diagonal = diagonal
+        self.U_inv = U_inv
+        self.V_inv = V_inv
+
+    def __eq__(self, other):
+        if not isinstance(other, SmithDecomposition):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     @classmethod
     def identity(cls, n):
@@ -520,26 +528,40 @@ def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(ker.rows()[:m.ncols], m.ncols, ker.ncols)
 
 
-@dataclass(frozen=True)
 class FgAbGroup:
     """Finitely generated abelian group in canonical form.
 
     ``torsion`` entries are >= 2 and divisibility-sorted, so two values
-    compare equal exactly when the groups are isomorphic.
+    compare equal, and hash alike, exactly when the groups are
+    isomorphic.
 
     >>> FgAbGroup(1, (2,)).render()
     'Z (+) Z/2'
     """
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        for i, t in enumerate(self.torsion):
+    def __init__(self, free_rank, torsion):
+        for i, t in enumerate(torsion):
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
-            if i and self.torsion[i] % self.torsion[i - 1]:
+            if i and t % torsion[i - 1]:
                 raise ValueError("torsion must form a divisibility chain")
+        self.free_rank = free_rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        if not isinstance(other, FgAbGroup):
+            return NotImplemented
+        return (self.free_rank == other.free_rank
+                and self.torsion == other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self):
+        return "FgAbGroup(free_rank=%r, torsion=%r)" % (self.free_rank,
+                                                         self.torsion)
 
     @property
     def ngens(self):

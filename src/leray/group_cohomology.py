@@ -11,23 +11,20 @@ H^*(Z, M) (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import CochainComplex, groups
 from .exactlinalg import IntMatrix, action_inverses
 
 
-@dataclass(frozen=True)
 class ZnModule:
     """Z^rank with an action of Z^n by commuting unimodular matrices,
     checked once, by ``action_inverses``, when the module is made."""
 
-    rank: int
-    action: tuple
+    __slots__ = ("rank", "action")
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", tuple(self.action))
-        action_inverses(self.action, self.rank)
+    def __init__(self, rank, action):
+        self.rank = rank
+        self.action = tuple(action)
+        action_inverses(self.action, rank)
 
     @property
     def n(self):

@@ -34,7 +34,6 @@ holonomy, one matrix (1 w_i; 0 1) per loop, to the same
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactlinalg import IntMatrix, action_inverses
 from .simplicial import SimplicialComplex
@@ -140,16 +139,16 @@ class LocalSystem:
         return "LocalSystem(base=%r, fiber_rank=%d)" % (self.base, self.fiber_rank)
 
 
-@dataclass(frozen=True)
 class GradedKBundle:
     """Z/2-graded coefficient bundle (the K0 and K1 local systems)."""
 
-    even: LocalSystem
-    odd: LocalSystem
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        if self.even.base != self.odd.base:
+    def __init__(self, even: LocalSystem, odd: LocalSystem):
+        if even.base != odd.base:
             raise ValueError("graded parts must share the base complex")
+        self.even = even
+        self.odd = odd
 
     @property
     def base(self):

@@ -27,7 +27,6 @@ class).  From this data the module produces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cohomology import CochainComplex, fox_complex
 from .exactlinalg import (
@@ -58,7 +57,6 @@ def resolve_base(name: str) -> SimplicialComplex:
     return x
 
 
-@dataclass(frozen=True)
 class NcpTorusBundleSpec:
     """Classifying data: base surface, windings, and Chern data, read
     once, when the spec is made.
@@ -67,40 +65,35 @@ class NcpTorusBundleSpec:
     base (two for torus2, 2g for genus(g)).  Each ``chern`` entry is
     either a bare integer pairing or a full integer 2-cochain over the
     sorted 2-simplices.  Construction checks the data and stores what
-    every reader takes from it: the resolved ``base`` (left out of
-    equality), the two Chern ``pairings`` with the fundamental class,
-    and ``k``, the gcd of the windings.  An integer entry is its own
-    pairing: it stands for that multiple of the indicator cochain of
-    the first 2-simplex, which the coherent orientation signs +1.
+    every reader takes from it: the resolved ``base``, the two Chern
+    ``pairings`` with the fundamental class, and ``k``, the gcd of the
+    windings.  An integer entry is its own pairing: it stands for that
+    multiple of the indicator cochain of the first 2-simplex, which the
+    coherent orientation signs +1.
     """
 
-    base_name: str
-    winding: tuple
-    chern: tuple
-    base: SimplicialComplex = field(init=False, compare=False)
-    pairings: tuple = field(init=False)
-    k: int = field(init=False)
+    __slots__ = ("base_name", "winding", "base", "pairings", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "winding", tuple(self.winding))
-        chern = tuple(c if isinstance(c, int) else tuple(c)
-                      for c in self.chern)
-        object.__setattr__(self, "chern", chern)
-        base = resolve_base(self.base_name)
+    def __init__(self, base_name, winding, chern):
+        winding = tuple(winding)
+        chern = tuple(c if isinstance(c, int) else tuple(c) for c in chern)
+        base = resolve_base(base_name)
         expected = 2 - base.euler_characteristic()  # rank of H_1
-        if len(self.winding) != expected:
+        if len(winding) != expected:
             raise ValueError("expected %d windings for %s, got %d"
-                             % (expected, self.base_name, len(self.winding)))
+                             % (expected, base_name, len(winding)))
         if len(chern) != FIBER_RANK:
             raise ValueError("expected %d Chern entries" % FIBER_RANK)
         for c in chern:
             if not isinstance(c, int) and len(c) != base.n_simplices(2):
                 raise ValueError("Chern cochain has wrong length")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pairings", tuple(
+        self.base_name = base_name
+        self.winding = winding
+        self.base = base
+        self.pairings = tuple(
             c if isinstance(c, int) else fundamental_pairing(c, base)
-            for c in chern))
-        object.__setattr__(self, "k", math.gcd(*self.winding))
+            for c in chern)
+        self.k = math.gcd(*winding)
 
 
 def k_theory_bundle(spec: NcpTorusBundleSpec):
@@ -140,18 +133,23 @@ def fundamental_pairing(cochain, base: SimplicialComplex) -> int:
     return sum(e * v for e, v in zip(eps, values))
 
 
-@dataclass(frozen=True)
 class D2Spec:
     """The injected second-page differential of a torus-bundle spectral
     sequence: the gcd of the windings, the images of the odd generators
-    in the canonical coordinates of the top even cohomology, and the
-    page-level matrices keyed by source position."""
+    in the canonical coordinates of the top even cohomology, the classes
+    of [1] and of the Bott class there, and the page-level matrices
+    keyed by source position."""
 
-    k_gcd: int
-    images: IntMatrix
-    unit_class: tuple
-    bott_class: tuple
-    page_differentials: dict
+    __slots__ = ("k_gcd", "images", "unit_class", "bott_class",
+                 "page_differentials")
+
+    def __init__(self, k_gcd, images, unit_class, bott_class,
+                 page_differentials):
+        self.k_gcd = k_gcd
+        self.images = images
+        self.unit_class = unit_class
+        self.bott_class = bott_class
+        self.page_differentials = page_differentials
 
     def is_zero(self):
         return self.images.is_zero()
@@ -201,8 +199,7 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
         h2_even.quotient.ngens, FIBER_RANK)
     on_gens = images * c_inv
     diffs = {(0, 1): on_gens} if not on_gens.is_zero() else {}
-    return D2Spec(k_gcd=k, images=images, unit_class=unit_class,
-                  bott_class=bott_class, page_differentials=diffs)
+    return D2Spec(k, images, unit_class, bott_class, diffs)
 
 
 def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
@@ -221,10 +218,21 @@ def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
         raise ValueError("unit and Bott classes do not generate H^2")
 
 
-@dataclass(frozen=True)
 class TrivialityVerdict:
-    trivial: bool
-    certificate: str
+    """Whether the bundle is RKK-trivial, and why; two verdicts are
+    equal when both parts are."""
+
+    __slots__ = ("trivial", "certificate")
+
+    def __init__(self, trivial, certificate):
+        self.trivial = trivial
+        self.certificate = certificate
+
+    def __eq__(self, other):
+        if not isinstance(other, TrivialityVerdict):
+            return NotImplemented
+        return (self.trivial, self.certificate) == \
+            (other.trivial, other.certificate)
 
 
 def is_rkk_trivial(spec: NcpTorusBundleSpec) -> TrivialityVerdict:
@@ -245,18 +253,21 @@ def is_rkk_trivial(spec: NcpTorusBundleSpec) -> TrivialityVerdict:
     return TrivialityVerdict(True, "windings and Chern pairings all vanish")
 
 
-@dataclass(frozen=True)
 class NcpAnalysis:
     """Everything the pipeline computes for one bundle spec."""
 
-    spec: NcpTorusBundleSpec
-    e1: SpectralPage
-    e2: SpectralPage
-    d2: D2Spec
-    e3: SpectralPage
-    k_even: object
-    k_odd: object
-    verdict: TrivialityVerdict
+    __slots__ = ("spec", "e1", "e2", "d2", "e3", "k_even", "k_odd",
+                 "verdict")
+
+    def __init__(self, spec, e1, e2, d2, e3, k_even, k_odd, verdict):
+        self.spec = spec
+        self.e1 = e1
+        self.e2 = e2
+        self.d2 = d2
+        self.e3 = e3
+        self.k_even = k_even
+        self.k_odd = k_odd
+        self.verdict = verdict
 
 
 def analyze(spec: NcpTorusBundleSpec) -> NcpAnalysis:

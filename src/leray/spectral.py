@@ -43,8 +43,6 @@ it is on, and pages advance with zero differentials otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import build, cohomology, groups, surface_complex
 from .exactlinalg import (
     FgAbGroup,
@@ -336,7 +334,6 @@ def stabilize(page: SpectralPage) -> SpectralPage:
     return page
 
 
-@dataclass(frozen=True)
 class AssembledKTheory:
     """Associated graded of the limit filtration for one total parity.
 
@@ -344,9 +341,11 @@ class AssembledKTheory:
     K-group only up to iterated extensions, and is flagged as such.
     """
 
-    parity: int
-    graded_pieces: tuple
-    extension_ambiguous: bool = True
+    __slots__ = ("graded_pieces",)
+    extension_ambiguous = True
+
+    def __init__(self, graded_pieces):
+        self.graded_pieces = graded_pieces
 
     @property
     def total_rank(self):
@@ -365,5 +364,5 @@ def assemble(page: SpectralPage):
     for parity in (0, 1):
         pieces = tuple(page.group(p, parity)
                        for p in range(page.dimension + 1))
-        out.append(AssembledKTheory(parity=parity, graded_pieces=pieces))
+        out.append(AssembledKTheory(pieces))
     return tuple(out)

@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import leray
@@ -18,6 +20,30 @@ def test_submodule_attributes_are_modules():
         importlib.import_module("leray." + info.name)
         assert isinstance(getattr(leray, info.name), types.ModuleType), \
             info.name
+
+
+# Runs in a fresh interpreter, given the source directory in argv:
+# prints the modules of interest that importing the CLI loads.
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import leray.cli
+print(" ".join(m for m in ("dataclasses", "inspect")
+               if m in sys.modules and m not in before))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Every run pays for what ``import leray.cli`` loads: the package
+    keeps its records as plain classes, so neither ``dataclasses`` nor
+    the ``inspect`` it pulls in is imported.  Modules the interpreter's
+    site had loaded already are not counted."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leray.__file__)))
+    res = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src],
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert res.stdout.split() == []
 
 
 def test_tracer_targets_exist():
