@@ -5,12 +5,16 @@ arbitrary-precision integers, eliminating on sparse rows.  It has two
 entries that run the same pivot loop: ``smith_with_transforms`` returns
 D with its unimodular transforms, and ``invariant_factors`` returns
 only D's nonzero diagonal, for callers that read a rank or a group and
-no coordinates.  D is held as ``{column: value}`` rows, with the set of
-rows holding a nonzero in each column; U, V^T, U_inv^T and V_inv, when
-they are made, are sparse rows too, so every operation on a transform
-is a row operation over one row's nonzeros.  Rows and columns are never
-swapped: each pivot records its (row, column), and the permutation is
-applied once, when the dense result is built.
+no coordinates.  Both take the matrix as its nonzero rows, one
+``{column: value}`` dict per row with no zero value
+(``IntMatrix.nonzero_rows``), so a matrix held in that form is
+eliminated with no dense copy.  Neither mutates its input: the
+elimination copies each row, and D is held as those copies, with the
+set of rows holding a nonzero in each column.  U, V^T, U_inv^T and
+V_inv, when they are made, are sparse rows too, so every operation on
+a transform is a row operation over one row's nonzeros.  Rows and
+columns are never swapped: each pivot records its (row, column), and
+the permutation is applied once, when the dense result is built.
 
 Pivoting is Markowitz-style (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations",
@@ -18,10 +22,15 @@ J. Symb. Comput. 32, 2001): the pivot column has the fewest nonzeros
 left in the active block, and within it the pivot row has the smallest
 absolute value, then the fewest nonzeros.  Ties go to the lowest index,
 so the output is deterministic.  Frozen digests of the output in
-tests/test_snf_golden.py pin it.
+tests/test_snf_golden.py pin it.  The active columns are filed in
+buckets by their count of nonzeros, so the pivot column is the lowest
+index of the lowest bucket, found with no scan of the other columns.
+Only a column in the support of a row that served as a pivot row can
+change its count (row operations add pivot rows, column operations
+touch the pivot row alone), so only those are refiled after a pivot.
+A column that empties is retired for good, as a zero column stays
+zero.
 """
-
-from itertools import compress
 
 # perfbench records this in every run and refuses to compare runs whose
 # backends differ, so it stays although there is only one kernel.
@@ -31,10 +40,11 @@ BACKEND = "pure"
 def smith_with_transforms(a, nrows, ncols):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    ``a`` is a sequence of ``nrows`` rows, each of length ``ncols``; it is
-    not mutated.  Returns ``(u, d, v, uinv, vinv)`` as lists of list rows
-    with ``u @ a @ v == d``, ``u @ uinv == I``, ``v @ vinv == I``, and
-    ``d`` diagonal with nonnegative entries in a divisibility chain.
+    ``a`` holds the ``nrows`` nonzero rows of an ``nrows`` x ``ncols``
+    matrix, ``{column: value}`` each; it is not mutated.  Returns
+    ``(u, d, v, uinv, vinv)`` as lists of list rows with
+    ``u @ a @ v == d``, ``u @ uinv == I``, ``v @ vinv == I``, and ``d``
+    diagonal with nonnegative entries in a divisibility chain.
     """
     e = _Transforms(a, nrows, ncols)
     return e.dense(e.diagonalize())
@@ -43,8 +53,9 @@ def smith_with_transforms(a, nrows, ncols):
 def invariant_factors(a, nrows, ncols):
     """The nonzero diagonal of ``smith_with_transforms(a, nrows, ncols)``,
     as a list in divisibility order, from the same eliminations made on
-    D alone: no transform is allocated or updated.  ``a`` is not
-    mutated."""
+    D alone: no transform is allocated or updated.  ``a`` holds the
+    ``nrows`` nonzero rows of the matrix, ``{column: value}`` each; it is
+    not mutated."""
     e = _Elimination(a, nrows, ncols)
     return [e.d[r][c] for r, c in e.diagonalize()]
 
@@ -70,41 +81,39 @@ def _negate(row):
 
 class _Elimination:
     """D of one SNF as sparse rows, and the operations that diagonalize
-    it.  ``_Transforms`` makes the same operations on the transforms."""
+    it.  ``_Transforms`` makes the same operations on the transforms.
+    ``a``, the nonzero rows of the input, is copied, not mutated."""
 
     def __init__(self, a, nrows, ncols):
         self.nrows, self.ncols = nrows, ncols
-        self.d = [dict(zip(compress(range(ncols), row), filter(None, row)))
-                  for row in a]
+        self.d = [dict(row) for row in a]
         self.rows_of = [set() for _ in range(ncols)]
         for i, row in enumerate(self.d):
             for j in row:
                 self.rows_of[j].add(i)
-        # Columns not yet holding a pivot.  A zero column stays zero: row
-        # operations add rows that are zero there, and column operations
-        # change only columns with a nonzero in the pivot row.
-        self.active = {j for j, rows in enumerate(self.rows_of) if rows}
+        # The active columns, those not yet holding a pivot, in buckets
+        # by count of nonzeros: buckets[n] holds the columns filed under
+        # n, and filed[j] is column j's count, 0 once it holds a pivot.
+        # A zero column is never filed, as it stays zero: row operations
+        # add rows that are zero there, and column operations change only
+        # columns with a nonzero in the pivot row.
+        self.filed = [len(rows) for rows in self.rows_of]
+        self.buckets = buckets = {}
+        for j, n in enumerate(self.filed):
+            if n:
+                buckets.setdefault(n, set()).add(j)
 
     def diagonalize(self):
         """Bring D to Smith form; returns its pivots (row, column) in
         diagonal order, units first.
 
-        Each pivot (r, c) is cleared by Euclid's algorithm: every other
-        row of column c is reduced by row r, and while a remainder is
-        left the smallest one becomes the pivot; then row r is reduced
-        by column c the same way.  Once column c has only the pivot
-        (r, c), reducing row r changes no other entry of D.  Cleared rows
-        and columns leave the active block for good.  The diagonal is
-        then made nonnegative, and 2x2 extended-gcd steps on pairs of
-        pivots, (a, b) -> (gcd, lcm), restore the divisibility chain.
+        The pivots of ``eliminate`` leave D diagonal up to the order of
+        rows and columns.  The diagonal is then made nonnegative, and
+        2x2 extended-gcd steps on pairs of pivots, (a, b) -> (gcd, lcm),
+        restore the divisibility chain.
         """
         d = self.d
-        pivots = []
-        while (c := self.sparsest_column()) is not None:
-            r, c = self.clear(c)
-            self.active.discard(c)
-            pivots.append((r, c))
-
+        pivots = self.eliminate()
         for r, c in pivots:
             if d[r][c] < 0:
                 self.negate_row(r)
@@ -118,12 +127,25 @@ class _Elimination:
                     self.gcd_step(ri, ci, rj, cj)
         return units + rest
 
-    def sparsest_column(self):
-        """The active column with the fewest nonzeros, lowest index
-        first, or None when the active block is zero."""
-        rows_of = self.rows_of
-        counts = [(len(rows_of[j]), j) for j in self.active if rows_of[j]]
-        return min(counts)[1] if counts else None
+    def eliminate(self):
+        """Clear pivots until the active block is zero, each starting in
+        the active column with the fewest nonzeros, lowest index first;
+        returns the pivots (row, column) in the order they were found."""
+        buckets = self.buckets
+        pivots = []
+        while buckets:
+            pivots.append(self.clear(min(buckets[min(buckets)])))
+        return pivots
+
+    def refile(self, j, n):
+        """File column j under count n; n = 0 retires it."""
+        buckets, old = self.buckets, self.filed[j]
+        buckets[old].discard(j)
+        if not buckets[old]:
+            del buckets[old]
+        if n:
+            buckets.setdefault(n, set()).add(j)
+        self.filed[j] = n
 
     def row_axpy(self, i, t, c):
         """Row i += c * row t."""
@@ -153,12 +175,22 @@ class _Elimination:
     def clear(self, c):
         """Clear a pivot's row and column by Euclid's algorithm, starting
         in column c; returns the pivot, the only nonzero left in its row
-        and column."""
+        and column.
+
+        Every other row of column c is reduced by the pivot row r, and
+        while a remainder is left the smallest one becomes the pivot;
+        then row r is reduced by column c the same way.  Once column c
+        has only the pivot (r, c), reducing row r changes no other entry
+        of D.  The pivot's column is retired, and the columns in the
+        support of any row that served as a pivot row are refiled.
+        """
         d, rows_of = self.d, self.rows_of
+        touched = set()
         while True:
             while True:
                 r = min(rows_of[c], key=lambda i: (abs(d[i][c]), len(d[i]), i))
                 p = d[r][c]
+                touched.update(d[r])
                 for i in [i for i in rows_of[c] if i != r]:
                     q = d[i][c] // p
                     if q:
@@ -171,8 +203,15 @@ class _Elimination:
                 if q:
                     self.col_axpy_on_pivot_row(r, j, c, -q)
             if len(dr) == 1:
-                return r, c
+                break
             c = min(dr, key=lambda j: (abs(dr[j]), len(rows_of[j]), j))
+        self.refile(c, 0)
+        touched.discard(c)
+        filed = self.filed
+        for j in touched:
+            if len(rows_of[j]) != filed[j]:
+                self.refile(j, len(rows_of[j]))
+        return r, c
 
     def negate_row(self, r):
         """Row r of D negated."""

@@ -39,13 +39,17 @@ MAX_RANK = 16
 # builds none: cohomology and spectral on a named closed surface, with
 # monodromy or constant systems, compute on the cell model, whose
 # largest coboundary is m x 2g m.
-# Coboundaries are dense, and so are the SNF transforms handed back to
-# the commands that read representatives (the kernel eliminates on
-# sparse rows but returns dense lists); spectral reads groups and ranks
-# alone and makes none.  On CPython 3.11 (x86-64, 2 cores), spectral on
-# circle(256) with two constant rank-4 systems (2^20 entries, run with
-# the cap lifted) peaked at 74 MiB in 0.6 s, and on circle(181) (about
-# 2^19) at 45 MiB in 0.3 s.  genus(8) fits up to rank 6.  An ncp
+# The cap counts the entries of the dense shape, but build writes each
+# simplicial coboundary as its nonzero rows, and the commands that build
+# one and read its groups and ranks alone eliminate it in that form, so
+# no dense row and no SNF transform of it is made.  On CPython 3.11.7
+# (x86-64, 2 cores), spectral on circle(256) with two constant rank-4
+# systems (a 1024 x 1024 coboundary, 2^20 entries, run with the cap
+# lifted) took 0.08-0.11 s and peaked at 19-21 MiB, and on circle(181)
+# (about 2^19) 0.07 s and 19 MiB, each a whole fresh process, whose
+# import alone peaks at 14 MiB; with dense coboundaries they took
+# 0.29-0.33 s at 43 MiB and 0.17-0.20 s at 30 MiB.  genus(8) fits up
+# to rank 6.  An ncp
 # job's pages are on cells, so its base is bounded at rank 1, for the
 # boundary behind the tree gauge: it admits up to genus(49), whose cold
 # job (import, build, gauge, boundary word and pages, one process) took

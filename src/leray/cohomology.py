@@ -121,7 +121,9 @@ class CochainComplex:
 def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     """Assemble the cochain complex of a flat system over x: the e1
     complex, or under ``classical`` the same coboundaries with the
-    signs of ``_classical``."""
+    signs of ``_classical``.  The coboundaries are made as nonzero rows
+    (``IntMatrix._trusted_nonzero``), so their product, negation and
+    elimination read no dense row."""
     if convention not in CONVENTIONS:
         raise ValueError("unknown convention %r" % (convention,))
     if system.base != x:
@@ -130,22 +132,22 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     m = system.fiber_rank
     diffs = []
     for p in range(x.dimension + 1):
-        rows = x.n_simplices(p + 1) * m if p + 1 <= x.dimension else 0
-        cols = x.n_simplices(p) * m
-        entries = [[0] * cols for _ in range(rows)]
-        if rows:
-            for j, sigma in enumerate(x.simplices(p + 1)):
-                for l in range(p + 2):
-                    tau = sigma[:l] + sigma[l + 1:]
-                    sign = (-1) ** (p + 1 - l)
-                    t = system.transport(tau[0], sigma[0]).rows()
-                    ti = x.index(tau)
-                    for a, t_row in enumerate(t):
-                        row = entries[j * m + a]
-                        for b, v in enumerate(t_row, ti * m):
-                            if v:
-                                row[b] += sign * v
-        diffs.append(IntMatrix._trusted(entries, rows, cols))
+        signs = [(-1) ** (p + 1 - l) for l in range(p + 2)]
+        rows = []
+        for sigma in (x.simplices(p + 1) if p < x.dimension else ()):
+            first, *rest = [x.index(sigma[:l] + sigma[l + 1:]) * m
+                            for l in range(p + 2)]
+            # Face 0 drops sigma's first vertex: its block is the
+            # transport from its own first vertex.  Every other face
+            # keeps sigma's first vertex, so its block is +-I.
+            t = system.transport(sigma[1], sigma[0]).nonzero_rows()
+            for a, t_row in enumerate(t):
+                row = {first + b: signs[0] * v for b, v in t_row.items()}
+                for offset, sign in zip(rest, signs[1:]):
+                    row[offset + a] = sign
+                rows.append(row)
+        diffs.append(IntMatrix._trusted_nonzero(
+            rows, len(rows), x.n_simplices(p) * m))
     return CochainComplex(diffs if convention == "e1" else _classical(diffs))
 
 

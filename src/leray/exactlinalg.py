@@ -8,7 +8,8 @@ anywhere in this module.
 
 The main objects:
 
-* :class:`IntMatrix` -- immutable dense integer matrix.
+* :class:`IntMatrix` -- immutable integer matrix, held as dense rows or
+  as nonzero rows, whichever its maker wrote.
 * :class:`SmithDecomposition` -- U @ A @ V = D with U, V unimodular.
 * :class:`FgAbGroup` -- canonical form Z^r (+) Z/t1 (+) ... with the
   torsion coefficients >= 2 and divisibility-sorted, so group equality
@@ -25,17 +26,27 @@ from math import gcd
 from operator import mul
 
 from ._kernel import invariant_factors as _kernel_invariant_factors
-from ._kernel import smith_with_transforms
+from ._kernel import smith_with_transforms as _kernel_smith_with_transforms
 
 
 class IntMatrix:
     """Immutable integer matrix, row-major.
 
+    A matrix keeps the form its maker wrote: dense rows (``rows()``),
+    from every constructor but one, or nonzero rows, one ``{column:
+    value}`` dict per row (``nonzero_rows()``), from
+    ``_trusted_nonzero``, which ``cohomology.build`` uses for its
+    sparse coboundaries.  The other form is made once, on first read.
+    A product whose left factor is held as nonzero rows, the negation
+    and ``is_zero`` work in the form at hand; every other operation
+    reads dense rows.  Equality, hashing and ``repr`` have the dense
+    meaning whatever the forms.
+
     >>> IntMatrix([[1, 2], [3, 4]]) * IntMatrix.identity(2)
     IntMatrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("_nrows", "_ncols", "_data")
+    __slots__ = ("_nrows", "_ncols", "_data", "_nonzero")
 
     def __init__(self, rows, shape=None):
         data = tuple(tuple(x for x in row) for row in rows)
@@ -59,6 +70,7 @@ class IntMatrix:
         self._nrows = nrows
         self._ncols = ncols
         self._data = data
+        self._nonzero = None
 
     @classmethod
     def _trusted(cls, rows, nrows, ncols):
@@ -73,6 +85,20 @@ class IntMatrix:
         m._nrows = nrows
         m._ncols = ncols
         m._data = tuple(map(tuple, rows))
+        m._nonzero = None
+        return m
+
+    @classmethod
+    def _trusted_nonzero(cls, rows, nrows, ncols):
+        """Matrix from its nonzero rows, as the package computed them:
+        ``nrows`` dicts ``{column: value}``, with columns in
+        ``range(ncols)`` and no zero value.  Nothing is checked, and the
+        dicts are kept, so their maker must not change them after."""
+        m = object.__new__(cls)
+        m._nrows = nrows
+        m._ncols = ncols
+        m._data = None
+        m._nonzero = tuple(rows)
         return m
 
     @classmethod
@@ -115,32 +141,54 @@ class IntMatrix:
     @property
     def entries(self):
         """Row-major flat tuple of all entries."""
-        return tuple(x for row in self._data for x in row)
+        return tuple(x for row in self.rows() for x in row)
 
     def rows(self):
+        """The dense rows, a tuple of int tuples, made on first read."""
+        if self._data is None:
+            dense = []
+            for row in self._nonzero:
+                out = [0] * self._ncols
+                for j, x in row.items():
+                    out[j] = x
+                dense.append(tuple(out))
+            self._data = tuple(dense)
         return self._data
 
+    def nonzero_rows(self):
+        """The rows as ``{column: value}`` dicts of their nonzero
+        entries, made on first read; the input of the kernel's
+        ``invariant_factors`` and the right factor of every product.
+        The dicts are the matrix's own: a reader must not change them."""
+        if self._nonzero is None:
+            self._nonzero = tuple(_nonzero_rows(self._data, self._ncols))
+        return self._nonzero
+
     def column(self, j):
-        return tuple(row[j] for row in self._data)
+        return tuple(row[j] for row in self.rows())
 
     def __getitem__(self, key):
         i, j = key
-        return self._data[i][j]
+        return self.rows()[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return self.shape == other.shape and self.rows() == other.rows()
 
     def __hash__(self):
-        return hash((self._nrows, self._ncols, self._data))
+        return hash((self._nrows, self._ncols, self.rows()))
 
     def __repr__(self):
         if self._nrows * self._ncols == 0:
             return "IntMatrix.zeros(%d, %d)" % self.shape
-        return "IntMatrix(%s)" % ([list(r) for r in self._data],)
+        return "IntMatrix(%s)" % ([list(r) for r in self.rows()],)
 
     def __neg__(self):
+        if self._data is None:
+            return IntMatrix._trusted_nonzero(
+                [{j: -x for j, x in row.items()} for row in self._nonzero],
+                *self.shape)
         return IntMatrix._trusted(
             [[-x for x in row] for row in self._data], *self.shape)
 
@@ -148,18 +196,18 @@ class IntMatrix:
         self._check_same_shape(other)
         return IntMatrix._trusted(
             [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self._data, other._data)], *self.shape)
+             for ra, rb in zip(self.rows(), other.rows())], *self.shape)
 
     def __sub__(self, other):
         self._check_same_shape(other)
         return IntMatrix._trusted(
             [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self._data, other._data)], *self.shape)
+             for ra, rb in zip(self.rows(), other.rows())], *self.shape)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix._trusted(
-                [[other * x for x in row] for row in self._data], *self.shape)
+                [[other * x for x in row] for row in self.rows()], *self.shape)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
@@ -167,17 +215,24 @@ class IntMatrix:
         # Row i of the product is the sum of a_ik * (row k of B) over the
         # nonzero a_ik, each row of B restricted to its nonzeros.  Integer
         # sums are exact, so the order of accumulation cannot change them.
+        # The product keeps the form of the left factor.
         ncols = other._ncols
-        columns = range(ncols)
-        nonzeros = [list(zip(compress(columns, row), filter(None, row)))
-                    for row in other._data]
-        positions = range(self._ncols)
+        right = other.nonzero_rows()
         out = []
+        if self._data is None:
+            for row in self._nonzero:
+                acc = {}
+                for k, a in row.items():
+                    for j, b in right[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: x for j, x in acc.items() if x})
+            return IntMatrix._trusted_nonzero(out, self._nrows, ncols)
+        positions = range(self._ncols)
         for row in self._data:
             acc = [0] * ncols
             for k in compress(positions, row):
                 a = row[k]
-                for j, b in nonzeros[k]:
+                for j, b in right[k].items():
                     acc[j] += a * b
             out.append(acc)
         return IntMatrix._trusted(out, self._nrows, ncols)
@@ -197,13 +252,14 @@ class IntMatrix:
         if len(vector) != self._ncols:
             raise ValueError("vector length mismatch")
         out = (0,) * self._nrows
+        data = self.rows()
         for k in compress(range(self._ncols), vector):
             x = vector[k]
-            out = [s + row[k] * x for s, row in zip(out, self._data)]
+            out = [s + row[k] * x for s, row in zip(out, data)]
         return tuple(out)
 
     def transpose(self):
-        return IntMatrix._trusted(list(zip(*self._data)) or
+        return IntMatrix._trusted(list(zip(*self.rows())) or
                                   [()] * self._ncols,
                                   self._ncols, self._nrows)
 
@@ -211,27 +267,30 @@ class IntMatrix:
         if self._nrows != other._nrows:
             raise ValueError("row count mismatch")
         return IntMatrix._trusted(
-            [ra + rb for ra, rb in zip(self._data, other._data)],
+            [ra + rb for ra, rb in zip(self.rows(), other.rows())],
             self._nrows, self._ncols + other._ncols)
 
     def vstack(self, other):
         if self._ncols != other._ncols:
             raise ValueError("column count mismatch")
-        return IntMatrix._trusted(self._data + other._data,
+        return IntMatrix._trusted(self.rows() + other.rows(),
                                   self._nrows + other._nrows, self._ncols)
 
     def submatrix_columns(self, indices):
         indices = list(indices)
         return IntMatrix._trusted(
-            [[row[j] for j in indices] for row in self._data],
+            [[row[j] for j in indices] for row in self.rows()],
             self._nrows, len(indices))
 
     def is_zero(self):
+        if self._data is None:
+            return not any(self._nonzero)
         return not any(map(any, self._data))
 
     def is_identity(self):
+        data = self.rows()
         return (self._nrows == self._ncols
-                and all(self._data[i][j] == (1 if i == j else 0)
+                and all(data[i][j] == (1 if i == j else 0)
                         for i in range(self._nrows)
                         for j in range(self._ncols)))
 
@@ -257,7 +316,7 @@ class IntMatrix:
         if n != self._ncols:
             raise ValueError("matrix is not unimodular")
         rows = [[*row, *(int(i == j) for j in range(n))]
-                for i, row in enumerate(self._data)]
+                for i, row in enumerate(self.rows())]
         last = 1
         for k in range(n):
             p = next((i for i in range(k, n) if rows[i][k]), None)
@@ -281,18 +340,23 @@ class IntMatrix:
         return inverse
 
     def power(self, n):
-        """Integer power; negative exponents via the unimodular inverse."""
+        """Integer power; negative exponents via the unimodular inverse.
+        By repeated squaring, with no product by the identity and no
+        square after the last bit."""
         if self._nrows != self._ncols:
             raise ValueError("power of a non-square matrix")
         base = self if n >= 0 else self.inverse_unimodular()
         k = abs(n)
-        result = IntMatrix.identity(self._nrows)
-        while k:
+        if not k:
+            return IntMatrix.identity(self._nrows)
+        result = None
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def _check_same_shape(self, other):
         if self.shape != other.shape:
@@ -409,6 +473,23 @@ class SmithDecomposition:
             U_inv=self.V.submatrix_columns(order), V_inv=ident)
 
 
+def _nonzero_rows(rows, ncols):
+    """``{column: value}`` dicts of the nonzero entries of dense rows."""
+    columns = range(ncols)
+    return [dict(zip(compress(columns, row), filter(None, row)))
+            for row in rows]
+
+
+def smith_with_transforms(a, nrows, ncols):
+    """The kernel's ``smith_with_transforms`` on the dense rows ``a``.
+
+    Every SNF with transforms goes through this name, with dense rows,
+    so that a profiler can wrap it and certify each result against its
+    input, as ``perfbench/tracing.py`` does."""
+    return _kernel_smith_with_transforms(_nonzero_rows(a, ncols), nrows,
+                                         ncols)
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
@@ -463,7 +544,8 @@ def invariant_factors(a: IntMatrix) -> tuple:
     if a.is_zero():
         return ()
     r, c = a.shape
-    return _chain(_kernel_invariant_factors(a.rows(), r, c), min(r, c))
+    return _chain(_kernel_invariant_factors(a.nonzero_rows(), r, c),
+                  min(r, c))
 
 
 def _chain(diag, limit):

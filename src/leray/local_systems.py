@@ -206,7 +206,8 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     Tree edges carry the identity, so the holonomy equals the given
     matrices exactly, with no basepoint conjugation; an off-tree edge of
     class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
-    backwards, each power made once per table.  The system keeps the
+    backwards, each power made once per table, and each product started
+    from its first power, not from the identity.  The system keeps the
     checked matrices, with their inverses, as its ``holonomy``; the
     table is made when a transport is first read, and the holonomy along
     each loop is certified then, and flatness by ``cohomology.build``.
@@ -234,11 +235,11 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
         table = {h: ident for (u, v) in base.simplices(1)
                  for h in ((u, v), (v, u))}
         for (u, v), cls in zip(gauge.offtree, gauge.classes):
-            forward = backward = ident
-            for i, c in enumerate(cls):
-                if c:
-                    forward = forward * powers[i, c]
-                    backward = backward * powers[i, -c]
+            terms = [(powers[i, c], powers[i, -c])
+                     for i, c in enumerate(cls) if c]
+            forward, backward = terms[0] if terms else (ident, ident)
+            for f, b in terms[1:]:
+                forward, backward = forward * f, backward * b
             table[(u, v)], table[(v, u)] = forward, backward
         made = LocalSystem._trusted(base, fiber_rank, None, lambda: table)
         for loop, m in zip(gauge.loops, mats):

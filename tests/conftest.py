@@ -19,7 +19,9 @@ def pytest_runtest_logreport(report):
 
 class KernelCalls(list):
     """The SNF kernel's calls through either entry, one
-    ``(nrows, ncols, rows)`` each, with ``rows`` a tuple of row tuples.
+    ``(nrows, ncols, rows)`` each, with ``rows`` a tuple of row tuples:
+    the dense rows the transform entry takes, or those of the nonzero
+    rows ``invariant_factors`` takes.
     ``transformed`` lists the calls of ``smith_with_transforms`` alone,
     the rest went to ``invariant_factors``.  After ``refuse()`` every
     further call raises AssertionError instead of reaching the kernel."""
@@ -48,7 +50,9 @@ def kernel_calls(monkeypatch):
         def recording(a, nrows, ncols):
             if calls.refusing:
                 raise AssertionError("SNF kernel called")
-            call = (nrows, ncols, tuple(map(tuple, a)))
+            dense = a if transformed else [
+                [row.get(j, 0) for j in range(ncols)] for row in a]
+            call = (nrows, ncols, tuple(map(tuple, dense)))
             calls.append(call)
             if transformed:
                 calls.transformed.append(call)

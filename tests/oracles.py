@@ -19,6 +19,12 @@ through H^*(Z, M), and
 ``simplicial_analysis``, the ``ncp`` pipeline on the cochains of the
 whole triangulation instead of the one-vertex cell structure.
 
+``dense_coboundary`` assembles a system's simplicial coboundary as
+dense rows, reading a transport for every face of every simplex: the
+reference for ``cohomology.build``.  ``ScanElimination`` is the SNF
+kernel's elimination with its pivot columns found by a scan of every
+active column: the reference for the kernel's count buckets.
+
 ``cup_intersection_form`` gives a surface's intersection form from its
 triangles' cup products, the reference for the form its boundary word
 gives (``word_intersection_form``) and for the ``ncp`` even complex.
@@ -34,6 +40,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 
+from leray._kernel import _Elimination
 from leray.exactlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -256,6 +263,50 @@ def flat_system_from_loops(x, mats) -> LocalSystem:
             else:
                 known[v, w] = known[u, w] * known[u, v].inverse_unimodular()
     return LocalSystem(x, len(mats[0].rows()), known)
+
+
+def dense_coboundary(x, system, p, sign=None) -> IntMatrix:
+    """D_p of a system's simplicial cochains, assembled as dense rows:
+    the block of (sigma, tau) for the l-th face tau of a (p+1)-simplex
+    sigma is sign(l) times the transport from tau's minimal vertex to
+    sigma's, read for every face.  ``sign`` defaults to the e1
+    convention, (-1)^(p+1-l)."""
+    if sign is None:
+        def sign(l):
+            return (-1) ** (p + 1 - l)
+    m = system.fiber_rank
+    nrows = x.n_simplices(p + 1) * m if p < x.dimension else 0
+    ncols = x.n_simplices(p) * m
+    rows = [[0] * ncols for _ in range(nrows)]
+    for j, sigma in enumerate(x.simplices(p + 1) if nrows else ()):
+        for l in range(p + 2):
+            tau = sigma[:l] + sigma[l + 1:]
+            t = system.transport(tau[0], sigma[0]).rows()
+            ti = x.index(tau)
+            for a, t_row in enumerate(t):
+                row = rows[j * m + a]
+                for b, v in enumerate(t_row, ti * m):
+                    if v:
+                        row[b] += sign(l) * v
+    return IntMatrix(rows, shape=(nrows, ncols))
+
+
+class ScanElimination(_Elimination):
+    """The SNF kernel's eliminations, with each pivot column found by a
+    scan of every active column for the fewest nonzeros, lowest index
+    first, and no count buckets read."""
+
+    def eliminate(self):
+        rows_of = self.rows_of
+        active = {j for j, rows in enumerate(rows_of) if rows}
+        pivots = []
+        while True:
+            counts = [(len(rows_of[j]), j) for j in active if rows_of[j]]
+            if not counts:
+                return pivots
+            r, c = self.clear(min(counts)[1])
+            active.discard(c)
+            pivots.append((r, c))
 
 
 def cup_intersection_form(x) -> IntMatrix:

@@ -513,6 +513,43 @@ def test_check_job_assembles_its_cochains_once(monkeypatch, kernel_calls,
     assert not kernel_calls.transformed
 
 
+def test_warm_check_job_makes_no_dense_row_of_a_coboundary(
+        monkeypatch, capsys, tmp_path):
+    """build writes its coboundaries as nonzero rows, and a check job
+    multiplies, negates and eliminates them in that form: on a warm
+    torus2 rank-6 job, no matrix made as nonzero rows is read as dense
+    rows."""
+    mats = block_unipotent_family(random.Random(30), 2)
+    doc = {"complex": "torus2",
+           "system": {"rank": 6, "monodromy": [m.rows() for m in mats]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--input", str(path)]) == 0
+    made, densified = {}, []
+    make = IntMatrix._trusted_nonzero.__func__
+    rows = IntMatrix.rows
+
+    def recording(cls, *args):
+        m = make(cls, *args)
+        made[id(m)] = m
+        return m
+
+    def reading(self):
+        if id(self) in made:
+            densified.append(self.shape)
+        return rows(self)
+    monkeypatch.setattr(IntMatrix, "_trusted_nonzero", classmethod(recording))
+    monkeypatch.setattr(IntMatrix, "rows", reading)
+    capsys.readouterr()
+    assert cli.main(["check", "--input", str(path), "--emit", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    # D_0, D_1 and the empty D_2, D_1 D_0 and D_2 D_1, -D_0 and -D_2
+    assert sorted(m.shape for m in made.values()) == sorted(
+        [(126, 42), (84, 126), (0, 84), (84, 42), (0, 126), (126, 42),
+         (0, 84)])
+    assert densified == []
+
+
 def test_check_job_certifies_each_square_once(monkeypatch, capsys,
                                              tmp_path):
     """The classical complex of a check job is the certified e1 complex

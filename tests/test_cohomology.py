@@ -23,6 +23,7 @@ from leray.simplicial import (builtin, circle, genus_surface, simplex, sphere2,
 from oracles import (
     block_unipotent_family,
     cokernel,
+    dense_coboundary,
     flat_system_from_loops,
     coinvariants,
     invariants,
@@ -180,42 +181,27 @@ def test_convention_compare_decomposes_the_shared_coboundary_once(
 
 
 def _seeded_systems():
-    """(label, base, system): constant and seeded monodromy systems on
-    torus2, genus(2), circles and sphere2."""
+    """(label, base, system) on every builtin base: a constant system, a
+    seeded monodromy system, and a system given by transports, the
+    monodromy one in a seeded gauge, so that no edge carries the
+    identity."""
     rng = random.Random(2001)
-    yield "sphere2", sphere2(), LocalSystem.constant(sphere2(), 2)
-    for n in (3, 5):
-        x = circle(n)
-        for m in (1, 3):
-            yield ("circle(%d)-rank%d" % (n, m), x,
-                   from_monodromy(x, [random_unimodular(rng, m)]))
     x = torus2()
     yield "torus2-paper", x, from_monodromy(x, [K2, K4])
-    for m in (2, 3):
-        yield ("torus2-rank%d" % m, x,
-               from_monodromy(x, list(random_commuting_pair(rng, m))))
-    x = genus_surface(2)
-    yield "genus2-constant", x, LocalSystem.constant(x, 2)
-    a, b = random_commuting_pair(rng, 2)
-    yield "genus2-rank2", x, from_monodromy(x, [a, b, a * b, b.power(-1)])
-
-
-def _textbook_coboundary(x, system, p, sign):
-    """D_p entry by entry: the block of (sigma, tau) for the l-th face
-    tau of a (p+1)-simplex sigma is sign(l) times the transport from
-    tau's minimal vertex to sigma's."""
-    m = system.fiber_rank
-    rows = [[0] * (x.n_simplices(p) * m)
-            for _ in range(x.n_simplices(p + 1) * m)]
-    for j, sigma in enumerate(x.simplices(p + 1)):
-        for l in range(p + 2):
-            tau = sigma[:l] + sigma[l + 1:]
-            t = system.transport(tau[0], sigma[0])
-            for a in range(m):
-                for b in range(m):
-                    rows[j * m + a][x.index(tau) * m + b] += \
-                        sign(l) * t[a, b]
-    return rows
+    for name, ranks in (("sphere2", (2,)), ("circle(3)", (1, 3)),
+                        ("circle(5)", (1, 3)), ("torus2", (2, 3)),
+                        ("genus(2)", (2,)), ("simplex(1)", (2,)),
+                        ("simplex(3)", (2,))):
+        x = builtin(name)
+        loops = len(x.tree_gauge.loops)
+        for m in ranks:
+            a, b = random_commuting_pair(rng, m)
+            monodromy = from_monodromy(x, [a, b, a * b, b.power(-1)][:loops],
+                                       m)
+            label = "%s-rank%d" % (name, m)
+            yield label + "-constant", x, LocalSystem.constant(x, m)
+            yield label + "-monodromy", x, monodromy
+            yield label + "-transports", x, gauge_twist(monodromy, rng)
 
 
 def test_both_conventions_are_the_textbook_coboundaries():
@@ -226,13 +212,35 @@ def test_both_conventions_are_the_textbook_coboundaries():
         classical = build(x, system, "classical")
         e1 = build(x, system, "e1")
         for p in range(x.dimension):
-            assert classical.differential(p).rows() == tuple(map(
-                tuple, _textbook_coboundary(
-                    x, system, p, lambda l: (-1) ** l))), (label, p)
-            assert e1.differential(p).rows() == tuple(map(
-                tuple, _textbook_coboundary(
-                    x, system, p, lambda l: (-1) ** (p + 1 - l)))), \
+            assert classical.differential(p).rows() == dense_coboundary(
+                x, system, p, lambda l: (-1) ** l).rows(), (label, p)
+            assert e1.differential(p).rows() == dense_coboundary(
+                x, system, p, lambda l: (-1) ** (p + 1 - l)).rows(), \
                 (label, p)
+
+
+@pytest.mark.parametrize("x, system", [
+    pytest.param(x, system, id=label) for label, x, system in _seeded_systems()])
+def test_build_equals_the_dense_reference_assembly(monkeypatch, x, system):
+    """build reads one transport per (p+1)-simplex, for its face 0, and
+    writes the blocks of the other faces as +-I: its nonzero rows are
+    those of the assembly that reads a transport for every face."""
+    expected = [dense_coboundary(x, system, p)
+                for p in range(x.dimension + 1)]
+    assert not system.violations  # flatness, read once before counting
+    reads = []
+    transport = LocalSystem.transport
+
+    def reading(self, u, v):
+        reads.append((u, v))
+        return transport(self, u, v)
+    monkeypatch.setattr(LocalSystem, "transport", reading)
+    got = build(x, system).differentials
+    assert len(reads) == sum(x.n_simplices(p)
+                             for p in range(1, x.dimension + 1))
+    assert [d.nonzero_rows() for d in got] == \
+        [d.nonzero_rows() for d in expected]
+    assert list(got) == expected
 
 
 @pytest.mark.parametrize("convention", ["classical", "e1"])

@@ -19,6 +19,7 @@ from leray.exactlinalg import (
 )
 
 from oracles import (
+    ScanElimination,
     cokernel,
     determinant_divisor_diagonal,
     lattice_basis,
@@ -128,8 +129,9 @@ def test_snf_sparse_against_sympy(a):
     expected = [abs(theirs[i, i]) for i in range(min(a.nrows, a.ncols))]
     assert list(dec.diagonal) == [x for x in expected if x]
     copy = [list(row) for row in a.rows()]
-    assert _kernel.smith_with_transforms(a.rows(), a.nrows, a.ncols) == \
-        _kernel.smith_with_transforms(copy, a.nrows, a.ncols)
+    assert _kernel.smith_with_transforms(a.nonzero_rows(), a.nrows,
+                                         a.ncols) == \
+        exactlinalg.smith_with_transforms(copy, a.nrows, a.ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,7 +161,8 @@ def test_zero_matrix_skips_the_kernel(kernel_calls, shape):
     for it: identity transforms and an empty diagonal."""
     r, c = shape
     a = IntMatrix.zeros(r, c)
-    u, d, v, uinv, vinv = _kernel.smith_with_transforms(a.rows(), r, c)
+    u, d, v, uinv, vinv = _kernel.smith_with_transforms(a.nonzero_rows(),
+                                                        r, c)
     kernel_calls.refuse()
     dec = smith_normal_form(a)
     assert dec.U == IntMatrix(u, shape=(r, r)) == dec.U_inv
@@ -206,11 +209,25 @@ def test_invariant_factors_postcondition_catches_bad_kernel_output(
 
 
 def test_input_not_mutated():
-    a = [[2, 4], [6, 8]]
-    snapshot = [row[:] for row in a]
-    for entry in (_kernel.smith_with_transforms, _kernel.invariant_factors):
-        entry(a, 2, 2)
-        assert a == snapshot
+    """Each kernel entry eliminates on its own copy of the nonzero rows
+    it is given, so a matrix's ``nonzero_rows()`` do not change, and
+    neither do the dense rows given to ``smith_with_transforms``."""
+    for rows in ([[2, 4], [6, 8]],
+                 [[0, 2, 4, 0], [3, 0, 6, 0], [0, 0, 0, 0], [1, 5, 0, 7],
+                  [0, 2, 4, 0]]):
+        a = IntMatrix(rows)
+        snapshot = [dict(row) for row in a.nonzero_rows()]
+        for entry in (_kernel.smith_with_transforms,
+                      _kernel.invariant_factors):
+            entry(a.nonzero_rows(), a.nrows, a.ncols)
+            assert list(a.nonzero_rows()) == snapshot
+        dense = [list(row) for row in rows]
+        exactlinalg.smith_with_transforms(dense, a.nrows, a.ncols)
+        assert dense == rows
+        smith_normal_form(a)
+        exactlinalg.invariant_factors(-a)
+        assert list(a.nonzero_rows()) == snapshot
+        assert a == IntMatrix(rows)
 
 
 def test_snf_golden_examples():
@@ -656,6 +673,30 @@ def test_matrix_power():
     assert a.power(0).is_identity()
 
 
+@pytest.mark.parametrize("n", range(-9, 10))
+def test_matrix_power_multiplies_by_no_identity(monkeypatch, n):
+    """A power by repeated squaring makes one square per bit after the
+    first and one product per further set bit: no product starts from
+    the identity, and no square follows the last bit."""
+    a = IntMatrix([[1, 1, 0], [0, 1, 2], [0, 0, 1]])  # of infinite order
+    expected = IntMatrix.identity(3)
+    for _ in range(abs(n)):
+        expected = expected * (a if n > 0 else a.inverse_unimodular())
+    products = []
+    mul = IntMatrix.__mul__
+
+    def counting(x, y):
+        products.extend((x, y))
+        return mul(x, y)
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    assert a.power(n) == expected
+    k = abs(n)
+    # n < 0 adds the check A A^-1 = I of inverse_unimodular
+    assert len(products) // 2 == (k.bit_length() + bin(k).count("1") - 2
+                             if k else 0) + (n < 0)
+    assert not any(y.is_identity() for y in products)
+
+
 def test_big_entries_no_overflow():
     rng = random.Random(3)
     a = random_matrix(rng, 6, 6, lo=-10 ** 12, hi=10 ** 12)
@@ -735,3 +776,103 @@ def test_public_constructor_validates_entries():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         IntMatrix.from_columns([(1, False)])
+
+
+def _nonzero_form(rows, nrows, ncols):
+    """A matrix held as nonzero rows, made from dense rows."""
+    return IntMatrix._trusted_nonzero(
+        [{j: x for j, x in enumerate(row) if x} for row in rows],
+        nrows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_two_forms_agree(data):
+    """A matrix held as dense rows and the same matrix held as nonzero
+    rows agree on every reader, each form read afresh, so that every
+    operation runs in the form it was made in."""
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a_rows = sparse_rows(data.draw, r, k)
+    b_rows = sparse_rows(data.draw, k, c)
+    left_rows = sparse_rows(data.draw, c, r)
+
+    def dense():
+        return IntMatrix(a_rows, shape=(r, k))
+
+    def nonzero():
+        return _nonzero_form(a_rows, r, k)
+    b = IntMatrix(b_rows, shape=(k, c))
+    b_nonzero = _nonzero_form(b_rows, k, c)
+    assert dense() == nonzero() and nonzero() == dense()
+    assert nonzero() == nonzero()
+    assert hash(dense()) == hash(nonzero())
+    assert dense().rows() == nonzero().rows()
+    assert repr(dense()) == repr(nonzero())
+    assert dense().nonzero_rows() == nonzero().nonzero_rows()
+    assert dense().is_zero() == nonzero().is_zero()
+    for d, s in ((dense() * b, nonzero() * b),
+                 (dense() * b_nonzero, nonzero() * b_nonzero),
+                 (-dense(), -nonzero())):
+        assert d.nonzero_rows() == s.nonzero_rows()
+        assert d == s and d.rows() == s.rows() and hash(d) == hash(s)
+    left = IntMatrix(left_rows, shape=(c, r))
+    assert left * dense() == left * nonzero()
+    assert_canonical(nonzero() * b, dense_product(a_rows, b_rows, k, c))
+
+
+@pytest.mark.parametrize("rows", [[[0, 2], [0, 0]], [[0, 0], [0, 0]], []])
+def test_the_two_forms_differ_when_an_entry_does(rows):
+    n = len(rows)
+    dense = IntMatrix(rows, shape=(n, n))
+    other = _nonzero_form([[1] * n for _ in range(n)], n, n)
+    assert (dense == other) == (n == 0)
+    assert (_nonzero_form(rows, n, n) == other) == (n == 0)
+
+
+@st.composite
+def pivot_inputs(draw):
+    """Sparse nonzero rows for the pivot-order test: entries in [-5, 5]
+    and a few near +-10^30, zero rows and columns, and rows and columns
+    that are integer combinations of others, so that eliminations cancel
+    whole rows and columns on the way."""
+    r = draw(st.integers(min_value=0, max_value=24))
+    c = draw(st.integers(min_value=0, max_value=24))
+    density = draw(st.floats(min_value=0.03, max_value=0.4))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[rng.randint(-5, 5) if rng.random() < density else 0
+             for _ in range(c)] for _ in range(r)]
+    if r and c:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            rows[rng.randrange(r)][rng.randrange(c)] = \
+                rng.choice((-1, 1)) * 10 ** 30 + rng.randint(-9, 9)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            i, k, t = rng.randrange(r), rng.randrange(r), rng.randrange(r)
+            q = rng.randint(-2, 2)
+            rows[t] = [x + q * y for x, y in zip(rows[i], rows[k])]
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            i, k, t = rng.randrange(c), rng.randrange(c), rng.randrange(c)
+            q = rng.randint(-2, 2)
+            for row in rows:
+                row[t] = row[i] + q * row[k]
+    for i in draw(st.sets(st.integers(0, 23), max_size=3)):
+        if i < r:
+            rows[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, 23), max_size=3)):
+        if j < c:
+            for row in rows:
+                row[j] = 0
+    return IntMatrix(rows, shape=(r, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pivot_inputs())
+def test_buckets_pick_the_pivots_of_the_column_scan(a):
+    """The kernel's count buckets pick the same (row, column) pivots, in
+    the same order, as a scan of every active column for the fewest
+    nonzeros, lowest index first."""
+    r, c = a.shape
+
+    def rows():
+        return [dict(row) for row in a.nonzero_rows()]
+    assert _kernel._Elimination(rows(), r, c).eliminate() == \
+        ScanElimination(rows(), r, c).eliminate()

@@ -13,6 +13,7 @@ from leray.local_systems import (
 from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
 
 from oracles import (
+    block_unipotent_family,
     coinvariants,
     invariants,
     random_commuting_pair,
@@ -269,3 +270,28 @@ def test_from_monodromy_makes_each_power_once(monkeypatch):
     system.transport(0, 1)
     system.transport(1, 0)
     assert len(made) == len(needed)
+
+
+def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
+    """A torus2 rank-6 table makes 12 products: each off-tree product
+    starts from its first power, and a power of exponent +-1 is the
+    matrix itself, so only the three edges whose class has two nonzero
+    coordinates multiply, once each way (6), and the certificate of the
+    holonomy along each of the two 3-edge loops multiplies thrice (6)."""
+    x = torus2()
+    gauge = x.tree_gauge
+    system = from_monodromy(x, block_unipotent_family(random.Random(6), 2))
+    calls = []
+    mul = IntMatrix.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    system.transport(0, 1)
+    offtree = sum(2 * (sum(1 for c in cls if c) - 1)
+                  for cls in gauge.classes if any(cls))
+    loops = sum(len(loop) - 1 for loop in gauge.loops)
+    assert {abs(c) for cls in gauge.classes for c in cls} == {0, 1}
+    assert (offtree, loops) == (6, 6)
+    assert len(calls) == 12

@@ -85,7 +85,8 @@ def digests():
     """{case name: (input digest, output digest)} for every case."""
     out = {}
     for name, a, ncols in [*_coboundary_cases(), *_sparse_random_cases()]:
-        result = _kernel.smith_with_transforms(a, len(a), ncols)
+        rows = IntMatrix(a, shape=(len(a), ncols)).nonzero_rows()
+        result = _kernel.smith_with_transforms(rows, len(a), ncols)
         out[name] = (_sha(a), _sha(result))
     return out
 
