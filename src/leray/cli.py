@@ -49,11 +49,12 @@ MAX_RANK = 16
 # (about 2^19) 0.07 s and 19 MiB, each a whole fresh process, whose
 # import alone peaks at 14 MiB; with dense coboundaries they took
 # 0.29-0.33 s at 43 MiB and 0.17-0.20 s at 30 MiB.  genus(8) fits up
-# to rank 6.  An ncp
-# job's pages are on cells, so its base is bounded at rank 1, for the
-# boundary behind the tree gauge: it admits up to genus(49), whose cold
-# job (import, build, gauge, boundary word and pages, one process) took
-# 0.22-0.27 s and peaked at 48 MiB on the same host.
+# to rank 6.  An ncp job's pages are on cells, and a surface's tree
+# gauge makes no matrix, so the cap does not apply to its base, which
+# simplicial.MAX_FACES bounds: up to genus(113).  On the same host a
+# cold ncp job on genus(49) (import, build, gauge, boundary word and
+# pages, one process) took 18-27 ms and peaked at 17 MiB, and on
+# genus(100) 35-55 ms and 23 MiB (tools/cold_surfaces.py).
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 
@@ -226,9 +227,6 @@ def parse_bundle_spec(data) -> NcpTorusBundleSpec:
         )
     except (TypeError, ValueError) as exc:
         raise InputError("bad bundle: %s" % exc) from None
-    # the one triangulation matrix an ncp job decomposes is the rank-1
-    # boundary behind the base's tree gauge; its pages are on cells
-    _check_cochain_size(spec.base, 1)
     return spec
 
 

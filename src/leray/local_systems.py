@@ -162,17 +162,21 @@ def transport_along(system: LocalSystem, path) -> IntMatrix:
     """Ordered product of edge transports along a vertex path.
 
     The result carries the fiber at ``path[0]`` to the fiber at
-    ``path[-1]``.
+    ``path[-1]``.  The product starts from the first step that is not
+    the identity and multiplies by no identity, such as the transport
+    along a tree edge of the gauge.
     """
     verts = list(path)
     if not verts:
         raise ValueError("empty path")
-    result = IntMatrix.identity(system.fiber_rank)
+    result = None
     for u, v in zip(verts, verts[1:]):
         if not system.base.adjacent(u, v):
             raise ValueError("path step (%r, %r) is not an edge" % (u, v))
-        result = system.transport(u, v) * result
-    return result
+        step = system.transport(u, v)
+        if not step.is_identity():
+            result = step if result is None else step * result
+    return IntMatrix.identity(system.fiber_rank) if result is None else result
 
 
 def flatness_check(system: LocalSystem):

@@ -23,13 +23,14 @@ from .exactlinalg import IntMatrix, smith_normal_form, solve
 # Most faces a complex may enumerate: its vertices plus the nonempty
 # faces of each listed simplex, sum(2^|s| - 1), duplicates counted.  It
 # is checked before any face is listed, so an oversized document fails
-# at once instead of exhausting memory.  The largest base of the tests
-# and benchmarks, genus(8), counts 721; genus(50) counts 4,417 and
-# builds in about 0.1 s on one core of a 2-core x86 host (CPython 3.11),
-# the whole process peaking at 15 MiB.  The build re-lists the faces
-# after each connected sum, so its time grows about quadratically in g.
-# The largest builtins it admits are genus(113) (0.5 s), circle(2500),
-# simplex(12).
+# at once instead of exhausting memory.  genus(8), the benchmarks'
+# largest base, counts 721.  genus(g) is built in one pass and gauged
+# from its cotree, both in about linear time: on one core of a 2-core
+# x86 host (CPython 3.11.7), genus(113) builds in 10-17 ms, and a cold
+# ncp job on it (import, build, gauge, boundary word and pages) takes
+# 40-63 ms, peaking at 25 MiB, and the whole fresh process 86-125 ms
+# (tools/cold_surfaces.py).  The largest builtins it admits are
+# genus(113), circle(2500), simplex(12).
 MAX_FACES = 10_000
 
 
@@ -236,22 +237,34 @@ class TreeGauge:
     A 1-cycle is fixed by its coefficients on the off-tree edges, and
     the fundamental loop of off-tree edge j has coefficients e_j, so H_1
     is Z^k modulo the columns of A, the k x n_2 off-tree rows of d_2.
-    With U A V = D of rank r (one SNF), H_1 has torsion exactly when D
-    holds an entry >= 2, and rows r.. of U, which span the integer row
-    vectors y with y A = 0, map each off-tree edge to its class.  The
-    canonical basis is then fixed by the Hermite form H of that class
-    map, read from the last off-tree edge (``_hermite_from_the_right``):
-    it depends on the row lattice alone, so the basis, and with it what
-    a monodromy prescription means, depends on the complex alone, not
-    on the transforms the SNF kernel happens to return.  On a closed surface
-    every pivot of H is 1: generator i is the class of the fundamental
-    loop of the off-tree edge at pivot i, which is then its loop, and
-    the other off-tree edges are the edges of a spanning tree of the
-    dual graph, the cotree.  ``loop_edges`` lists the pivot edges, in
-    the order of the generators.  Where some pivot is not 1, the loop of
-    generator j runs the fundamental loops by the integer solution x of
-    H x = e_j (``solve``), so only its class is kernel-free, and
-    ``loop_edges`` is None.
+    The canonical basis is fixed by the Hermite form H of the class map
+    Z^k -> H_1, read from the last off-tree edge
+    (``_hermite_from_the_right``): it depends on the row lattice of the
+    integer row vectors y with y A = 0 alone, so the basis, and with it
+    what a monodromy prescription means, depends on the complex alone.
+    ``loop_edges`` lists the off-tree edges at the pivots of H, in the
+    order of the generators, where every pivot is 1: generator i is then
+    the class of the fundamental loop of the edge at pivot i, which is
+    its loop.
+
+    On a closed orientable surface (certified by ``orientation``) no
+    matrix is made (``_cotree``).  The off-tree edges join the triangles
+    they bound, and a union-find forest over them, taken in their order,
+    is a spanning tree of that dual graph, the cotree; the 2 - chi edges
+    it leaves over are ``loop_edges``.  These are the pivots of H, every
+    pivot 1: the columns of H and the rows of A have dual matroids, the
+    pivots read from the right are the greedy basis from the last
+    column, and its complement is the greedy forest from the first
+    (Eppstein, SODA 2003, for the tree-cotree split).  ``classes`` are
+    made on first read, by peeling the cotree from its leaves, one
+    triangle relation at a time, and every relation is then checked.
+
+    On any other complex, U A V = D of rank r (one SNF): H_1 has torsion
+    exactly when D holds an entry >= 2, rows r.. of U map each off-tree
+    edge to its class, and H is their Hermite form.  Where some pivot is
+    not 1, the loop of generator j runs the fundamental loops by the
+    integer solution x of H x = e_j (``solve``), so only its class is
+    kernel-free, and ``loop_edges`` is None.
     """
 
     def __init__(self, x: SimplicialComplex):
@@ -270,6 +283,79 @@ class TreeGauge:
             raise ValueError("base complex is not connected")
         tree = {tuple(sorted(p[-2:])) for p in list(self.paths.values())[1:]}
         self.offtree = [e for e in x.simplices(1) if e not in tree]
+        try:
+            x.orientation
+        except ValueError:
+            self._smith(x)
+        else:
+            self._cotree(x)
+
+    def _cotree(self, x):
+        index = {e: j for j, e in enumerate(self.offtree)}
+        # per triangle, its off-tree edges with their signs in d_2; per
+        # off-tree edge, the two triangles it bounds
+        self._relations, self._sides = [], [[] for _ in self.offtree]
+        for t, tri in enumerate(x.simplices(2)):
+            relation = []
+            for l, edge in enumerate(((tri[1], tri[2]), (tri[0], tri[2]),
+                                      (tri[0], tri[1]))):
+                j = index.get(edge)
+                if j is not None:
+                    relation.append((j, -1 if l == 1 else 1))
+                    self._sides[j].append(t)
+            self._relations.append(relation)
+        root = list(range(len(self._relations)))
+
+        def find(t):
+            while root[t] != t:
+                root[t] = t = root[root[t]]
+            return t
+        self._loop_indices = []
+        for j, (a, b) in enumerate(self._sides):
+            a, b = find(a), find(b)
+            if a == b:
+                self._loop_indices.append(j)
+            else:
+                root[a] = b
+        if len(self.offtree) - len(self._loop_indices) != len(root) - 1:
+            raise AssertionError("the off-tree edges do not join the "
+                                 "triangles")
+        self.loop_edges = [self.offtree[j] for j in self._loop_indices]
+        self.loops = [self._fundamental_loop(e, 1) for e in self.loop_edges]
+
+    @cached_property
+    def classes(self):
+        """On a surface: the loop edges are the unit vectors, and each
+        other triangle, taken from the cotree's leaves to triangle 0,
+        solves its relation for its cotree edge towards triangle 0."""
+        relations, n = self._relations, len(self._loop_indices)
+        classes = [None] * len(self.offtree)  # each {coordinate: value}
+        for i, j in enumerate(self._loop_indices):
+            classes[j] = {i: 1}
+        towards = {0: None}  # triangle -> its cotree edge towards 0
+        order = [0]
+        for t in order:
+            for j, _ in relations[t]:
+                if classes[j] is None and j != towards[t]:
+                    a, b = self._sides[j]
+                    order.append(b if a == t else a)
+                    towards[order[-1]] = j
+        for t in reversed(order[1:]):
+            c = towards[t]
+            sign = next(s for j, s in relations[t] if j == c)
+            classes[c] = _combine((-sign * s, classes[j])
+                                  for j, s in relations[t] if j != c)
+        if any(_combine((s, classes[j]) for j, s in relation)
+               for relation in relations):
+            raise AssertionError("a triangle relation fails on the peeled "
+                                 "classes")
+        dense = [[0] * n for _ in classes]
+        for row, cls in zip(dense, classes):
+            for i, v in cls.items():
+                row[i] = v
+        return tuple(map(tuple, dense))
+
+    def _smith(self, x):
         k = len(self.offtree)
         d2 = x.boundary_matrix(2)
         h1 = smith_normal_form(IntMatrix._trusted(
@@ -306,6 +392,20 @@ class TreeGauge:
         for _ in range(abs(n)):
             path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
         return path
+
+
+def _combine(terms):
+    """The sum of s * v over the pairs (s, v) of ``terms``, each vector
+    v a dict {coordinate: nonzero value}, as such a dict."""
+    total = {}
+    for s, vector in terms:
+        for i, v in vector.items():
+            w = total.get(i, 0) + s * v
+            if w:
+                total[i] = w
+            else:
+                del total[i]
+    return total
 
 
 def _hermite_from_the_right(rows, ncols):
@@ -379,46 +479,49 @@ def torus2() -> SimplicialComplex:
     sublattice ker(Z^2 -> Z/7, (x, y) -> x + 2y): triangles are
     {i, i+1, i+3} and {i, i+2, i+3} mod 7.
     """
-    tris = []
-    for i in range(7):
-        tris.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
-        tris.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
-    x = SimplicialComplex(7, tris)
+    x = SimplicialComplex(7, _torus_triangles())
     _verify_surface(x, euler=0)
     return x
+
+
+def _torus_triangles():
+    """The 14 triangles of ``torus2``, sorted."""
+    return sorted(tuple(sorted((i, (i + a) % 7, (i + 3) % 7)))
+                  for i in range(7) for a in (1, 2))
 
 
 def genus_surface(g: int) -> SimplicialComplex:
     """Closed oriented surface of genus g >= 1, as an iterated connected
     sum of 7-vertex tori; verified by Euler characteristic and a
-    coherent orientation."""
+    coherent orientation.
+
+    The sums are made on triangle lists, in one pass, and the complex is
+    made and verified once.  Each sum removes the largest triangle so
+    far and glues a torus, less its first triangle (0, 1, 3), along the
+    boundaries, sorted vertex to sorted vertex; the torus's other
+    vertices become the next fresh ones.  The largest triangle so far
+    is always one of the copy glued last, whose triangle (2, 4, 5) has
+    fresh vertices alone."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     # 4g + 3 vertices, 12g + 2 triangles of 7 faces each
     _check_faces(88 * g + 17)
-    x = torus = torus2()
+    if g == 1:
+        return torus2()
+    target, *others = last = _torus_triangles()
+    tris, fresh = [], 7
     for _ in range(g - 1):
-        x = _connected_sum_with_torus(x, torus)
+        removed = max(last)
+        last.remove(removed)
+        tris += last
+        relabel = dict(zip(target, removed))
+        for v in range(7):
+            if v not in relabel:
+                relabel[v], fresh = fresh, fresh + 1
+        last = [tuple(sorted(relabel[v] for v in tri)) for tri in others]
+    x = SimplicialComplex(fresh, tris + last)
     _verify_surface(x, euler=2 - 2 * g)
     return x
-
-
-def _connected_sum_with_torus(x, torus) -> SimplicialComplex:
-    base_tris = list(x.simplices(2))
-    removed = base_tris.pop()  # deterministic: last triangle in sorted order
-    other_tris = list(torus.simplices(2))
-    target = other_tris.pop(0)
-    # glue the boundary of `target` onto the boundary of `removed`
-    relabel = {}
-    for a, b in zip(sorted(target), sorted(removed)):
-        relabel[a] = b
-    fresh = x.vertex_count
-    for v in range(torus.vertex_count):
-        if v not in relabel:
-            relabel[v] = fresh
-            fresh += 1
-    glued = [tuple(sorted(relabel[v] for v in tri)) for tri in other_tris]
-    return SimplicialComplex(fresh, base_tris + glued)
 
 
 def _verify_surface(x, euler):

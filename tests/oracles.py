@@ -25,6 +25,12 @@ reference for ``cohomology.build``.  ``ScanElimination`` is the SNF
 kernel's elimination with its pivot columns found by a scan of every
 active column: the reference for the kernel's count buckets.
 
+``iterated_connected_sum`` builds genus(g) one connected sum at a
+time, a whole complex after each: the reference for the one-pass
+``genus_surface``.  ``smith_gauge`` takes the SNF and Hermite path of
+``TreeGauge`` on any complex, surfaces included: the reference for the
+cotree gauge of a surface.
+
 ``cup_intersection_form`` gives a surface's intersection form from its
 triangles' cup products, the reference for the form its boundary word
 gives (``word_intersection_form``) and for the ``ncp`` even complex.
@@ -65,6 +71,7 @@ from leray.ncp_bundles import (
     d2_spec,
     is_rkk_trivial,
 )
+from leray.simplicial import SimplicialComplex, TreeGauge, torus2
 from leray.spectral import assemble, attach_d2, e1_page, e2_page
 
 
@@ -307,6 +314,42 @@ class ScanElimination(_Elimination):
             r, c = self.clear(min(counts)[1])
             active.discard(c)
             pivots.append((r, c))
+
+
+def iterated_connected_sum(g) -> SimplicialComplex:
+    """genus(g) as ``genus_surface`` built it before its one pass: after
+    each connected sum with the 7-vertex torus a whole complex is made,
+    and the next sum removes that complex's last triangle."""
+    x = torus = torus2()
+    for _ in range(g - 1):
+        base_tris = list(x.simplices(2))
+        removed = base_tris.pop()  # the last triangle in sorted order
+        other_tris = list(torus.simplices(2))
+        target = other_tris.pop(0)
+        relabel = dict(zip(sorted(target), sorted(removed)))
+        fresh = x.vertex_count
+        for v in range(torus.vertex_count):
+            if v not in relabel:
+                relabel[v] = fresh
+                fresh += 1
+        x = SimplicialComplex(fresh, base_tris + [
+            tuple(sorted(relabel[v] for v in tri)) for tri in other_tris])
+    return x
+
+
+class _Unoriented(SimplicialComplex):
+    """A complex whose surface certificate is withheld: ``orientation``
+    raises, as on a complex that is not a surface."""
+
+    @property
+    def orientation(self):
+        raise ValueError("orientation withheld")
+
+
+def smith_gauge(x) -> TreeGauge:
+    """The ``TreeGauge`` of the 2-complex ``x`` by its SNF and Hermite
+    path, which a closed surface does not take."""
+    return TreeGauge(_Unoriented(x.vertex_count, x.simplices(2)))
 
 
 def cup_intersection_form(x) -> IntMatrix:

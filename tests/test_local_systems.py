@@ -273,11 +273,12 @@ def test_from_monodromy_makes_each_power_once(monkeypatch):
 
 
 def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
-    """A torus2 rank-6 table makes 12 products: each off-tree product
+    """A torus2 rank-6 table makes 6 products: each off-tree product
     starts from its first power, and a power of exponent +-1 is the
     matrix itself, so only the three edges whose class has two nonzero
-    coordinates multiply, once each way (6), and the certificate of the
-    holonomy along each of the two 3-edge loops multiplies thrice (6)."""
+    coordinates multiply, once each way (6).  The certificate of the
+    holonomy along each of the two 3-edge loops multiplies nothing: its
+    two tree edges carry the identity, which it skips."""
     x = torus2()
     gauge = x.tree_gauge
     system = from_monodromy(x, block_unipotent_family(random.Random(6), 2))
@@ -291,7 +292,35 @@ def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
     system.transport(0, 1)
     offtree = sum(2 * (sum(1 for c in cls if c) - 1)
                   for cls in gauge.classes if any(cls))
-    loops = sum(len(loop) - 1 for loop in gauge.loops)
     assert {abs(c) for cls in gauge.classes for c in cls} == {0, 1}
-    assert (offtree, loops) == (6, 6)
-    assert len(calls) == 12
+    assert [len(loop) - 1 for loop in gauge.loops] == [3, 3]
+    assert offtree == 6
+    assert len(calls) == 6
+    assert not any(a.is_identity() or b.is_identity() for a, b in calls)
+
+
+def test_transport_along_multiplies_by_no_identity(monkeypatch):
+    """Along a path, the product starts from the first transport that
+    is not the identity and skips the identity of every tree edge: a
+    genus(2) rank-6 table's loops, one off-tree edge each, multiply
+    nothing, and a path through k off-tree edges multiplies k - 1
+    times."""
+    x = genus_surface(2)
+    gauge = x.tree_gauge
+    mats = block_unipotent_family(random.Random(2), 4)
+    system = from_monodromy(x, mats)
+    system.transport(0, 1)  # the table, certified along every loop
+    calls = []
+    mul = IntMatrix.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    assert [transport_along(system, loop) for loop in gauge.loops] == mats
+    assert calls == []
+    path = gauge.loops[0] + gauge.loops[1][1:]
+    assert transport_along(system, path) == mats[1] * mats[0]
+    assert len(calls) == 2  # one in the walk, one on the right-hand side
+    assert not any(a.is_identity() or b.is_identity() for a, b in calls)
+    assert transport_along(LocalSystem.constant(x, 6), path).is_identity()

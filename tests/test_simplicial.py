@@ -20,6 +20,7 @@ from leray.simplicial import (
 )
 
 from oracles import (cup_intersection_form, integral_homology,
+                     iterated_connected_sum, smith_gauge,
                      word_intersection_form)
 
 
@@ -153,14 +154,29 @@ def test_orientation_is_kept():
 
 
 def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
-    """H_1 is the cokernel of the off-tree rows of d_2: a fresh gauge
-    sends the SNF kernel that one matrix."""
-    x = genus_surface(2)
+    """H_1 is the cokernel of the off-tree rows of d_2: off a surface, a
+    fresh gauge sends the SNF kernel that one matrix.  genus(2) with a
+    fin, a triangle on its edge (0, 1) and a new vertex, is not a
+    surface, and its H_1 is Z^4 with every Hermite pivot 1."""
+    x = SimplicialComplex(12, list(genus_surface(2).simplices(2))
+                          + [(0, 1, 11)])
     kernel_calls.clear()
     gauge = x.tree_gauge
     rows = x.boundary_matrix(2).rows()
     offtree = tuple(rows[x.index(e)] for e in gauge.offtree)
     assert kernel_calls == [(len(offtree), x.n_simplices(2), offtree)]
+    assert len(gauge.loop_edges) == 4
+
+
+def test_fresh_surface_gauge_and_word_call_no_kernel(kernel_calls):
+    """On a closed surface the gauge, its classes and the boundary word
+    come from the cotree: no SNF and no Hermite form."""
+    kernel_calls.refuse()
+    x = genus_surface(8)
+    assert "tree_gauge" not in vars(x)
+    gauge = x.tree_gauge
+    assert len(gauge.classes) == len(gauge.offtree)
+    assert len(x.boundary_word) == 32
 
 
 def test_surfaces_build_without_smith_forms(kernel_calls):
@@ -194,7 +210,10 @@ def _reversing(kernel):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
         g, monkeypatch):
-    gauge = genus_surface(g).tree_gauge
+    """The SNF path's Hermite rule reads the row lattice alone: another
+    valid kernel gives the same gauge, which is the cotree's."""
+    x = genus_surface(g)
+    gauge = smith_gauge(x)
     kernel = exactlinalg.smith_with_transforms
     seen = []
 
@@ -203,11 +222,49 @@ def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
         seen.append(out != kernel(a, nrows, ncols))
         return out
     monkeypatch.setattr(exactlinalg, "smith_with_transforms", other)
-    again = genus_surface(g).tree_gauge
+    again = smith_gauge(x)
     assert any(seen)
-    assert again.offtree == gauge.offtree
-    assert again.classes == gauge.classes
-    assert again.loops == gauge.loops
+    for other_gauge in (again, x.tree_gauge):
+        assert other_gauge.offtree == gauge.offtree
+        assert other_gauge.classes == gauge.classes
+        assert other_gauge.loops == gauge.loops
+
+
+_GENERA = list(range(1, 13)) + [24, 49, 113]
+
+
+@pytest.mark.parametrize("g", _GENERA)
+def test_one_pass_build_equals_the_iterated_connected_sum(g):
+    x, y = genus_surface(g), iterated_connected_sum(g)
+    assert x.vertex_count == y.vertex_count
+    for p in range(3):
+        assert x.simplices(p) == y.simplices(p)
+    assert x.orientation == y.orientation
+    assert x.boundary_word == y.boundary_word
+
+
+def _relabelled(x, shift):
+    """``x`` with vertex v renamed (v + shift) mod n: the same surface,
+    another breadth-first tree and other off-tree edges."""
+    n = x.vertex_count
+    return SimplicialComplex(n, [tuple((v + shift) % n for v in t)
+                                 for t in x.simplices(2)])
+
+
+@pytest.mark.parametrize("x", [genus_surface(g) for g in _GENERA]
+                         + [sphere2(), _relabelled(genus_surface(2), 5),
+                            _relabelled(genus_surface(3), 8)],
+                         ids=["genus%d" % g for g in _GENERA]
+                         + ["sphere2", "genus2-relabelled",
+                            "genus3-relabelled"])
+def test_cotree_gauge_equals_the_smith_gauge(x):
+    """On a closed surface the cotree's leftover edges are the Hermite
+    pivots, in order, and peeling gives the Hermite form's classes."""
+    gauge, reference = x.tree_gauge, smith_gauge(x)
+    assert gauge.offtree == reference.offtree
+    assert gauge.loop_edges == reference.loop_edges
+    assert gauge.loops == reference.loops
+    assert gauge.classes == reference.classes
 
 
 # The mapping cylinder of the degree-2 map of circles, with a collar,
