@@ -6,9 +6,9 @@ entries that run the same pivot loop: ``smith_with_transforms`` returns
 D with its unimodular transforms, and ``invariant_factors`` returns
 only D's nonzero diagonal, for callers that read a rank or a group and
 no coordinates.  Both take the matrix as its nonzero rows, one
-``{column: value}`` dict per row with no zero value
-(``IntMatrix.nonzero_rows``), so a matrix held in that form is
-eliminated with no dense copy.  Neither mutates its input: the
+``{column: value}`` dict per row with no zero value, the one form an
+``IntMatrix`` holds (``IntMatrix.nonzero_rows``), so ``invariant_factors``
+eliminates a matrix with no dense copy.  Neither mutates its input: the
 elimination copies each row, and D is held as those copies, with the
 set of rows holding a nonzero in each column.  U, V^T, U_inv^T and
 V_inv, when they are made, are sparse rows too, so every operation on

@@ -53,8 +53,8 @@ MAX_RANK = 16
 # gauge makes no matrix, so the cap does not apply to its base, which
 # simplicial.MAX_FACES bounds: up to genus(113).  On the same host a
 # cold ncp job on genus(49) (import, build, gauge, boundary word and
-# pages, one process) took 18-27 ms and peaked at 17 MiB, and on
-# genus(100) 35-55 ms and 23 MiB (tools/cold_surfaces.py).
+# pages, one process) took 20-31 ms and peaked at 16 MiB, and on
+# genus(100) 33-53 ms and 19 MiB (tools/cold_surfaces.py).
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

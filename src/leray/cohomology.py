@@ -46,8 +46,7 @@ by ``transports`` and the ``check`` command stay on ``build``.
 
 from __future__ import annotations
 
-from operator import sub
-
+from ._kernel import _axpy
 from .exactlinalg import (FgAbGroup, IntMatrix, SmithDecomposition,
                           Subquotient, invariant_factors, relations,
                           smith_normal_form)
@@ -121,9 +120,9 @@ class CochainComplex:
 def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     """Assemble the cochain complex of a flat system over x: the e1
     complex, or under ``classical`` the same coboundaries with the
-    signs of ``_classical``.  The coboundaries are made as nonzero rows
-    (``IntMatrix._trusted_nonzero``), so their product, negation and
-    elimination read no dense row."""
+    signs of ``_classical``.  Each coboundary is written as nonzero rows,
+    the one form of ``IntMatrix``, straight from the sparse transports,
+    with no dense row made on the way."""
     if convention not in CONVENTIONS:
         raise ValueError("unknown convention %r" % (convention,))
     if system.base != x:
@@ -146,7 +145,7 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
                 for offset, sign in zip(rest, signs[1:]):
                     row[offset + a] = sign
                 rows.append(row)
-        diffs.append(IntMatrix._trusted_nonzero(
+        diffs.append(IntMatrix._trusted(
             rows, len(rows), x.n_simplices(p) * m))
     return CochainComplex(diffs if convention == "e1" else _classical(diffs))
 
@@ -164,31 +163,28 @@ def fox_complex(word, action, fiber_rank) -> CochainComplex:
     -rho(prefix through the letter) for each x_i^-1.  ``CochainComplex``
     certifies delta_1 delta_0 = rho(w) - I = 0.
 
-    The word is read on plain row lists, adding nothing through
-    ``IntMatrix``: row r of rho(prefix) times a matrix sums a times its
-    row k over the nonzero entries a = rho(prefix)_rk.
+    The word is read on the nonzero rows of the action, adding nothing
+    through ``IntMatrix``: row r of rho(prefix) times a matrix sums a
+    times its row k over the nonzero entries a = rho(prefix)_rk.
     """
     m, n = fiber_rank, len(action)
-    columns = range(m)
-    blocks = [[[0] * m for _ in columns] for _ in range(n)]
-    ident = prefix = [[int(r == c) for c in columns] for r in columns]
+    blocks = [[{} for _ in range(m)] for _ in range(n)]
+    ident = IntMatrix.identity(m)
+    prefix = ident.nonzero_rows()
     for i, s in word:
-        g = action[i][s < 0].rows()
+        g = action[i][s < 0].nonzero_rows()
         through = []
         for row in prefix:
-            acc = [0] * m
-            for a, g_row in zip(row, g):
-                if a:
-                    for j in columns:
-                        acc[j] += a * g_row[j]
+            acc = {}
+            for k, a in row.items():
+                _axpy(acc, g[k], a)
             through.append(acc)
         for b_row, t_row in zip(blocks[i], prefix if s > 0 else through):
-            for j in columns:
-                b_row[j] += s * t_row[j]
+            _axpy(b_row, t_row, s)
         prefix = through
-    d0 = [list(map(sub, row, irow))
-          for a, _ in action for row, irow in zip(a.rows(), ident)]
-    d1 = [[v for block in blocks for v in block[r]] for r in range(m)]
+    d0 = [row for a, _ in action for row in (a - ident).nonzero_rows()]
+    d1 = [{i * m + j: v for i, block in enumerate(blocks)
+           for j, v in block[r].items()} for r in range(m)]
     return CochainComplex([IntMatrix._trusted(d0, n * m, m),
                            IntMatrix._trusted(d1, m, n * m),
                            IntMatrix.zeros(0, m)])

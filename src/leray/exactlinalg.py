@@ -8,8 +8,8 @@ anywhere in this module.
 
 The main objects:
 
-* :class:`IntMatrix` -- immutable integer matrix, held as dense rows or
-  as nonzero rows, whichever its maker wrote.
+* :class:`IntMatrix` -- immutable integer matrix, held as its nonzero
+  rows, the form the SNF kernel eliminates on.
 * :class:`SmithDecomposition` -- U @ A @ V = D with U, V unimodular.
 * :class:`FgAbGroup` -- canonical form Z^r (+) Z/t1 (+) ... with the
   torsion coefficients >= 2 and divisibility-sorted, so group equality
@@ -23,41 +23,36 @@ from __future__ import annotations
 
 from itertools import combinations, compress
 from math import gcd
-from operator import mul
 
+from ._kernel import _axpy
 from ._kernel import invariant_factors as _kernel_invariant_factors
 from ._kernel import smith_with_transforms as _kernel_smith_with_transforms
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major.
-
-    A matrix keeps the form its maker wrote: dense rows (``rows()``),
-    from every constructor but one, or nonzero rows, one ``{column:
-    value}`` dict per row (``nonzero_rows()``), from
-    ``_trusted_nonzero``, which ``cohomology.build`` uses for its
-    sparse coboundaries.  The other form is made once, on first read.
-    A product whose left factor is held as nonzero rows, the negation
-    and ``is_zero`` work in the form at hand; every other operation
-    reads dense rows.  Equality, hashing and ``repr`` have the dense
-    meaning whatever the forms.
+    """Immutable integer matrix, held as its nonzero rows: one
+    ``{column: value}`` dict per row, with no zero value
+    (``nonzero_rows()``).  Every operation works on those rows, so a
+    sparse matrix costs its nonzeros.  ``rows()`` makes the dense rows
+    afresh on each read, for ``repr``, hashing, ``inverse_unimodular``
+    and readers outside the package.
 
     >>> IntMatrix([[1, 2], [3, 4]]) * IntMatrix.identity(2)
     IntMatrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("_nrows", "_ncols", "_data", "_nonzero")
+    __slots__ = ("_nrows", "_ncols", "_rows")
 
     def __init__(self, rows, shape=None):
-        data = tuple(tuple(x for x in row) for row in rows)
+        data = [tuple(row) for row in rows]
         if shape is not None:
             nrows, ncols = shape
             if len(data) not in (0, nrows):
                 raise ValueError("row count disagrees with shape")
-            if len(data) == 0:
-                data = tuple(() for _ in range(nrows)) if ncols == 0 else data
+            if not data:
                 if ncols != 0 and nrows != 0:
                     raise ValueError("missing entries for nonempty shape")
+                data = [()] * nrows
         else:
             nrows = len(data)
             ncols = len(data[0]) if data else 0
@@ -69,49 +64,30 @@ class IntMatrix:
                     raise TypeError("entries must be int, got %r" % (x,))
         self._nrows = nrows
         self._ncols = ncols
-        self._data = data
-        self._nonzero = None
+        self._rows = tuple(_nonzero_rows(data, ncols))
 
     @classmethod
     def _trusted(cls, rows, nrows, ncols):
-        """Matrix from rows of ints the package computed itself.
-
-        ``rows`` must hold ``nrows`` int sequences of length ``ncols``;
-        nothing is checked.  Input from outside the package goes through
-        the validating public constructor instead, so the entries of
-        every matrix are checked once, where they enter.
-        """
-        m = object.__new__(cls)
-        m._nrows = nrows
-        m._ncols = ncols
-        m._data = tuple(map(tuple, rows))
-        m._nonzero = None
-        return m
-
-    @classmethod
-    def _trusted_nonzero(cls, rows, nrows, ncols):
         """Matrix from its nonzero rows, as the package computed them:
         ``nrows`` dicts ``{column: value}``, with columns in
         ``range(ncols)`` and no zero value.  Nothing is checked, and the
-        dicts are kept, so their maker must not change them after."""
+        dicts are kept, so their maker must not change them after.
+        Input from outside the package goes through the validating
+        public constructor instead, so the entries of every matrix are
+        checked once, where they enter."""
         m = object.__new__(cls)
         m._nrows = nrows
         m._ncols = ncols
-        m._data = None
-        m._nonzero = tuple(rows)
+        m._rows = tuple(rows)
         return m
 
     @classmethod
     def identity(cls, n):
-        rows = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows):
-            row[i] = 1
-        return cls._trusted(rows, n, n)
+        return cls._trusted([{i: 1} for i in range(n)], n, n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        row = (0,) * ncols
-        return cls._trusted((row,) * nrows, nrows, ncols)
+        return cls._trusted([{} for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -144,37 +120,28 @@ class IntMatrix:
         return tuple(x for row in self.rows() for x in row)
 
     def rows(self):
-        """The dense rows, a tuple of int tuples, made on first read."""
-        if self._data is None:
-            dense = []
-            for row in self._nonzero:
-                out = [0] * self._ncols
-                for j, x in row.items():
-                    out[j] = x
-                dense.append(tuple(out))
-            self._data = tuple(dense)
-        return self._data
+        """The dense rows, a tuple of int tuples, made on each read."""
+        columns = range(self._ncols)
+        return tuple(tuple(row.get(j, 0) for j in columns)
+                     for row in self._rows)
 
     def nonzero_rows(self):
         """The rows as ``{column: value}`` dicts of their nonzero
-        entries, made on first read; the input of the kernel's
-        ``invariant_factors`` and the right factor of every product.
-        The dicts are the matrix's own: a reader must not change them."""
-        if self._nonzero is None:
-            self._nonzero = tuple(_nonzero_rows(self._data, self._ncols))
-        return self._nonzero
+        entries: the matrix itself, and the input of the kernel's
+        ``invariant_factors``.  A reader must not change them."""
+        return self._rows
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows())
+        return tuple(row.get(j, 0) for row in self._rows)
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows()[i][j]
+        return self._rows[i].get(range(self._ncols)[j], 0)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows() == other.rows()
+        return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
         return hash((self._nrows, self._ncols, self.rows()))
@@ -185,57 +152,47 @@ class IntMatrix:
         return "IntMatrix(%s)" % ([list(r) for r in self.rows()],)
 
     def __neg__(self):
-        if self._data is None:
-            return IntMatrix._trusted_nonzero(
-                [{j: -x for j, x in row.items()} for row in self._nonzero],
-                *self.shape)
-        return IntMatrix._trusted(
-            [[-x for x in row] for row in self._data], *self.shape)
+        return self * -1
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return IntMatrix._trusted(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.rows(), other.rows())], *self.shape)
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return IntMatrix._trusted(
-            [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.rows(), other.rows())], *self.shape)
+        return self._add(other, -1)
+
+    def _add(self, other, c):
+        """self + c * other."""
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch: %s vs %s"
+                             % (self.shape, other.shape))
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            _axpy(row, rb, c)
+            out.append(row)
+        return IntMatrix._trusted(out, *self.shape)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix._trusted(
-                [[other * x for x in row] for row in self.rows()], *self.shape)
+                [{j: other * x for j, x in row.items()} if other else {}
+                 for row in self._rows], *self.shape)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
             raise ValueError("shape mismatch: %s * %s" % (self.shape, other.shape))
         # Row i of the product is the sum of a_ik * (row k of B) over the
-        # nonzero a_ik, each row of B restricted to its nonzeros.  Integer
-        # sums are exact, so the order of accumulation cannot change them.
-        # The product keeps the form of the left factor.
-        ncols = other._ncols
-        right = other.nonzero_rows()
+        # nonzero a_ik.  Integer sums are exact, so the order of
+        # accumulation cannot change them.
+        right = other._rows
         out = []
-        if self._data is None:
-            for row in self._nonzero:
-                acc = {}
-                for k, a in row.items():
-                    for j, b in right[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                out.append({j: x for j, x in acc.items() if x})
-            return IntMatrix._trusted_nonzero(out, self._nrows, ncols)
-        positions = range(self._ncols)
-        for row in self._data:
-            acc = [0] * ncols
-            for k in compress(positions, row):
-                a = row[k]
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
                 for j, b in right[k].items():
-                    acc[j] += a * b
-            out.append(acc)
-        return IntMatrix._trusted(out, self._nrows, ncols)
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return IntMatrix._trusted(out, self._nrows, other._ncols)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -243,56 +200,53 @@ class IntMatrix:
         return NotImplemented
 
     def apply(self, vector):
-        """Matrix times column vector (tuple in, tuple out).
-
-        Sums x_k times column k over the nonzero x_k only: the
-        coordinate vectors ``Subquotient.lift`` passes hold a handful of
-        nonzeros.
-        """
+        """Matrix times column vector (tuple in, tuple out), over the
+        nonzeros of each row."""
         if len(vector) != self._ncols:
             raise ValueError("vector length mismatch")
-        out = (0,) * self._nrows
-        data = self.rows()
-        for k in compress(range(self._ncols), vector):
-            x = vector[k]
-            out = [s + row[k] * x for s, row in zip(out, data)]
-        return tuple(out)
+        return tuple(sum(x * vector[j] for j, x in row.items())
+                     for row in self._rows)
 
     def transpose(self):
-        return IntMatrix._trusted(list(zip(*self.rows())) or
-                                  [()] * self._ncols,
-                                  self._ncols, self._nrows)
+        out = [{} for _ in range(self._ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix._trusted(out, self._ncols, self._nrows)
 
     def hstack(self, other):
         if self._nrows != other._nrows:
             raise ValueError("row count mismatch")
+        n = self._ncols
         return IntMatrix._trusted(
-            [ra + rb for ra, rb in zip(self.rows(), other.rows())],
-            self._nrows, self._ncols + other._ncols)
+            [{**ra, **{n + j: x for j, x in rb.items()}}
+             for ra, rb in zip(self._rows, other._rows)],
+            self._nrows, n + other._ncols)
 
     def vstack(self, other):
         if self._ncols != other._ncols:
             raise ValueError("column count mismatch")
-        return IntMatrix._trusted(self.rows() + other.rows(),
+        return IntMatrix._trusted(self._rows + other._rows,
                                   self._nrows + other._nrows, self._ncols)
 
     def submatrix_columns(self, indices):
+        """The columns at ``indices``, which must be distinct, in their
+        order."""
         indices = list(indices)
+        position = {j: k for k, j in enumerate(indices)}
+        if len(position) != len(indices):
+            raise ValueError("repeated column index")
         return IntMatrix._trusted(
-            [[row[j] for j in indices] for row in self.rows()],
-            self._nrows, len(indices))
+            [{position[j]: x for j, x in row.items() if j in position}
+             for row in self._rows], self._nrows, len(position))
 
     def is_zero(self):
-        if self._data is None:
-            return not any(self._nonzero)
-        return not any(map(any, self._data))
+        return not any(self._rows)
 
     def is_identity(self):
-        data = self.rows()
         return (self._nrows == self._ncols
-                and all(data[i][j] == (1 if i == j else 0)
-                        for i in range(self._nrows)
-                        for j in range(self._ncols)))
+                and all(len(row) == 1 and row.get(i) == 1
+                        for i, row in enumerate(self._rows)))
 
     def inverse_unimodular(self):
         """Exact inverse of a unimodular matrix, by fraction-free
@@ -333,8 +287,9 @@ class IntMatrix:
             last = a
         if last not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        inverse = IntMatrix._trusted([[last * x for x in row[n:]]
-                                      for row in rows], n, n)
+        inverse = IntMatrix._trusted(
+            _nonzero_rows([[last * x for x in row[n:]] for row in rows], n),
+            n, n)
         if not (self * inverse).is_identity():
             raise AssertionError("inverse_unimodular: A A^-1 is not I")
         return inverse
@@ -357,10 +312,6 @@ class IntMatrix:
             if not k:
                 return result
             base = base * base
-
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
 
 
 def action_inverses(mats, rank):
@@ -395,22 +346,36 @@ class SmithDecomposition:
     D is rebuilt from ``diagonal`` on demand.  V's inverse is kept, as
     it decomposes the kernel basis (``kernel_decomposition``).  Two
     decompositions are equal when their five parts are.
+
+    A transform is an IntMatrix or, from ``smith_normal_form``, the
+    kernel's square list of dense rows, made an IntMatrix on its first
+    read: a transform that no reader asks for is never converted.
     """
 
-    __slots__ = ("U", "V", "diagonal", "U_inv", "V_inv")
+    __slots__ = ("diagonal", "_transforms")
 
     def __init__(self, U, V, diagonal, U_inv, V_inv):
-        self.U = U
-        self.V = V
         self.diagonal = diagonal
-        self.U_inv = U_inv
-        self.V_inv = V_inv
+        self._transforms = [U, V, U_inv, V_inv]
+
+    def _transform(k):
+        def read(self):
+            t = self._transforms[k]
+            if type(t) is list:
+                n = len(t)
+                t = self._transforms[k] = IntMatrix._trusted(
+                    _nonzero_rows(t, n), n, n)
+            return t
+        return property(read)
+
+    U, V, U_inv, V_inv = map(_transform, range(4))
+    del _transform
 
     def __eq__(self, other):
         if not isinstance(other, SmithDecomposition):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+                   for name in ("diagonal", "U", "V", "U_inv", "V_inv"))
 
     @classmethod
     def identity(cls, n):
@@ -425,9 +390,8 @@ class SmithDecomposition:
     @property
     def D(self):
         nrows, ncols = self.U.nrows, self.V.nrows
-        rows = [[0] * ncols for _ in range(nrows)]
-        for i, x in enumerate(self.diagonal):
-            rows[i][i] = x
+        rows = [{i: x} for i, x in enumerate(self.diagonal)]
+        rows += [{} for _ in range(nrows - len(rows))]
         return IntMatrix._trusted(rows, nrows, ncols)
 
     def basis_coordinates(self, b: IntMatrix):
@@ -445,16 +409,16 @@ class SmithDecomposition:
         >>> dec.basis_coordinates(IntMatrix([[1], [0]])) is None
         True
         """
-        y = (self.U * b).rows()
+        y = (self.U * b).nonzero_rows()
         r = self.rank
-        if any(map(any, y[r:])):
+        if any(y[r:]):
             return None
         rows = []
         for row, d in zip(y, self.diagonal):
             if d != 1:
-                if any(x % d for x in row):
+                if any(x % d for x in row.values()):
                     return None
-                row = [x // d for x in row]
+                row = {j: x // d for j, x in row.items()}
             rows.append(row)
         return IntMatrix._trusted(rows, r, b.ncols)
 
@@ -467,8 +431,9 @@ class SmithDecomposition:
         r, n = self.rank, self.V.nrows
         order = [*range(r, n), *range(r)]
         ident = IntMatrix.identity(n - r)
+        v_inv = self.V_inv.nonzero_rows()
         return SmithDecomposition(
-            U=IntMatrix._trusted([self.V_inv.rows()[i] for i in order], n, n),
+            U=IntMatrix._trusted([v_inv[i] for i in order], n, n),
             V=ident, diagonal=(1,) * (n - r),
             U_inv=self.V.submatrix_columns(order), V_inv=ident)
 
@@ -483,9 +448,11 @@ def _nonzero_rows(rows, ncols):
 def smith_with_transforms(a, nrows, ncols):
     """The kernel's ``smith_with_transforms`` on the dense rows ``a``.
 
-    Every SNF with transforms goes through this name, with dense rows,
-    so that a profiler can wrap it and certify each result against its
-    input, as ``perfbench/tracing.py`` does."""
+    Every SNF with transforms goes through this name, with dense rows in
+    and the kernel's dense 5-tuple out, so that a profiler can wrap it
+    and certify each result against its input, as
+    ``perfbench/tracing.py`` does.  With ``smith_normal_form``, it is
+    the one place where a matrix is converted to or from dense rows."""
     return _kernel_smith_with_transforms(_nonzero_rows(a, ncols), nrows,
                                          ncols)
 
@@ -502,7 +469,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     A zero matrix, and so one without entries, never reaches the kernel:
     its transforms are the identities the kernel would return, so H^0's
-    relations and a zero coboundary cost no SNF.
+    relations and a zero coboundary cost no SNF.  The kernel's dense
+    transforms are kept as they come and made IntMatrix on first read
+    (``SmithDecomposition``).
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
@@ -520,13 +489,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     diag = [d[i][i] for i in range(min(r, c))]
     while diag and not diag[-1]:
         diag.pop()
-    return SmithDecomposition(
-        U=IntMatrix._trusted(u, r, r),
-        V=IntMatrix._trusted(v, c, c),
-        diagonal=_chain(diag, min(r, c)),
-        U_inv=IntMatrix._trusted(uinv, r, r),
-        V_inv=IntMatrix._trusted(vinv, c, c),
-    )
+    return SmithDecomposition(U=u, V=v, diagonal=_chain(diag, min(r, c)),
+                              U_inv=uinv, V_inv=vinv)
 
 
 def invariant_factors(a: IntMatrix) -> tuple:
@@ -588,9 +552,10 @@ def solve(a: IntMatrix, b: IntMatrix):
 
 def _scaled_columns(m: IntMatrix, diagonal) -> IntMatrix:
     """The first len(diagonal) columns of m, column i times diagonal[i]."""
+    s = len(diagonal)
     return IntMatrix._trusted(
-        [list(map(mul, diagonal, row)) for row in m.rows()],
-        m.nrows, len(diagonal))
+        [{j: x * diagonal[j] for j, x in row.items() if j < s}
+         for row in m.nonzero_rows()], m.nrows, s)
 
 
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
@@ -607,7 +572,8 @@ def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     if m.nrows != lat.nrows:
         raise ValueError("codomain mismatch")
     ker = kernel(m.hstack(lat))
-    return IntMatrix._trusted(ker.rows()[:m.ncols], m.ncols, ker.ncols)
+    return IntMatrix._trusted(ker.nonzero_rows()[:m.ncols], m.ncols,
+                              ker.ncols)
 
 
 class FgAbGroup:
@@ -756,7 +722,7 @@ class Subquotient:
 
     def project(self, vector):
         """Canonical coordinates of the class of an ambient vector in Z."""
-        rows = [(x,) for x in vector]
+        rows = [{0: x} if x else {} for x in vector]
         return self.project_matrix(
             IntMatrix._trusted(rows, len(rows), 1)).column(0)
 
@@ -774,8 +740,9 @@ class Subquotient:
         The zb-coordinates of ``cycle_gens`` are the identity, so
         ``_canonical(_gen_change)`` is ``project_matrix(cycle_gens)``.
         """
-        rows = [w.rows()[i] for i in self._free_idx]
-        rows += [[x % t for x in w.rows()[i]]
+        w_rows = w.nonzero_rows()
+        rows = [w_rows[i] for i in self._free_idx]
+        rows += [{j: x % t for j, x in w_rows[i].items() if x % t}
                  for t, i in zip(self.quotient.torsion, self._torsion_idx)]
         return IntMatrix._trusted(rows, self.quotient.ngens, w.ncols)
 

@@ -108,9 +108,7 @@ def k_theory_bundle(spec: NcpTorusBundleSpec):
     so the system is constant: the same modules with zero maps.
     ``CochainComplex`` certifies the even complex.
     """
-    action = [(IntMatrix._trusted(((1, w), (0, 1)), 2, 2),
-               IntMatrix._trusted(((1, -w), (0, 1)), 2, 2))
-              for w in spec.winding]
+    action = [(_shear(w), _shear(-w)) for w in spec.winding]
     even = fox_complex(spec.base.boundary_word, action, FIBER_RANK)
     n = len(action)
     # zero maps: their products vanish with nothing to multiply
@@ -118,6 +116,11 @@ def k_theory_bundle(spec: NcpTorusBundleSpec):
                                    IntMatrix.zeros(FIBER_RANK, 2 * n),
                                    IntMatrix.zeros(0, FIBER_RANK)])
     return {0: even, 1: odd}
+
+
+def _shear(w):
+    """(1 w; 0 1), as its nonzero rows."""
+    return IntMatrix._trusted(({0: 1, 1: w} if w else {0: 1}, {1: 1}), 2, 2)
 
 
 def fundamental_pairing(cochain, base: SimplicialComplex) -> int:
@@ -177,7 +180,8 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
         raise ValueError("basis of H^0(X, K1) does not match ([U_1], [U_2])")
     # column i: the cochain with [U_i] on every 0-cell
     ident = IntMatrix.identity(FIBER_RANK)
-    units = IntMatrix._trusted(ident.rows() * n0, n0 * FIBER_RANK, FIBER_RANK)
+    units = IntMatrix._trusted(ident.nonzero_rows() * n0, n0 * FIBER_RANK,
+                               FIBER_RANK)
     c = h0_odd.project_matrix(units)
     try:
         c_inv = c.inverse_unimodular()
@@ -191,12 +195,13 @@ def d2_spec(spec: NcpTorusBundleSpec, e2: SpectralPage) -> D2Spec:
     # simplicial base)
     n2 = e2.complexes[0].degree_rank(2) // FIBER_RANK
     theta = ident.vstack(IntMatrix.zeros((n2 - 1) * FIBER_RANK, FIBER_RANK))
-    unit_class, bott_class = h2_even.project_matrix(theta).transpose().rows()
+    classes = h2_even.project_matrix(theta)
+    unit_class, bott_class = classes.column(0), classes.column(1)
     _validate_coinvariant_presentation(spec, h2_even, unit_class, bott_class, k)
 
     images = IntMatrix._trusted(
-        [[p * u for p in spec.pairings] for u in unit_class],
-        h2_even.quotient.ngens, FIBER_RANK)
+        [{j: p * u for j, p in enumerate(spec.pairings) if p * u}
+         for u in unit_class], h2_even.quotient.ngens, FIBER_RANK)
     on_gens = images * c_inv
     diffs = {(0, 1): on_gens} if not on_gens.is_zero() else {}
     return D2Spec(k, images, unit_class, bott_class, diffs)
@@ -211,8 +216,9 @@ def _validate_coinvariant_presentation(spec, h2, unit_class, bott_class, k):
     if element_order(group, bott_class) != 0:
         raise ValueError("image of the Bott class is not free")
     # together the two classes must generate the whole group
-    gens = IntMatrix._trusted(list(zip(unit_class, bott_class)),
-                              group.ngens, 2)
+    gens = IntMatrix._trusted(
+        [{j: x for j, x in enumerate(pair) if x}
+         for pair in zip(unit_class, bott_class)], group.ngens, 2)
     full = gens.hstack(relation_lattice(group))
     if solve(full, IntMatrix.identity(group.ngens)) is None:
         raise ValueError("unit and Bott classes do not generate H^2")

@@ -17,6 +17,7 @@ import re
 from functools import cache, cached_property
 from itertools import combinations
 
+from ._kernel import _axpy
 from .exactlinalg import IntMatrix, smith_normal_form, solve
 
 
@@ -26,9 +27,9 @@ from .exactlinalg import IntMatrix, smith_normal_form, solve
 # at once instead of exhausting memory.  genus(8), the benchmarks'
 # largest base, counts 721.  genus(g) is built in one pass and gauged
 # from its cotree, both in about linear time: on one core of a 2-core
-# x86 host (CPython 3.11.7), genus(113) builds in 10-17 ms, and a cold
+# x86 host (CPython 3.11.7), genus(113) builds in 12-17 ms, and a cold
 # ncp job on it (import, build, gauge, boundary word and pages) takes
-# 40-63 ms, peaking at 25 MiB, and the whole fresh process 86-125 ms
+# 38-49 ms, peaking at 20 MiB, and the whole fresh process 91-109 ms
 # (tools/cold_surfaces.py).  The largest builtins it admits are
 # genus(113), circle(2500), simplex(12).
 MAX_FACES = 10_000
@@ -93,12 +94,12 @@ class SimplicialComplex:
         """Integral boundary C_p -> C_{p-1} with coefficient (-1)^l."""
         rows = self.n_simplices(p - 1) if p >= 1 else 0
         cols = self.n_simplices(p)
-        entries = [[0] * cols for _ in range(rows)]
+        entries = [{} for _ in range(rows)]
         if p >= 1:
             for j, sigma in enumerate(self.simplices(p)):
                 for l in range(p + 1):
                     i = self.index(sigma[:l] + sigma[l + 1:])
-                    entries[i][j] += (-1) ** l
+                    entries[i][j] = (-1) ** l
         return IntMatrix._trusted(entries, rows, cols)
 
     def euler_characteristic(self):
@@ -268,20 +269,24 @@ class TreeGauge:
     """
 
     def __init__(self, x: SimplicialComplex):
+        if not x.vertex_count:
+            raise ValueError("base complex has no vertex")
         adj = {i: [] for i in range(x.vertex_count)}
         for (u, v) in x.simplices(1):  # edges come sorted, so do the lists
             adj[u].append(v)
             adj[v].append(u)
-        self.paths = {0: [0]}
+        # the breadth-first tree: each vertex's parent, vertex 0 its own
+        self.parent = parent = [-1] * x.vertex_count
+        parent[0] = 0
         queue = [0]
         for u in queue:
             for v in adj[u]:
-                if v not in self.paths:
-                    self.paths[v] = self.paths[u] + [v]
+                if parent[v] < 0:
+                    parent[v] = u
                     queue.append(v)
-        if len(self.paths) != x.vertex_count:
+        if len(queue) != x.vertex_count:
             raise ValueError("base complex is not connected")
-        tree = {tuple(sorted(p[-2:])) for p in list(self.paths.values())[1:]}
+        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if v}
         self.offtree = [e for e in x.simplices(1) if e not in tree]
         try:
             x.orientation
@@ -357,12 +362,13 @@ class TreeGauge:
 
     def _smith(self, x):
         k = len(self.offtree)
-        d2 = x.boundary_matrix(2)
+        d2_rows = x.boundary_matrix(2).nonzero_rows()
         h1 = smith_normal_form(IntMatrix._trusted(
-            [d2.rows()[x.index(e)] for e in self.offtree], k, d2.ncols))
+            [d2_rows[x.index(e)] for e in self.offtree], k,
+            x.n_simplices(2)))
         if any(d >= 2 for d in h1.diagonal):
             raise ValueError("base has torsion in H_1; unsupported")
-        form = _hermite_from_the_right(h1.U.rows()[h1.rank:], k)
+        form = _hermite_from_the_right(h1.U.nonzero_rows()[h1.rank:], k)
         self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
         pivots = [max(j for j, c in enumerate(row) if c) for row in form]
         if all(row[p] == 1 for row, p in zip(form, pivots)):
@@ -375,7 +381,7 @@ class TreeGauge:
         # no builtin reaches this, but an inline complex can: the
         # mapping cylinder of the degree-2 map of circles has one pivot 2
         self.loop_edges = None
-        lift = solve(IntMatrix._trusted(form, len(form), k),
+        lift = solve(IntMatrix(form, shape=(len(form), k)),
                      IntMatrix.identity(len(form)))
         self.loops = []
         for j in range(len(form)):
@@ -386,11 +392,17 @@ class TreeGauge:
 
     def _fundamental_loop(self, edge, n):
         """The fundamental loop of off-tree ``edge`` (u, v), u < v, run
-        n times, backwards when n < 0: a vertex path at vertex 0."""
+        n times, backwards when n < 0: a vertex path at vertex 0, down
+        the tree to u, across the edge, and up the tree from v."""
         a, b = edge if n > 0 else edge[::-1]
-        path = [0]
-        for _ in range(abs(n)):
-            path += self.paths[a][1:] + [b] + self.paths[b][-2::-1]
+        return [0] + (self._to_root(a)[-2::-1] + self._to_root(b)) * abs(n)
+
+    def _to_root(self, v):
+        """The tree path from vertex v up to vertex 0."""
+        parent, path = self.parent, [v]
+        while v:
+            v = parent[v]
+            path.append(v)
         return path
 
 
@@ -399,18 +411,14 @@ def _combine(terms):
     v a dict {coordinate: nonzero value}, as such a dict."""
     total = {}
     for s, vector in terms:
-        for i, v in vector.items():
-            w = total.get(i, 0) + s * v
-            if w:
-                total[i] = w
-            else:
-                del total[i]
+        _axpy(total, vector, s)
     return total
 
 
 def _hermite_from_the_right(rows, ncols):
-    """The Hermite normal form of a full-row-rank integer matrix A, read
-    from its last column, as a list of rows.
+    """The Hermite normal form of a full-row-rank integer matrix A, given
+    by its nonzero rows, read from its last column, as a list of dense
+    rows.
 
     H is the one matrix with the row space of A whose row i ends in a
     positive pivot at column p_i, with p_0 < p_1 < ..., and whose
@@ -418,10 +426,10 @@ def _hermite_from_the_right(rows, ncols):
     the right: the rows with a nonzero in a column are reduced to one
     by Euclid's algorithm, which becomes that column's pivot row.
 
-    >>> _hermite_from_the_right([[0, 1, 1], [1, -1, 0]], 3)
+    >>> _hermite_from_the_right([{1: 1, 2: 1}, {0: 1, 1: -1}], 3)
     [[-1, 1, 0], [1, 0, 1]]
     """
-    h = [list(row) for row in rows]
+    h = [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
     def add(i, k, c):  # row i += c * row k
         if c:

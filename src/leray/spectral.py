@@ -174,9 +174,8 @@ class SpectralPage:
 def relation_lattice(group: FgAbGroup) -> IntMatrix:
     """Columns spanning the zero classes in canonical coordinates."""
     n, torsion = group.ngens, group.torsion
-    rows = [[0] * len(torsion) for _ in range(n)]
-    for j, t in enumerate(torsion):
-        rows[group.free_rank + j][j] = t
+    rows = [{} for _ in range(group.free_rank)]
+    rows += [{j: t} for j, t in enumerate(torsion)]
     return IntMatrix._trusted(rows, n, len(torsion))
 
 

@@ -779,8 +779,9 @@ def test_public_constructor_validates_entries():
 
 
 def _nonzero_form(rows, nrows, ncols):
-    """A matrix held as nonzero rows, made from dense rows."""
-    return IntMatrix._trusted_nonzero(
+    """A matrix made from nonzero rows, as the package makes its own,
+    from dense rows."""
+    return IntMatrix._trusted(
         [{j: x for j, x in enumerate(row) if x} for row in rows],
         nrows, ncols)
 
@@ -788,9 +789,9 @@ def _nonzero_form(rows, nrows, ncols):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_the_two_forms_agree(data):
-    """A matrix held as dense rows and the same matrix held as nonzero
-    rows agree on every reader, each form read afresh, so that every
-    operation runs in the form it was made in."""
+    """A matrix made from dense rows by the public constructor and the
+    same matrix made from nonzero rows by ``_trusted`` agree on every
+    reader and every operation, each made afresh for each one."""
     r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
     a_rows = sparse_rows(data.draw, r, k)
     b_rows = sparse_rows(data.draw, k, c)
@@ -827,6 +828,70 @@ def test_the_two_forms_differ_when_an_entry_does(rows):
     other = _nonzero_form([[1] * n for _ in range(n)], n, n)
     assert (dense == other) == (n == 0)
     assert (_nonzero_form(rows, n, n) == other) == (n == 0)
+
+
+def assert_matches(m, rows, shape):
+    """m has the shape and entries of the list of lists ``rows``, as
+    dense rows and as nonzero rows, and equals and hashes like the
+    publicly constructed matrix."""
+    assert m.shape == shape
+    assert m.rows() == tuple(map(tuple, rows))
+    assert m.nonzero_rows() == tuple(
+        {j: x for j, x in enumerate(row) if x} for row in rows)
+    assert_canonical(m, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_operation_matches_a_list_of_lists_reference(data):
+    """A matrix is held as its nonzero rows; every operation agrees with
+    the same operation on plain lists of rows, on shapes without rows or
+    columns too."""
+    r, c, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a_rows = sparse_rows(data.draw, r, c)
+    b_rows = [list(row) for row in a_rows] if data.draw(st.booleans()) \
+        else sparse_rows(data.draw, r, c)
+    e_rows = sparse_rows(data.draw, c, k)
+    a, b, e = (IntMatrix(rows, shape=shape) for rows, shape in
+               ((a_rows, (r, c)), (b_rows, (r, c)), (e_rows, (c, k))))
+    s = data.draw(st.sampled_from([0, 1, -1, 5, -5]))
+    perm = data.draw(st.permutations(range(c)))
+    vec = tuple(data.draw(st.lists(sparse_entries, min_size=c, max_size=c)))
+
+    assert_matches(a, a_rows, (r, c))
+    assert_matches(IntMatrix(a.rows(), shape=a.shape), a_rows, (r, c))
+    assert_matches(a * e, dense_product(a_rows, e_rows, c, k), (r, k))
+    assert_matches(a + b, [[x + y for x, y in zip(ra, rb)]
+                           for ra, rb in zip(a_rows, b_rows)], (r, c))
+    assert_matches(a - b, [[x - y for x, y in zip(ra, rb)]
+                           for ra, rb in zip(a_rows, b_rows)], (r, c))
+    assert_matches(-a, [[-x for x in row] for row in a_rows], (r, c))
+    for scaled in (a * s, s * a):
+        assert_matches(scaled, [[s * x for x in row] for row in a_rows],
+                       (r, c))
+    assert_matches(a.transpose(), [[row[j] for row in a_rows]
+                                   for j in range(c)], (c, r))
+    assert_matches(a.hstack(b), [ra + rb for ra, rb in zip(a_rows, b_rows)],
+                   (r, 2 * c))
+    assert_matches(a.vstack(b), a_rows + b_rows, (2 * r, c))
+    assert_matches(a.submatrix_columns(perm),
+                   [[row[j] for j in perm] for row in a_rows], (r, c))
+    assert a.apply(vec) == tuple(sum(x * y for x, y in zip(row, vec))
+                                 for row in a_rows)
+    assert a.entries == tuple(x for row in a_rows for x in row)
+    assert all(a.column(j) == tuple(row[j] for row in a_rows)
+               and all(a[i, j] == a_rows[i][j] for i in range(r))
+               for j in range(c))
+    assert a.is_zero() == (not any(map(any, a_rows)))
+    ident = [[int(i == j) for j in range(c)] for i in range(r)]
+    assert a.is_identity() == (r == c and a_rows == ident)
+    assert IntMatrix(ident, shape=(r, c)).is_identity() == (r == c)
+    assert (a == b) == (a_rows == b_rows)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a != IntMatrix.zeros(r, c + 1) and a != IntMatrix.zeros(r + 1, c)
+    assert repr(a) == ("IntMatrix.zeros(%d, %d)" % (r, c) if r * c == 0
+                       else "IntMatrix(%r)" % (a_rows,))
 
 
 @st.composite

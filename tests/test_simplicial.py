@@ -267,6 +267,18 @@ def test_cotree_gauge_equals_the_smith_gauge(x):
     assert gauge.classes == reference.classes
 
 
+def test_tree_gauge_keeps_one_parent_per_vertex():
+    """The breadth-first tree is stored as one parent per vertex, not a
+    path per vertex: on genus(113), whose tree is about 113 levels deep,
+    the gauge keeps vertex_count entries, each one neighbouring vertex."""
+    x = genus_surface(113)
+    gauge = x.tree_gauge
+    assert len(gauge.parent) == x.vertex_count and gauge.parent[0] == 0
+    assert all(type(u) is int and x.adjacent(u, v)
+               for v, u in enumerate(gauge.parent) if v)
+    assert not hasattr(gauge, "paths")
+
+
 # The mapping cylinder of the degree-2 map of circles, with a collar,
 # relabelled: H_1 = Z, and the class of an off-tree edge's loop is twice
 # the generator, so the Hermite pivot is 2
