@@ -18,14 +18,13 @@ import functools
 import json
 import sys
 
-from .cohomology import (cohomology_groups, convention_compare, groups,
-                         surface_complex)
+from .cohomology import cohomology_groups, convention_compare
 from .exactlinalg import IntMatrix
 from .group_cohomology import ZnModule, zn_cohomology
 from .local_systems import GradedKBundle, LocalSystem, from_monodromy
 from .ncp_bundles import FIBER_RANK, NcpTorusBundleSpec, analyze
 from .simplicial import SimplicialComplex, shared_builtin
-from .spectral import assemble, e1_page, e2_page, stabilize, surface_e1_page
+from .spectral import assemble, e1_page, e2_page, stabilize
 
 # Largest fiber rank a document may ask for.  The paper's fibers have
 # rank 2 (K-theory of the 2-torus), the benchmarks use 6, and 16 is the
@@ -36,9 +35,12 @@ MAX_RANK = 16
 # Most entries of the largest simplicial coboundary, (n_(p+1) m) x
 # (n_p m) for n_p p-simplices and rank m.  It bounds every command's
 # systems, and still counts the simplicial coboundaries where a job
-# builds none: cohomology and spectral on a named closed surface, with
-# monodromy or constant systems, compute on the cell model, whose
-# largest coboundary is m x 2g m.
+# builds none: cohomology and spectral on a closed orientable surface,
+# named or inline, with any kind of system, compute on the cell model,
+# whose largest coboundary is m x 2g m.  The jobs that build simplicial
+# coboundaries are check, on every base, and cohomology and spectral on
+# every other base: circle(n), simplex(p), and inline complexes that
+# are not closed orientable surfaces.
 # The cap counts the entries of the dense shape, but build writes each
 # simplicial coboundary as its nonzero rows, and the commands that build
 # one and read its groups and ranks alone eliminate it in that form, so
@@ -247,25 +249,11 @@ def _k_json(k):
             "extension_ambiguous": k.extension_ambiguous}
 
 
-def _on_cells(complex_data, *systems):
-    """True when the document names a closed surface and every system
-    keeps its holonomy (given by ``monodromy`` or ``constant``): the
-    job then computes on the surface's one-relator cell model.  Inline
-    complexes, ``circle``, ``simplex`` and ``transports`` systems stay
-    on the simplicial cochains."""
-    return isinstance(complex_data, str) and complex_data.startswith(
-        ("torus2", "sphere2", "genus")) and all(
-        s.holonomy is not None for s in systems)
-
-
 def cmd_cohomology(args, doc):
     _check_command_field(doc, "cohomology")
     x = parse_complex(doc.get("complex"))
     system = parse_system(doc.get("system"), x)
-    # the conventions give equal groups: D_p(classical) = +-D_p(e1)
-    found = groups(surface_complex(system)) \
-        if _on_cells(doc["complex"], system) \
-        else cohomology_groups(x, system, args.convention)
+    found = cohomology_groups(x, system, args.convention)
     return {
         "command": "cohomology",
         "convention": args.convention,
@@ -307,9 +295,7 @@ def cmd_spectral(args, doc):
         raise InputError("spectral needs system.even and system.odd")
     even = parse_system(system["even"], x)
     odd = parse_system(system["odd"], x)
-    bundle = GradedKBundle(even, odd)
-    page1 = (surface_e1_page if _on_cells(doc["complex"], even, odd)
-             else e1_page)(x, bundle)
+    page1 = e1_page(x, GradedKBundle(even, odd))
     page2 = e2_page(page1)
     einf = stabilize(page2)
     k0, k1 = assemble(einf)

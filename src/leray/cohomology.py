@@ -34,14 +34,15 @@ even-degree coboundary negated.  The two have isomorphic cohomology;
 ``convention_compare`` verifies this instead of assuming it, from one
 assembly.  The spectral sequence consumes ``e1``, which is the default.
 
-Cohomology does not depend on the cell structure.  On a named closed
-surface (``torus2``, ``sphere2``, ``genus(g)``), the ``cohomology`` and
-``spectral`` commands compute a system given by ``monodromy`` or
-``constant`` on the surface's one vertex, 2g loops and one 2-cell
-(``surface_complex``), whose modules have rank m, 2g m and m, and
-build no simplicial cochains; the conventions give the same groups
-there.  Inline complexes, ``circle(n)``, ``simplex(p)``, systems given
-by ``transports`` and the ``check`` command stay on ``build``.
+Cohomology does not depend on the cell structure, so the base alone
+picks the complex a system's cohomology is computed on (``cochains``):
+on a closed orientable surface, named or inline, pinched or not, the
+surface's one vertex, k = 2 - chi loops (2g on a genus-g surface) and
+one 2-cell (``surface_complex``), whose modules have rank m, k m and m,
+with no simplicial cochains built, whatever kind of system it is
+given; the conventions give the same groups there.  Every other base,
+``circle(n)`` and ``simplex(p)`` among them, stays on ``build``, and
+so does the ``check`` command (``convention_compare``).
 """
 
 from __future__ import annotations
@@ -191,16 +192,17 @@ def fox_complex(word, action, fiber_rank) -> CochainComplex:
 
 
 def surface_complex(system: LocalSystem) -> CochainComplex:
-    """The cochain complex of a system that keeps its holonomy, over a
-    closed oriented surface, on the surface's one-relator cell model:
-    ``fox_complex`` of the base's ``boundary_word``.  No transport is
-    read.
+    """The cochain complex of a system over a closed oriented surface,
+    on the surface's one-relator cell model: ``fox_complex`` of the
+    base's ``boundary_word``, read from the system's ``holonomy``.  A
+    system derived from its holonomy reads no transport.
 
     The simplicial complex of the system is chain equivalent to it under
-    rho(x_i) = T_i^-1, T_i the transport around loop i: with the tree
-    transports the identity, the simplicial D_0 on loop edge (a, b) is
-    f(a) - T_i^-1 f(b).  Its groups are those of ``build`` under either
-    convention, which differ by the signs of whole coboundaries.
+    rho(x_i) = T_i^-1, T_i the transport around loop i: in the gauge
+    where the tree transports are the identity, the simplicial D_0 on
+    loop edge (a, b) is f(a) - T_i^-1 f(b).  Its groups are those of
+    ``build`` under either convention, which differ by the signs of
+    whole coboundaries.
     """
     action = [(inverse, t) for t, inverse in system.holonomy]
     return fox_complex(system.base.boundary_word, action, system.fiber_rank)
@@ -246,9 +248,23 @@ def groups(c: CochainComplex):
     return out
 
 
+def cochains(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
+    """The cochain complex the cohomology of a system over x is computed
+    on, chosen from x alone: on a closed orientable surface
+    (``x.is_oriented_surface``), the one-relator cell model
+    (``surface_complex``), where both conventions give the same groups;
+    on any other base, the simplicial cochains under ``convention``
+    (``build``).  ``build`` also refuses an unknown convention and a
+    system over another base, on a surface too."""
+    if x.is_oriented_surface and convention in CONVENTIONS \
+            and system.base == x:
+        return surface_complex(system)
+    return build(x, system, convention)
+
+
 def cohomology_groups(x, system: LocalSystem, convention: str = "e1"):
-    """Just the isomorphism types, H^0..H^dim."""
-    return groups(build(x, system, convention))
+    """Just the isomorphism types, H^0..H^dim, on ``cochains``."""
+    return groups(cochains(x, system, convention))
 
 
 class ConventionComparison:

@@ -699,7 +699,7 @@ class Subquotient:
     def __init__(self, cycles: SmithDecomposition,
                  relations: SmithDecomposition):
         self.ambient_rank = cycles.U.nrows
-        self._cycles = cycles
+        self.cycles = cycles  # the decomposition Z is presented by
         zb = _scaled_columns(cycles.U_inv, cycles.diagonal)
         self._gen_change = relations.U  # presentation coords = U' @ (Z-coords)
         diag, s = relations.diagonal, relations.rank
@@ -728,10 +728,17 @@ class Subquotient:
 
     def project_matrix(self, mat: IntMatrix) -> IntMatrix:
         """Columnwise project: ambient columns to canonical coordinates."""
-        c = self._cycles.basis_coordinates(mat)
+        c = self.cycles.basis_coordinates(mat)
         if c is None:
             raise ValueError("column not contained in the cycle span")
         return self._canonical(self._gen_change * c)
+
+    @property
+    def cycle_coordinates(self) -> IntMatrix:
+        """The canonical coordinates of the cycle basis ``cycle_gens``,
+        column by column: ``project_matrix(cycle_gens)``, read off the
+        relations' transform with nothing solved."""
+        return self._canonical(self._gen_change)
 
     def _canonical(self, w: IntMatrix) -> IntMatrix:
         """Canonical coordinates from presentation coordinates U' c: the

@@ -12,7 +12,8 @@ transports)`` checks every edge of a table from outside, while
 ``constant`` and ``from_monodromy`` derive both directions of every
 edge from checked data and build the system by ``LocalSystem._trusted``.
 Flatness is checked once per system, when its ``violations`` are first
-read, and certified by ``cohomology.build``.
+read, and certified by ``cohomology.build``, or, for a system given by
+its transports, before its holonomy is read.
 
 ``from_monodromy`` realizes prescribed holonomy matrices in the base's
 spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
@@ -20,15 +21,21 @@ base): transports are the identity on tree edges, and each off-tree
 edge carries the image of its fundamental cycle class.  This requires
 the prescribed matrices to commute pairwise (the representation factors
 through first homology).  The ``cohomology``, ``check`` and ``spectral``
-commands use it.  A system from ``constant`` or ``from_monodromy``
-keeps its holonomy and makes its transport table only when a transport
-is read: on a named closed surface the ``cohomology`` and ``spectral``
-commands read the holonomy alone, for the complex of the one-relator
-cell model (``cohomology.surface_complex``), while ``check``, inline
-complexes, ``circle`` and ``simplex`` read the transports.  An ``ncp``
-job builds no local system: ``ncp_bundles.k_theory_bundle`` hands its
-holonomy, one matrix (1 w_i; 0 1) per loop, to the same
-``cohomology.fox_complex`` of the base's boundary word.
+commands use it.
+
+Every system has a ``holonomy``, one pair (T_i, T_i^-1) per loop of
+``base.tree_gauge.loops``, T_i the transport around it.  A system from
+``constant`` or ``from_monodromy`` keeps the checked matrices it was
+made from, and makes its transport table only when a transport is read;
+a system given by its transports reads them off its table with
+``transport_along``, once it is certified flat.  On a closed orientable
+surface, named or inline, the ``cohomology`` and ``spectral`` commands
+read the holonomy alone, for the complex of the one-relator cell model
+(``cohomology.surface_complex``), while ``check`` and every other base
+read the transports.  An ``ncp`` job builds no local system:
+``ncp_bundles.k_theory_bundle`` hands its holonomy, one matrix
+(1 w_i; 0 1) per loop, to the same ``cohomology.fox_complex`` of the
+base's boundary word.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ class LocalSystem:
     A system the package derives itself (``constant``,
     ``from_monodromy``) keeps its ``holonomy`` instead, and makes its
     table of edge transports when a transport is first read; a system
-    given by its transports keeps no holonomy (None)."""
+    given by its transports derives its holonomy from the table
+    (``_make_holonomy``)."""
 
     def __init__(self, base: SimplicialComplex, fiber_rank: int, transports):
         if fiber_rank < 0:
@@ -78,7 +86,6 @@ class LocalSystem:
             if (u, v) not in table:
                 raise ValueError("missing transport for edge %r" % ((u, v),))
         self._table = table
-        self.holonomy = None
 
     @classmethod
     def _trusted(cls, base, fiber_rank, holonomy, make_table):
@@ -97,7 +104,19 @@ class LocalSystem:
 
     @functools.cached_property
     def holonomy(self):
+        """One pair (T_i, T_i^-1) per loop of ``base.tree_gauge.loops``,
+        T_i the transport around it, made on first read."""
         return self._make_holonomy()
+
+    def _make_holonomy(self):
+        """The holonomy of a system given by its transports: after
+        ``require_flat``, the transport along each loop and along the
+        loop reversed, its exact inverse.  A derived system shadows this
+        with the function ``_trusted`` was given."""
+        require_flat(self)
+        return tuple((transport_along(self, loop),
+                      transport_along(self, loop[::-1]))
+                     for loop in self.base.tree_gauge.loops)
 
     @functools.cached_property
     def _table(self):
@@ -215,8 +234,8 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     checked matrices, with their inverses, as its ``holonomy``; the
     table is made when a transport is first read, and the holonomy along
     each loop is certified then, and flatness by ``cohomology.build``.
-    A job on the cell model of a named surface reads the holonomy alone
-    and makes no table.
+    A job on the cell model of a closed orientable surface reads the
+    holonomy alone and makes no table.
     """
     mats = list(mats)
     if fiber_rank is None:

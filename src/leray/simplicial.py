@@ -199,6 +199,17 @@ class SimplicialComplex:
             raise ValueError("not a closed connected surface")
         return tuple(eps)
 
+    @cached_property
+    def is_oriented_surface(self):
+        """True when ``orientation`` certifies the complex as a closed,
+        triangle-connected, orientable surface.  The verdict is kept
+        either way, so a non-surface, whose ``orientation`` raises on
+        every use, is probed once."""
+        try:
+            return bool(self.orientation)
+        except ValueError:
+            return False
+
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -217,9 +228,10 @@ class SimplicialComplex:
 
 def check_surface_word(word, generators):
     """Certify ``word``, letters (i, s) with s = +-1, as the relator of
-    a closed oriented surface on ``generators`` = 2g generators: its
-    length is 4g, and each generator occurs twice, once with each sign.
-    A failure raises ValueError."""
+    a closed oriented surface on ``generators`` = 2 - chi generators,
+    2g on a genus-g surface: its length is twice that, and each
+    generator occurs twice, once with each sign.  A failure raises
+    ValueError."""
     if len(word) != 2 * generators or sorted(word) != sorted(
             (i, s) for i in range(generators) for s in (-1, 1)):
         raise ValueError("boundary word %r is not a surface relator on "
@@ -248,7 +260,7 @@ class TreeGauge:
     the class of the fundamental loop of the edge at pivot i, which is
     its loop.
 
-    On a closed orientable surface (certified by ``orientation``) no
+    On a closed orientable surface (``is_oriented_surface``) no
     matrix is made (``_cotree``).  The off-tree edges join the triangles
     they bound, and a union-find forest over them, taken in their order,
     is a spanning tree of that dual graph, the cotree; the 2 - chi edges
@@ -288,12 +300,10 @@ class TreeGauge:
             raise ValueError("base complex is not connected")
         tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if v}
         self.offtree = [e for e in x.simplices(1) if e not in tree]
-        try:
-            x.orientation
-        except ValueError:
-            self._smith(x)
-        else:
+        if x.is_oriented_surface:
             self._cotree(x)
+        else:
+            self._smith(x)
 
     def _cotree(self, x):
         index = {e: j for j, e in enumerate(self.offtree)}

@@ -10,17 +10,16 @@ coefficient parity by r - 1 as it must.
 
 A page is made from two cochain complexes, one per coefficient parity,
 on any cell structure of the base: cohomology does not depend on it.
-``e1_page`` builds them from the simplices of a complex and a graded
-bundle of local systems; ``ncp_bundles`` hands ``first_page`` the
-complexes of the one-vertex cell structure of a surface, and
-``surface_e1_page`` those of a graded bundle on that structure, for
-the ``spectral`` command on a named closed surface.  The first page is
-the cell-by-cell cochain module with the e1-convention differential;
-it stores that differential alone and presents no entry.  Its groups
-and d1 ranks are reported from its module ranks and E2's free ranks,
-so ``surface_e1_page`` reports the simplicial E1 from the simplex
-counts alone, with no simplicial coboundary made.  The second is
-E2^{p,q} = H^p(X; K_{p+q}).  Its groups come
+``e1_page`` takes those of a graded bundle of local systems from
+``cohomology.cochains``, which picks the cell structure from the base
+alone: the one-relator cell model on a closed orientable surface, the
+simplices elsewhere.  ``ncp_bundles`` hands ``first_page`` the
+complexes of the one-vertex cell structure of a surface.  The first
+page is the cell-by-cell cochain module; it stores no differential and
+presents no entry.  Its groups are module ranks, and its d1 ranks
+follow from them and E2's free ranks, so ``e1_page`` reports the
+simplicial E1, counted from the simplices, whichever complexes it
+computes on.  The second is E2^{p,q} = H^p(X; K_{p+q}).  Its groups come
 from the invariant factors of the coboundaries
 (``cohomology.groups``), with no transforms; its entries, with
 representatives from ``cohomology``, are presented one at a time, when
@@ -43,7 +42,7 @@ it is on, and pages advance with zero differentials otherwise.
 
 from __future__ import annotations
 
-from .cohomology import build, cohomology, groups, surface_complex
+from .cohomology import cochains, cohomology, groups
 from .exactlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -67,30 +66,25 @@ class SpectralPage:
     ``group(p, q)`` its quotient; ``differentials[(p, q)]``, when
     present, is an integer matrix from the canonical generators of the
     entry to the canonical coordinates of the entry at
-    (p + r, (q - 1) % 2).  A page never changes once made; E1's
-    differentials are certified by ``CochainComplex``.  ``complexes``
-    maps each coefficient parity to the cochain complex whose modules
-    hold the entries; the page's dimension is theirs.
+    (p + r, (q - 1) % 2), certified by its maker (see
+    ``with_differentials``).  A page never changes once made.
+    ``complexes`` maps each coefficient parity to the cochain complex
+    whose modules hold the entries; the page's dimension is theirs.
 
     ``entries`` are the entries made with the page.  Any other entry or
     group is read from ``source``, an object with the same ``entry`` and
-    ``group`` methods: the page before, or E2's cohomology.  Every entry
-    and group read is kept.  E1 has no source and presents nothing: its
-    group at (p, q) is the free cochain module Z^(n_p), and reading one
-    of its entries raises PageError.  n_p is the degree-p rank of the
-    complex of parity s = (p + q) mod 2, or ``modules[s][p]`` when E1
-    is given the module ranks of another cell structure of the base.
+    ``group`` methods: the page before, E2's cohomology, or E1's free
+    modules (``_Modules``), which present nothing.  Every entry and
+    group read is kept.
     """
 
-    def __init__(self, r, complexes, entries, differentials, source=None,
-                 modules=None):
+    def __init__(self, r, complexes, entries, differentials, source=None):
         self.r = r
         self.complexes = complexes
         self._entries = dict(entries)
         self._groups = {}
         self.differentials = dict(differentials)
         self._source = source
-        self.modules = modules
 
     @property
     def dimension(self):
@@ -104,8 +98,6 @@ class SpectralPage:
         if key not in self._entries:
             if not 0 <= p <= self.dimension:
                 raise KeyError(key)
-            if self._source is None:
-                raise PageError("E1 presents no entries")
             self._entries[key] = self._source.entry(*key)
         return self._entries[key]
 
@@ -116,17 +108,9 @@ class SpectralPage:
                 return FgAbGroup(0, ())
             if key in self._entries:
                 self._groups[key] = self._entries[key].quotient
-            elif self._source is None:
-                s = (p + q) % 2
-                self._groups[key] = FgAbGroup(
-                    self.complexes[s].degree_rank(p) if self.modules is None
-                    else self.modules[s][p], ())
             else:
                 self._groups[key] = self._source.group(*key)
         return self._groups[key]
-
-    def coefficient_parity(self, p, q):
-        return (p + q) % 2
 
     def target_key(self, p, q):
         return (p + self.r, (q - 1) % 2)
@@ -157,15 +141,16 @@ class SpectralPage:
         d1 = {s: self._d1_ranks(s) for s in (0, 1)} if self.r == 1 else {}
         entries = []
         for (p, q) in self.keys():
+            s = (p + q) % 2
             if self.r == 1:
-                rank = d1[(p + q) % 2][p]
+                rank = d1[s][p]
             else:
                 d = self.differentials.get((p, q))
                 rank = 0 if d is None else len(invariant_factors(d))
             g = self.group(p, q)
             entries.append({
                 "p": p, "q": q,
-                "coefficient_parity": self.coefficient_parity(p, q),
+                "coefficient_parity": s,
                 "group": g.render(), "free_rank": g.free_rank,
                 "torsion": list(g.torsion), "differential_rank": rank})
         return {"r": self.r, "entries": entries}
@@ -180,46 +165,48 @@ def relation_lattice(group: FgAbGroup) -> IntMatrix:
 
 
 def e1_page(x, bundle: GradedKBundle) -> SpectralPage:
-    """First page of a graded bundle of local systems on a simplicial
-    complex: its simplicial cochains with the e1-convention
-    differential."""
-    if bundle.base != x:
-        raise ValueError("bundle is not defined over this complex")
-    return first_page({0: build(x, bundle.even, "e1"),
-                       1: build(x, bundle.odd, "e1")})
-
-
-def surface_e1_page(x, bundle: GradedKBundle) -> SpectralPage:
-    """First page of a graded bundle of systems that keep their
-    holonomy, on a closed oriented surface x, computed on the
-    one-relator cell model (``cohomology.surface_complex``).  Its groups
-    are x's simplicial cochain modules, Z^(n_p m) for n_p p-simplices
-    and rank m, counted, and every later page is made from the cell
-    complexes: no simplicial coboundary is made."""
+    """First page of a graded bundle of local systems over x, on the
+    complexes ``cohomology.cochains`` picks from x (e1 convention).  Its
+    groups are x's simplicial cochain modules, Z^(n_p m) for n_p
+    p-simplices and rank m, counted, whichever complexes it is on."""
     if bundle.base != x:
         raise ValueError("bundle is not defined over this complex")
     parts = (bundle.even, bundle.odd)
     return first_page(
-        {s: surface_complex(part) for s, part in enumerate(parts)},
+        {s: cochains(x, part) for s, part in enumerate(parts)},
         {s: [x.n_simplices(p) * part.fiber_rank
              for p in range(x.dimension + 1)]
          for s, part in enumerate(parts)})
 
 
+class _Modules:
+    """E1's source: its group at (p, q) is the free module
+    Z^(ranks[s][p]) of parity s = (p + q) mod 2, and it presents no
+    entry."""
+
+    def __init__(self, ranks):
+        self.ranks = ranks
+
+    def group(self, p, q):
+        return FgAbGroup(self.ranks[(p + q) % 2][p], ())
+
+    def entry(self, p, q):
+        raise PageError("E1 presents no entries")
+
+
 def first_page(complexes, modules=None) -> SpectralPage:
     """First page of the cochain complexes ``{0: even, 1: odd}`` of one
-    base: entry (p, q) is the cochain module of degree p of the complex
-    of parity (p + q) mod 2, and d1 is its coboundary.  Only d1 is
-    stored; the page's groups are the free modules (``group``).
+    base: its group at (p, q) is the free cochain module of degree p
+    and parity (p + q) mod 2.  It stores no differential: its d1 ranks
+    are read from its groups and E2's (``SpectralPage._d1_ranks``).
 
-    ``modules``, when given, maps each parity to the module ranks of
-    another cell structure of the base: those are the page's groups,
-    and it stores no d1, which is not that of ``complexes``."""
-    if modules is not None:
-        return SpectralPage(1, complexes, {}, {}, modules=modules)
-    differentials = {(p, q): complexes[(p + q) % 2].differential(p)
-                     for p in range(complexes[0].dimension) for q in (0, 1)}
-    return SpectralPage(1, complexes, {}, differentials)
+    ``modules`` maps each parity to the module ranks the page reports,
+    by default the complexes' own; ``e1_page`` gives those of the
+    simplices, whatever cell structure the complexes are on."""
+    if modules is None:
+        modules = {s: [c.degree_rank(p) for p in range(c.dimension + 1)]
+                   for s, c in complexes.items()}
+    return SpectralPage(1, complexes, {}, {}, source=_Modules(modules))
 
 
 def _turn(page: SpectralPage) -> SpectralPage:
@@ -233,8 +220,8 @@ def _turn(page: SpectralPage) -> SpectralPage:
     takes the entry and its group from this one, the same objects, and
     nothing is made for it, here or later; where only the outgoing map
     is zero, the cycles keep their decomposition.  A nonzero
-    differential cannot leave the window: the first page stores none
-    there, and ``d2_spec`` makes only d_2 from (0, 1) to (2, 0).
+    differential cannot leave the window: the first page stores none,
+    and ``d2_spec`` makes only d_2 from (0, 1) to (2, 0).
     """
     live = {key for key, mat in page.differentials.items()
             if not mat.is_zero()}
@@ -244,12 +231,9 @@ def _turn(page: SpectralPage) -> SpectralPage:
         if (p, q) not in live and incoming not in live:
             continue
         entry = page.entry(p, q)
-        cycles = entry._cycles
+        cycles = entry.cycles
         if (p, q) in live:
-            # The canonical coordinates of the cycle basis: see
-            # Subquotient._canonical.
-            cond = page.differentials[(p, q)] * \
-                entry._canonical(entry._gen_change)
+            cond = page.differentials[(p, q)] * entry.cycle_coordinates
             target = page.entry(*page.target_key(p, q))
             cycles = smith_normal_form(entry.cycle_gens * preimage_lattice(
                 cond, relation_lattice(target.quotient)))

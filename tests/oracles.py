@@ -15,9 +15,10 @@ exact layer, by routes no command takes: ``subquotient`` from plain
 matrices, the ``cokernel`` of one, ``integral_homology`` of a complex,
 the ``invariants`` and ``coinvariants`` of commuting matrices,
 ``recursion_check``, which compares H^*(Z^2, M) with the recursion
-through H^*(Z, M), and
-``simplicial_analysis``, the ``ncp`` pipeline on the cochains of the
-whole triangulation instead of the one-vertex cell structure.
+through H^*(Z, M), ``simplicial_e1_page``, the first page of a graded
+bundle on the simplicial cochains of any base, closed surfaces
+included, with d1 stored, and ``simplicial_analysis``, the ``ncp``
+pipeline on those pages instead of the one-vertex cell structure.
 
 ``dense_coboundary`` assembles a system's simplicial coboundary as
 dense rows, reading a transport for every face of every simplex: the
@@ -71,8 +72,15 @@ from leray.ncp_bundles import (
     d2_spec,
     is_rkk_trivial,
 )
+from leray.cohomology import build
 from leray.simplicial import SimplicialComplex, TreeGauge, torus2
-from leray.spectral import assemble, attach_d2, e1_page, e2_page
+from leray.spectral import (
+    SpectralPage,
+    assemble,
+    attach_d2,
+    e2_page,
+    first_page,
+)
 
 
 def minor_det(mat, row_idx, col_idx):
@@ -270,6 +278,47 @@ def flat_system_from_loops(x, mats) -> LocalSystem:
             else:
                 known[v, w] = known[u, w] * known[u, v].inverse_unimodular()
     return LocalSystem(x, len(mats[0].rows()), known)
+
+
+def freely_trivial(word):
+    """Whether ``word``, letters (i, s), reduces to the empty word."""
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == (letter[0], -letter[1]):
+            stack.pop()
+        else:
+            stack.append(letter)
+    return not stack
+
+
+def gauge_twist(system, rng):
+    """Conjugate a flat system by random unimodular gauges per vertex,
+    tree edges included; holonomy, hence cohomology, is unchanged up to
+    conjugation."""
+    base = system.base
+    m = system.fiber_rank
+    g = {v: random_unimodular(rng, m) for v in range(base.vertex_count)}
+    transports = {}
+    for (u, v) in base.simplices(1):
+        transports[(u, v)] = g[v] * system.transport(u, v) * \
+            g[u].inverse_unimodular()
+    return LocalSystem(base, m, transports)
+
+
+def pinched_torus() -> SimplicialComplex:
+    """The 5 x 5 grid torus with vertices (0, 0) and (2, 3) identified:
+    they share no neighbour, so every edge still lies in two triangles,
+    and the result is a closed orientable surface that is not a
+    manifold at the pinch, with chi = -1 and fundamental group
+    Z^2 * Z."""
+    def vertex(i, j):
+        v = 5 * (i % 5) + j % 5
+        return 0 if v == 13 else v - (v > 13)
+    tris = [(vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1))
+            for i in range(5) for j in range(5)]
+    tris += [(vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1))
+             for i in range(5) for j in range(5)]
+    return SimplicialComplex(24, tris)
 
 
 def dense_coboundary(x, system, p, sign=None) -> IntMatrix:
@@ -664,11 +713,24 @@ def simplicial_k_theory_bundle(spec) -> GradedKBundle:
     return GradedKBundle(even=even, odd=odd)
 
 
+def simplicial_e1_page(x, bundle) -> SpectralPage:
+    """The first page of a graded bundle on the simplicial cochains of
+    x, whatever x is: ``build`` of each parity under e1, and d1, their
+    coboundaries, stored, so the E1 -> E2 turn can be taken.
+    ``spectral.e1_page`` takes a closed orientable surface to its cell
+    model instead; a test that means the simplicial pipeline takes
+    this."""
+    complexes = {s: build(x, bundle.part(s)) for s in (0, 1)}
+    return first_page(complexes).with_differentials({
+        (p, q): complexes[(p + q) % 2].differential(p)
+        for p in range(x.dimension) for q in (0, 1)})
+
+
 def simplicial_analysis(spec) -> NcpAnalysis:
     """``ncp_bundles.analyze`` on the simplicial cochains of the base:
     the same pages, injected d2, limit and verdict, from coboundaries of
     the size of the triangulation."""
-    page1 = e1_page(spec.base, simplicial_k_theory_bundle(spec))
+    page1 = simplicial_e1_page(spec.base, simplicial_k_theory_bundle(spec))
     page2 = e2_page(page1)
     d2 = d2_spec(spec, page2)
     page2d = page2.with_differentials(d2.page_differentials)

@@ -17,7 +17,7 @@ from leray.exactlinalg import (
     kernel,
     smith_normal_form,
 )
-from leray.cohomology import build, cohomology_groups
+from leray.cohomology import build, cohomology_groups, groups
 from leray.local_systems import (
     GradedKBundle,
     LocalSystem,
@@ -49,6 +49,7 @@ from oracles import (
     random_commuting_pair,
     random_matrix,
     random_unimodular,
+    simplicial_e1_page,
     surface_cohomology,
     torus_transition_data,
 )
@@ -92,12 +93,14 @@ def test_criterion_01_torus_coinvariants():
 
 
 def test_criterion_02_leray_serre_cross_check():
-    """E2 equals local-coefficient cohomology, exactly, for >= 20
-    randomized flat systems over four bases, in both parities: as
-    computed by ``cohomology_groups``, under the classical convention,
-    whose even-degree coboundaries differ in sign and so go through
-    other SNFs, and as computed from the holonomy by oracles that build
-    no cochain complex (``surface_cohomology``)."""
+    """E2 on the simplicial cochains equals local-coefficient
+    cohomology, exactly, for >= 20 randomized flat systems over four
+    bases, in both parities: as computed by ``cohomology_groups``, on
+    the cell model of a closed surface, under the classical convention
+    on the simplicial cochains, whose even-degree coboundaries differ
+    in sign and so go through other SNFs, and as computed from the
+    holonomy by oracles that build no cochain complex
+    (``surface_cohomology``)."""
     start = time.monotonic()
     cases = randomized_systems(seed=2024, per_base=5)
     assert len(cases) >= 20
@@ -106,15 +109,15 @@ def test_criterion_02_leray_serre_cross_check():
         bundle = GradedKBundle(system, LocalSystem.constant(base, 1))
         # E2 is built as H^p and Euler-certified; test_spectral compares
         # it with the E1 -> E2 page turn
-        page2 = e2_page(e1_page(base, bundle))
-        groups = cohomology_groups(base, system)
+        page2 = e2_page(simplicial_e1_page(base, bundle))
+        found = cohomology_groups(base, system)
         for p in range(base.dimension + 1):
-            assert page2.group(p, (parity - p) % 2) == groups[p]
+            assert page2.group(p, (parity - p) % 2) == found[p]
         for s in (0, 1):
             column = [page2.group(p, (s - p) % 2)
                       for p in range(base.dimension + 1)]
-            assert column == cohomology_groups(base, bundle.part(s),
-                                               "classical")
+            assert column == groups(build(base, bundle.part(s),
+                                          "classical"))
             assert matches_surface_cohomology(
                 column, surface_cohomology(base, bundle.part(s)))
     assert time.monotonic() - start < 10.0
@@ -122,39 +125,43 @@ def test_criterion_02_leray_serre_cross_check():
 
 def test_criterion_03_hirzebruch_checkerboard():
     """Trivial bundle over the torus: checkerboard E2, zero d2, and the
-    assembled pattern K0 = (Z, -, Z), K1 = (Z^2) with total ranks (2, 2)."""
+    assembled pattern K0 = (Z, -, Z), K1 = (Z^2) with total ranks (2, 2),
+    on the cell model and on the simplicial cochains."""
     x = torus2()
     bundle = GradedKBundle(LocalSystem.constant(x, 1),
                            LocalSystem.constant(x, 0))
-    page2 = e2_page(e1_page(x, bundle))
     h = cohomology_groups(x, LocalSystem.constant(x, 1))
-    for p in range(3):
-        for q in (0, 1):
-            if (p - q) % 2 == 0:
-                assert page2.group(p, q) == h[p]
-            else:
-                assert page2.group(p, q).is_trivial()
-    page3 = attach_d2(page2)  # the d2 of a trivial bundle vanishes
-    for (p, q) in page2.keys():
-        assert page3.group(p, q) == page2.group(p, q)
-    k0, k1 = assemble(page3)
-    assert [g.render() for g in k0.graded_pieces] == ["Z", "0", "Z"]
-    assert [g.render() for g in k1.graded_pieces] == ["0", "Z^2", "0"]
-    assert (k0.total_rank, k1.total_rank) == (2, 2)
+    for page1 in (e1_page(x, bundle), simplicial_e1_page(x, bundle)):
+        page2 = e2_page(page1)
+        for p in range(3):
+            for q in (0, 1):
+                if (p - q) % 2 == 0:
+                    assert page2.group(p, q) == h[p]
+                else:
+                    assert page2.group(p, q).is_trivial()
+        page3 = attach_d2(page2)  # the d2 of a trivial bundle vanishes
+        for (p, q) in page2.keys():
+            assert page3.group(p, q) == page2.group(p, q)
+        k0, k1 = assemble(page3)
+        assert [g.render() for g in k0.graded_pieces] == ["Z", "0", "Z"]
+        assert [g.render() for g in k1.graded_pieces] == ["0", "Z^2", "0"]
+        assert (k0.total_rank, k1.total_rank) == (2, 2)
 
 
 def test_criterion_04_kunneth_sanity():
     """Trivial torus-fiber bundle assembles to ranks (2,4,2)/(2,4,2),
-    total 8 per parity, matching the Kunneth count for K^*(T^4)."""
+    total 8 per parity, matching the Kunneth count for K^*(T^4), on the
+    cell model and on the simplicial cochains."""
     x = torus2()
     bundle = GradedKBundle(LocalSystem.constant(x, 2),
                            LocalSystem.constant(x, 2))
-    k0, k1 = assemble(stabilize(e2_page(e1_page(x, bundle))))
-    assert tuple(g.free_rank for g in k0.graded_pieces) == (2, 4, 2)
-    assert tuple(g.free_rank for g in k1.graded_pieces) == (2, 4, 2)
     kunneth_rank = 2 ** 4 // 2  # even-degree cells of the 4-torus
-    assert k0.total_rank == kunneth_rank
-    assert k1.total_rank == kunneth_rank
+    for page1 in (e1_page(x, bundle), simplicial_e1_page(x, bundle)):
+        k0, k1 = assemble(stabilize(e2_page(page1)))
+        assert tuple(g.free_rank for g in k0.graded_pieces) == (2, 4, 2)
+        assert tuple(g.free_rank for g in k1.graded_pieces) == (2, 4, 2)
+        assert k0.total_rank == kunneth_rank
+        assert k1.total_rank == kunneth_rank
 
 
 def test_criterion_05_commutative_d2_iff_chern():
@@ -218,10 +225,11 @@ def test_criterion_07_rkk_triviality_decision():
 
 def test_criterion_08_convention_invariance():
     """Classical and e1 conventions give isomorphic cohomology for the
-    randomized inputs of criterion 2."""
+    randomized inputs of criterion 2, on the simplicial cochains, where
+    their coboundaries differ in sign."""
     for base, system in randomized_systems(seed=2024, per_base=5):
-        classical = cohomology_groups(base, system, "classical")
-        e1 = cohomology_groups(base, system, "e1")
+        classical = groups(build(base, system, "classical"))
+        e1 = groups(build(base, system, "e1"))
         assert classical == e1
 
 

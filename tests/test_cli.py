@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leray import (
     cli,
@@ -19,9 +22,18 @@ from leray import (
     spectral,
 )
 from leray.exactlinalg import FgAbGroup, IntMatrix, kernel
-from leray.local_systems import LocalSystem, from_monodromy
+from leray.local_systems import LocalSystem, flatness_check, from_monodromy
 from leray.simplicial import SimplicialComplex, builtin
-from oracles import block_unipotent_family, smith_gauge
+from oracles import (
+    block_unipotent_family,
+    flat_system_from_loops,
+    freely_trivial,
+    gauge_twist,
+    pinched_torus,
+    random_commuting_pair,
+    random_unimodular,
+    smith_gauge,
+)
 from test_report_golden import DOCUMENTS
 from test_simplicial import _RP2
 
@@ -717,31 +729,166 @@ def _inline(name):
             "simplices": [list(t) for t in x.simplices(x.dimension)]}
 
 
+def _on_simplices(monkeypatch):
+    """Make every job compute on the simplicial cochains (``build``),
+    whatever its base, for the rest of the test; returns the list of
+    bases it builds cochains over."""
+    built = []
+
+    def simplicial(x, system, convention="e1"):
+        built.append(x)
+        return cohomology.build(x, system, convention)
+    for module in (cohomology, spectral):
+        monkeypatch.setattr(module, "cochains", simplicial)
+    return built
+
+
 @pytest.mark.parametrize("name, loops", [("torus2", 2), ("genus(2)", 4),
                                          ("sphere2", 0)])
 @pytest.mark.parametrize("emit", ["human", "machine"])
 def test_named_and_inline_surfaces_give_identical_reports(
-        capsys, tmp_path, name, loops, emit):
-    """A named surface computes on its cell model and the same
-    triangulation given inline on its simplicial cochains; the reports
-    are byte-identical, for cohomology under both conventions and for
-    spectral (E1 counted from the simplices on the cell path)."""
+        monkeypatch, capsys, tmp_path, name, loops, emit):
+    """A surface computes on its cell model, named or given inline, and
+    the reports are byte-identical to those of the same triangulation on
+    its simplicial cochains, for cohomology under both conventions and
+    for spectral (E1 counted from the simplices on the cell path)."""
     system = _rank6_system("inline:%s" % name, loops)
     odd = {"rank": 2, "constant": True}
     jobs = [("cohomology", [], {"system": system}),
             ("cohomology", ["--convention", "classical"], {"system": system}),
             ("spectral", [], {"system": {"even": system, "odd": odd}})]
-    for command, args, doc in jobs:
+    sides = []
+    for base in (name, _inline(name), _inline(name)):
+        if len(sides) == 2:
+            built = _on_simplices(monkeypatch)
         reports = []
-        for base in (name, _inline(name)):
+        for command, args, doc in jobs:
             path = tmp_path / "job.json"
             path.write_text(json.dumps(dict(doc, complex=base)))
             capsys.readouterr()
             code = cli.main([command, "--input", str(path), "--emit", emit]
                             + args)
             reports.append((code, capsys.readouterr().out))
-        assert reports[0] == reports[1], (command, args)
-        assert reports[0][0] == 0
+        sides.append(reports)
+    assert len(built) == 4  # one cohomology job each, two spectral parts
+    assert sides[0] == sides[1] == sides[2]
+    assert all(code == 0 for code, _ in sides[0])
+
+
+def _main(command, doc, *args):
+    """cli.main in this process, on ``doc`` read from stdin: (exit code,
+    stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--input", "-", "--emit", "machine"]
+                            + list(args))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _matrix_json(m):
+    return [list(row) for row in m.rows()]
+
+
+def _transports_system(rng, x, rank, kind):
+    """A system on the closed surface x given by its transports: flat,
+    from loop matrices that need not commute where the boundary word
+    allows a pair, then gauge-twisted, tree edges included, at random;
+    for ``nonflat``, one edge is then negated, which breaks flatness on
+    both triangles at that edge."""
+    loops, word = len(x.tree_gauge.loops), x.boundary_word
+    a, b = random_commuting_pair(rng, rank)
+    mats = [a.power(rng.randint(-1, 1)) * b.power(rng.randint(-1, 1))
+            for _ in range(loops)]
+    pairs = [(i, j) for i in range(loops) for j in range(i + 1, loops)
+             if freely_trivial([l for l in word if l[0] in (i, j)])]
+    if pairs and rank > 1 and rng.random() < 0.5:
+        i, j = rng.choice(pairs)
+        mats = [IntMatrix.identity(rank)] * loops
+        mats[i], mats[j] = (random_unimodular(rng, rank, steps=4),
+                            random_unimodular(rng, rank, steps=4))
+    system = flat_system_from_loops(x, mats) if loops \
+        else LocalSystem.constant(x, rank)
+    if rng.random() < 0.5:
+        system = gauge_twist(system, rng)
+    table = {e: system.transport(*e) for e in x.simplices(1)}
+    if kind == "nonflat":
+        edge = rng.choice(x.simplices(1))
+        table[edge] = -table[edge]
+    return {"rank": rank, "transports": {"%d-%d" % e: _matrix_json(m)
+                                         for e, m in table.items()}}
+
+
+def _system_doc(rng, x, rank, kind):
+    if kind == "constant":
+        return {"rank": rank, "constant": True}
+    if kind == "monodromy":
+        a, b = random_commuting_pair(rng, rank)
+        return {"rank": rank, "monodromy": [
+            _matrix_json(a.power(rng.randint(-1, 1))
+                         * b.power(rng.randint(-1, 1)))
+            for _ in x.tree_gauge.loops]}
+    return _transports_system(rng, x, rank, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["torus2", "sphere2", "genus(2)", "pinched"]),
+       kind=st.sampled_from(["constant", "monodromy", "transports",
+                             "nonflat"]),
+       rank=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_cells_give_the_simplicial_groups_on_inline_surfaces(
+        name, kind, rank, seed):
+    """cohomology and spectral compute a closed orientable surface on
+    its cell model whatever its spelling and its system: a builtin
+    given inline with its vertices relabelled, or the pinched torus,
+    whose fundamental group Z^2 * Z lets a pair of loops act without
+    commuting.  Under both conventions the groups, and spectral's E1
+    modules, d1 ranks and E2, are those of ``build``, and a system that
+    is not flat exits 1 with the simplicial path's message."""
+    rng = random.Random(seed)
+    base = pinched_torus() if name == "pinched" else builtin(name)
+    relabel = list(range(base.vertex_count))
+    rng.shuffle(relabel)
+    complex_doc = {"vertices": base.vertex_count,
+                   "simplices": [[relabel[v] for v in t]
+                                 for t in base.simplices(2)]}
+    x = cli.parse_complex(complex_doc)
+    system_doc = _system_doc(rng, x, rank, kind)
+    system = cli.parse_system(system_doc, x)
+    odd = LocalSystem.constant(x, 1)
+    spectral_doc = {"complex": complex_doc, "system": {
+        "even": system_doc, "odd": {"rank": 1, "constant": True}}}
+    if kind == "nonflat":
+        failure = (1, "", "computation error: flatness violated on "
+                   "2-simplices %s\n" % (flatness_check(system),))
+        for convention in ("e1", "classical"):
+            assert _main("cohomology", dict(complex=complex_doc,
+                                            system=system_doc),
+                         "--convention", convention) == failure
+        assert _main("spectral", spectral_doc) == failure
+        return
+    for convention in ("e1", "classical"):
+        code, out, _ = _main("cohomology", dict(complex=complex_doc,
+                                                system=system_doc),
+                             "--convention", convention)
+        assert code == 0
+        assert [g["group"] for g in json.loads(out)["groups"]] == [
+            g.render() for g in cohomology.groups(
+                cohomology.build(x, system, convention))]
+    code, out, _ = _main("spectral", spectral_doc)
+    assert code == 0
+    e1, e2, _ = json.loads(out)["pages"]
+    complexes = {0: cohomology.build(x, system), 1: cohomology.build(x, odd)}
+    found = {s: cohomology.groups(c) for s, c in complexes.items()}
+    for first, second in zip(e1["entries"], e2["entries"]):
+        p, s = first["p"], first["coefficient_parity"]
+        c = complexes[s]
+        assert first["group"] == FgAbGroup(c.degree_rank(p), ()).render()
+        assert first["differential_rank"] == len(c.invariant_factors(p))
+        assert second["group"] == found[s][p].render()
 
 
 def test_ncp_job_exits_1_when_the_e2_groups_lose_torsion(monkeypatch, capsys,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leray.cohomology import cohomology_groups
+from leray.cohomology import build, groups
 from leray.exactlinalg import FgAbGroup, IntMatrix
 from leray.group_cohomology import ZnModule, zn_cohomology
 from leray.local_systems import from_monodromy
@@ -26,7 +26,7 @@ def classifying_space_cohomology(mats, rank):
     """The reference: cohomology of the simplicial torus (n = 2) or
     circle (n = 1) with the action as its holonomy."""
     x = torus2() if len(mats) == 2 else circle(4)
-    return cohomology_groups(x, from_monodromy(x, mats, fiber_rank=rank))
+    return groups(build(x, from_monodromy(x, mats, fiber_rank=rank)))
 
 
 def test_trivial_action_n2():

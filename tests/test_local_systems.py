@@ -229,7 +229,8 @@ def test_monodromy_systems_share_the_gauge_of_their_base(kernel_calls):
 def test_derived_systems_keep_their_holonomy_and_make_tables_lazily():
     """constant and from_monodromy keep the checked holonomy, a pair
     (T_i, T_i^-1) per loop, and make no transport table until a
-    transport is read; a system given by transports keeps none."""
+    transport is read; a system given by transports reads the same
+    pairs off its table, by transport along each loop and back."""
     x = genus_surface(2)
     ident = IntMatrix.identity(2)
     mats = [K2, K4, K2, K4]
@@ -246,7 +247,7 @@ def test_derived_systems_keep_their_holonomy_and_make_tables_lazily():
             for loop in x.tree_gauge.loops] == mats
     given = LocalSystem(x, 2, {e: monodromy.transport(*e)
                                for e in x.simplices(1)})
-    assert given.holonomy is None
+    assert given.holonomy == monodromy.holonomy
 
 
 def test_from_monodromy_makes_each_power_once(monkeypatch):

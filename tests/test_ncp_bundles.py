@@ -15,12 +15,13 @@ from leray.ncp_bundles import (
     resolve_base,
 )
 from leray.simplicial import torus2
-from leray.spectral import attach_d2, e1_page, e2_page, first_page
+from leray.spectral import attach_d2, e2_page, first_page
 
 from oracles import (
     chern_cocycle,
     cup_intersection_form,
     simplicial_analysis,
+    simplicial_e1_page,
     simplicial_k_theory_bundle,
     torus_transition_data,
     winding_number,
@@ -215,7 +216,8 @@ def paper_pages(windings, chern):
 def simplicial_pages(windings, chern):
     """The spec and its second page on the simplicial cochains."""
     spec = spec_t2(windings, chern)
-    return spec, e2_page(e1_page(spec.base, simplicial_k_theory_bundle(spec)))
+    return spec, e2_page(simplicial_e1_page(spec.base,
+                                            simplicial_k_theory_bundle(spec)))
 
 
 def test_d2_spec_paper_example():
@@ -457,5 +459,8 @@ def test_the_oracle_runs_on_the_triangulation():
     cell, oracle = analyze(spec), simplicial_analysis(spec)
     assert [oracle.e1.group(p, 0).free_rank for p in range(3)] == \
         [2 * base.n_simplices(p) for p in range(3)]
+    for s in (0, 1):
+        assert [oracle.e1.complexes[s].degree_rank(p) for p in range(3)] \
+            == [2 * base.n_simplices(p) for p in range(3)]
     assert [cell.e1.group(p, 0).free_rank for p in range(3)] == \
         [2, 8, 2]
