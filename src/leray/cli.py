@@ -35,28 +35,29 @@ MAX_RANK = 16
 # Most entries of the largest simplicial coboundary, (n_(p+1) m) x
 # (n_p m) for n_p p-simplices and rank m.  It bounds every command's
 # systems, and still counts the simplicial coboundaries where a job
-# builds none: cohomology and spectral on a closed orientable surface,
-# named or inline, with any kind of system, compute on the cell model,
-# whose largest coboundary is m x 2g m.  The jobs that build simplicial
-# coboundaries are check, on every base, and cohomology and spectral on
-# every other base: circle(n), simplex(p), and inline complexes that
-# are not closed orientable surfaces.
+# builds none: cohomology and spectral on every connected base of
+# dimension 1 or 2, named or inline, with any kind of system, compute
+# on the cell model of its reduced presentation, whose largest
+# coboundary is r m x k m for k generators and r relators.  The jobs
+# that build simplicial coboundaries are check, on every base, and
+# cohomology and spectral on a base of dimension 3 or more (simplex(p),
+# p >= 3, and inline complexes), on a disconnected base and on a point.
 # The cap counts the entries of the dense shape, but build writes each
 # simplicial coboundary as its nonzero rows, and the commands that build
 # one and read its groups and ranks alone eliminate it in that form, so
 # no dense row and no SNF transform of it is made.  On CPython 3.11.7
-# (x86-64, 2 cores), spectral on circle(256) with two constant rank-4
-# systems (a 1024 x 1024 coboundary, 2^20 entries, run with the cap
-# lifted) took 0.08-0.11 s and peaked at 19-21 MiB, and on circle(181)
-# (about 2^19) 0.07 s and 19 MiB, each a whole fresh process, whose
-# import alone peaks at 14 MiB; with dense coboundaries they took
-# 0.29-0.33 s at 43 MiB and 0.17-0.20 s at 30 MiB.  genus(8) fits up
+# (x86-64, 2 cores), check on circle(256) with a constant rank-4 system
+# (a 1024 x 1024 coboundary, 2^20 entries, run with the cap lifted)
+# took 0.05-0.07 s and peaked at 17 MiB, and on circle(181) (about
+# 2^19) 0.04-0.05 s and 16 MiB, each from the start of a fresh
+# process's script, the import included, which alone peaks at 16 MiB;
+# spectral on the same bases, on cells, took 0.02 s.  genus(8) fits up
 # to rank 6.  An ncp job's pages are on cells, and a surface's tree
 # gauge makes no matrix, so the cap does not apply to its base, which
 # simplicial.MAX_FACES bounds: up to genus(113).  On the same host a
-# cold ncp job on genus(49) (import, build, gauge, boundary word and
-# pages, one process) took 20-31 ms and peaked at 16 MiB, and on
-# genus(100) 33-53 ms and 19 MiB (tools/cold_surfaces.py).
+# cold ncp job on genus(49) (import, build, gauge, relator and pages,
+# one process) took 18-27 ms and peaked at 16 MiB, and on genus(100)
+# 29-45 ms and 19 MiB (tools/cold_surfaces.py).
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

@@ -2,9 +2,10 @@
 
 A cochain complex is given by its coboundaries alone, so two routines
 serve every complex the package makes: the simplicial cochains of a
-local system (``build``), the complex of the one-relator cell model of
-a closed surface (``fox_complex``, ``surface_complex``) and the Koszul
-complex of a Z^n-action (``group_cohomology``):
+local system (``build``), and the cell model of a presentation
+(``fox_complex``), which serves a connected base of dimension <= 2,
+the ``ncp`` pages and the group cohomology of Z and Z^2
+(``group_cohomology``):
 
 * ``groups`` gives the isomorphism types alone, from the invariant
   factors of the coboundaries, with no transforms; the ``cohomology``,
@@ -36,13 +37,14 @@ assembly.  The spectral sequence consumes ``e1``, which is the default.
 
 Cohomology does not depend on the cell structure, so the base alone
 picks the complex a system's cohomology is computed on (``cochains``):
-on a closed orientable surface, named or inline, pinched or not, the
-surface's one vertex, k = 2 - chi loops (2g on a genus-g surface) and
-one 2-cell (``surface_complex``), whose modules have rank m, k m and m,
-with no simplicial cochains built, whatever kind of system it is
-given; the conventions give the same groups there.  Every other base,
-``circle(n)`` and ``simplex(p)`` among them, stays on ``build``, and
-so does the ``check`` command (``convention_compare``).
+on every connected base of dimension 1 or 2, named or inline, a
+surface or not, orientable or not, the base's reduced presentation
+(``SimplicialComplex.presentation``): one vertex, k generators and r
+relators, so modules of rank m, k m and r m, with no simplicial
+cochains built, whatever kind of system it is given; the conventions
+give the same groups there.  A base of dimension 3 or more, a
+disconnected base and a point stay on ``build``, and so does the
+``check`` command (``convention_compare``).
 """
 
 from __future__ import annotations
@@ -151,61 +153,49 @@ def build(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     return CochainComplex(diffs if convention == "e1" else _classical(diffs))
 
 
-def fox_complex(word, action, fiber_rank) -> CochainComplex:
-    """The cochain complex M -> M^n -> M of the one-relator cell model
-    (one vertex, n loops x_i, one 2-cell on ``word``) with coefficients
-    in M = Z^``fiber_rank``, where ``action`` lists one pair
-    (rho(x_i), rho(x_i)^-1) per generator, rho a homomorphism on words
-    read left to right.
+def fox_complex(relators, action, fiber_rank) -> CochainComplex:
+    """The cochain complex M -> M^n -> M^r of a presentation's cell
+    model (one vertex, n loops x_i, one 2-cell per word of
+    ``relators``) with coefficients in M = Z^``fiber_rank``, where
+    ``action`` lists one pair (rho(x_i), rho(x_i)^-1) per generator, rho
+    a homomorphism on words read left to right.  With no relators it is
+    M -> M^n, of dimension 1.
 
     By Fox's free differential calculus (Fox, Ann. Math. 57, 1953),
-    delta_0 = stack(rho(x_i) - I), and block i of delta_1 is
-    rho(dw/dx_i): over the letters of w, +rho(prefix) for each x_i and
-    -rho(prefix through the letter) for each x_i^-1.  ``CochainComplex``
-    certifies delta_1 delta_0 = rho(w) - I = 0.
+    delta_0 = stack(rho(x_i) - I), and block (k, i) of delta_1 is
+    rho(dw_k/dx_i): over the letters of relator w_k, +rho(prefix) for
+    each x_i and -rho(prefix through the letter) for each x_i^-1.
+    ``CochainComplex`` certifies delta_1 delta_0 = 0, block row k being
+    rho(w_k) - I.
 
-    The word is read on the nonzero rows of the action, adding nothing
+    Each word is read on the nonzero rows of the action, adding nothing
     through ``IntMatrix``: row r of rho(prefix) times a matrix sums a
     times its row k over the nonzero entries a = rho(prefix)_rk.
     """
     m, n = fiber_rank, len(action)
-    blocks = [[{} for _ in range(m)] for _ in range(n)]
     ident = IntMatrix.identity(m)
-    prefix = ident.nonzero_rows()
-    for i, s in word:
-        g = action[i][s < 0].nonzero_rows()
-        through = []
-        for row in prefix:
-            acc = {}
-            for k, a in row.items():
-                _axpy(acc, g[k], a)
-            through.append(acc)
-        for b_row, t_row in zip(blocks[i], prefix if s > 0 else through):
-            _axpy(b_row, t_row, s)
-        prefix = through
+    d1 = []
+    for word in relators:
+        blocks = [[{} for _ in range(m)] for _ in range(n)]
+        prefix = ident.nonzero_rows()
+        for i, s in word:
+            g = action[i][s < 0].nonzero_rows()
+            through = []
+            for row in prefix:
+                acc = {}
+                for k, a in row.items():
+                    _axpy(acc, g[k], a)
+                through.append(acc)
+            for b_row, t_row in zip(blocks[i], prefix if s > 0 else through):
+                _axpy(b_row, t_row, s)
+            prefix = through
+        d1 += [{i * m + j: v for i, block in enumerate(blocks)
+                for j, v in block[r].items()} for r in range(m)]
     d0 = [row for a, _ in action for row in (a - ident).nonzero_rows()]
-    d1 = [{i * m + j: v for i, block in enumerate(blocks)
-           for j, v in block[r].items()} for r in range(m)]
-    return CochainComplex([IntMatrix._trusted(d0, n * m, m),
-                           IntMatrix._trusted(d1, m, n * m),
-                           IntMatrix.zeros(0, m)])
-
-
-def surface_complex(system: LocalSystem) -> CochainComplex:
-    """The cochain complex of a system over a closed oriented surface,
-    on the surface's one-relator cell model: ``fox_complex`` of the
-    base's ``boundary_word``, read from the system's ``holonomy``.  A
-    system derived from its holonomy reads no transport.
-
-    The simplicial complex of the system is chain equivalent to it under
-    rho(x_i) = T_i^-1, T_i the transport around loop i: in the gauge
-    where the tree transports are the identity, the simplicial D_0 on
-    loop edge (a, b) is f(a) - T_i^-1 f(b).  Its groups are those of
-    ``build`` under either convention, which differ by the signs of
-    whole coboundaries.
-    """
-    action = [(inverse, t) for t, inverse in system.holonomy]
-    return fox_complex(system.base.boundary_word, action, system.fiber_rank)
+    diffs = [IntMatrix._trusted(d0, n * m, m)]
+    if relators:
+        diffs.append(IntMatrix._trusted(d1, len(d1), n * m))
+    return CochainComplex(diffs + [IntMatrix.zeros(0, len(d1) or n * m)])
 
 
 def _classical(e1_differentials):
@@ -250,16 +240,23 @@ def groups(c: CochainComplex):
 
 def cochains(x, system: LocalSystem, convention: str = "e1") -> CochainComplex:
     """The cochain complex the cohomology of a system over x is computed
-    on, chosen from x alone: on a closed orientable surface
-    (``x.is_oriented_surface``), the one-relator cell model
-    (``surface_complex``), where both conventions give the same groups;
-    on any other base, the simplicial cochains under ``convention``
-    (``build``).  ``build`` also refuses an unknown convention and a
-    system over another base, on a surface too."""
-    if x.is_oriented_surface and convention in CONVENTIONS \
-            and system.base == x:
-        return surface_complex(system)
-    return build(x, system, convention)
+    on, chosen from x alone.  On a connected x of dimension 1 or 2 it is
+    the cell model of x's reduced ``presentation``, ``fox_complex`` of
+    its relators under rho(x_i) = T_i^-1, T_i the system's ``holonomy``
+    around generator i, where both conventions give the same groups.
+
+    The simplicial complex is chain equivalent to it: in the gauge where
+    the tree transports are the identity, the simplicial D_0 on
+    generator edge (a, b) is f(a) - T_i^-1 f(b), and merging triangles
+    across the erased edges is a sequence of collapses.  A point, a
+    disconnected x and one of dimension >= 3 stay on the simplicial
+    cochains under ``convention`` (``build``), which also refuses an
+    unknown convention and a system over another base."""
+    p = x.presentation if 1 <= x.dimension <= 2 else None
+    if p is None or convention not in CONVENTIONS or system.base != x:
+        return build(x, system, convention)
+    action = [(inverse, t) for t, inverse in system.holonomy]
+    return fox_complex(p.relators, action, system.fiber_rank)
 
 
 def cohomology_groups(x, system: LocalSystem, convention: str = "e1"):

@@ -23,19 +23,22 @@ the prescribed matrices to commute pairwise (the representation factors
 through first homology).  The ``cohomology``, ``check`` and ``spectral``
 commands use it.
 
-Every system has a ``holonomy``, one pair (T_i, T_i^-1) per loop of
-``base.tree_gauge.loops``, T_i the transport around it.  A system from
-``constant`` or ``from_monodromy`` keeps the checked matrices it was
-made from, and makes its transport table only when a transport is read;
-a system given by its transports reads them off its table with
-``transport_along``, once it is certified flat.  On a closed orientable
-surface, named or inline, the ``cohomology`` and ``spectral`` commands
-read the holonomy alone, for the complex of the one-relator cell model
-(``cohomology.surface_complex``), while ``check`` and every other base
-read the transports.  An ``ncp`` job builds no local system:
+Every system has a ``holonomy``, one pair (T_i, T_i^-1) per generator
+of ``base.presentation``, T_i the transport around the fundamental loop
+of its edge.  A ``constant`` system's are identities, read off no
+gauge.  A system from ``from_monodromy`` keeps the checked matrices it
+was made from, which are its holonomy where the generators are the
+gauge's loop edges, as on every closed orientable surface, and makes
+its transport table only when a transport is read; elsewhere its
+holonomy is read off a table of edge transports.  A system given by its transports reads its
+holonomy with ``transport_along``, once it is certified flat.  On every
+connected base of dimension 1 or 2, the ``cohomology`` and ``spectral``
+commands read the holonomy alone, for the cell model of the base's
+presentation (``cohomology.cochains``), while ``check`` and every other
+base read the transports.  An ``ncp`` job builds no local system:
 ``ncp_bundles.k_theory_bundle`` hands its holonomy, one matrix
 (1 w_i; 0 1) per loop, to the same ``cohomology.fox_complex`` of the
-base's boundary word.
+surface's one relator.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ class LocalSystem:
     @classmethod
     def _trusted(cls, base, fiber_rank, holonomy, make_table):
         """System from data the package derived itself: ``holonomy``,
-        a function giving one pair (T_i, T_i^-1) per loop of
-        ``base.tree_gauge.loops``, T_i the transport around it, and
+        a function giving one pair (T_i, T_i^-1) per generator of
+        ``base.presentation``, T_i the transport around it, and
         ``make_table``, a function giving both directions of every edge,
         each the exact inverse of the other.  Each is called once, on
         first read.  Nothing is checked (see ``IntMatrix._trusted``)."""
@@ -104,19 +107,22 @@ class LocalSystem:
 
     @functools.cached_property
     def holonomy(self):
-        """One pair (T_i, T_i^-1) per loop of ``base.tree_gauge.loops``,
-        T_i the transport around it, made on first read."""
+        """One pair (T_i, T_i^-1) per generator of ``base.presentation``,
+        T_i the transport around the fundamental loop of its edge, made
+        on first read."""
         return self._make_holonomy()
 
     def _make_holonomy(self):
         """The holonomy of a system given by its transports: after
-        ``require_flat``, the transport along each loop and along the
-        loop reversed, its exact inverse.  A derived system shadows this
-        with the function ``_trusted`` was given."""
+        ``require_flat``, the transport along each generator's
+        fundamental loop and along the loop reversed, its exact inverse.
+        A derived system shadows this with the function ``_trusted`` was
+        given."""
         require_flat(self)
+        p = self.base.presentation
         return tuple((transport_along(self, loop),
                       transport_along(self, loop[::-1]))
-                     for loop in self.base.tree_gauge.loops)
+                     for loop in map(p.fundamental_loop, p.generators))
 
     @functools.cached_property
     def _table(self):
@@ -129,7 +135,7 @@ class LocalSystem:
         ident = IntMatrix.identity(fiber_rank)
 
         def holonomy():
-            return ((ident, ident),) * len(base.tree_gauge.loops)
+            return ((ident, ident),) * len(base.presentation.generators)
 
         def make_table():
             return {h: ident for (u, v) in base.simplices(1)
@@ -230,12 +236,16 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     matrices exactly, with no basepoint conjugation; an off-tree edge of
     class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
     backwards, each power made once per table, and each product started
-    from its first power, not from the identity.  The system keeps the
-    checked matrices, with their inverses, as its ``holonomy``; the
-    table is made when a transport is first read, and the holonomy along
-    each loop is certified then, and flatness by ``cohomology.build``.
-    A job on the cell model of a closed orientable surface reads the
-    holonomy alone and makes no table.
+    from its first power, not from the identity.  The table is made when
+    a transport is first read, and the holonomy along each loop is
+    certified then, and flatness by ``cohomology.build``.
+
+    The ``holonomy`` around each generator of ``base.presentation`` is
+    the pair its edge carries.  Where those edges are the gauge's
+    ``loop_edges``, as on every closed orientable surface, that is the
+    checked matrices with their inverses, and a job on the cell model
+    makes no table; elsewhere the holonomy makes a table of its own, so
+    the system holds no reference to itself.
     """
     mats = list(mats)
     if fiber_rank is None:
@@ -247,8 +257,14 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
         raise ValueError("expected %d monodromy matrices for this base, got %d"
                          % (len(gauge.loops), len(mats)))
     inverses = action_inverses(mats, fiber_rank)
-    holonomy = tuple(zip(mats, inverses))
     ident = IntMatrix.identity(fiber_rank)
+
+    def holonomy():
+        generators = base.presentation.generators
+        if generators == gauge.loop_edges:
+            return tuple(zip(mats, inverses))
+        table = make_table()
+        return tuple((table[u, v], table[v, u]) for u, v in generators)
 
     def make_table():
         exponents = {(i, e) for cls in gauge.classes
@@ -271,5 +287,4 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
                     "holonomy does not match the prescription")
         return table
 
-    return LocalSystem._trusted(base, fiber_rank, lambda: holonomy,
-                                make_table)
+    return LocalSystem._trusted(base, fiber_rank, holonomy, make_table)

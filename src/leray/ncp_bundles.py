@@ -9,11 +9,11 @@ class).  From this data the module produces:
 * the graded K-theory coefficient bundle: the even part has holonomy
   (1 w; 0 1) for each winding w in the basis ([1], beta) of the fiber
   K0, the odd part is constant of rank two.  It is given by its cochain
-  complexes on the one-relator cell model of the base (one vertex, 2g
-  loops, one 2-cell on its boundary word), not on the triangulation:
-  cohomology does not depend on the cell structure, and these complexes
-  have modules of rank 2, 4g and 2.  The triangulation still gives the
-  canonical loops, the boundary word and the Chern pairings;
+  complexes on the cell model of the base's reduced presentation (one
+  vertex, 2g loops, one 2-cell on its one relator), not on the
+  triangulation: cohomology does not depend on the cell structure, and
+  these complexes have modules of rank 2, 4g and 2.  The triangulation
+  still gives the canonical loops, the relator and the Chern pairings;
 * the second-page differential: with k the gcd of all windings, the top
   cohomology of the even system is Z/k (+) Z with the image of [1]
   generating the torsion part, and d2 sends the i-th odd generator to
@@ -101,15 +101,17 @@ def k_theory_bundle(spec: NcpTorusBundleSpec):
     coefficient bundle on the one-relator cell model of the base.
 
     That model has one 0-cell, one 1-cell per generator loop and one
-    2-cell on the base's ``boundary_word``.  Even part: loop i acts on
+    2-cell on the one relator of ``base.presentation``, a closed
+    orientable surface's, whose generators are the canonical loops'
+    edges.  Even part: loop i acts on
     the fiber K0 = Z[1] (+) Z.beta by A_i = (1 w_i; 0 1), and the
-    complex Z^2 -> Z^(4g) -> Z^2 is ``fox_complex`` of the word with
+    complex Z^2 -> Z^(4g) -> Z^2 is ``fox_complex`` of the relator with
     rho(x_i) = A_i.  Odd part: the classes [U_1], [U_2] are invariant,
     so the system is constant: the same modules with zero maps.
     ``CochainComplex`` certifies the even complex.
     """
     action = [(_shear(w), _shear(-w)) for w in spec.winding]
-    even = fox_complex(spec.base.boundary_word, action, FIBER_RANK)
+    even = fox_complex(spec.base.presentation.relators, action, FIBER_RANK)
     n = len(action)
     # zero maps: their products vanish with nothing to multiply
     odd = CochainComplex._trusted([IntMatrix.zeros(2 * n, FIBER_RANK),

@@ -9,6 +9,12 @@ Built-in triangulations are constructed programmatically and verified
 at build time rather than transcribed from tables: surfaces by their
 Euler characteristic and a coherent orientation, which together fix
 their integral homology (see ``_verify_surface``).
+
+A connected complex of dimension <= 2 has a reduced ``Presentation``,
+one vertex, generators and relators, which the cohomology of any local
+system over it is computed on; ``TreeGauge`` reads the same tree, and
+on a closed orientable surface the same forest, to fix what a
+monodromy prescription means.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .exactlinalg import IntMatrix, smith_normal_form, solve
 # at once instead of exhausting memory.  genus(8), the benchmarks'
 # largest base, counts 721.  genus(g) is built in one pass and gauged
 # from its cotree, both in about linear time: on one core of a 2-core
-# x86 host (CPython 3.11.7), genus(113) builds in 12-17 ms, and a cold
-# ncp job on it (import, build, gauge, boundary word and pages) takes
-# 38-49 ms, peaking at 20 MiB, and the whole fresh process 91-109 ms
+# x86 host (CPython 3.11.7), genus(113) builds in 10-12 ms, and a cold
+# ncp job on it (import, build, gauge, relator and pages) takes 32-34
+# ms, peaking at 20 MiB, and the whole fresh process 77-82 ms
 # (tools/cold_surfaces.py).  The largest builtins it admits are
 # genus(113), circle(2500), simplex(12).
 MAX_FACES = 10_000
@@ -113,49 +119,24 @@ class SimplicialComplex:
         return TreeGauge(self)
 
     @cached_property
-    def boundary_word(self):
-        """The relator of the one-relator cell model of a closed oriented
-        surface, made on first use and kept: a tuple of letters (i, s),
-        x_i^s, over the generators of ``tree_gauge.loops``.
-
-        Cutting the surface along the breadth-first tree and the cotree
-        (the off-tree edges that are not ``tree_gauge.loop_edges``)
-        leaves one disk (Eppstein, SODA 2003).  Its boundary is walked
-        on half-edges, each triangle's edges directed by its
-        ``orientation``: after u -> v comes v -> w of the same triangle,
-        and while v -> w is a cotree edge, interior to the disk, the walk
-        turns about v into the triangle across it.  A half-edge of loop
-        edge (a, b), a < b, reads x_i from a to b and x_i^-1 back; tree
-        edges read nothing.  The walk must cover every non-cotree
-        half-edge exactly once, which makes the cut surface one disk,
-        and the word is certified by ``check_surface_word``.  A failure
-        raises ValueError.
-        """
-        gauge = self.tree_gauge
-        loop_edges = gauge.loop_edges or ()
-        letters = {}
-        for i, (a, b) in enumerate(loop_edges):
-            letters[a, b], letters[b, a] = (i, 1), (i, -1)
-        cotree = set(gauge.offtree) - set(loop_edges)
-        after = {}  # half-edge -> the next one around its triangle
-        for eps, (a, b, c) in zip(self.orientation, self.simplices(2)):
-            cycle = (a, b, c) if eps > 0 else (a, c, b)
-            for k in range(3):
-                after[cycle[k - 2], cycle[k - 1]] = (cycle[k - 1], cycle[k])
-        walk = [next(h for h in after if tuple(sorted(h)) not in cotree)]
-        while len(walk) <= len(after):
-            h = after[walk[-1]]
-            while tuple(sorted(h)) in cotree:
-                h = after[h[::-1]]
-            if h == walk[0]:
-                break
-            walk.append(h)
-        if len(walk) != 2 * (self.n_simplices(1) - len(cotree)):
-            raise ValueError("the surface cut along its tree and cotree "
-                             "is not one disk")
-        word = tuple(letters[h] for h in walk if h in letters)
-        check_surface_word(word, len(gauge.loops))
-        return word
+    def presentation(self) -> "Presentation | None":
+        """The complex's reduced ``Presentation``, made on first use and
+        kept, so every reader of its tree, generators or relators shares
+        it; None on a complex that is empty or not connected."""
+        n = self.vertex_count
+        adj = {i: [] for i in range(n)}
+        for (u, v) in self.simplices(1):  # edges come sorted, so do the lists
+            adj[u].append(v)
+            adj[v].append(u)
+        # the breadth-first tree: each vertex's parent, vertex 0 its own
+        parent = [0] + [-1] * (n - 1)
+        queue = [0] if n else []
+        for u in queue:
+            for v in adj[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+        return Presentation(self, parent) if n and len(queue) == n else None
 
     @cached_property
     def orientation(self):
@@ -199,17 +180,6 @@ class SimplicialComplex:
             raise ValueError("not a closed connected surface")
         return tuple(eps)
 
-    @cached_property
-    def is_oriented_surface(self):
-        """True when ``orientation`` certifies the complex as a closed,
-        triangle-connected, orientable surface.  The verdict is kept
-        either way, so a non-surface, whose ``orientation`` raises on
-        every use, is probed once."""
-        try:
-            return bool(self.orientation)
-        except ValueError:
-            return False
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -226,26 +196,146 @@ class SimplicialComplex:
             self.vertex_count, counts)
 
 
-def check_surface_word(word, generators):
-    """Certify ``word``, letters (i, s) with s = +-1, as the relator of
-    a closed oriented surface on ``generators`` = 2 - chi generators,
-    2g on a genus-g surface: its length is twice that, and each
-    generator occurs twice, once with each sign.  A failure raises
-    ValueError."""
-    if len(word) != 2 * generators or sorted(word) != sorted(
-            (i, s) for i in range(generators) for s in (-1, 1)):
-        raise ValueError("boundary word %r is not a surface relator on "
-                         "%d generators" % (word, generators))
+class Presentation:
+    """The reduced presentation of a connected complex of dimension <= 2:
+    one vertex, one generator x_i per edge that two kinds of collapse
+    leave, and one relator per 2-cell they leave (Cohen, *A Course in
+    Simple-Homotopy Theory*, GTM 10).  It needs no basis of H_1.
+
+    ``parent`` is the breadth-first tree from vertex 0, one parent per
+    vertex, and ``offtree`` lists the edges off it, in order; contracting
+    the tree leaves one loop per off-tree edge.  An off-tree edge in
+    exactly two triangles can join them: union-find over
+    these edges, in order, takes a spanning forest of triangles, and
+    erasing each edge it takes merges its two triangles, so each
+    component becomes one disk.  The off-tree edges it does not take,
+    ``leftover`` by index, are the ``generators``, in order, however many
+    triangles they lie in.  On a closed orientable surface the forest is
+    the cotree (Eppstein, SODA 2003) and the generators are
+    ``TreeGauge.loop_edges``.
+
+    Each disk's boundary, walked once, is one of the ``relators``, a
+    tuple of letters (i, s), x_i^s, the disks in the order of their
+    least triangles.  Each triangle (a, b, c) is oriented relative to its
+    parent in the forest, a disk's least one as a -> b -> c, so on a
+    closed orientable surface this is its ``orientation``.  The walk
+    goes on half-edges, keyed by (triangle, face), since an edge in three
+    or more triangles can occur twice in one disk in the same direction:
+    after u -> v comes v -> w of the same triangle, and while v -> w is
+    erased, the walk crosses it into the triangle across, where it reads
+    w -> v.  A half-edge of generator (a, b), a < b, reads x_i from a to b
+    and x_i^-1 back; tree edges read nothing.  The walk starts at the
+    disk's first half-edge that is not erased, its triangles in order,
+    each from face 0 on, and must cover the n + 2 such half-edges of a
+    disk of n triangles, else AssertionError is raised.  The relators
+    are walked on first read.
+
+    ``faces`` holds each triangle's faces by off-tree index, None on the
+    tree; ``eps`` each triangle's orientation, +1 for a -> b -> c;
+    ``disks`` each disk's triangles, breadth-first from its least; and
+    ``up`` the erased edge from each other triangle towards its disk's
+    least.
+    """
+
+    def __init__(self, x, parent):
+        self.parent = parent
+        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if v}
+        self.offtree = [e for e in x.simplices(1) if e not in tree]
+        index = {e: j for j, e in enumerate(self.offtree)}
+        # per triangle, the off-tree index of its face l, (-1)^l in d_2,
+        # or None on the tree; per off-tree edge, the triangles it bounds
+        self.faces = [(index.get((b, c)), index.get((a, c)),
+                       index.get((a, b))) for a, b, c in x.simplices(2)]
+        sides = [[] for _ in self.offtree]
+        for t, faces in enumerate(self.faces):
+            for j in faces:
+                if j is not None:
+                    sides[j].append(t)
+        root = list(range(len(self.faces)))
+
+        def find(t):
+            while root[t] != t:
+                root[t] = t = root[root[t]]
+            return t
+        # per triangle, its erased faces l, each with the triangle u
+        # across it and the same edge's face k there
+        faces, self.leftover = self.faces, []
+        self._erased = erased = [[] for _ in faces]
+        for j, ts in enumerate(sides):
+            if len(ts) == 2 and (a := find(ts[0])) != (b := find(ts[1])):
+                root[a] = b
+                (t, l), (u, k) = [(s, faces[s].index(j)) for s in ts]
+                erased[t].append((l, u, k))
+                erased[u].append((k, t, l))
+            else:
+                self.leftover.append(j)
+        self.generators = [self.offtree[j] for j in self.leftover]
+        # each disk's triangles breadth-first, and the erased edge from
+        # each triangle towards its disk's first
+        self.eps, self.disks, self.up = [0] * len(faces), [], {}
+        eps, up = self.eps, self.up
+        for first in range(len(eps)):
+            if not eps[first]:
+                eps[first], disk = 1, [first]
+                for t in disk:
+                    for l, u, k in erased[t]:
+                        if not eps[u]:
+                            eps[u] = -eps[t] * _SIGNS[l] * _SIGNS[k]
+                            up[u] = faces[t][l]
+                            disk.append(u)
+                self.disks.append(disk)
+
+    @cached_property
+    def relators(self):
+        """One word per disk, by the walk of its boundary."""
+        faces, eps = self.faces, self.eps
+        across = {(t, l): (u, k) for t, links in enumerate(self._erased)
+                  for l, u, k in links}
+        letter = {j: i for i, j in enumerate(self.leftover)}
+        relators = []
+        for disk in self.disks:
+            start = next((t, l) for t in sorted(disk)
+                         for l in (0, eps[t] % 3, -eps[t] % 3)
+                         if (t, l) not in across)
+            (t, l), word, steps = start, [], 0
+            while not steps or (t, l) != start:
+                j = faces[t][l]
+                if j is not None:  # a generator: tree edges read nothing
+                    word.append((letter[j], eps[t] * _SIGNS[l]))
+                steps += 1
+                l = (l + eps[t]) % 3
+                while (t, l) in across:
+                    t, l = across[t, l]
+                    l = (l + eps[t]) % 3
+            if steps != len(disk) + 2:
+                raise AssertionError("the walk does not go round one disk")
+            relators.append(tuple(word))
+        return relators
+
+    def fundamental_loop(self, edge, n=1):
+        """The fundamental loop of off-tree ``edge`` (u, v), u < v, run
+        n times, backwards when n < 0: a vertex path at vertex 0, down
+        the tree to u, across the edge, and up the tree from v."""
+        parent, paths = self.parent, []
+        for v in (edge if n > 0 else edge[::-1]):
+            paths.append([v])
+            while v:
+                v = parent[v]
+                paths[-1].append(v)
+        return [0] + (paths[0][-2::-1] + paths[1]) * abs(n)
+
+
+_SIGNS = (1, -1, 1)  # (-1)^l, the sign of face l in d_2
 
 
 class TreeGauge:
-    """Spanning tree of a connected complex with torsion-free H_1, and
-    the H_1 data that pins a commuting monodromy representation in it.
+    """The H_1 data of a connected complex with torsion-free H_1 that
+    pins a commuting monodromy representation in its breadth-first
+    tree, ``x.presentation.parent``.
 
-    ``paths`` holds each vertex's path from vertex 0 in the
-    breadth-first tree; ``classes`` holds the class in H_1 of each
-    ``offtree`` edge's fundamental loop, in canonical coordinates, and
-    ``loops`` one loop at vertex 0 per generator, in the canonical order.
+    ``classes`` holds the class in H_1 of each ``offtree`` edge's
+    fundamental loop, in canonical coordinates, and ``loops`` one loop
+    at vertex 0 per generator, in the canonical order.
 
     A 1-cycle is fixed by its coefficients on the off-tree edges, and
     the fundamental loop of off-tree edge j has coefficients e_j, so H_1
@@ -260,11 +350,12 @@ class TreeGauge:
     the class of the fundamental loop of the edge at pivot i, which is
     its loop.
 
-    On a closed orientable surface (``is_oriented_surface``) no
-    matrix is made (``_cotree``).  The off-tree edges join the triangles
-    they bound, and a union-find forest over them, taken in their order,
-    is a spanning tree of that dual graph, the cotree; the 2 - chi edges
-    it leaves over are ``loop_edges``.  These are the pivots of H, every
+    On a closed orientable surface, which ``orientation`` certifies, no
+    matrix is made.  Every off-tree edge bounds two triangles, and the
+    presentation's forest is one tree of them, the cotree: a set of
+    triangles the off-tree edges did not join would have a nonzero mod-2
+    boundary on the tree, which has no cycle.  Its generators are
+    ``loop_edges``.  These are the pivots of H, every
     pivot 1: the columns of H and the rows of A have dual matroids, the
     pivots read from the right are the greedy basis from the last
     column, and its complement is the greedy forest from the first
@@ -283,78 +374,32 @@ class TreeGauge:
     def __init__(self, x: SimplicialComplex):
         if not x.vertex_count:
             raise ValueError("base complex has no vertex")
-        adj = {i: [] for i in range(x.vertex_count)}
-        for (u, v) in x.simplices(1):  # edges come sorted, so do the lists
-            adj[u].append(v)
-            adj[v].append(u)
-        # the breadth-first tree: each vertex's parent, vertex 0 its own
-        self.parent = parent = [-1] * x.vertex_count
-        parent[0] = 0
-        queue = [0]
-        for u in queue:
-            for v in adj[u]:
-                if parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if len(queue) != x.vertex_count:
+        self._presentation = p = x.presentation
+        if p is None:
             raise ValueError("base complex is not connected")
-        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if v}
-        self.offtree = [e for e in x.simplices(1) if e not in tree]
-        if x.is_oriented_surface:
-            self._cotree(x)
-        else:
+        self.parent, self.offtree = p.parent, p.offtree
+        try:
+            x.orientation
+        except ValueError:  # not a closed orientable surface
             self._smith(x)
-
-    def _cotree(self, x):
-        index = {e: j for j, e in enumerate(self.offtree)}
-        # per triangle, its off-tree edges with their signs in d_2; per
-        # off-tree edge, the two triangles it bounds
-        self._relations, self._sides = [], [[] for _ in self.offtree]
-        for t, tri in enumerate(x.simplices(2)):
-            relation = []
-            for l, edge in enumerate(((tri[1], tri[2]), (tri[0], tri[2]),
-                                      (tri[0], tri[1]))):
-                j = index.get(edge)
-                if j is not None:
-                    relation.append((j, -1 if l == 1 else 1))
-                    self._sides[j].append(t)
-            self._relations.append(relation)
-        root = list(range(len(self._relations)))
-
-        def find(t):
-            while root[t] != t:
-                root[t] = t = root[root[t]]
-            return t
-        self._loop_indices = []
-        for j, (a, b) in enumerate(self._sides):
-            a, b = find(a), find(b)
-            if a == b:
-                self._loop_indices.append(j)
-            else:
-                root[a] = b
-        if len(self.offtree) - len(self._loop_indices) != len(root) - 1:
-            raise AssertionError("the off-tree edges do not join the "
-                                 "triangles")
-        self.loop_edges = [self.offtree[j] for j in self._loop_indices]
-        self.loops = [self._fundamental_loop(e, 1) for e in self.loop_edges]
+            return
+        self.loop_edges = p.generators
+        self.loops = [p.fundamental_loop(e) for e in self.loop_edges]
 
     @cached_property
     def classes(self):
         """On a surface: the loop edges are the unit vectors, and each
         other triangle, taken from the cotree's leaves to triangle 0,
         solves its relation for its cotree edge towards triangle 0."""
-        relations, n = self._relations, len(self._loop_indices)
+        p = self._presentation
+        # per triangle, its off-tree edges with their signs in d_2
+        relations = [[(j, _SIGNS[l]) for l, j in enumerate(faces)
+                      if j is not None] for faces in p.faces]
+        n = len(p.leftover)
         classes = [None] * len(self.offtree)  # each {coordinate: value}
-        for i, j in enumerate(self._loop_indices):
+        for i, j in enumerate(p.leftover):
             classes[j] = {i: 1}
-        towards = {0: None}  # triangle -> its cotree edge towards 0
-        order = [0]
-        for t in order:
-            for j, _ in relations[t]:
-                if classes[j] is None and j != towards[t]:
-                    a, b = self._sides[j]
-                    order.append(b if a == t else a)
-                    towards[order[-1]] = j
+        (order,), towards = p.disks, p.up
         for t in reversed(order[1:]):
             c = towards[t]
             sign = next(s for j, s in relations[t] if j == c)
@@ -371,7 +416,7 @@ class TreeGauge:
         return tuple(map(tuple, dense))
 
     def _smith(self, x):
-        k = len(self.offtree)
+        k, loop = len(self.offtree), self._presentation.fundamental_loop
         d2_rows = x.boundary_matrix(2).nonzero_rows()
         h1 = smith_normal_form(IntMatrix._trusted(
             [d2_rows[x.index(e)] for e in self.offtree], k,
@@ -385,35 +430,16 @@ class TreeGauge:
             # column p_i of the form is e_i: generator i is the class of
             # the fundamental loop of off-tree edge p_i
             self.loop_edges = [self.offtree[p] for p in pivots]
-            self.loops = [self._fundamental_loop(e, 1)
-                          for e in self.loop_edges]
+            self.loops = [loop(e) for e in self.loop_edges]
             return
         # no builtin reaches this, but an inline complex can: the
         # mapping cylinder of the degree-2 map of circles has one pivot 2
         self.loop_edges = None
         lift = solve(IntMatrix(form, shape=(len(form), k)),
                      IntMatrix.identity(len(form)))
-        self.loops = []
-        for j in range(len(form)):
-            path = [0]
-            for edge, n in zip(self.offtree, lift.column(j)):
-                path += self._fundamental_loop(edge, n)[1:]
-            self.loops.append(path)
-
-    def _fundamental_loop(self, edge, n):
-        """The fundamental loop of off-tree ``edge`` (u, v), u < v, run
-        n times, backwards when n < 0: a vertex path at vertex 0, down
-        the tree to u, across the edge, and up the tree from v."""
-        a, b = edge if n > 0 else edge[::-1]
-        return [0] + (self._to_root(a)[-2::-1] + self._to_root(b)) * abs(n)
-
-    def _to_root(self, v):
-        """The tree path from vertex v up to vertex 0."""
-        parent, path = self.parent, [v]
-        while v:
-            v = parent[v]
-            path.append(v)
-        return path
+        self.loops = [[0] + [v for e, n in zip(self.offtree, lift.column(j))
+                             for v in loop(e, n)[1:]]
+                      for j in range(len(form))]
 
 
 def _combine(terms):

@@ -12,8 +12,8 @@ A page is made from two cochain complexes, one per coefficient parity,
 on any cell structure of the base: cohomology does not depend on it.
 ``e1_page`` takes those of a graded bundle of local systems from
 ``cohomology.cochains``, which picks the cell structure from the base
-alone: the one-relator cell model on a closed orientable surface, the
-simplices elsewhere.  ``ncp_bundles`` hands ``first_page`` the
+alone: the cell model of its reduced presentation on a connected base
+of dimension 1 or 2, the simplices elsewhere.  ``ncp_bundles`` hands ``first_page`` the
 complexes of the one-vertex cell structure of a surface.  The first
 page is the cell-by-cell cochain module; it stores no differential and
 presents no entry.  Its groups are module ranks, and its d1 ranks

@@ -26,14 +26,22 @@ reference for ``cohomology.build``.  ``ScanElimination`` is the SNF
 kernel's elimination with its pivot columns found by a scan of every
 active column: the reference for the kernel's count buckets.
 
+``klein_bottle`` is a non-orientable closed test surface, with the
+flat systems of its non-abelian fundamental group (``klein_transports``),
+and ``flat_signs`` a random flat system of signs on any complex, by
+elimination over F_2.
+
 ``iterated_connected_sum`` builds genus(g) one connected sum at a
 time, a whole complex after each: the reference for the one-pass
 ``genus_surface``.  ``smith_gauge`` takes the SNF and Hermite path of
 ``TreeGauge`` on any complex, surfaces included: the reference for the
-cotree gauge of a surface.
+cotree gauge of a surface.  ``surface_word`` walks a closed orientable
+surface's one disk by its coherent orientation, and
+``check_surface_word`` certifies the word: the reference for the
+relator of its reduced presentation.
 
 ``cup_intersection_form`` gives a surface's intersection form from its
-triangles' cup products, the reference for the form its boundary word
+triangles' cup products, the reference for the form its relator
 gives (``word_intersection_form``) and for the ``ncp`` even complex.
 The floating-point front end, ``winding_number``, ``chern_cocycle`` and
 ``torus_transition_data``, is kept here for acceptance criterion 09:
@@ -321,6 +329,82 @@ def pinched_torus() -> SimplicialComplex:
     return SimplicialComplex(24, tris)
 
 
+def _klein_vertex(i, j):
+    """Grid point (i, j), 0 <= i, j <= 4, of ``klein_bottle``."""
+    if i == 4:
+        i, j = 0, -j
+    return 4 * i + j % 4
+
+
+def klein_bottle() -> SimplicialComplex:
+    """The 4 x 4 grid with (i, 4) glued to (i, 0) and (4, j) to
+    (0, -j): a closed surface that is not orientable, with H_1 =
+    Z (+) Z/2."""
+    tris = []
+    for i in range(4):
+        for j in range(4):
+            a, b = _klein_vertex(i, j), _klein_vertex(i + 1, j + 1)
+            tris += [(a, _klein_vertex(i + 1, j), b),
+                     (a, _klein_vertex(i, j + 1), b)]
+    return SimplicialComplex(16, tris)
+
+
+def klein_transports(a, b):
+    """The transports {edge: T} of the flat system on ``klein_bottle``
+    of a representation of its fundamental group, given on the deck
+    transformations t_a (x, y) -> (x, y + 4) and t_b (x, y) -> (x + 4,
+    -y) of the plane, which satisfy t_b t_a t_b^-1 = t_a^-1, by
+    matrices with b a b^-1 = a^-1; they need not commute.
+
+    Each grid point (i, j), 0 <= i, j < 4, holds its own fiber; an edge
+    from it to grid point (i', j') = g (i'', j''), where (i'', j'') has
+    0 <= i'', j'' < 4, carries rho(g)^-1, read from the triangles' own
+    lifts to the plane, so the system is flat."""
+    ident = IntMatrix.identity(a.nrows)
+    a_inv = a.inverse_unimodular()
+    table = {}
+    for i in range(4):
+        for j in range(4):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                ii, jj = i + di, j + dj
+                if ii < 4:
+                    g = a if jj == 4 else ident
+                else:
+                    g = b if jj == 0 else b * a_inv
+                u, v = _klein_vertex(i, j), _klein_vertex(ii, jj)
+                t = g.inverse_unimodular()
+                table[min(u, v), max(u, v)] = t if u < v else g
+    return table
+
+
+def flat_signs(x, rng):
+    """A uniformly random flat system of signs on x, as its transports
+    {edge: +-1}: a 1-cocycle over F_2, found by elimination over F_2 on
+    the triangle equations c(ab) + c(bc) + c(ac) = 0, with no cell
+    model and no spanning tree.  The rows are kept reduced, so each
+    holds one pivot column; the other columns take random values and
+    fix the pivots."""
+    edges = x.simplices(1)
+    col = {e: k for k, e in enumerate(edges)}
+    pivots = {}  # pivot column -> its row, as a bit mask
+    for a, b, c in x.simplices(2):
+        row = (1 << col[a, b]) | (1 << col[b, c]) | (1 << col[a, c])
+        for p, r in pivots.items():
+            if row >> p & 1:
+                row ^= r
+        if row:
+            p = row.bit_length() - 1
+            for q, r in pivots.items():
+                if r >> p & 1:
+                    pivots[q] = r ^ row
+            pivots[p] = row
+    bits = [rng.randint(0, 1) for _ in edges]
+    for p, r in pivots.items():
+        bits[p] = sum(bits[k] for k in range(len(edges))
+                      if k != p and r >> k & 1) % 2
+    return {e: 1 - 2 * bits[col[e]] for e in edges}
+
+
 def dense_coboundary(x, system, p, sign=None) -> IntMatrix:
     """D_p of a system's simplicial cochains, assembled as dense rows:
     the block of (sigma, tau) for the l-th face tau of a (p+1)-simplex
@@ -399,6 +483,62 @@ def smith_gauge(x) -> TreeGauge:
     """The ``TreeGauge`` of the 2-complex ``x`` by its SNF and Hermite
     path, which a closed surface does not take."""
     return TreeGauge(_Unoriented(x.vertex_count, x.simplices(2)))
+
+
+def surface_word(x):
+    """The relator of the one-relator cell model of a closed oriented
+    surface, by the walk of the one disk left by cutting it along the
+    breadth-first tree and the cotree (Eppstein, SODA 2003): the
+    reference for the one relator of ``x.presentation``, which reads no
+    ``orientation``.  Letters (i, s), x_i^s, over the generators of
+    ``tree_gauge.loops``.
+
+    The boundary is walked on half-edges, each triangle's edges directed
+    by the coherent ``orientation``: after u -> v comes v -> w of the
+    same triangle, and while v -> w is a cotree edge, interior to the
+    disk, the walk turns about v into the triangle across it.  A
+    half-edge of loop edge (a, b), a < b, reads x_i from a to b and
+    x_i^-1 back; tree edges read nothing.  The walk must cover every
+    non-cotree half-edge exactly once, and the word is certified by
+    ``check_surface_word``.  A failure raises ValueError, as on any
+    complex that is not a closed orientable surface."""
+    gauge = x.tree_gauge
+    loop_edges = gauge.loop_edges or ()
+    letters = {}
+    for i, (a, b) in enumerate(loop_edges):
+        letters[a, b], letters[b, a] = (i, 1), (i, -1)
+    cotree = set(gauge.offtree) - set(loop_edges)
+    after = {}  # half-edge -> the next one around its triangle
+    for eps, (a, b, c) in zip(x.orientation, x.simplices(2)):
+        cycle = (a, b, c) if eps > 0 else (a, c, b)
+        for k in range(3):
+            after[cycle[k - 2], cycle[k - 1]] = (cycle[k - 1], cycle[k])
+    walk = [next(h for h in after if tuple(sorted(h)) not in cotree)]
+    while len(walk) <= len(after):
+        h = after[walk[-1]]
+        while tuple(sorted(h)) in cotree:
+            h = after[h[::-1]]
+        if h == walk[0]:
+            break
+        walk.append(h)
+    if len(walk) != 2 * (x.n_simplices(1) - len(cotree)):
+        raise ValueError("the surface cut along its tree and cotree "
+                         "is not one disk")
+    word = tuple(letters[h] for h in walk if h in letters)
+    check_surface_word(word, len(gauge.loops))
+    return word
+
+
+def check_surface_word(word, generators):
+    """Certify ``word``, letters (i, s) with s = +-1, as the relator of
+    a closed oriented surface on ``generators`` = 2 - chi generators,
+    2g on a genus-g surface: its length is twice that, and each
+    generator occurs twice, once with each sign.  A failure raises
+    ValueError."""
+    if len(word) != 2 * generators or sorted(word) != sorted(
+            (i, s) for i in range(generators) for s in (-1, 1)):
+        raise ValueError("boundary word %r is not a surface relator on "
+                         "%d generators" % (word, generators))
 
 
 def cup_intersection_form(x) -> IntMatrix:

@@ -668,8 +668,8 @@ def test_spectral_job_transforms_no_coboundary(kernel_calls, capsys,
     x = cli.parse_complex("torus2")
     coboundaries = {_kernel_input(d)
                     for system in doc["system"].values()
-                    for d in cohomology.surface_complex(
-                        cli.parse_system(system, x)).differentials
+                    for d in cohomology.cochains(
+                        x, cli.parse_system(system, x)).differentials
                     if not d.is_zero()}
     # delta_0 and delta_1 of the even system; the constant odd system's
     # cell coboundaries are zero
@@ -795,11 +795,11 @@ def _matrix_json(m):
 
 def _transports_system(rng, x, rank, kind):
     """A system on the closed surface x given by its transports: flat,
-    from loop matrices that need not commute where the boundary word
+    from loop matrices that need not commute where the surface's relator
     allows a pair, then gauge-twisted, tree edges included, at random;
     for ``nonflat``, one edge is then negated, which breaks flatness on
     both triangles at that edge."""
-    loops, word = len(x.tree_gauge.loops), x.boundary_word
+    loops, (word,) = len(x.tree_gauge.loops), x.presentation.relators
     a, b = random_commuting_pair(rng, rank)
     mats = [a.power(rng.randint(-1, 1)) * b.power(rng.randint(-1, 1))
             for _ in range(loops)]
@@ -969,9 +969,10 @@ def test_named_bases_are_built_once_per_process(monkeypatch, kernel_calls,
 
 def test_group_cohomology_builds_no_local_system(monkeypatch, kernel_calls,
                                                   capsys, tmp_path):
-    """Group cohomology comes from the Koszul complex of the action, so
-    a job builds no simplicial complex, no local system and no cochains
-    of a triangulation."""
+    """Group cohomology comes from the Fox complex of the group's
+    presentation, <x> or <x, y | x y x^-1 y^-1>, under the action, so a
+    job builds no simplicial complex, no local system and no cochains of
+    a triangulation."""
     def refuse(*args, **kwargs):
         raise AssertionError("group cohomology reached a complex")
     for owner, name in ((SimplicialComplex, "__init__"),

@@ -7,14 +7,14 @@ from leray.exactlinalg import FgAbGroup, IntMatrix, kernel
 from leray.cohomology import (
     CochainComplex,
     build,
+    cochains,
     cohomology,
     cohomology_groups,
     convention_compare,
     fox_complex,
     groups,
-    surface_complex,
 )
-from leray.group_cohomology import ZnModule, koszul_complex
+from leray.group_cohomology import _RELATORS, ZnModule
 from leray.local_systems import (FlatnessError, LocalSystem, from_monodromy,
                                  transport_along)
 from leray.simplicial import (builtin, circle, genus_surface, simplex, sphere2,
@@ -246,6 +246,13 @@ def test_groups_equal_the_quotients_of_cohomology(convention):
     assert seen_torsion
 
 
+def _zn_complex(module):
+    """The Fox complex ``zn_cohomology`` reads: that of the presentation
+    <x> of Z or <x, y | x y x^-1 y^-1> of Z^2, the Koszul complex."""
+    return fox_complex(_RELATORS[module.n],
+                       list(zip(module.action, module.inverses)), module.rank)
+
+
 def test_groups_equal_the_quotients_of_cohomology_on_koszul_complexes():
     rng = random.Random(2002)
     modules = [ZnModule(2, (K2, K4)), ZnModule(2, (K2,)),
@@ -254,10 +261,10 @@ def test_groups_equal_the_quotients_of_cohomology_on_koszul_complexes():
         modules.append(ZnModule(m, random_commuting_pair(rng, m)))
         modules.append(ZnModule(m, (random_unimodular(rng, m),)))
     for module in modules:
-        c = koszul_complex(module)
+        c = _zn_complex(module)
         reference = [cohomology(c, p).quotient
                      for p in range(c.dimension + 1)]
-        assert groups(koszul_complex(module)) == reference, module
+        assert groups(_zn_complex(module)) == reference, module
 
 
 def test_groups_refuse_a_negative_free_rank():
@@ -348,7 +355,7 @@ def test_cell_model_groups_equal_the_simplicial_ones():
             from_monodromy(x, block_unipotent_family(rng, loops),
                            fiber_rank=6) for _ in range(12)]
         for system in systems:
-            cell = tuple(groups(surface_complex(system)))
+            cell = tuple(groups(cochains(x, system)))
             assert "_table" not in vars(system)
             both = convention_compare(x, system)
             assert both.classical == both.e1 == cell, name
@@ -364,7 +371,7 @@ def test_fox_complex_of_the_torus_word():
     a, b = IntMatrix([[1, 2], [0, 1]]), IntMatrix([[1, 4], [0, 1]])
     word = ((1, 1), (0, 1), (1, -1), (0, -1))
     action = [(a, a.inverse_unimodular()), (b, b.inverse_unimodular())]
-    c = fox_complex(word, action, 2)
+    c = fox_complex([word], action, 2)
     ident = IntMatrix.identity(2)
     assert c.differential(0) == (a - ident).vstack(b - ident)
     assert c.differential(1) == (b - ident).hstack(ident - a)
@@ -379,7 +386,7 @@ def test_fox_complex_rejects_an_action_the_word_does_not_kill():
     word = ((1, 1), (0, 1), (1, -1), (0, -1))
     action = [(a, a.inverse_unimodular()), (b, b.inverse_unimodular())]
     with pytest.raises(AssertionError, match="square to zero"):
-        fox_complex(word, action, 2)
+        fox_complex([word], action, 2)
 
 
 def test_fox_blocks_read_the_prefix_left_to_right():
@@ -390,13 +397,13 @@ def test_fox_blocks_read_the_prefix_left_to_right():
     ab = a * b.inverse_unimodular()
     action = [(g, g.inverse_unimodular())
               for g in (a, b, ab.inverse_unimodular())]
-    c = fox_complex(((0, 1), (1, -1), (2, 1)), action, 2)
+    c = fox_complex([((0, 1), (1, -1), (2, 1))], action, 2)
     assert c.differential(1) == \
         IntMatrix.identity(2).hstack(-ab).hstack(ab)
 
 
 def test_cell_delta0_is_the_simplicial_coboundary_on_the_loop_edges():
-    """surface_complex takes rho(x_i) = T_i^-1, T_i the transport around
+    """The cell model takes rho(x_i) = T_i^-1, T_i the transport around
     loop i: a 0-cochain with one value v at every vertex, constant in
     the tree gauge, has the e1 coboundary v - T_i^-1 v on loop edge i,
     which is -(rho(x_i) - I) v, block i of delta_0 up to sign."""
@@ -404,7 +411,7 @@ def test_cell_delta0_is_the_simplicial_coboundary_on_the_loop_edges():
     system = from_monodromy(x, block_unipotent_family(
         random.Random("delta0"), 4), fiber_rank=6)
     d = build(x, system).differential(0).rows()
-    cell = surface_complex(system).differential(0)
+    cell = cochains(x, system).differential(0)
     for i, edge in enumerate(x.tree_gauge.loop_edges):
         rows = d[6 * x.index(edge):6 * x.index(edge) + 6]
         on_constant = IntMatrix([[sum(row[6 * v + b]
@@ -415,7 +422,7 @@ def test_cell_delta0_is_the_simplicial_coboundary_on_the_loop_edges():
 
 def test_cell_model_groups_of_noncommuting_systems():
     """Flat systems with non-commuting holonomy, which only a table of
-    transports can give: where the boundary word, cut down to two
+    transports can give: where the surface's relator, cut down to two
     generators, reduces to the empty word, any two matrices on those
     loops and the identity on the others are a flat system.  The Fox
     complex of the holonomy around the loops has the groups of the
@@ -424,7 +431,7 @@ def test_cell_model_groups_of_noncommuting_systems():
     cases = 0
     for name in ("genus(2)", "genus(3)"):
         x = builtin(name)
-        word, loops = x.boundary_word, x.tree_gauge.loops
+        (word,), loops = x.presentation.relators, x.tree_gauge.loops
         for i, j in combinations(range(len(loops)), 2):
             if not freely_trivial([l for l in word if l[0] in (i, j)]):
                 continue
@@ -435,7 +442,7 @@ def test_cell_model_groups_of_noncommuting_systems():
             system = flat_system_from_loops(x, mats)
             assert [transport_along(system, loop) for loop in loops] == mats
             action = [(t.inverse_unimodular(), t) for t in mats]
-            assert tuple(groups(fox_complex(word, action, 3))) == \
+            assert tuple(groups(fox_complex([word], action, 3))) == \
                 tuple(groups(build(x, system))), (name, i, j)
             cases += 1
     assert cases >= 4

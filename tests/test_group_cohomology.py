@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from leray.cohomology import build, groups
+from leray.cohomology import build, fox_complex, groups
 from leray.exactlinalg import FgAbGroup, IntMatrix
-from leray.group_cohomology import ZnModule, zn_cohomology
+from leray.group_cohomology import _RELATORS, ZnModule, zn_cohomology
 from leray.local_systems import from_monodromy
 from leray.simplicial import circle, torus2
 
@@ -116,6 +116,28 @@ def test_each_koszul_differential_is_decomposed_once(kernel_calls, mats):
     assert sorted(kernel_calls) == sorted(
         {(d.nrows, d.ncols, d.rows()) for d in (d0, top)})
     assert kernel_calls.transformed == []
+
+
+def test_the_fox_complex_is_the_koszul_complex():
+    """zn_cohomology reads the Fox complex of <x> or <x, y | x y x^-1
+    y^-1> with rho(x_i) = A_i: d0 = [A_1 - I; A_2 - I] and d1 = [I - A_2
+    | A_1 - I], the Koszul complex of the B_i = A_i - I, matrix for
+    matrix, on 50 random actions; the module keeps the inverses its
+    check made."""
+    rng = random.Random(34)
+    for k in range(50):
+        m = 1 + k % 4
+        mats = random_commuting_pair(rng, m) if k % 5 else \
+            (random_unimodular(rng, m),)
+        module = ZnModule(m, mats)
+        assert [a * inv for a, inv in zip(mats, module.inverses)] == \
+            [IntMatrix.identity(m)] * len(mats)
+        c = fox_complex(_RELATORS[module.n],
+                        list(zip(module.action, module.inverses)), m)
+        b = [a - IntMatrix.identity(m) for a in mats]
+        koszul = [b[0]] if len(b) == 1 else \
+            [b[0].vstack(b[1]), (-b[1]).hstack(b[0])]
+        assert c.differentials == tuple(koszul + [IntMatrix.zeros(0, m)])
 
 
 def test_rejects_noncommuting():

@@ -10,7 +10,6 @@ from leray.ncp_bundles import NcpTorusBundleSpec
 from leray.simplicial import (
     SimplicialComplex,
     builtin,
-    check_surface_word,
     circle,
     genus_surface,
     shared_builtin,
@@ -19,8 +18,9 @@ from leray.simplicial import (
     torus2,
 )
 
-from oracles import (cup_intersection_form, integral_homology,
-                     iterated_connected_sum, smith_gauge,
+from oracles import (check_surface_word, cup_intersection_form,
+                     integral_homology, iterated_connected_sum,
+                     pinched_torus, smith_gauge, surface_word,
                      word_intersection_form)
 
 
@@ -169,14 +169,14 @@ def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
 
 
 def test_fresh_surface_gauge_and_word_call_no_kernel(kernel_calls):
-    """On a closed surface the gauge, its classes and the boundary word
-    come from the cotree: no SNF and no Hermite form."""
+    """On a closed surface the gauge, its classes and the relator come
+    from the presentation's cotree: no SNF and no Hermite form."""
     kernel_calls.refuse()
     x = genus_surface(8)
     assert "tree_gauge" not in vars(x)
     gauge = x.tree_gauge
     assert len(gauge.classes) == len(gauge.offtree)
-    assert len(x.boundary_word) == 32
+    assert [len(w) for w in x.presentation.relators] == [32]
 
 
 def test_surfaces_build_without_smith_forms(kernel_calls):
@@ -240,7 +240,7 @@ def test_one_pass_build_equals_the_iterated_connected_sum(g):
     for p in range(3):
         assert x.simplices(p) == y.simplices(p)
     assert x.orientation == y.orientation
-    assert x.boundary_word == y.boundary_word
+    assert x.presentation.relators == y.presentation.relators
 
 
 def _relabelled(x, shift):
@@ -361,15 +361,16 @@ _SURFACES = ["sphere2", "torus2"] + ["genus(%d)" % g for g in range(1, 9)]
 
 @pytest.mark.parametrize("name", _SURFACES)
 def test_boundary_word_is_a_certified_surface_relator(name):
-    """The walk of the disk left by cutting along the tree and the
-    cotree reads a word of length 4g in which each generator occurs
-    twice, with opposite signs; the walk covers every half-edge of the
-    2(V - 1 + 2g) tree and loop edges once, each a letter or a tree
-    step."""
+    """A closed surface's presentation has one relator, the walk of the
+    disk left by cutting along the tree and the cotree: a word of length
+    4g in which each generator occurs twice, with opposite signs; the
+    walk covers every half-edge of the 2(V - 1 + 2g) tree and loop edges
+    once, each a letter or a tree step."""
     x = builtin(name)
-    gauge = x.tree_gauge
-    word = x.boundary_word
+    gauge, p = x.tree_gauge, x.presentation
+    (word,) = p.relators
     g = (2 - x.euler_characteristic()) // 2
+    assert p.generators == gauge.loop_edges
     assert len(gauge.loops) == len(gauge.loop_edges) == 2 * g
     assert len(word) == 4 * g
     for i in range(2 * g):
@@ -381,29 +382,49 @@ def test_boundary_word_is_a_certified_surface_relator(name):
     check_surface_word(word, 2 * g)
 
 
+_WALKED = ([builtin(name) for name in _SURFACES]
+           + [genus_surface(49), genus_surface(113), pinched_torus(),
+              _relabelled(torus2(), 3), _relabelled(genus_surface(2), 5),
+              _relabelled(genus_surface(3), 8), _relabelled(sphere2(), 1)])
+
+
+@pytest.mark.parametrize("x", _WALKED, ids=_SURFACES + [
+    "genus(49)", "genus(113)", "pinched-torus", "torus2-relabelled",
+    "genus2-relabelled", "genus3-relabelled", "sphere2-relabelled"])
+def test_the_forest_walk_reads_the_surface_walk(x):
+    """On a closed orientable surface the presentation's one relator,
+    read with each triangle oriented relative to its forest parent, is
+    the word the walk of the coherently oriented disk reads, letter for
+    letter, and its generators are the gauge's loop edges."""
+    p = x.presentation
+    assert p.relators == [surface_word(x)]
+    assert p.generators == x.tree_gauge.loop_edges
+
+
 @pytest.mark.parametrize("name", _SURFACES[1:5])
 def test_boundary_word_reads_the_intersection_form(name):
-    """The word is the relator of the triangulation's own cell
-    structure: the form it gives, J_ab = sum_k s_k alpha_a(p_k)
-    [x_k = b], is the intersection form the triangles' cup products
-    give, with no sign or transpose."""
+    """The relator is that of the triangulation's own cell structure:
+    the form it gives, J_ab = sum_k s_k alpha_a(p_k) [x_k = b], is the
+    intersection form the triangles' cup products give, with no sign or
+    transpose."""
     x = builtin(name)
     loops = len(x.tree_gauge.loops)
-    assert word_intersection_form(x.boundary_word, loops) == \
+    assert word_intersection_form(x.presentation.relators[0], loops) == \
         cup_intersection_form(x)
 
 
 def test_boundary_words_of_torus2_and_genus2():
-    assert torus2().boundary_word == ((1, 1), (0, 1), (1, -1), (0, -1))
-    assert len(genus_surface(2).boundary_word) == 8
-    assert sphere2().boundary_word == ()
+    assert torus2().presentation.relators == [
+        ((1, 1), (0, 1), (1, -1), (0, -1))]
+    assert [len(w) for w in genus_surface(2).presentation.relators] == [8]
+    assert sphere2().presentation.relators == [()]
 
 
 @pytest.mark.parametrize("name", _SURFACES[1:])
 def test_mutated_boundary_words_are_rejected(name):
     """A word with one letter's sign flipped, or one letter dropped, is
     not a surface relator on its generators."""
-    word = list(builtin(name).boundary_word)
+    word = list(builtin(name).presentation.relators[0])
     n = len(word) // 2
     for k, (i, s) in enumerate(word):
         flipped = word[:k] + [(i, -s)] + word[k + 1:]
@@ -414,17 +435,28 @@ def test_mutated_boundary_words_are_rejected(name):
 
 
 def test_boundary_word_is_made_on_first_read(kernel_calls):
-    """Neither the build nor the gauge makes the word; it is kept once
-    read, and costs no SNF on a gauged base."""
+    """The build makes no presentation, and the gauge, which reads the
+    presentation's tree and forest, walks no relator; the relators are
+    walked on first read, with no SNF, and kept."""
     x = genus_surface(3)
-    x.tree_gauge
-    assert "boundary_word" not in vars(x)
+    assert "presentation" not in vars(x)
+    gauge = x.tree_gauge
+    p = x.presentation
+    assert gauge.parent is p.parent and gauge.loop_edges is p.generators
+    assert "relators" not in vars(p)
     kernel_calls.clear()
-    word = x.boundary_word
+    relators = p.relators
     assert kernel_calls == []
-    assert x.boundary_word is word
+    assert x.presentation.relators is relators
 
 
 def test_boundary_word_needs_a_closed_surface():
+    """The surface walk needs a coherent orientation; the presentation
+    does not: a circle has one generator and no relator, and a
+    disconnected or empty complex has no presentation."""
     with pytest.raises(ValueError, match="not a closed connected surface"):
-        circle(5).boundary_word
+        surface_word(circle(5))
+    p = circle(5).presentation
+    assert (p.generators, p.relators) == ([(2, 3)], [])
+    assert SimplicialComplex(4, [(0, 1), (2, 3)]).presentation is None
+    assert SimplicialComplex(0, []).presentation is None

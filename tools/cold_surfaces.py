@@ -7,8 +7,10 @@ For each genus g (default 8, 16, 32, 49, 100, 113) a fresh ``python3
 -I`` process imports ``leray`` from the ``src/`` beside this directory
 and runs one ``ncp`` job on ``genus(g)``, windings (2, 4, 0, ...) and
 Chern pairings (1, 0), as ``leray ncp --emit machine`` would: it builds
-the base through the per-process cache, reads its tree gauge and its
-boundary word, then runs the job, which finds all three kept.  Prints
+the base through the per-process cache, reads its tree gauge, which
+makes the reduced presentation's tree and forest, and the relator that
+the presentation's walk reads, then runs the job, which finds all three
+kept.  Prints
 the milliseconds of each step and their total, as the process measures
 them, then the wall time of the whole process, interpreter start and
 exit included, and its peak resident set size.  A job that does not
@@ -38,7 +40,7 @@ x = shared_builtin("genus(%d)" % g)
 t.append(clock())
 x.tree_gauge
 t.append(clock())
-x.boundary_word
+x.presentation.relators
 t.append(clock())
 doc = {"bundle": {"base": "genus(%d)" % g, "chern": [1, 0],
                   "windings": [2, 4] + [0] * (2 * g - 2)}}

@@ -15,11 +15,14 @@ Every catalogue job names its base, so a second line digests the same
 way the runs of ``off_catalogue()``, a fixed list of documents kept
 here: closed surfaces given inline (relabelled builtins and a pinched
 torus), flat and non-flat ``transports`` systems, ``circle``,
-``simplex``, and the real projective plane, where a ``monodromy``
-system is refused.  Each runs through ``cohomology`` under both
-conventions, ``spectral`` (its odd part constant) and ``check``, in
-both emit modes.  To compare two checkouts, copy this file into the
-other one and run it there.
+``simplex``, the real projective plane, with the constant system, its
+orientation character as signs, and a ``monodromy`` system, which is
+refused, a Klein bottle, the mapping cylinder of the degree-2 map of
+circles with ``monodromy`` [[-1]], a path graph and a disconnected
+complex.  Each runs through ``cohomology`` under both conventions,
+``spectral`` (its odd part constant) and ``check``, in both emit modes.
+To compare two checkouts, copy this file into the other one and run it
+there.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import sys
+from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -43,6 +47,18 @@ MODES = ("human", "machine")
 RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
 SWAP = ((0, 1), (1, 0))
+# the edges where RP2's orientation character, as a flat sign system,
+# carries -1
+RP2_TWIST = [(0, 3), (0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4),
+             (3, 5), (4, 5)]
+# the mapping cylinder of the degree-2 map of circles, with a collar:
+# H_1 = Z, and the class of an off-tree edge's loop is twice the generator
+CYLINDER_Z2 = [
+    (0, 4, 8), (0, 8, 9), (0, 9, 13), (1, 2, 6), (1, 2, 7), (1, 3, 7),
+    (1, 3, 9), (1, 6, 8), (1, 8, 9), (2, 6, 11), (2, 7, 12), (2, 10, 11),
+    (2, 10, 12), (3, 5, 6), (3, 5, 7), (3, 6, 11), (3, 9, 11), (4, 5, 8),
+    (4, 5, 14), (5, 6, 8), (5, 7, 14), (7, 12, 14), (9, 11, 13),
+    (10, 11, 13)]
 
 
 def run(job, emit):
@@ -101,6 +117,19 @@ def grid_torus(pinch=False):
     return 24 if pinch else 25, tris, steps
 
 
+def klein_bottle():
+    """The 4 x 4 grid with (i, 4) glued to (i, 0) and (4, j) to (0, -j),
+    as an inline complex."""
+    def name(i, j):
+        return 4 * (i % 4) + (-j if i == 4 else j) % 4
+    tris = []
+    for i in range(4):
+        for j in range(4):
+            tris += [[name(i, j), name(i + 1, j), name(i + 1, j + 1)],
+                     [name(i, j), name(i, j + 1), name(i + 1, j + 1)]]
+    return {"vertices": 16, "simplices": tris}
+
+
 def transports(steps, broken=None):
     """The ``transports`` of a system: each edge (u, v), u < v, carries
     ``steps[u, v]``, negated on the edge ``broken``."""
@@ -151,6 +180,18 @@ def off_catalogue():
             "%d-%d" % e: [[1]] for e in builtin("simplex(3)").simplices(1)}}),
         ({"vertices": 6, "simplices": RP2}, {"rank": 1, "constant": True}),
         ({"vertices": 6, "simplices": RP2}, {"rank": 1, "monodromy": []}),
+        ({"vertices": 6, "simplices": RP2}, {"rank": 2, "transports": {
+            "%d-%d" % e: [[-1, 0], [0, -1]] if e in RP2_TWIST else
+            [[1, 0], [0, 1]] for t in RP2 for e in combinations(t, 2)}}),
+        (klein_bottle(), {"rank": 2, "constant": True}),
+        ({"vertices": 15, "simplices": CYLINDER_Z2},
+         {"rank": 1, "monodromy": [[[-1]]]}),
+        ({"vertices": 5, "simplices": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+         {"rank": 2, "transports": {"0-1": SWAP, "1-2": shear(3),
+                                    "2-3": SWAP, "3-4": shear(-1)}}),
+        ({"vertices": 7, "simplices": [[0, 1, 2], [3, 4], [4, 5], [5, 6],
+                                       [3, 6]]},
+         {"rank": 2, "constant": True}),
     ]
 
 
