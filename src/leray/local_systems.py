@@ -17,20 +17,21 @@ its transports, before its holonomy is read.
 
 ``from_monodromy`` realizes prescribed holonomy matrices in the base's
 spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
-base): transports are the identity on tree edges, and each off-tree
-edge carries the image of its fundamental cycle class.  This requires
-the prescribed matrices to commute pairwise (the representation factors
-through first homology).  The ``cohomology``, ``check`` and ``spectral``
-commands use it.
+base): transports are the identity on tree edges, each generator edge
+of ``base.presentation`` carries the image of its class in H_1, and
+every other edge is solved by flatness along the presentation's forest.
+This requires the prescribed matrices to commute pairwise (the
+representation factors through first homology).  The ``cohomology``,
+``check`` and ``spectral`` commands use it.
 
 Every system has a ``holonomy``, one pair (T_i, T_i^-1) per generator
 of ``base.presentation``, T_i the transport around the fundamental loop
 of its edge.  A ``constant`` system's are identities, read off no
-gauge.  A system from ``from_monodromy`` keeps the checked matrices it
-was made from, which are its holonomy where the generators are the
-gauge's loop edges, as on every closed orientable surface, and makes
-its transport table only when a transport is read; elsewhere its
-holonomy is read off a table of edge transports.  A system given by its transports reads its
+gauge.  A system from ``from_monodromy`` makes its holonomy from the
+checked matrices it was made from, one product of their powers per
+generator's class, which on every closed orientable surface is one of
+the matrices itself, and makes its transport table only when a
+transport is read.  A system given by its transports reads its
 holonomy with ``transport_along``, once it is certified flat.  On every
 connected base of dimension 1 or 2, the ``cohomology`` and ``spectral``
 commands read the holonomy alone, for the cell model of the base's
@@ -183,38 +184,51 @@ class GradedKBundle:
         return self.even if parity % 2 == 0 else self.odd
 
 
+def _compose(steps, identity):
+    """The composite of ``steps``, matrices in the order they act,
+    ``identity`` where there is none.  It multiplies by no identity,
+    such as the transport along a tree edge of the gauge: a step is
+    read for the identity only where it would enter a product, and a
+    step that is ``identity`` itself is skipped unread."""
+    result = identity
+    for step in steps:
+        if step is identity:
+            continue
+        if result is identity or result.is_identity():
+            result = step
+        elif not step.is_identity():
+            result = step * result
+    return result
+
+
 def transport_along(system: LocalSystem, path) -> IntMatrix:
     """Ordered product of edge transports along a vertex path.
 
     The result carries the fiber at ``path[0]`` to the fiber at
-    ``path[-1]``.  The product starts from the first step that is not
-    the identity and multiplies by no identity, such as the transport
-    along a tree edge of the gauge.
+    ``path[-1]``, by ``_compose``.
     """
     verts = list(path)
     if not verts:
         raise ValueError("empty path")
-    result = None
-    for u, v in zip(verts, verts[1:]):
+    steps = list(zip(verts, verts[1:]))
+    for u, v in steps:
         if not system.base.adjacent(u, v):
             raise ValueError("path step (%r, %r) is not an edge" % (u, v))
-        step = system.transport(u, v)
-        if not step.is_identity():
-            result = step if result is None else step * result
-    return IntMatrix.identity(system.fiber_rank) if result is None else result
+    return _compose((system.transport(u, v) for u, v in steps),
+                    IntMatrix.identity(system.fiber_rank))
 
 
 def flatness_check(system: LocalSystem):
     """List of 2-simplices where the composite transport fails to close.
 
-    An empty list means the system is flat.
+    An empty list means the system is flat.  Each composite is made by
+    ``_compose``, so a tree edge of the gauge multiplies nothing.
     """
-    violations = []
-    for (u, v, w) in system.base.simplices(2):
-        lhs = system.transport(v, w) * system.transport(u, v)
-        if lhs != system.transport(u, w):
-            violations.append((u, v, w))
-    return violations
+    ident = IntMatrix.identity(system.fiber_rank)
+    transport = system.transport
+    return [(u, v, w) for (u, v, w) in system.base.simplices(2)
+            if _compose((transport(u, v), transport(v, w)), ident)
+            != transport(u, w)]
 
 
 def require_flat(system: LocalSystem):
@@ -232,20 +246,21 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     alone fixes (see ``TreeGauge``), so the matrices pin a commuting
     representation completely.  They must commute pairwise.  Their
     count is checked first, then the matrices, by ``action_inverses``.
-    Tree edges carry the identity, so the holonomy equals the given
-    matrices exactly, with no basepoint conjugation; an off-tree edge of
-    class c carries prod m_i^(c_i) forwards and prod m_i^(-c_i)
-    backwards, each power made once per table, and each product started
-    from its first power, not from the identity.  The table is made when
-    a transport is first read, and the holonomy along each loop is
-    certified then, and flatness by ``cohomology.build``.
 
-    The ``holonomy`` around each generator of ``base.presentation`` is
-    the pair its edge carries.  Where those edges are the gauge's
-    ``loop_edges``, as on every closed orientable surface, that is the
-    checked matrices with their inverses, and a job on the cell model
-    makes no table; elsewhere the holonomy makes a table of its own, so
-    the system holds no reference to itself.
+    The ``holonomy`` around generator i of ``base.presentation`` is
+    prod_j A_j^(c_ij) over its class c_i in ``generator_classes``, and
+    the inverse prod_j A_j^(-c_ij), each product started from its first
+    power; on a closed orientable surface c_i = e_i, so it is the
+    checked matrix and its inverse, and a job on the cell model makes no
+    table.  The table is made by flatness when a transport is first
+    read: tree edges carry the identity, and each generator edge its
+    holonomy pair, so the holonomy equals the given matrices exactly,
+    with no basepoint conjugation.  Each disk of the presentation's
+    forest is then peeled from its leaves: triangle t's erased edge
+    (u, v) towards the disk's first triangle, with w its third vertex,
+    gets T_uv = T_wv T_uw and T_vu = T_wu T_vw, by ``_compose``.  The
+    holonomy along each loop is certified then, and flatness by
+    ``cohomology.build``.
     """
     mats = list(mats)
     if fiber_rank is None:
@@ -259,27 +274,27 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     inverses = action_inverses(mats, fiber_rank)
     ident = IntMatrix.identity(fiber_rank)
 
+    def power(j, c):
+        return mats[j].power(c) if c > 0 else inverses[j].power(-c)
+
     def holonomy():
-        generators = base.presentation.generators
-        if generators == gauge.loop_edges:
-            return tuple(zip(mats, inverses))
-        table = make_table()
-        return tuple((table[u, v], table[v, u]) for u, v in generators)
+        return tuple((_compose([power(j, c) for j, c in cls], ident),
+                      _compose([power(j, -c) for j, c in cls], ident))
+                     for cls in gauge.generator_classes)
 
     def make_table():
-        exponents = {(i, e) for cls in gauge.classes
-                     for i, c in enumerate(cls) if c for e in (c, -c)}
-        powers = {(i, e): (mats[i] if e > 0 else inverses[i]).power(abs(e))
-                  for i, e in exponents}
-        table = {h: ident for (u, v) in base.simplices(1)
-                 for h in ((u, v), (v, u))}
-        for (u, v), cls in zip(gauge.offtree, gauge.classes):
-            terms = [(powers[i, c], powers[i, -c])
-                     for i, c in enumerate(cls) if c]
-            forward, backward = terms[0] if terms else (ident, ident)
-            for f, b in terms[1:]:
-                forward, backward = forward * f, backward * b
-            table[(u, v)], table[(v, u)] = forward, backward
+        p, tris = base.presentation, base.simplices(2)
+        table = {}
+        for v, u in enumerate(p.parent[1:], 1):
+            table[u, v] = table[v, u] = ident
+        for (u, v), (forward, backward) in zip(p.generators, holonomy()):
+            table[u, v], table[v, u] = forward, backward
+        for disk in p.disks:
+            for t in reversed(disk[1:]):
+                u, v = p.offtree[p.up[t]]
+                w = sum(tris[t]) - u - v
+                table[u, v] = _compose((table[u, w], table[w, v]), ident)
+                table[v, u] = _compose((table[v, w], table[w, u]), ident)
         made = LocalSystem._trusted(base, fiber_rank, None, lambda: table)
         for loop, m in zip(gauge.loops, mats):
             if transport_along(made, loop) != m:

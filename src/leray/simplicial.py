@@ -14,7 +14,8 @@ A connected complex of dimension <= 2 has a reduced ``Presentation``,
 one vertex, generators and relators, which the cohomology of any local
 system over it is computed on; ``TreeGauge`` reads the same tree, and
 on a closed orientable surface the same forest, to fix what a
-monodromy prescription means.
+monodromy prescription means, and ``local_systems.from_monodromy``
+solves the prescription's transports along the same forest.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import re
 from functools import cache, cached_property
 from itertools import combinations
 
-from ._kernel import _axpy
 from .exactlinalg import IntMatrix, smith_normal_form, solve
 
 
@@ -234,7 +234,11 @@ class Presentation:
     tree; ``eps`` each triangle's orientation, +1 for a -> b -> c;
     ``disks`` each disk's triangles, breadth-first from its least; and
     ``up`` the erased edge from each other triangle towards its disk's
-    least.
+    least, by off-tree index.  Taken from the leaves,
+    ``reversed(disk[1:])``, each triangle's other edges are on the tree,
+    generators, or erased towards triangles already taken: the order in
+    which ``local_systems.from_monodromy`` solves each erased edge's
+    transport by flatness.
     """
 
     def __init__(self, x, parent):
@@ -333,9 +337,10 @@ class TreeGauge:
     pins a commuting monodromy representation in its breadth-first
     tree, ``x.presentation.parent``.
 
-    ``classes`` holds the class in H_1 of each ``offtree`` edge's
-    fundamental loop, in canonical coordinates, and ``loops`` one loop
-    at vertex 0 per generator, in the canonical order.
+    ``loops`` holds one loop at vertex 0 per generator of H_1, in the
+    canonical order, and ``generator_classes`` the class in H_1 of each
+    generator of ``x.presentation``, in canonical coordinates, as its
+    nonzero (coordinate, value) pairs.
 
     A 1-cycle is fixed by its coefficients on the off-tree edges, and
     the fundamental loop of off-tree edge j has coefficients e_j, so H_1
@@ -355,68 +360,40 @@ class TreeGauge:
     presentation's forest is one tree of them, the cotree: a set of
     triangles the off-tree edges did not join would have a nonzero mod-2
     boundary on the tree, which has no cycle.  Its generators are
-    ``loop_edges``.  These are the pivots of H, every
-    pivot 1: the columns of H and the rows of A have dual matroids, the
-    pivots read from the right are the greedy basis from the last
-    column, and its complement is the greedy forest from the first
-    (Eppstein, SODA 2003, for the tree-cotree split).  ``classes`` are
-    made on first read, by peeling the cotree from its leaves, one
-    triangle relation at a time, and every relation is then checked.
+    ``loop_edges``.  These are the pivots of H, every pivot 1: the
+    columns of H and the rows of A have dual matroids, the pivots read
+    from the right are the greedy basis from the last column, and its
+    complement is the greedy forest from the first (Eppstein, SODA 2003,
+    for the tree-cotree split).  Generator i's class is then e_i, and
+    the gauge keeps no class of any other edge.
 
     On any other complex, U A V = D of rank r (one SNF): H_1 has torsion
     exactly when D holds an entry >= 2, rows r.. of U map each off-tree
-    edge to its class, and H is their Hermite form.  Where some pivot is
-    not 1, the loop of generator j runs the fundamental loops by the
-    integer solution x of H x = e_j (``solve``), so only its class is
-    kernel-free, and ``loop_edges`` is None.
+    edge to its class, kept as ``classes``, and H is their Hermite form.
+    Where some pivot is not 1, the loop of generator j runs the
+    fundamental loops by the integer solution x of H x = e_j
+    (``solve``), so only its class is kernel-free, and ``loop_edges`` is
+    None.
     """
 
     def __init__(self, x: SimplicialComplex):
         if not x.vertex_count:
             raise ValueError("base complex has no vertex")
-        self._presentation = p = x.presentation
+        p = x.presentation
         if p is None:
             raise ValueError("base complex is not connected")
         self.parent, self.offtree = p.parent, p.offtree
         try:
             x.orientation
         except ValueError:  # not a closed orientable surface
-            self._smith(x)
+            self._smith(x, p)
             return
         self.loop_edges = p.generators
         self.loops = [p.fundamental_loop(e) for e in self.loop_edges]
+        self.generator_classes = [((i, 1),) for i in range(len(self.loops))]
 
-    @cached_property
-    def classes(self):
-        """On a surface: the loop edges are the unit vectors, and each
-        other triangle, taken from the cotree's leaves to triangle 0,
-        solves its relation for its cotree edge towards triangle 0."""
-        p = self._presentation
-        # per triangle, its off-tree edges with their signs in d_2
-        relations = [[(j, _SIGNS[l]) for l, j in enumerate(faces)
-                      if j is not None] for faces in p.faces]
-        n = len(p.leftover)
-        classes = [None] * len(self.offtree)  # each {coordinate: value}
-        for i, j in enumerate(p.leftover):
-            classes[j] = {i: 1}
-        (order,), towards = p.disks, p.up
-        for t in reversed(order[1:]):
-            c = towards[t]
-            sign = next(s for j, s in relations[t] if j == c)
-            classes[c] = _combine((-sign * s, classes[j])
-                                  for j, s in relations[t] if j != c)
-        if any(_combine((s, classes[j]) for j, s in relation)
-               for relation in relations):
-            raise AssertionError("a triangle relation fails on the peeled "
-                                 "classes")
-        dense = [[0] * n for _ in classes]
-        for row, cls in zip(dense, classes):
-            for i, v in cls.items():
-                row[i] = v
-        return tuple(map(tuple, dense))
-
-    def _smith(self, x):
-        k, loop = len(self.offtree), self._presentation.fundamental_loop
+    def _smith(self, x, p):
+        k, loop = len(self.offtree), p.fundamental_loop
         d2_rows = x.boundary_matrix(2).nonzero_rows()
         h1 = smith_normal_form(IntMatrix._trusted(
             [d2_rows[x.index(e)] for e in self.offtree], k,
@@ -425,6 +402,9 @@ class TreeGauge:
             raise ValueError("base has torsion in H_1; unsupported")
         form = _hermite_from_the_right(h1.U.nonzero_rows()[h1.rank:], k)
         self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
+        self.generator_classes = [
+            tuple((i, c) for i, c in enumerate(self.classes[j]) if c)
+            for j in p.leftover]
         pivots = [max(j for j, c in enumerate(row) if c) for row in form]
         if all(row[p] == 1 for row, p in zip(form, pivots)):
             # column p_i of the form is e_i: generator i is the class of
@@ -440,15 +420,6 @@ class TreeGauge:
         self.loops = [[0] + [v for e, n in zip(self.offtree, lift.column(j))
                              for v in loop(e, n)[1:]]
                       for j in range(len(form))]
-
-
-def _combine(terms):
-    """The sum of s * v over the pairs (s, v) of ``terms``, each vector
-    v a dict {coordinate: nonzero value}, as such a dict."""
-    total = {}
-    for s, vector in terms:
-        _axpy(total, vector, s)
-    return total
 
 
 def _hermite_from_the_right(rows, ncols):

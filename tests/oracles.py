@@ -35,10 +35,11 @@ elimination over F_2.
 time, a whole complex after each: the reference for the one-pass
 ``genus_surface``.  ``smith_gauge`` takes the SNF and Hermite path of
 ``TreeGauge`` on any complex, surfaces included: the reference for the
-cotree gauge of a surface.  ``surface_word`` walks a closed orientable
-surface's one disk by its coherent orientation, and
-``check_surface_word`` certifies the word: the reference for the
-relator of its reduced presentation.
+cotree gauge of a surface, and, by its classes of the off-tree edges,
+for the transports of ``from_monodromy`` (``class_power_table``).
+``surface_word`` walks a closed orientable surface's one disk by its
+coherent orientation, and ``check_surface_word`` certifies the word:
+the reference for the relator of its reduced presentation.
 
 ``cup_intersection_form`` gives a surface's intersection form from its
 triangles' cup products, the reference for the form its relator
@@ -480,9 +481,28 @@ class _Unoriented(SimplicialComplex):
 
 
 def smith_gauge(x) -> TreeGauge:
-    """The ``TreeGauge`` of the 2-complex ``x`` by its SNF and Hermite
-    path, which a closed surface does not take."""
-    return TreeGauge(_Unoriented(x.vertex_count, x.simplices(2)))
+    """The ``TreeGauge`` of the 2-skeleton of ``x`` by its SNF and
+    Hermite path, which a closed surface does not take."""
+    faces = {e for t in x.simplices(2) for e in combinations(t, 2)}
+    return TreeGauge(_Unoriented(x.vertex_count, list(x.simplices(2)) + [
+        e for e in x.simplices(1) if e not in faces]))
+
+
+def class_power_table(x, mats, fiber_rank):
+    """The transport table of ``from_monodromy(x, mats)`` by classes:
+    the identity on tree edges, and on each off-tree edge of class c in
+    ``smith_gauge(x).classes`` prod_i m_i^(c_i) forwards and
+    prod_i m_i^(-c_i) backwards: the reference for the table
+    ``from_monodromy`` makes by flatness, which reads no such class."""
+    gauge = smith_gauge(x)
+    ident = IntMatrix.identity(fiber_rank)
+    table = {h: ident for (u, v) in x.simplices(1) for h in ((u, v), (v, u))}
+    for (u, v), cls in zip(gauge.offtree, gauge.classes):
+        for key, sign in (((u, v), 1), ((v, u), -1)):
+            table[key] = reduce(lambda a, b: a * b,
+                                (m.power(sign * c) for m, c in zip(mats, cls)),
+                                ident)
+    return table
 
 
 def surface_word(x):
@@ -548,10 +568,10 @@ def cup_intersection_form(x) -> IntMatrix:
     J_ij = sum_t eps_t alpha_i(a, b) alpha_j(b, c) over the triangles
     t = (a, b, c), with eps the orientation: the cup product of the
     cocycles alpha_i dual to the basis, evaluated on the fundamental
-    class.  alpha_i is coordinate i of ``tree_gauge.classes`` on each
-    off-tree edge and 0 on tree edges; it is a cocycle because every
-    triangle boundary is null-homologous."""
-    gauge = x.tree_gauge
+    class.  alpha_i is coordinate i of ``smith_gauge(x).classes`` on
+    each off-tree edge and 0 on tree edges; it is a cocycle because
+    every triangle boundary is null-homologous."""
+    gauge = smith_gauge(x)
     n = len(gauge.loops)
     alpha = {e: [(i, c) for i, c in enumerate(cls) if c]
              for e, cls in zip(gauge.offtree, gauge.classes)}

@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leray import cli
 from leray.exactlinalg import FgAbGroup, IntMatrix
 from leray.local_systems import (
     GradedKBundle,
@@ -10,15 +13,28 @@ from leray.local_systems import (
     from_monodromy,
     transport_along,
 )
-from leray.simplicial import circle, genus_surface, simplex, sphere2, torus2
+from leray.simplicial import (
+    SimplicialComplex,
+    builtin,
+    circle,
+    genus_surface,
+    simplex,
+    sphere2,
+    torus2,
+)
 
 from oracles import (
     block_unipotent_family,
+    class_power_table,
     coinvariants,
     invariants,
+    pinched_torus,
     random_commuting_pair,
     random_unimodular,
+    smith_gauge,
 )
+from test_cell_model import connected_complexes
+from test_simplicial import _CYLINDER_Z2, _relabelled
 
 
 K2 = IntMatrix([[1, 2], [0, 1]])
@@ -208,7 +224,7 @@ def test_negative_classes_are_inverted_exactly():
     # some off-tree edges of torus2 have classes with negative
     # coordinates, so their transports use the prescribed inverses
     x = torus2()
-    assert any(c < 0 for cls in x.tree_gauge.classes for c in cls)
+    assert any(c < 0 for cls in smith_gauge(x).classes for c in cls)
     sys = from_monodromy(x, [K2, K4])
     for (u, v) in x.simplices(1):
         assert (sys.transport(v, u) * sys.transport(u, v)).is_identity()
@@ -250,54 +266,117 @@ def test_derived_systems_keep_their_holonomy_and_make_tables_lazily():
     assert given.holonomy == monodromy.holonomy
 
 
-def test_from_monodromy_makes_each_power_once(monkeypatch):
-    """Each m_i^(+-c) an off-tree class needs is made once per table,
-    when a transport is first read, and shared by every edge of that
-    class coordinate."""
-    x = genus_surface(2)
-    classes = x.tree_gauge.classes
-    needed = {(i, e) for cls in classes for i, c in enumerate(cls) if c
-              for e in (c, -c)}
-    assert len(needed) < 2 * sum(1 for cls in classes for c in cls if c)
-    made = []
-    power = IntMatrix.power
+def _counting(monkeypatch, *names):
+    """Record each call of the named ``IntMatrix`` methods, with its
+    arguments, in the returned list."""
+    calls = []
+    for name in names:
+        method = getattr(IntMatrix, name)
 
-    def counting(m, n):
-        made.append(n)
-        return power(m, n)
-    monkeypatch.setattr(IntMatrix, "power", counting)
-    system = from_monodromy(x, [K2, K4, K2, K4])
-    assert made == []
+        def counting(*args, _name=name, _method=method):
+            calls.append((_name,) + args)
+            return _method(*args)
+        monkeypatch.setattr(IntMatrix, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("g", [1, 2, 8])
+def test_surface_holonomy_is_the_given_matrices(g, monkeypatch):
+    """On a closed surface each generator's class is a unit vector, so
+    the holonomy is the checked matrices and their inverses, the same
+    objects, made with no product and no inverse.  The table then
+    makes at most two products per triangle the forest peels, none by
+    the identity."""
+    x = genus_surface(g)
+    mats = block_unipotent_family(random.Random(g), 2 * g)
+    system = from_monodromy(x, mats)
+    calls = _counting(monkeypatch, "__mul__", "inverse_unimodular")
+    holonomy = system.holonomy
+    assert calls == []
+    assert [t for t, _ in holonomy] == mats
+    assert all(t is m for (t, _), m in zip(holonomy, mats))
     system.transport(0, 1)
-    system.transport(1, 0)
-    assert len(made) == len(needed)
+    peeled = sum(len(disk) - 1 for disk in x.presentation.disks)
+    assert all(name == "__mul__" for name, *_ in calls)
+    assert 0 < len(calls) <= 2 * peeled
+    assert not any(a.is_identity() or b.is_identity() for _, a, b in calls)
+    assert all(system.transport(u, v) is t and system.transport(v, u) is inverse
+               for (u, v), (t, inverse) in zip(x.presentation.generators,
+                                               holonomy))
+    assert all((t * inverse).is_identity() for t, inverse in holonomy)
 
 
 def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
-    """A torus2 rank-6 table makes 6 products: each off-tree product
-    starts from its first power, and a power of exponent +-1 is the
-    matrix itself, so only the three edges whose class has two nonzero
-    coordinates multiply, once each way (6).  The certificate of the
-    holonomy along each of the two 3-edge loops multiplies nothing: its
-    two tree edges carry the identity, which it skips."""
+    """A torus2 rank-6 table makes 6 products: peeling the cotree, each
+    triangle's erased edge is the composite of its two other edges,
+    which skips an identity, the transport of an edge of class 0, such
+    as a tree edge.  Only three triangles have two other edges of
+    nonzero class, and they multiply once each way (6).  The
+    certificate of the holonomy along each of the two 3-edge loops
+    multiplies nothing: its two tree edges carry the identity, which it
+    skips."""
     x = torus2()
-    gauge = x.tree_gauge
+    gauge, p = x.tree_gauge, x.presentation
     system = from_monodromy(x, block_unipotent_family(random.Random(6), 2))
-    calls = []
-    mul = IntMatrix.__mul__
-
-    def counting(a, b):
-        calls.append((a, b))
-        return mul(a, b)
-    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    calls = _counting(monkeypatch, "__mul__")
     system.transport(0, 1)
-    offtree = sum(2 * (sum(1 for c in cls if c) - 1)
-                  for cls in gauge.classes if any(cls))
-    assert {abs(c) for cls in gauge.classes for c in cls} == {0, 1}
+    classes = dict(zip(p.offtree, smith_gauge(x).classes))
+    tris = x.simplices(2)
+    multiplying = sum(
+        1 for disk in p.disks for t in disk[1:]
+        if all(any(classes.get(e, ())) for e in combinations(tris[t], 2)
+               if e != p.offtree[p.up[t]]))
     assert [len(loop) - 1 for loop in gauge.loops] == [3, 3]
-    assert offtree == 6
+    assert multiplying == 3
     assert len(calls) == 6
-    assert not any(a.is_identity() or b.is_identity() for a, b in calls)
+    assert not any(a.is_identity() or b.is_identity() for _, a, b in calls)
+
+
+# torus2 with a fin: tree edge (0, 1) lies in three triangles, and the
+# fin's off-tree edge, in one, is a generator of class 0
+_FIN_TORUS = list(torus2().simplices(2)) + [(0, 1, 7)]
+_TABLE_BASES = dict(
+    [("genus(%d)" % g, lambda g=g: builtin("genus(%d)" % g))
+     for g in list(range(1, 13)) + [24, 49]]
+    + [("genus(2)-relabelled", lambda: _relabelled(genus_surface(2), 5)),
+       ("genus(3)-relabelled", lambda: _relabelled(genus_surface(3), 8)),
+       ("pinched-torus", pinched_torus),
+       ("cylinder-z2", lambda: SimplicialComplex(15, _CYLINDER_Z2)),
+       ("circle(7)", lambda: circle(7)),
+       ("simplex(3)", lambda: simplex(3)),
+       ("fin-torus", lambda: SimplicialComplex(8, _FIN_TORUS))])
+
+
+def _check_table(x, rng):
+    """``from_monodromy``'s table equals ``class_power_table`` in both
+    directions of every edge, for signed shears, which commute and are
+    not involutions."""
+    mats = [IntMatrix([[s, s * k], [0, s]])
+            for s, k in ((rng.choice((-1, 1)),
+                          rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in x.tree_gauge.loops)]
+    system = from_monodromy(x, mats, 2)
+    reference = class_power_table(x, mats, 2)
+    for (u, v) in x.simplices(1):
+        assert system.transport(u, v) == reference[u, v]
+        assert system.transport(v, u) == reference[v, u]
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_BASES))
+def test_flat_table_equals_the_class_power_table(name):
+    _check_table(_TABLE_BASES[name](), random.Random(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_doc=connected_complexes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_table_equals_the_class_power_table_on_inline_complexes(
+        complex_doc, seed):
+    x = cli.parse_complex(complex_doc)
+    try:
+        x.tree_gauge
+    except ValueError:  # torsion in H_1: no monodromy prescription
+        return
+    _check_table(x, random.Random(seed))
 
 
 def test_transport_along_multiplies_by_no_identity(monkeypatch):

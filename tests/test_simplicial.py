@@ -169,13 +169,15 @@ def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
 
 
 def test_fresh_surface_gauge_and_word_call_no_kernel(kernel_calls):
-    """On a closed surface the gauge, its classes and the relator come
-    from the presentation's cotree: no SNF and no Hermite form."""
+    """On a closed surface the gauge and the relator come from the
+    presentation's cotree: no SNF and no Hermite form.  The gauge keeps
+    the unit class of each generator and no class of any other edge."""
     kernel_calls.refuse()
     x = genus_surface(8)
     assert "tree_gauge" not in vars(x)
     gauge = x.tree_gauge
-    assert len(gauge.classes) == len(gauge.offtree)
+    assert not hasattr(gauge, "classes")
+    assert gauge.generator_classes == [((i, 1),) for i in range(16)]
     assert [len(w) for w in x.presentation.relators] == [32]
 
 
@@ -211,7 +213,8 @@ def _reversing(kernel):
 def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
         g, monkeypatch):
     """The SNF path's Hermite rule reads the row lattice alone: another
-    valid kernel gives the same gauge, which is the cotree's."""
+    valid kernel gives the same gauge, whose loops and generator classes
+    are the cotree's."""
     x = genus_surface(g)
     gauge = smith_gauge(x)
     kernel = exactlinalg.smith_with_transforms
@@ -224,9 +227,10 @@ def test_tree_gauge_classes_do_not_depend_on_the_kernels_transforms(
     monkeypatch.setattr(exactlinalg, "smith_with_transforms", other)
     again = smith_gauge(x)
     assert any(seen)
+    assert again.classes == gauge.classes
     for other_gauge in (again, x.tree_gauge):
         assert other_gauge.offtree == gauge.offtree
-        assert other_gauge.classes == gauge.classes
+        assert other_gauge.generator_classes == gauge.generator_classes
         assert other_gauge.loops == gauge.loops
 
 
@@ -259,12 +263,13 @@ def _relabelled(x, shift):
                             "genus3-relabelled"])
 def test_cotree_gauge_equals_the_smith_gauge(x):
     """On a closed surface the cotree's leftover edges are the Hermite
-    pivots, in order, and peeling gives the Hermite form's classes."""
+    pivots, in order, so each generator's class is a unit vector of the
+    Hermite form's."""
     gauge, reference = x.tree_gauge, smith_gauge(x)
     assert gauge.offtree == reference.offtree
     assert gauge.loop_edges == reference.loop_edges
     assert gauge.loops == reference.loops
-    assert gauge.classes == reference.classes
+    assert gauge.generator_classes == reference.generator_classes
 
 
 def test_tree_gauge_keeps_one_parent_per_vertex():
@@ -305,7 +310,7 @@ def test_tree_gauge_classes_are_in_hermite_form(g):
     # every pivot is 1, so each generator is the class of one off-tree
     # edge's fundamental loop
     x = genus_surface(g)
-    gauge = x.tree_gauge
+    gauge = smith_gauge(x)
     form = list(zip(*gauge.classes))
     pivots = [max(j for j, c in enumerate(row) if c) for row in form]
     assert len(form) == 2 * g

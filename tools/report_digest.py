@@ -18,9 +18,13 @@ torus), flat and non-flat ``transports`` systems, ``circle``,
 ``simplex``, the real projective plane, with the constant system, its
 orientation character as signs, and a ``monodromy`` system, which is
 refused, a Klein bottle, the mapping cylinder of the degree-2 map of
-circles with ``monodromy`` [[-1]], a path graph and a disconnected
-complex.  Each runs through ``cohomology`` under both conventions,
-``spectral`` (its odd part constant) and ``check``, in both emit modes.
+circles with ``monodromy`` [[-1]] and with a rank-2 shear (its
+generators' classes are -1 and 2), ``torus2`` with a fin triangle on
+its edge (0, 1) (one generator of class 0), with two shears and with
+(-I, shear), the same relabelled so that two generators' classes have
+two nonzero coordinates, a path graph and a disconnected complex.  Each
+runs through ``cohomology`` under both conventions, ``spectral`` (its
+odd part constant) and ``check``, in both emit modes.
 To compare two checkouts, copy this file into the other one and run it
 there.
 """
@@ -59,6 +63,10 @@ CYLINDER_Z2 = [
     (2, 10, 12), (3, 5, 6), (3, 5, 7), (3, 6, 11), (3, 9, 11), (4, 5, 8),
     (4, 5, 14), (5, 6, 8), (5, 7, 14), (7, 12, 14), (9, 11, 13),
     (10, 11, 13)]
+
+# a relabelling of torus2 with its fin, v -> FIN_RELABEL[v], under which
+# two generators' classes have two nonzero coordinates
+FIN_RELABEL = (3, 6, 7, 5, 0, 1, 4, 2)
 
 
 def run(job, emit):
@@ -159,6 +167,11 @@ def off_catalogue():
         grid[pinch] = ({"vertices": vertices,
                         "simplices": [list(t) for t in tris]}, steps)
     (torus, torus_steps), (pinched, pinched_steps) = grid[False], grid[True]
+    fin = inline("torus2")
+    fin["vertices"] += 1
+    fin["simplices"].append([0, 1, 7])
+    fin_relabelled = {"vertices": 8, "simplices": [
+        [FIN_RELABEL[v] for v in t] for t in fin["simplices"]]}
     return [
         (inline("torus2", lambda v: 6 - v), {"rank": 2, "monodromy": mono}),
         (inline("genus(2)", lambda v: (5 * v) % 11),
@@ -186,6 +199,13 @@ def off_catalogue():
         (klein_bottle(), {"rank": 2, "constant": True}),
         ({"vertices": 15, "simplices": CYLINDER_Z2},
          {"rank": 1, "monodromy": [[[-1]]]}),
+        ({"vertices": 15, "simplices": CYLINDER_Z2},
+         {"rank": 2, "monodromy": [list(map(list, shear(1)))]}),
+        (fin, {"rank": 2, "monodromy": mono}),
+        (fin, {"rank": 2, "monodromy": [[[-1, 0], [0, -1]], mono[0]]}),
+        (fin_relabelled, {"rank": 2, "monodromy": mono}),
+        (fin_relabelled, {"rank": 2, "monodromy": [[[-1, 0], [0, -1]],
+                                                   mono[0]]}),
         ({"vertices": 5, "simplices": [[0, 1], [1, 2], [2, 3], [3, 4]]},
          {"rank": 2, "transports": {"0-1": SWAP, "1-2": shear(3),
                                     "2-3": SWAP, "3-4": shear(-1)}}),
