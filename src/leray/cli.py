@@ -53,11 +53,12 @@ MAX_RANK = 16
 # process's script, the import included, which alone peaks at 16 MiB;
 # spectral on the same bases, on cells, took 0.02 s.  genus(8) fits up
 # to rank 6.  An ncp job's pages are on cells, and a surface's tree
-# gauge makes no matrix, so the cap does not apply to its base, which
-# simplicial.MAX_FACES bounds: up to genus(113).  On the same host a
-# cold ncp job on genus(49) (import, build, gauge, relator and pages,
-# one process) took 18-27 ms and peaked at 16 MiB, and on genus(100)
-# 29-45 ms and 19 MiB (tools/cold_surfaces.py).
+# gauge makes no matrix, since its relator's exponent sums vanish, so
+# the cap does not apply to its base, which simplicial.MAX_FACES
+# bounds: up to genus(113).  On the same host a cold ncp job on
+# genus(49) (import, build, gauge and pages, one process) took 15-18 ms
+# in 4 of 6 runs (25 and 31 ms in the others) and peaked at 16 MiB, and
+# on genus(100) 26-36 ms and 19 MiB (tools/cold_surfaces.py).
 MAX_COCHAIN_ENTRIES = 1 << 19
 
 

@@ -17,9 +17,10 @@ its transports, before its holonomy is read.
 
 ``from_monodromy`` realizes prescribed holonomy matrices in the base's
 spanning-tree gauge (``SimplicialComplex.tree_gauge``, built once per
-base): transports are the identity on tree edges, each generator edge
-of ``base.presentation`` carries the image of its class in H_1, and
-every other edge is solved by flatness along the presentation's forest.
+base), whose basis of H_1 the exponent sums of the relators of
+``base.presentation`` fix: transports are the identity on tree edges,
+each generator edge carries the image of its class in H_1, and every
+other edge is solved by flatness along the presentation's forest.
 This requires the prescribed matrices to commute pairwise (the
 representation factors through first homology).  The ``cohomology``,
 ``check`` and ``spectral`` commands use it.
@@ -29,10 +30,11 @@ of ``base.presentation``, T_i the transport around the fundamental loop
 of its edge.  A ``constant`` system's are identities, read off no
 gauge.  A system from ``from_monodromy`` makes its holonomy from the
 checked matrices it was made from, one product of their powers per
-generator's class, which on every closed orientable surface is one of
-the matrices itself, and makes its transport table only when a
-transport is read.  A system given by its transports reads its
-holonomy with ``transport_along``, once it is certified flat.  On every
+generator's class, which wherever the exponent sums vanish, as on
+every closed orientable surface, is one of the matrices itself, and
+makes its transport table only when a transport is read.  A system
+given by its transports reads its holonomy with ``transport_along``,
+once it is certified flat.  On every
 connected base of dimension 1 or 2, the ``cohomology`` and ``spectral``
 commands read the holonomy alone, for the cell model of the base's
 presentation (``cohomology.cochains``), while ``check`` and every other
@@ -250,12 +252,13 @@ def from_monodromy(base: SimplicialComplex, mats, fiber_rank=None) -> LocalSyste
     The ``holonomy`` around generator i of ``base.presentation`` is
     prod_j A_j^(c_ij) over its class c_i in ``generator_classes``, and
     the inverse prod_j A_j^(-c_ij), each product started from its first
-    power; on a closed orientable surface c_i = e_i, so it is the
-    checked matrix and its inverse, and a job on the cell model makes no
-    table.  The table is made by flatness when a transport is first
-    read: tree edges carry the identity, and each generator edge its
-    holonomy pair, so the holonomy equals the given matrices exactly,
-    with no basepoint conjugation.  Each disk of the presentation's
+    power; where the relators' exponent sums vanish, as on every closed
+    orientable surface, c_i = e_i, so it is the checked matrix and its
+    inverse, and a job on the cell model makes no table.  The table is
+    made by flatness when a transport is first read: tree edges carry
+    the identity, and each generator edge its holonomy pair, so the
+    holonomy equals the given matrices exactly, with no basepoint
+    conjugation.  Each disk of the presentation's
     forest is then peeled from its leaves: triangle t's erased edge
     (u, v) towards the disk's first triangle, with w its third vertex,
     gets T_uv = T_wv T_uw and T_vu = T_wu T_vw, by ``_compose``.  The

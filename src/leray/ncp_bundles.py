@@ -49,12 +49,12 @@ FIBER_RANK = 2  # rank of K0 and K1 of a noncommutative 2-torus fiber
 
 
 def resolve_base(name: str) -> SimplicialComplex:
-    """The base ``simplicial.shared_builtin(name)``, once its name is
-    checked to be ``torus2`` or ``genus(g)``."""
-    x = shared_builtin(name)
-    if not name.startswith(("torus2", "genus")):
+    """The base ``simplicial.shared_builtin(name)``, once ``name`` is
+    checked to be a string naming ``torus2`` or ``genus(g)``: any other
+    value is refused before a base is built."""
+    if not isinstance(name, str) or not name.startswith(("torus2", "genus")):
         raise ValueError("base must be torus2 or genus(g), got %r" % (name,))
-    return x
+    return shared_builtin(name)
 
 
 class NcpTorusBundleSpec:

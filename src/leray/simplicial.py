@@ -12,10 +12,12 @@ their integral homology (see ``_verify_surface``).
 
 A connected complex of dimension <= 2 has a reduced ``Presentation``,
 one vertex, generators and relators, which the cohomology of any local
-system over it is computed on; ``TreeGauge`` reads the same tree, and
-on a closed orientable surface the same forest, to fix what a
-monodromy prescription means, and ``local_systems.from_monodromy``
-solves the prescription's transports along the same forest.
+system over it is computed on.  Everything else the base gives is read
+from it: a surface's coherent ``orientation`` is its forest's signs,
+checked; ``TreeGauge`` reads H_1 from the relators' exponent sums, to
+fix what a monodromy prescription means; and
+``local_systems.from_monodromy`` solves the prescription's transports
+along the same forest.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from .exactlinalg import IntMatrix, smith_normal_form, solve
 # faces of each listed simplex, sum(2^|s| - 1), duplicates counted.  It
 # is checked before any face is listed, so an oversized document fails
 # at once instead of exhausting memory.  genus(8), the benchmarks'
-# largest base, counts 721.  genus(g) is built in one pass and gauged
-# from its cotree, both in about linear time: on one core of a 2-core
-# x86 host (CPython 3.11.7), genus(113) builds in 10-12 ms, and a cold
-# ncp job on it (import, build, gauge, relator and pages) takes 32-34
-# ms, peaking at 20 MiB, and the whole fresh process 77-82 ms
-# (tools/cold_surfaces.py).  The largest builtins it admits are
-# genus(113), circle(2500), simplex(12).
+# largest base, counts 721.  genus(g) is built in one pass, oriented by
+# its presentation's forest and gauged from its relator, whose exponent
+# sums vanish, all in about linear time: on one core of a 2-core x86
+# host (CPython 3.11.7), genus(113) builds in 10-11 ms, and a cold ncp
+# job on it (import, build, gauge and pages) takes 28-31 ms, peaking at
+# 20 MiB, and the whole fresh process 72-83 ms (tools/cold_surfaces.py,
+# 6 runs).  The largest builtins it admits are genus(113),
+# circle(2500), simplex(12).
 MAX_FACES = 10_000
 
 
@@ -96,18 +99,6 @@ class SimplicialComplex:
     def adjacent(self, u, v):
         return u != v and self.has_simplex((min(u, v), max(u, v)))
 
-    def boundary_matrix(self, p) -> IntMatrix:
-        """Integral boundary C_p -> C_{p-1} with coefficient (-1)^l."""
-        rows = self.n_simplices(p - 1) if p >= 1 else 0
-        cols = self.n_simplices(p)
-        entries = [{} for _ in range(rows)]
-        if p >= 1:
-            for j, sigma in enumerate(self.simplices(p)):
-                for l in range(p + 1):
-                    i = self.index(sigma[:l] + sigma[l + 1:])
-                    entries[i][j] = (-1) ** l
-        return IntMatrix._trusted(entries, rows, cols)
-
     def euler_characteristic(self):
         return sum((-1) ** p * self.n_simplices(p)
                    for p in range(self.dimension + 1))
@@ -145,40 +136,29 @@ class SimplicialComplex:
         a non-surface raises on every use.
 
         This is also the certificate that the complex is a closed,
-        triangle-connected, orientable surface: dimension 2, every edge
-        in exactly two triangles, every vertex in some triangle.  Signs
-        spread breadth-first from the first triangle (+1): an edge that
-        enters the boundaries of triangles j and k with coefficients s_j
-        and s_k cancels exactly when eps_k = -eps_j s_j s_k.  The result
+        triangle-connected, orientable surface.  The signs are the
+        presentation's ``eps``, each triangle oriented against its
+        parent in the forest, the first +1; they are checked, not
+        spread again: dimension 2, one disk, and every edge, tree edges
+        included, in exactly two triangles, so every vertex of the
+        connected complex is in one.  Every edge must enter the
+        boundaries of its two oriented triangles with opposite signs,
+        as an edge the forest erased does by construction.  The result
         spans ker d_2.
         """
-        tris = self.simplices(2)
-        sides = {}  # edge -> [(triangle index, (-1)^l)]
-        for j, tri in enumerate(tris):
-            for l in range(3):
-                sides.setdefault(tri[:l] + tri[l + 1:], []).append(
-                    (j, (-1) ** l))
-        if (self.dimension != 2 or len(sides) != self.n_simplices(1)
-                or any(len(s) != 2 for s in sides.values())
-                or len({v for tri in tris for v in tri}) != self.vertex_count):
+        p = self.presentation if self.dimension == 2 else None
+        if p is None or len(p.disks) != 1:
             raise ValueError("not a closed connected surface")
-        eps = [0] * len(tris)
-        eps[0] = 1
-        queue = [0]
-        for j in queue:
-            tri = tris[j]
-            for l in range(3):
-                (a, s_a), (b, s_b) = sides[tri[:l] + tri[l + 1:]]
-                k = b if a == j else a
-                sign = -eps[j] * s_a * s_b
-                if not eps[k]:
-                    eps[k] = sign
-                    queue.append(k)
-                elif eps[k] != sign:
-                    raise ValueError("surface is not orientable")
-        if len(queue) != len(tris):
+        signs = {}  # edge -> its sign in each oriented triangle's boundary
+        for e, (a, b, c) in zip(p.eps, self.simplices(2)):
+            for edge, s in (((b, c), e), ((a, c), -e), ((a, b), e)):
+                signs.setdefault(edge, []).append(s)
+        if (len(signs) != self.n_simplices(1)
+                or any(len(s) != 2 for s in signs.values())):
             raise ValueError("not a closed connected surface")
-        return tuple(eps)
+        if any(map(sum, signs.values())):
+            raise ValueError("surface is not orientable")
+        return tuple(p.eps)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -211,19 +191,19 @@ class Presentation:
     component becomes one disk.  The off-tree edges it does not take,
     ``leftover`` by index, are the ``generators``, in order, however many
     triangles they lie in.  On a closed orientable surface the forest is
-    the cotree (Eppstein, SODA 2003) and the generators are
-    ``TreeGauge.loop_edges``.
+    the cotree (Eppstein, SODA 2003).
 
     Each disk's boundary, walked once, is one of the ``relators``, a
     tuple of letters (i, s), x_i^s, the disks in the order of their
     least triangles.  Each triangle (a, b, c) is oriented relative to its
     parent in the forest, a disk's least one as a -> b -> c, so on a
-    closed orientable surface this is its ``orientation``.  The walk
-    goes on half-edges, keyed by (triangle, face), since an edge in three
-    or more triangles can occur twice in one disk in the same direction:
-    after u -> v comes v -> w of the same triangle, and while v -> w is
-    erased, the walk crosses it into the triangle across, where it reads
-    w -> v.  A half-edge of generator (a, b), a < b, reads x_i from a to b
+    closed orientable surface, one disk, this is its ``orientation``,
+    which checks it.  ``TreeGauge`` reads H_1 from the relators'
+    exponent sums.  The walk goes on half-edges, keyed by (triangle,
+    face), since an edge in three or more triangles can occur twice in
+    one disk in the same direction: after u -> v comes v -> w of the
+    same triangle, and while v -> w is erased, the walk crosses it into
+    the triangle across, where it reads w -> v.  A half-edge of generator (a, b), a < b, reads x_i from a to b
     and x_i^-1 back; tree edges read nothing.  The walk starts at the
     disk's first half-edge that is not erased, its triangles in order,
     each from face 0 on, and must cover the n + 2 such half-edges of a
@@ -268,7 +248,8 @@ class Presentation:
         for j, ts in enumerate(sides):
             if len(ts) == 2 and (a := find(ts[0])) != (b := find(ts[1])):
                 root[a] = b
-                (t, l), (u, k) = [(s, faces[s].index(j)) for s in ts]
+                t, u = ts
+                l, k = faces[t].index(j), faces[u].index(j)
                 erased[t].append((l, u, k))
                 erased[u].append((k, t, l))
             else:
@@ -334,43 +315,33 @@ _SIGNS = (1, -1, 1)  # (-1)^l, the sign of face l in d_2
 
 class TreeGauge:
     """The H_1 data of a connected complex with torsion-free H_1 that
-    pins a commuting monodromy representation in its breadth-first
-    tree, ``x.presentation.parent``.
+    pins a commuting monodromy representation, read from its reduced
+    presentation, ``x.presentation``, alone.
 
     ``loops`` holds one loop at vertex 0 per generator of H_1, in the
     canonical order, and ``generator_classes`` the class in H_1 of each
-    generator of ``x.presentation``, in canonical coordinates, as its
+    generator of the presentation, in canonical coordinates, as its
     nonzero (coordinate, value) pairs.
 
-    A 1-cycle is fixed by its coefficients on the off-tree edges, and
-    the fundamental loop of off-tree edge j has coefficients e_j, so H_1
-    is Z^k modulo the columns of A, the k x n_2 off-tree rows of d_2.
-    The canonical basis is fixed by the Hermite form H of the class map
-    Z^k -> H_1, read from the last off-tree edge
-    (``_hermite_from_the_right``): it depends on the row lattice of the
-    integer row vectors y with y A = 0 alone, so the basis, and with it
-    what a monodromy prescription means, depends on the complex alone.
-    ``loop_edges`` lists the off-tree edges at the pivots of H, in the
-    order of the generators, where every pivot is 1: generator i is then
-    the class of the fundamental loop of the edge at pivot i, which is
-    its loop.
+    H_1 is Z^k, one coordinate per generator, modulo the exponent sums
+    of the relators, the rows of an r x k matrix M.  The canonical basis
+    is fixed by the Hermite form H of the class map Z^k -> H_1, read
+    from the last generator (``_hermite_from_the_right``): it depends on
+    the lattice of the integer vectors y with M y = 0 alone, so the
+    basis, and with it what a monodromy prescription means, depends on
+    the complex alone.  Where every pivot of H is 1, ``loop_edges``
+    lists the generators at the pivots, in order, and generator i of
+    H_1 is the class of the fundamental loop of the edge at pivot i,
+    which is its loop.
 
-    On a closed orientable surface, which ``orientation`` certifies, no
-    matrix is made.  Every off-tree edge bounds two triangles, and the
-    presentation's forest is one tree of them, the cotree: a set of
-    triangles the off-tree edges did not join would have a nonzero mod-2
-    boundary on the tree, which has no cycle.  Its generators are
-    ``loop_edges``.  These are the pivots of H, every pivot 1: the
-    columns of H and the rows of A have dual matroids, the pivots read
-    from the right are the greedy basis from the last column, and its
-    complement is the greedy forest from the first (Eppstein, SODA 2003,
-    for the tree-cotree split).  Generator i's class is then e_i, and
-    the gauge keeps no class of any other edge.
-
-    On any other complex, U A V = D of rank r (one SNF): H_1 has torsion
-    exactly when D holds an entry >= 2, rows r.. of U map each off-tree
-    edge to its class, kept as ``classes``, and H is their Hermite form.
-    Where some pivot is not 1, the loop of generator j runs the
+    Where every exponent sum is zero, H is the identity and no matrix is
+    made: generator i's class is e_i and ``loop_edges`` are the
+    generators.  This holds on every closed orientable surface, whose
+    one relator holds each generator once with each sign, on
+    ``sphere2``, ``circle(n)`` and every graph.  Elsewhere U M V = D of
+    rank r (one SNF): H_1 has torsion exactly when D holds an entry >= 2,
+    and columns r.. of V map each generator to its class.  Where some
+    pivot of H is not 1, the loop of generator j of H_1 runs the
     fundamental loops by the integer solution x of H x = e_j
     (``solve``), so only its class is kernel-free, and ``loop_edges`` is
     None.
@@ -383,33 +354,31 @@ class TreeGauge:
         if p is None:
             raise ValueError("base complex is not connected")
         self.parent, self.offtree = p.parent, p.offtree
-        try:
-            x.orientation
-        except ValueError:  # not a closed orientable surface
-            self._smith(x, p)
+        k, loop = len(p.generators), p.fundamental_loop
+        sums = [{} for _ in p.relators]
+        for row, word in zip(sums, p.relators):
+            for i, s in word:
+                row[i] = row.get(i, 0) + s
+                if not row[i]:
+                    del row[i]
+        if not any(sums):  # H is the identity
+            self.loop_edges = p.generators
+            self.generator_classes = [((i, 1),) for i in range(k)]
+            self.loops = [loop(e) for e in self.loop_edges]
             return
-        self.loop_edges = p.generators
-        self.loops = [p.fundamental_loop(e) for e in self.loop_edges]
-        self.generator_classes = [((i, 1),) for i in range(len(self.loops))]
-
-    def _smith(self, x, p):
-        k, loop = len(self.offtree), p.fundamental_loop
-        d2_rows = x.boundary_matrix(2).nonzero_rows()
-        h1 = smith_normal_form(IntMatrix._trusted(
-            [d2_rows[x.index(e)] for e in self.offtree], k,
-            x.n_simplices(2)))
+        h1 = smith_normal_form(IntMatrix._trusted(sums, len(sums), k))
         if any(d >= 2 for d in h1.diagonal):
             raise ValueError("base has torsion in H_1; unsupported")
-        form = _hermite_from_the_right(h1.U.nonzero_rows()[h1.rank:], k)
-        self.classes = tuple(tuple(row[j] for row in form) for j in range(k))
+        form = _hermite_from_the_right(
+            h1.V.transpose().nonzero_rows()[h1.rank:], k)
         self.generator_classes = [
-            tuple((i, c) for i, c in enumerate(self.classes[j]) if c)
-            for j in p.leftover]
+            tuple((i, row[j]) for i, row in enumerate(form) if row[j])
+            for j in range(k)]
         pivots = [max(j for j, c in enumerate(row) if c) for row in form]
-        if all(row[p] == 1 for row, p in zip(form, pivots)):
-            # column p_i of the form is e_i: generator i is the class of
-            # the fundamental loop of off-tree edge p_i
-            self.loop_edges = [self.offtree[p] for p in pivots]
+        if all(row[q] == 1 for row, q in zip(form, pivots)):
+            # column q_i of the form is e_i: generator i is the class of
+            # the fundamental loop of generator q_i
+            self.loop_edges = [p.generators[q] for q in pivots]
             self.loops = [loop(e) for e in self.loop_edges]
             return
         # no builtin reaches this, but an inline complex can: the
@@ -417,7 +386,7 @@ class TreeGauge:
         self.loop_edges = None
         lift = solve(IntMatrix(form, shape=(len(form), k)),
                      IntMatrix.identity(len(form)))
-        self.loops = [[0] + [v for e, n in zip(self.offtree, lift.column(j))
+        self.loops = [[0] + [v for e, n in zip(p.generators, lift.column(j))
                              for v in loop(e, n)[1:]]
                       for j in range(len(form))]
 
@@ -543,11 +512,12 @@ def _verify_surface(x, euler):
     """Certify that ``x`` is a closed oriented surface of Euler
     characteristic ``euler``, with H_0 = Z, H_1 = Z^(2 - euler), H_2 = Z.
 
-    The coherent orientation, kept as ``x.orientation``, proves every
-    vertex in one connected family of triangles (so H_0 = Z) and every
-    edge in exactly two of them.  Its edge relation forces every 2-cycle
-    over Z, or over F_p for any prime p, to be a multiple of the
-    orientation, so H_2 = Z and H_2(x; F_p) = F_p; by universal
+    The coherent orientation, kept as ``x.orientation``, the signs of
+    the presentation's forest, made with it and checked on every edge,
+    proves every vertex in one connected family of triangles (so
+    H_0 = Z) and every edge in exactly two of them.  Its edge relation
+    forces every 2-cycle over Z, or over F_p for any prime p, to be a
+    multiple of the orientation, so H_2 = Z and H_2(x; F_p) = F_p; by universal
     coefficients H_1 has no p-torsion, and its rank is then 2 - euler.
     A pinched surface passes too, with the same homology.
     """

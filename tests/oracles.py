@@ -33,10 +33,14 @@ elimination over F_2.
 
 ``iterated_connected_sum`` builds genus(g) one connected sum at a
 time, a whole complex after each: the reference for the one-pass
-``genus_surface``.  ``smith_gauge`` takes the SNF and Hermite path of
-``TreeGauge`` on any complex, surfaces included: the reference for the
-cotree gauge of a surface, and, by its classes of the off-tree edges,
-for the transports of ``from_monodromy`` (``class_power_table``).
+``genus_surface``, and ``bfs_orientation`` orients a surface by its own
+breadth-first pass: the reference for ``orientation``, which reads the
+presentation's forest.  ``smith_gauge`` reads H_1 from the off-tree
+rows of d_2 (``boundary_matrix``), by one SNF and a Hermite form over
+every off-tree edge: the reference for ``TreeGauge``, which reads the
+relators' exponent sums, equal up to ``basis_change``, and by its
+classes of the off-tree edges (``offtree_classes``) for the transports
+of ``from_monodromy`` (``class_power_table``).
 ``surface_word`` walks a closed orientable surface's one disk by its
 coherent orientation, and ``check_surface_word`` certifies the word:
 the reference for the relator of its reduced presentation.
@@ -82,7 +86,11 @@ from leray.ncp_bundles import (
     is_rkk_trivial,
 )
 from leray.cohomology import build
-from leray.simplicial import SimplicialComplex, TreeGauge, torus2
+from leray.simplicial import (
+    SimplicialComplex,
+    _hermite_from_the_right,
+    torus2,
+)
 from leray.spectral import (
     SpectralPage,
     assemble,
@@ -471,33 +479,140 @@ def iterated_connected_sum(g) -> SimplicialComplex:
     return x
 
 
-class _Unoriented(SimplicialComplex):
-    """A complex whose surface certificate is withheld: ``orientation``
-    raises, as on a complex that is not a surface."""
+def bfs_orientation(x):
+    """The coherent orientation of a closed, triangle-connected,
+    orientable surface by its own breadth-first pass over the triangles,
+    as ``SimplicialComplex.orientation`` found it before it read the
+    presentation's forest: the reference for that rule, with the same
+    messages.  Signs spread from the first triangle (+1): an edge that
+    enters the boundaries of triangles j and k with coefficients s_j and
+    s_k cancels exactly when eps_k = -eps_j s_j s_k."""
+    tris = x.simplices(2)
+    sides = {}  # edge -> [(triangle index, (-1)^l)]
+    for j, tri in enumerate(tris):
+        for l in range(3):
+            sides.setdefault(tri[:l] + tri[l + 1:], []).append((j, (-1) ** l))
+    if (x.dimension != 2 or len(sides) != x.n_simplices(1)
+            or any(len(s) != 2 for s in sides.values())
+            or len({v for tri in tris for v in tri}) != x.vertex_count):
+        raise ValueError("not a closed connected surface")
+    eps = [0] * len(tris)
+    eps[0] = 1
+    queue = [0]
+    for j in queue:
+        tri = tris[j]
+        for l in range(3):
+            (a, s_a), (b, s_b) = sides[tri[:l] + tri[l + 1:]]
+            k = b if a == j else a
+            sign = -eps[j] * s_a * s_b
+            if not eps[k]:
+                eps[k] = sign
+                queue.append(k)
+            elif eps[k] != sign:
+                raise ValueError("surface is not orientable")
+    if len(queue) != len(tris):
+        raise ValueError("not a closed connected surface")
+    return tuple(eps)
 
-    @property
-    def orientation(self):
-        raise ValueError("orientation withheld")
+
+def boundary_matrix(x, p) -> IntMatrix:
+    """Integral boundary C_p -> C_(p-1) of ``x``, with coefficient
+    (-1)^l on face l."""
+    rows = x.n_simplices(p - 1) if p >= 1 else 0
+    entries = [{} for _ in range(rows)]
+    for j, sigma in enumerate(x.simplices(p) if p >= 1 else ()):
+        for l in range(p + 1):
+            entries[x.index(sigma[:l] + sigma[l + 1:])][j] = (-1) ** l
+    return IntMatrix._trusted(entries, rows, x.n_simplices(p))
 
 
-def smith_gauge(x) -> TreeGauge:
-    """The ``TreeGauge`` of the 2-skeleton of ``x`` by its SNF and
-    Hermite path, which a closed surface does not take."""
-    faces = {e for t in x.simplices(2) for e in combinations(t, 2)}
-    return TreeGauge(_Unoriented(x.vertex_count, list(x.simplices(2)) + [
-        e for e in x.simplices(1) if e not in faces]))
+@dataclass(frozen=True)
+class SmithGauge:
+    """The H_1 data of ``smith_gauge``: the ``TreeGauge`` attributes,
+    and ``classes``, the class of each off-tree edge, dense."""
+
+    offtree: list
+    classes: tuple
+    generator_classes: list
+    loop_edges: list
+    loops: list
+
+
+def smith_gauge(x) -> SmithGauge:
+    """The H_1 gauge of ``x`` by the rule ``TreeGauge`` followed before
+    it read the relators: the reference for the relator rule.
+
+    A 1-cycle is fixed by its coefficients on the off-tree edges of the
+    presentation's tree, so H_1 is Z^k modulo the columns of A, the
+    k x n_2 off-tree rows of d_2.  With U A V = D of rank r, H_1 has
+    torsion exactly when D holds an entry >= 2, and rows r.. of U map
+    each off-tree edge to its class.  Their Hermite form, read from the
+    last off-tree edge, fixes the basis; where every pivot is 1, the
+    loop edges are the off-tree edges at the pivots, else each loop
+    runs the fundamental loops by the solution of H x = e_j.  Where the
+    form has a pivot on an edge the forest erased, which the relators
+    cannot see, the two rules pick different bases of one lattice."""
+    p = x.presentation
+    if p is None:
+        raise ValueError("base complex is not connected")
+    k, loop = len(p.offtree), p.fundamental_loop
+    d2_rows = boundary_matrix(x, 2).nonzero_rows()
+    h1 = smith_normal_form(IntMatrix._trusted(
+        [d2_rows[x.index(e)] for e in p.offtree], k, x.n_simplices(2)))
+    if any(d >= 2 for d in h1.diagonal):
+        raise ValueError("base has torsion in H_1; unsupported")
+    form = _hermite_from_the_right(h1.U.nonzero_rows()[h1.rank:], k)
+    classes = tuple(tuple(row[j] for row in form) for j in range(k))
+    pivots = [max(j for j, c in enumerate(row) if c) for row in form]
+    if all(row[q] == 1 for row, q in zip(form, pivots)):
+        loop_edges = [p.offtree[q] for q in pivots]
+        loops = [loop(e) for e in loop_edges]
+    else:
+        loop_edges = None
+        lift = solve(IntMatrix(form, shape=(len(form), k)),
+                     IntMatrix.identity(len(form)))
+        loops = [[0] + [v for e, n in zip(p.offtree, lift.column(j))
+                        for v in loop(e, n)[1:]]
+                 for j in range(len(form))]
+    return SmithGauge(
+        p.offtree, classes,
+        [tuple((i, c) for i, c in enumerate(classes[j]) if c)
+         for j in p.leftover], loop_edges, loops)
+
+
+def basis_change(x) -> IntMatrix:
+    """The matrix P with P c = c' for every generator of
+    ``x.presentation``, c its class in ``smith_gauge(x)``'s basis and c'
+    in ``x.tree_gauge``'s, solved from the generators' classes, which
+    span H_1; None when no integer P exists.  The two bases are bases of
+    one lattice exactly when P is unimodular."""
+    old, new = smith_gauge(x), x.tree_gauge
+    n = len(new.loops)
+
+    def dense(classes):  # one row per generator
+        return IntMatrix([[dict(c).get(i, 0) for i in range(n)]
+                          for c in classes], shape=(len(classes), n))
+    change = solve(dense(old.generator_classes), dense(new.generator_classes))
+    return None if change is None else change.transpose()
+
+
+def offtree_classes(x):
+    """{off-tree edge: its class in H_1} in the basis of
+    ``x.tree_gauge``, dense: ``smith_gauge(x)``'s classes, carried over
+    by ``basis_change``."""
+    gauge, change = smith_gauge(x), basis_change(x)
+    return {e: change.apply(c) for e, c in zip(gauge.offtree, gauge.classes)}
 
 
 def class_power_table(x, mats, fiber_rank):
     """The transport table of ``from_monodromy(x, mats)`` by classes:
     the identity on tree edges, and on each off-tree edge of class c in
-    ``smith_gauge(x).classes`` prod_i m_i^(c_i) forwards and
+    ``offtree_classes(x)`` prod_i m_i^(c_i) forwards and
     prod_i m_i^(-c_i) backwards: the reference for the table
     ``from_monodromy`` makes by flatness, which reads no such class."""
-    gauge = smith_gauge(x)
     ident = IntMatrix.identity(fiber_rank)
     table = {h: ident for (u, v) in x.simplices(1) for h in ((u, v), (v, u))}
-    for (u, v), cls in zip(gauge.offtree, gauge.classes):
+    for (u, v), cls in offtree_classes(x).items():
         for key, sign in (((u, v), 1), ((v, u), -1)):
             table[key] = reduce(lambda a, b: a * b,
                                 (m.power(sign * c) for m, c in zip(mats, cls)),
@@ -568,13 +683,12 @@ def cup_intersection_form(x) -> IntMatrix:
     J_ij = sum_t eps_t alpha_i(a, b) alpha_j(b, c) over the triangles
     t = (a, b, c), with eps the orientation: the cup product of the
     cocycles alpha_i dual to the basis, evaluated on the fundamental
-    class.  alpha_i is coordinate i of ``smith_gauge(x).classes`` on
-    each off-tree edge and 0 on tree edges; it is a cocycle because
-    every triangle boundary is null-homologous."""
-    gauge = smith_gauge(x)
-    n = len(gauge.loops)
+    class.  alpha_i is coordinate i of ``offtree_classes(x)`` on each
+    off-tree edge and 0 on tree edges; it is a cocycle because every
+    triangle boundary is null-homologous."""
+    n = len(x.tree_gauge.loops)
     alpha = {e: [(i, c) for i, c in enumerate(cls) if c]
-             for e, cls in zip(gauge.offtree, gauge.classes)}
+             for e, cls in offtree_classes(x).items()}
     form = [[0] * n for _ in range(n)]
     for eps, (a, b, c) in zip(x.orientation, x.simplices(2)):
         for i, u in alpha.get((a, b), ()):
@@ -746,8 +860,8 @@ def integral_homology(x):
     """H_p(X; Z) for p = 0..dim, via kernels/images of boundary matrices."""
     out = []
     for p in range(x.dimension + 1):
-        dp = x.boundary_matrix(p)
-        dnext = x.boundary_matrix(p + 1) if p + 1 <= x.dimension else \
+        dp = boundary_matrix(x, p)
+        dnext = boundary_matrix(x, p + 1) if p + 1 <= x.dimension else \
             IntMatrix.zeros(x.n_simplices(p), 0)
         out.append(subquotient(kernel(dp), dnext).quotient)
     return out

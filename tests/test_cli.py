@@ -32,7 +32,6 @@ from oracles import (
     pinched_torus,
     random_commuting_pair,
     random_unimodular,
-    smith_gauge,
 )
 from test_report_golden import DOCUMENTS
 from test_simplicial import _RP2
@@ -260,6 +259,25 @@ def test_schema_violation_exit_2(tmp_path, command, doc):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("base", [5, "circle(2500)"],
+                         ids=["int", "circle-2500"])
+def test_ncp_base_is_checked_before_it_is_built(monkeypatch, capsys,
+                                                tmp_path, base):
+    """An ncp base that is not a string naming torus2 or genus(g) exits
+    2 with a message that says so, and no base is built for it."""
+    def refuse(name):
+        raise AssertionError("built %r" % (name,))
+    monkeypatch.setattr(ncp_bundles, "shared_builtin", refuse)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"bundle": {"base": base, "windings": [0, 0],
+                                           "chern": [0, 0]}}))
+    capsys.readouterr()
+    assert cli.main(["ncp", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: bad bundle: base must be torus2 or genus(g), got %r\n"
+        % (base,))
+
+
 @pytest.mark.parametrize("doc, message", _GROUP_KEY_DOCS,
                          ids=["system-empty-action-given", "monodromy-empty",
                               "action-only"])
@@ -394,33 +412,33 @@ def _kernel_input(m):
 
 
 def _gauge_inputs(kernel_calls, name):
-    """The kernel inputs of a base's tree gauge by the SNF path, which a
-    surface does not take: the off-tree rows of d_2 among them."""
+    """The kernel inputs of a fresh tree gauge of a named base: none on
+    a surface, whose relator's exponent sums vanish."""
     x = builtin(name)
     kernel_calls.clear()
-    smith_gauge(x)
-    assert kernel_calls
+    x.tree_gauge
     return list(kernel_calls)
 
 
 def test_commands_share_nothing(kernel_calls, capsys, tmp_path):
     """Each command decomposes afresh: after the first run, which also
-    builds the base's tree gauge and reads its boundary word (no SNF
-    for either on a surface), runs give equal reports from equal kernel
-    inputs."""
+    builds the base and walks its relator (no SNF for either on a
+    surface), runs give equal reports from equal kernel inputs.  A fresh
+    gauge of the base sends the kernel nothing."""
     simplicial.shared_builtin.cache_clear()  # a cold base, whatever ran before
     runs = [_run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
             for _ in range(3)]
     assert [code for code, _, _ in runs] == [0, 0, 0]
     assert runs[0][1] == runs[1][1] == runs[2][1]
     assert runs[0][2] == runs[1][2] == runs[2][2]
-    assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(runs[0][2])
+    assert _gauge_inputs(kernel_calls, "torus2") == []
 
 
 def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
-    """On a warm base an ncp job sends the SNF kernel no gauge matrix
-    and no edge transport of the simplicial system, apart from the identity, which the job decomposes for
-    another reason (the change of basis in d2_spec)."""
+    """On a warm base an ncp job sends the SNF kernel no edge transport
+    of the simplicial system, apart from the identity, which the job
+    decomposes for another reason (the change of basis in d2_spec); the
+    base's gauge sends it nothing at all."""
     _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
     code, _, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
                                       "ncp", _NCP_TORUS)
@@ -433,7 +451,7 @@ def test_warm_ncp_job_inverts_no_transport(kernel_calls, capsys, tmp_path):
     transports -= {_kernel_input(IntMatrix.identity(2))}
     assert transports  # inverse classes give transports such as (1 -2; 0 1)
     assert not transports & set(inputs)
-    assert not set(_gauge_inputs(kernel_calls, "torus2")) & set(inputs)
+    assert _gauge_inputs(kernel_calls, "torus2") == []
 
 
 @pytest.mark.parametrize("emit", ["human", "machine"])
@@ -949,8 +967,9 @@ def test_named_bases_are_built_once_per_process(monkeypatch, kernel_calls,
     """cohomology, check and spectral jobs take a named base from the
     cache ncp jobs use: once torus2 is built, no job builds, verifies or
     gauges it again."""
-    gauge = set(_gauge_inputs(kernel_calls, "torus2"))
+    assert _gauge_inputs(kernel_calls, "torus2") == []
     _run_in_process(kernel_calls, capsys, tmp_path, "ncp", _NCP_TORUS)
+    gauge = ncp_bundles.resolve_base("torus2").tree_gauge
 
     def refuse(name, param=None):
         raise AssertionError("built %s again" % name)
@@ -961,10 +980,10 @@ def test_named_bases_are_built_once_per_process(monkeypatch, kernel_calls,
             ("check", {"complex": "torus2", "system": system}),
             ("spectral", {"complex": "torus2",
                           "system": {"even": system, "odd": system}})):
-        code, out, inputs = _run_in_process(kernel_calls, capsys, tmp_path,
-                                            command, doc)
+        code, out, _ = _run_in_process(kernel_calls, capsys, tmp_path,
+                                       command, doc)
         assert code == 0, out
-        assert not gauge & set(inputs)
+    assert ncp_bundles.resolve_base("torus2").tree_gauge is gauge
 
 
 def test_group_cohomology_builds_no_local_system(monkeypatch, kernel_calls,

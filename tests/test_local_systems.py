@@ -28,13 +28,13 @@ from oracles import (
     class_power_table,
     coinvariants,
     invariants,
+    offtree_classes,
     pinched_torus,
     random_commuting_pair,
     random_unimodular,
-    smith_gauge,
 )
 from test_cell_model import connected_complexes
-from test_simplicial import _CYLINDER_Z2, _relabelled
+from test_simplicial import _CYLINDER_Z2, _FIN_TORUS, _relabelled
 
 
 K2 = IntMatrix([[1, 2], [0, 1]])
@@ -224,7 +224,7 @@ def test_negative_classes_are_inverted_exactly():
     # some off-tree edges of torus2 have classes with negative
     # coordinates, so their transports use the prescribed inverses
     x = torus2()
-    assert any(c < 0 for cls in smith_gauge(x).classes for c in cls)
+    assert any(c < 0 for cls in offtree_classes(x).values() for c in cls)
     sys = from_monodromy(x, [K2, K4])
     for (u, v) in x.simplices(1):
         assert (sys.transport(v, u) * sys.transport(u, v)).is_identity()
@@ -318,9 +318,9 @@ def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
     x = torus2()
     gauge, p = x.tree_gauge, x.presentation
     system = from_monodromy(x, block_unipotent_family(random.Random(6), 2))
+    classes = offtree_classes(x)
     calls = _counting(monkeypatch, "__mul__")
     system.transport(0, 1)
-    classes = dict(zip(p.offtree, smith_gauge(x).classes))
     tris = x.simplices(2)
     multiplying = sum(
         1 for disk in p.disks for t in disk[1:]
@@ -332,9 +332,6 @@ def test_monodromy_table_multiplies_by_no_identity(monkeypatch):
     assert not any(a.is_identity() or b.is_identity() for _, a, b in calls)
 
 
-# torus2 with a fin: tree edge (0, 1) lies in three triangles, and the
-# fin's off-tree edge, in one, is a generator of class 0
-_FIN_TORUS = list(torus2().simplices(2)) + [(0, 1, 7)]
 _TABLE_BASES = dict(
     [("genus(%d)" % g, lambda g=g: builtin("genus(%d)" % g))
      for g in list(range(1, 13)) + [24, 49]]

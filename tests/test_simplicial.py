@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from leray.local_systems import LocalSystem, from_monodromy, transport_along
 from leray.ncp_bundles import NcpTorusBundleSpec
 from leray.simplicial import (
     SimplicialComplex,
+    TreeGauge,
     builtin,
     circle,
     genus_surface,
@@ -18,7 +20,8 @@ from leray.simplicial import (
     torus2,
 )
 
-from oracles import (check_surface_word, cup_intersection_form,
+from oracles import (basis_change, bfs_orientation, boundary_matrix,
+                     check_surface_word, cup_intersection_form,
                      integral_homology, iterated_connected_sum,
                      pinched_torus, smith_gauge, surface_word,
                      word_intersection_form)
@@ -36,9 +39,10 @@ def test_closure_and_counts():
 def test_boundary_squares_to_zero():
     for x in [simplex(3), sphere2(), torus2(), genus_surface(2), circle(5)]:
         for p in range(1, x.dimension + 1):
-            assert (x.boundary_matrix(p) * x.boundary_matrix(p + 1)).is_zero() \
+            assert (boundary_matrix(x, p)
+                    * boundary_matrix(x, p + 1)).is_zero() \
                 if p + 1 <= x.dimension else True
-            composite = x.boundary_matrix(p - 1) * x.boundary_matrix(p) \
+            composite = boundary_matrix(x, p - 1) * boundary_matrix(x, p) \
                 if p - 1 >= 1 else None
             if composite is not None:
                 assert composite.is_zero()
@@ -80,7 +84,7 @@ def test_coherent_orientation():
         eps = x.orientation
         assert eps[0] == 1
         assert all(abs(e) == 1 for e in eps)
-        d2 = x.boundary_matrix(2)
+        d2 = boundary_matrix(x, 2)
         assert all(v == 0 for v in d2.apply(eps))
     with pytest.raises(ValueError):
         simplex(2).orientation
@@ -120,7 +124,7 @@ def test_orientation_certifies_homology(x):
     the signs are a 2-cycle, and H_* = [Z, Z^(2 - chi), Z]."""
     eps = x.orientation
     assert eps[0] == 1
-    assert all(v == 0 for v in x.boundary_matrix(2).apply(eps))
+    assert all(v == 0 for v in boundary_matrix(x, 2).apply(eps))
     assert integral_homology(x) == [
         FgAbGroup(1, ()), FgAbGroup(2 - x.euler_characteristic(), ()),
         FgAbGroup(1, ())]
@@ -131,14 +135,33 @@ def test_orientation_certifies_homology(x):
     (SimplicialComplex(8, _SPHERE + [tuple(v + 4 for v in t)
                                      for t in _SPHERE]), "not a closed"),
     (SimplicialComplex(5, _SPHERE), "not a closed"),
+    (SimplicialComplex(7, _SPHERE + [tuple(v + 3 for v in t)
+                                     for t in _SPHERE]), "not a closed"),
     (SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), "not a closed"),
     (simplex(2), "not a closed"),
     (simplex(3), "not a closed"),
-], ids=["rp2", "two-spheres", "sphere-isolated-vertex", "three-on-an-edge",
+], ids=["rp2", "two-spheres", "sphere-isolated-vertex",
+        "two-spheres-at-a-vertex", "three-on-an-edge",
         "simplex2", "simplex3"])
 def test_orientation_rejects_non_surfaces(x, message):
-    with pytest.raises(ValueError, match=message):
-        x.orientation
+    """The forest's check raises what the breadth-first pass raised."""
+    for orient in (lambda: x.orientation, lambda: bfs_orientation(x)):
+        with pytest.raises(ValueError, match=message):
+            orient()
+
+
+def test_orientation_is_the_breadth_first_one():
+    """The forest's signs, checked, are the signs the breadth-first pass
+    spreads from the first triangle: on the builtin surfaces and on 30
+    randomly relabelled genus(3)."""
+    rng, g3 = random.Random("orientation"), genus_surface(3)
+    xs = [builtin(name) for name in _SURFACES]
+    for _ in range(30):
+        relabel = rng.sample(range(g3.vertex_count), g3.vertex_count)
+        xs.append(SimplicialComplex(g3.vertex_count, [
+            tuple(relabel[v] for v in t) for t in g3.simplices(2)]))
+    for x in xs:
+        assert x.orientation == bfs_orientation(x)
 
 
 def test_orientation_is_kept():
@@ -153,18 +176,23 @@ def test_orientation_is_kept():
             y.orientation
 
 
-def test_tree_gauge_decomposes_the_offtree_rows_of_d2(kernel_calls):
-    """H_1 is the cokernel of the off-tree rows of d_2: off a surface, a
-    fresh gauge sends the SNF kernel that one matrix.  genus(2) with a
-    fin, a triangle on its edge (0, 1) and a new vertex, is not a
-    surface, and its H_1 is Z^4 with every Hermite pivot 1."""
+def test_tree_gauge_decomposes_the_relators_exponent_sums(kernel_calls):
+    """H_1 is Z^k modulo the exponent sums of the relators: where some
+    sum is nonzero, a fresh gauge sends the SNF kernel that one r x k
+    matrix.  genus(2) with a fin, a triangle on its edge (0, 1) and a
+    new vertex, is not a surface: the fin is a disk of its own, whose
+    relator reads the fin's generator once, and H_1 is Z^4 with every
+    Hermite pivot 1."""
     x = SimplicialComplex(12, list(genus_surface(2).simplices(2))
                           + [(0, 1, 11)])
+    p = x.presentation
+    k = len(p.generators)
+    sums = tuple(tuple(sum(s for i, s in word if i == j) for j in range(k))
+                 for word in p.relators)
+    assert [sum(map(abs, row)) for row in sums] == [0, 1]
     kernel_calls.clear()
     gauge = x.tree_gauge
-    rows = x.boundary_matrix(2).rows()
-    offtree = tuple(rows[x.index(e)] for e in gauge.offtree)
-    assert kernel_calls == [(len(offtree), x.n_simplices(2), offtree)]
+    assert kernel_calls == [(len(p.relators), k, sums)]
     assert len(gauge.loop_edges) == 4
 
 
@@ -299,10 +327,149 @@ def test_tree_gauge_lifts_the_loop_where_a_pivot_is_not_one():
     x = SimplicialComplex(15, _CYLINDER_Z2)
     assert integral_homology(x)[1] == FgAbGroup(1, ())
     gauge = x.tree_gauge
-    assert [c for (c,) in gauge.classes if c][-1] == 2  # the pivot
+    assert gauge.loop_edges is None
+    assert gauge.generator_classes[-1] == ((0, 2),)  # the pivot
     # from_monodromy certifies the holonomy along the lifted loop
     system = from_monodromy(x, [IntMatrix([[-1]])])
     assert transport_along(system, gauge.loops[0]) == IntMatrix([[-1]])
+
+
+# torus2 with a fin: tree edge (0, 1) lies in three triangles, and the
+# fin's off-tree edge, in one, is a generator of class 0
+_FIN_TORUS = list(torus2().simplices(2)) + [(0, 1, 7)]
+# a cone on the square 0-1-3-2 with apex 4, and the square's diagonal
+# (0, 3) as an edge of its own: H_1 = Z, and the two rules for its basis
+# pick opposite generators
+_DIAGONAL_CONE = [(0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4), (0, 3)]
+
+# the bases the closed-surface test of the gauge above leaves out: the
+# other builtins and the fixed test bases
+_GAUGE_BASES = (
+    [(name, builtin(name)) for name in ["circle(3)", "circle(7)",
+                                        "simplex(0)", "simplex(2)",
+                                        "simplex(3)"]]
+    + [("pinched-torus", pinched_torus()),
+       ("fin-torus", SimplicialComplex(8, _FIN_TORUS)),
+       ("cylinder-z2", SimplicialComplex(15, _CYLINDER_Z2))])
+
+
+@pytest.mark.parametrize("x", [x for _, x in _GAUGE_BASES],
+                         ids=[name for name, _ in _GAUGE_BASES])
+def test_relator_gauge_equals_the_smith_gauge(x):
+    """Off the closed surfaces too, on the builtins and the fixed test
+    bases, the relators' exponent sums give the loop edges and generator
+    classes that the off-tree rows of d_2 give."""
+    gauge, reference = x.tree_gauge, smith_gauge(x)
+    assert gauge.loop_edges == reference.loop_edges
+    assert gauge.generator_classes == reference.generator_classes
+
+
+def _random_2_complex(rng):
+    """A seeded inline complex on 3 to 8 vertices: up to 12 random
+    triangles and 5 random edges, one time in four on 6 or more
+    vertices over a relabelled RP^2 too (torsion in H_1, unless the
+    other triangles kill it), and its components joined to vertex 0
+    nine times in ten."""
+    n = rng.randint(3, 8)
+    tris = list(combinations(range(n), 3))
+    tris = rng.sample(tris, rng.randint(0, min(12, len(tris))))
+    if n >= 6 and rng.random() < 0.25:
+        relabel = rng.sample(range(n), 6)
+        tris += [tuple(relabel[v] for v in t) for t in _RP2]
+    edges = list(combinations(range(n), 2))
+    edges = rng.sample(edges, rng.randint(0, min(5, len(edges))))
+    if rng.random() < 0.9:
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+        for s in tris + edges:
+            for v in s[1:]:
+                root[find(v)] = find(s[0])
+        for v in range(1, n):
+            if find(v) != find(0):
+                edges.append((0, v))
+                root[find(v)] = find(0)
+    return SimplicialComplex(n, tris + edges)
+
+
+def test_relator_gauge_is_the_smith_gauge_up_to_a_change_of_basis():
+    """On 3,000 seeded random inline 2-complexes the two rules refuse
+    the same complexes, with the same message.  On the others their
+    bases of H_1 differ by a matrix in GL_k(Z), and ``from_monodromy``
+    certifies the holonomy along the relator rule's loops when it makes
+    its table.  On some the rules pick different bases: there a
+    ``monodromy`` document means something new."""
+    rng = random.Random("relator-gauge")
+    refused, gauged, moved_classes, moved_edges = {}, 0, 0, 0
+    for _ in range(3000):
+        x = _random_2_complex(rng)
+        try:
+            reference = smith_gauge(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as again:
+                x.tree_gauge
+            assert str(again.value) == str(exc)
+            refused[str(exc)] = refused.get(str(exc), 0) + 1
+            continue
+        gauge = x.tree_gauge
+        gauged += 1
+        moved_classes += gauge.generator_classes != reference.generator_classes
+        moved_edges += gauge.loop_edges != reference.loop_edges
+        basis_change(x).inverse_unimodular()  # raises unless in GL_k(Z)
+        mats = [IntMatrix([[s, s * k], [0, s]])
+                for s, k in ((rng.choice((-1, 1)), rng.randint(1, 3))
+                             for _ in gauge.loops)]
+        from_monodromy(x, mats, 2).transport(*x.simplices(1)[0])
+    assert gauged >= 2000
+    assert set(refused) == {"base complex is not connected",
+                            "base has torsion in H_1; unsupported"}
+    assert 0 < moved_classes <= moved_edges < gauged // 5
+
+
+def test_a_monodromy_document_changed_meaning_on_the_diagonal_cone():
+    """The off-tree rows of d_2 gave loop edge (3, 4), and both
+    generators class -1; the relators give loop edge (2, 3), and class
+    +1.  So a matrix A prescribed there is now the holonomy around the
+    old loop's opposite: there [A] now means what [A^-1] meant."""
+    x = SimplicialComplex(5, _DIAGONAL_CONE)
+    gauge, old = x.tree_gauge, smith_gauge(x)
+    assert x.presentation.generators == [(1, 3), (2, 3)]
+    assert gauge.loop_edges == [(2, 3)]
+    assert gauge.generator_classes == [((0, 1),), ((0, 1),)]
+    assert old.loop_edges == [(3, 4)]
+    assert old.generator_classes == [((0, -1),), ((0, -1),)]
+    a = IntMatrix([[1, 1], [0, 1]])
+    system = from_monodromy(x, [a])
+    assert transport_along(system, gauge.loops[0]) == a
+    assert transport_along(system, old.loops[0]) == a.inverse_unimodular()
+
+
+@pytest.mark.parametrize("x", [SimplicialComplex(8, _FIN_TORUS),
+                               SimplicialComplex(15, _CYLINDER_Z2),
+                               SimplicialComplex(5, _DIAGONAL_CONE)],
+                         ids=["fin-torus", "cylinder-z2", "diagonal-cone"])
+def test_relator_gauge_does_not_depend_on_the_kernels_transforms(
+        x, monkeypatch):
+    """The relator rule's Hermite form reads the lattice of the vectors
+    y with M y = 0 alone: another valid kernel gives the same classes
+    and loop edges.  (Where a pivot is not 1 the lifted loops are one
+    solution of many, so only their classes are kernel-free.)"""
+    gauge = TreeGauge(x)
+    kernel = exactlinalg.smith_with_transforms
+    seen = []
+
+    def other(a, nrows, ncols):
+        out = _reversing(kernel)(a, nrows, ncols)
+        seen.append(out != kernel(a, nrows, ncols))
+        return out
+    monkeypatch.setattr(exactlinalg, "smith_with_transforms", other)
+    again = TreeGauge(x)
+    assert any(seen)
+    assert again.generator_classes == gauge.generator_classes
+    assert again.loop_edges == gauge.loop_edges
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 8])
@@ -440,19 +607,18 @@ def test_mutated_boundary_words_are_rejected(name):
 
 
 def test_boundary_word_is_made_on_first_read(kernel_calls):
-    """The build makes no presentation, and the gauge, which reads the
-    presentation's tree and forest, walks no relator; the relators are
-    walked on first read, with no SNF, and kept."""
+    """The build makes the presentation, whose forest's signs orient the
+    surface, and walks no relator; the gauge walks the relator for its
+    exponent sums, all zero, with no SNF, and the relators are kept."""
     x = genus_surface(3)
-    assert "presentation" not in vars(x)
-    gauge = x.tree_gauge
-    p = x.presentation
-    assert gauge.parent is p.parent and gauge.loop_edges is p.generators
+    p = vars(x)["presentation"]
     assert "relators" not in vars(p)
+    assert x.orientation == tuple(p.eps)
     kernel_calls.clear()
-    relators = p.relators
+    gauge = x.tree_gauge
     assert kernel_calls == []
-    assert x.presentation.relators is relators
+    assert gauge.parent is p.parent and gauge.loop_edges is p.generators
+    assert x.presentation.relators is vars(p)["relators"]
 
 
 def test_boundary_word_needs_a_closed_surface():

@@ -7,11 +7,11 @@ For each genus g (default 8, 16, 32, 49, 100, 113) a fresh ``python3
 -I`` process imports ``leray`` from the ``src/`` beside this directory
 and runs one ``ncp`` job on ``genus(g)``, windings (2, 4, 0, ...) and
 Chern pairings (1, 0), as ``leray ncp --emit machine`` would: it builds
-the base through the per-process cache, reads its tree gauge, which
-makes the reduced presentation's tree and forest, and the relator that
-the presentation's walk reads, then runs the job, which finds all three
-kept.  Prints
-the milliseconds of each step and their total, as the process measures
+the base through the per-process cache, which makes the reduced
+presentation's tree and forest, whose signs orient the surface, then
+reads its tree gauge, which walks the relator for its exponent sums,
+then runs the job, which finds all of them kept.  Prints the
+milliseconds of each step and their total, as the process measures
 them, then the wall time of the whole process, interpreter start and
 exit included, and its peak resident set size.  A job that does not
 exit 0 stops the tool.
@@ -40,8 +40,6 @@ x = shared_builtin("genus(%d)" % g)
 t.append(clock())
 x.tree_gauge
 t.append(clock())
-x.presentation.relators
-t.append(clock())
 doc = {"bundle": {"base": "genus(%d)" % g, "chern": [1, 0],
                   "windings": [2, 4] + [0] * (2 * g - 2)}}
 sys.stdin = io.StringIO(json.dumps(doc))
@@ -53,7 +51,7 @@ print(json.dumps({"code": code, "rss_kib": rss,
                   "ms": [1e3 * (b - a) for a, b in zip(t, t[1:])]}))
 """
 
-STEPS = ("import", "build", "gauge", "word", "job")
+STEPS = ("import", "build", "gauge", "job")
 
 
 def probe(g):
